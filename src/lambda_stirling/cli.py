@@ -95,6 +95,11 @@ def _add_output_argument(parser: argparse.ArgumentParser):
     )
 
 
+def _check_n_max(n_max: int) -> None:
+    if n_max < 0:
+        raise ValueError("--n-max must be nonnegative")
+
+
 def _cmd_triangle(args) -> int:
     value_fn, takes_r, takes_m = TRIANGLE_FAMILIES[args.family]
     if args.r is not None and not takes_r:
@@ -107,6 +112,7 @@ def _cmd_triangle(args) -> int:
         raise ValueError(f"family {args.family!r} needs --r")
     if takes_m and args.m is None:
         raise ValueError(f"family {args.family!r} needs --m")
+    _check_n_max(args.n_max)
     lam = _parse_lambda(args.lam)
     cells = [
         (n, k, value_fn(n, k, r, m, lam))
@@ -182,6 +188,7 @@ def _cmd_dobinski(args) -> int:
 
 
 def _cmd_bernoulli(args) -> int:
+    _check_n_max(args.n_max)
     x = parse_rational(args.x)
     rows = [(n, bernoulli_higher(n, args.m, x)) for n in range(args.n_max + 1)]
     if args.format == "csv":

@@ -644,10 +644,10 @@ def _check_dobinski(cfg: SuiteConfig) -> IdentityReport:
                             p.whitney(n, k, m, lam) * Fraction(x) ** k
                             for k in range(n + 1)
                         )
-                        error = abs(
-                            value.numeric
-                            - _whitney._to_mpf(Fraction(exact))
-                        )
+                        # the mpf is a dyadic rational, so the difference
+                        # is taken exactly; no working precision hides it
+                        man, exp = value.numeric.man, value.numeric.exp
+                        error = abs(Fraction(man) * Fraction(2) ** exp - exact)
                         params = {
                             "n": n, "x": x, "m": m, "lambda": lam_value,
                             "tol": tol,
@@ -655,7 +655,11 @@ def _check_dobinski(cfg: SuiteConfig) -> IdentityReport:
                         if error <= tol and value.tail_bound <= tol:
                             yield params, Fraction(0), Fraction(0)
                         else:
-                            yield params, f"|error| = {error}", f"tolerance {tol}"
+                            yield (
+                                params,
+                                f"|error| = {_whitney._to_mpf(error)}",
+                                f"tolerance {tol}",
+                            )
 
     desc = (
         f"n <= {cfg.bernoulli_n_max}, x in {[str(v) for v in cfg.dobinski_x_values]}, "

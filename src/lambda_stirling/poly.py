@@ -68,6 +68,18 @@ class Poly:
     def x(cls) -> "Poly":
         return cls([0, 1])
 
+    @classmethod
+    def from_ints(cls, coeffs: list) -> "Poly":
+        """The polynomial with ``int`` coefficients ``coeffs`` (lowest degree
+        first), built without the per-coefficient type dispatch of the
+        general constructor."""
+        end = len(coeffs)
+        while end and not coeffs[end - 1]:
+            end -= 1
+        poly = object.__new__(cls)
+        poly.coeffs = tuple(map(Fraction, coeffs[:end]))
+        return poly
+
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -96,8 +108,10 @@ class Poly:
         return NotImplemented
 
     def __hash__(self):
-        if len(self.coeffs) == 1:
-            return hash(self.coeffs[0])
+        # constants, the zero polynomial included, hash like the scalar
+        # they compare equal to
+        if len(self.coeffs) <= 1:
+            return hash(self.coeff(0))
         return hash(self.coeffs)
 
     def __add__(self, other):
@@ -274,6 +288,13 @@ class LambdaScalar:
     def __post_init__(self):
         if self.value is not None and self.value == 0:
             raise ValueError("lambda must be nonzero in fixed mode")
+        # every triangle lookup hashes its lambda as part of the cache key,
+        # and a Fraction recomputes its hash on each call.  Numeric hashes
+        # do not depend on the process, so a copy keeps a valid hash.
+        object.__setattr__(self, "_hash", 0 if self.value is None else hash(self.value))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def fixed(cls, value) -> "LambdaScalar":

@@ -7,14 +7,21 @@ powers in the generalized falling-factorial basis,
 
 and the first-kind companions obtained by expanding shifted falling (and
 rising) factorials in plain powers of x.  Every family satisfies a triangular
-recurrence of the shared shape
+recurrence of the shared shape (the unified form of Hsu and Shiue)
 
     T(n+1, k) = T(n, k-1) + c(n, k) * T(n, k),
+    c(n, k) = lam (beta k - alpha n + gamma) + r,
 
-which ``NumberTriangle`` tabulates lazily.  Alongside the recurrences the
-module carries the definitional basis-expansion oracle, the finite-difference
-closed form and the EGF route, so every value can be cross-checked by
-computations that share no code path.
+with integer alpha, beta, gamma, r: the second kind is beta = 1, the signed
+and unsigned first kinds alpha = 1 and alpha = -1, the Whitney-type numbers
+(in ``whitney``) beta = m.  ``NumberTriangle`` tabulates it lazily over Python
+integers only (lambda-coefficient lists when lambda is symbolic, entries
+scaled by q^(n-k) when lambda = p/q) and converts each row once, as it is
+grown, to the public ``Fraction``/``Poly`` values.  Alongside the recurrences
+the module carries the definitional basis-expansion oracle, the
+finite-difference closed form and the EGF route, so every value can be
+cross-checked by computations that share no code path; none of them uses
+``NumberTriangle``.
 """
 
 from __future__ import annotations
@@ -32,46 +39,89 @@ _ONE = Fraction(1)
 
 
 class NumberTriangle:
-    """Lazily grown triangular table driven by a row-extension coefficient.
+    """Lazily grown triangle of the unified recurrence
 
-    ``coeff(n, k)`` supplies the multiplier c(n, k) used to extend row n to
-    row n+1.  Values outside 0 <= k <= n are zero.  Growth is guarded by a
-    lock so a shared triangle may be queried from several threads; the values
-    handed out are immutable.
+        T(n+1, k) = T(n, k-1) + c(n, k) T(n, k),
+        c(n, k) = lam (beta k - alpha n + gamma) + r,
+
+    with T(0, 0) = 1, integer parameters alpha, beta, gamma, r and lam a
+    ``LambdaScalar``.  Values outside 0 <= k <= n are zero.
+
+    Growth runs over Python integers only.  With lam symbolic, an entry is
+    the list of its integer coefficients in lam (degree <= n - k), so the
+    multiplier is a shift-and-add.  With lam = p/q, row n stores the
+    integers U(n, k) = q^(n-k) T(n, k), which obey
+    U(n+1, k) = U(n, k-1) + ((beta k - alpha n + gamma) p + r q) U(n, k).
+    Each row is converted once, as it is grown, to its public values:
+    ``Fraction(U, q^(n-k))`` for fixed lam; for symbolic lam ``Poly`` below
+    the diagonal and ``Fraction(1)`` on it and in row 0.  Only the newest
+    row is kept in integer form.
+
+    Finished rows are appended whole and never change, so a lookup of an
+    existing row is a plain read; only growth takes the lock.
     """
 
-    __slots__ = ("_rows", "_coeff", "_lock")
+    __slots__ = ("_rows", "_frontier", "_params", "_lock")
 
-    def __init__(self, coeff):
-        self._rows = [[_ONE]]
-        self._coeff = coeff
+    def __init__(self, lam: LambdaScalar, *, alpha: int = 0, beta: int = 0,
+                 gamma: int = 0, r: int = 0):
+        params = (alpha, beta, gamma, r)
+        if not all(isinstance(v, int) for v in params):
+            raise TypeError("recurrence parameters must be integers")
+        if not isinstance(lam, LambdaScalar):
+            raise TypeError("lam must be a LambdaScalar")
+        self._params = (lam,) + params
+        self._rows = [(_ONE,)]
+        self._frontier = [[1]] if lam.is_symbolic else [1]
         self._lock = Lock()
 
     def _grow(self, n: int) -> None:
         with self._lock:
             while len(self._rows) <= n:
-                m = len(self._rows) - 1
-                prev = self._rows[-1]
-                new = []
-                for k in range(m + 2):
-                    value = _ZERO
-                    if 1 <= k:
-                        value = value + prev[k - 1]
-                    if k <= m:
-                        value = value + self._coeff(m, k) * prev[k]
-                    new.append(value)
-                self._rows.append(new)
+                if self._params[0].is_symbolic:
+                    self._grow_symbolic()
+                else:
+                    self._grow_fixed()
+
+    def _grow_symbolic(self) -> None:
+        _, alpha, beta, gamma, r = self._params
+        ints = self._frontier
+        m = len(ints) - 1  # row m -> row m + 1
+        new = []
+        for k, (left, cur) in enumerate(zip([[0] * (m + 2)] + ints, ints + [[]])):
+            a = beta * k - alpha * m + gamma
+            new.append(
+                [x + r * y + a * z for x, y, z in zip(left, cur + [0], [0] + cur)]
+            )
+        self._frontier = new
+        self._rows.append(tuple(map(Poly.from_ints, new[:-1])) + (_ONE,))
+
+    def _grow_fixed(self) -> None:
+        lam, alpha, beta, gamma, r = self._params
+        p, q = lam.value.numerator, lam.value.denominator
+        ints = self._frontier
+        m = len(ints) - 1  # row m -> row m + 1
+        new = [
+            left + ((beta * k - alpha * m + gamma) * p + r * q) * cur
+            for k, (left, cur) in enumerate(zip([0] + ints, ints + [0]))
+        ]
+        self._frontier = new
+        self._rows.append(
+            tuple(Fraction(u, q ** (m + 1 - k)) for k, u in enumerate(new))
+        )
 
     def row(self, n: int) -> tuple:
         if n < 0:
             raise ValueError("row index must be nonnegative")
-        self._grow(n)
-        return tuple(self._rows[n])
+        if len(self._rows) <= n:
+            self._grow(n)
+        return self._rows[n]
 
     def value(self, n: int, k: int) -> RingElement:
         if n < 0 or k < 0 or k > n:
             return _ZERO
-        self._grow(n)
+        if len(self._rows) <= n:
+            self._grow(n)
         return self._rows[n][k]
 
 
@@ -79,11 +129,14 @@ _cache_lock = Lock()
 _triangles: dict = {}
 
 
-def _triangle(key, make) -> NumberTriangle:
-    with _cache_lock:
-        tri = _triangles.get(key)
-        if tri is None:
-            tri = _triangles[key] = make()
+def _triangle(key, lam: LambdaScalar, **params) -> NumberTriangle:
+    """The shared triangle cached under ``key``, made on first use."""
+    tri = _triangles.get(key)
+    if tri is None:
+        with _cache_lock:
+            tri = _triangles.get(key)
+            if tri is None:
+                tri = _triangles[key] = NumberTriangle(lam, **params)
     return tri
 
 
@@ -96,12 +149,7 @@ def rstirling2_lambda(n: int, k: int, r: int, lam: LambdaScalar) -> RingElement:
     """Entry T(n, k) of the r-shifted second-kind triangle, tabulated by the
     recurrence T(n+1, k) = T(n, k-1) + (lam*k + r) * T(n, k)."""
     _check_shift(r)
-    lam_elem = lam.element
-    tri = _triangle(
-        ("second", r, lam),
-        lambda: NumberTriangle(lambda row, col: lam_elem * col + r),
-    )
-    return tri.value(n, k)
+    return _triangle(("second", r, lam), lam, beta=1, r=r).value(n, k)
 
 
 def stirling2_lambda(n: int, k: int, lam: LambdaScalar) -> RingElement:
@@ -113,12 +161,7 @@ def rstirling1_lambda(n: int, k: int, r: int, lam: LambdaScalar) -> RingElement:
     """Coefficient of x^k in the shifted falling factorial
     (x+r)(x+r-lam)...(x+r-(n-1)lam); row extension multiplies by (x+r-n*lam)."""
     _check_shift(r)
-    lam_elem = lam.element
-    tri = _triangle(
-        ("first-signed", r, lam),
-        lambda: NumberTriangle(lambda row, col: r - lam_elem * row),
-    )
-    return tri.value(n, k)
+    return _triangle(("first-signed", r, lam), lam, alpha=1, r=r).value(n, k)
 
 
 def stirling1_lambda(n: int, k: int, lam: LambdaScalar) -> RingElement:
@@ -130,12 +173,7 @@ def unsigned_rstirling1_lambda(n: int, k: int, r: int, lam: LambdaScalar) -> Rin
     """Coefficient of x^k in the shifted rising product
     (x+r)(x+r+lam)...(x+r+(n-1)lam)."""
     _check_shift(r)
-    lam_elem = lam.element
-    tri = _triangle(
-        ("first-unsigned", r, lam),
-        lambda: NumberTriangle(lambda row, col: r + lam_elem * row),
-    )
-    return tri.value(n, k)
+    return _triangle(("first-unsigned", r, lam), lam, alpha=-1, r=r).value(n, k)
 
 
 def rstirling2_by_difference(n: int, k: int, r: int, lam_value) -> Fraction:
@@ -229,6 +267,8 @@ def second_kind_series(k: int, r: int, lam: LambdaScalar, order: int) -> Truncat
     _check_shift(r)
     if k < 0:
         raise ValueError("k must be nonnegative")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     lam_elem = lam.element
     p = (TruncatedSeries.exp_linear(lam_elem, order) - 1) ** k
     p = p * TruncatedSeries.exp_linear(Fraction(r), order)

@@ -34,7 +34,7 @@ import mpmath
 
 from .poly import LambdaScalar, Poly, RingElement, exact_div
 from .series import TruncatedSeries
-from .stirling import NumberTriangle, _triangle, expand_in_falling_basis, stirling2_lambda
+from .stirling import _triangle, expand_in_falling_basis, stirling2_lambda
 
 _ZERO = Fraction(0)
 
@@ -54,12 +54,7 @@ def whitney_r(n: int, k: int, m: int, r: int, lam: LambdaScalar) -> RingElement:
     """Shifted Whitney-type number, tabulated by the recurrence
     W(n+1, k) = W(n, k-1) + (lam*m*k + r) * W(n, k)."""
     _check_params(m, r)
-    lam_elem = lam.element
-    tri = _triangle(
-        ("whitney", m, r, lam),
-        lambda: NumberTriangle(lambda row, col: lam_elem * (m * col) + r),
-    )
-    return tri.value(n, k)
+    return _triangle(("whitney", m, r, lam), lam, beta=m, r=r).value(n, k)
 
 
 def whitney(n: int, k: int, m: int, lam: LambdaScalar) -> RingElement:
@@ -97,6 +92,8 @@ def whitney_series(k: int, m: int, r: int, lam: LambdaScalar, order: int) -> Tru
     _check_params(m, r)
     if k < 0:
         raise ValueError("k must be nonnegative")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     lam_elem = lam.element
     p = (TruncatedSeries.exp_linear(lam_elem * m, order) - 1) ** k
     p = p * TruncatedSeries.exp_linear(Fraction(r), order)

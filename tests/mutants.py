@@ -17,57 +17,30 @@ from lambda_stirling.poly import LambdaScalar
 from lambda_stirling.stirling import NumberTriangle
 
 
-def _cached_triangle_family(coeff_factory):
+def _cached_triangle_family(params_of):
     """Map lambda-mode (and extra integer parameters) to a corrupted
-    NumberTriangle, mirroring the library's own per-family caches."""
+    NumberTriangle, mirroring the library's own per-family caches.
+    ``params_of`` turns the family's integer parameters into the
+    recurrence parameters of ``NumberTriangle``."""
     cache: dict = {}
 
     def value(n, k, *params, lam: LambdaScalar):
         key = (params, lam)
         tri = cache.get(key)
         if tri is None:
-            tri = cache[key] = NumberTriangle(coeff_factory(*params, lam=lam))
+            tri = cache[key] = NumberTriangle(lam, **params_of(*params))
         return tri.value(n, k)
 
     return value
 
 
-def _second_kind_coeff(lam):
-    elem = lam.element
-    return lambda row, col: elem * col + 1  # should be elem * col
-
-
-def _r_second_kind_coeff(r, lam):
-    elem = lam.element
-    return lambda row, col: elem * col + 2 * r  # should be elem * col + r
-
-
-def _first_kind_coeff(lam):
-    elem = lam.element
-    return lambda row, col: -(elem * (row + 1))  # should be -(elem * row)
-
-
-def _unsigned_first_kind_coeff(r, lam):
-    elem = lam.element
-    return lambda row, col: r + elem * (row + 1)  # should be r + elem * row
-
-
-def _whitney_coeff(m, lam):
-    elem = lam.element
-    return lambda row, col: elem * (m * col) + 2  # should be ... + 1
-
-
-def _whitney_r_coeff(m, r, lam):
-    elem = lam.element
-    return lambda row, col: elem * (m * col) + r + 1  # should be ... + r
-
-
-_mut_s2 = _cached_triangle_family(_second_kind_coeff)
-_mut_rs2 = _cached_triangle_family(_r_second_kind_coeff)
-_mut_s1 = _cached_triangle_family(_first_kind_coeff)
-_mut_u1 = _cached_triangle_family(_unsigned_first_kind_coeff)
-_mut_w = _cached_triangle_family(_whitney_coeff)
-_mut_wr = _cached_triangle_family(_whitney_r_coeff)
+# multiplier c(n, k) = lam * (beta*k - alpha*n + gamma) + r
+_mut_s2 = _cached_triangle_family(lambda: dict(beta=1, r=1))  # should be r=0
+_mut_rs2 = _cached_triangle_family(lambda r: dict(beta=1, r=2 * r))  # should be r=r
+_mut_s1 = _cached_triangle_family(lambda: dict(alpha=1, gamma=-1))  # should be gamma=0
+_mut_u1 = _cached_triangle_family(lambda r: dict(alpha=-1, gamma=1, r=r))  # gamma=0
+_mut_w = _cached_triangle_family(lambda m: dict(beta=m, r=2))  # should be r=1
+_mut_wr = _cached_triangle_family(lambda m, r: dict(beta=m, r=r + 1))  # should be r=r
 
 
 def _mut_bernoulli(n, m, x):

@@ -83,18 +83,91 @@ def expand_in_falling_basis(target: list, lam: Fraction) -> list:
 def naive_rstirling2(n: int, k: int, r: int, lam: Fraction) -> Fraction:
     """Coefficient of the k-th falling factorial in (x + r)^n, by naive
     expansion."""
-    target = poly_pow([Fraction(r), Fraction(1)], n)
-    coeffs = expand_in_falling_basis(target, lam)
-    return coeffs[k] if k < len(coeffs) else Fraction(0)
+    return naive_whitney_r(n, k, 1, r, lam)
 
 
 def naive_whitney_r(n: int, k: int, m: int, r: int, lam: Fraction) -> Fraction:
     """Coefficient of m^k (x)_{k,lam} in (m x + r)^n, by naive expansion."""
-    target = poly_pow([Fraction(r), Fraction(m)], n)
-    coeffs = expand_in_falling_basis(target, lam)
-    value = coeffs[k] if k < len(coeffs) else Fraction(0)
-    quotient = Fraction(value, m**k)
-    return quotient
+    row = whitney_type_row(n, m, r, lam)
+    return row[k] if k < len(row) else Fraction(0)
+
+
+def poly_sub(a: list, b: list) -> list:
+    return poly_add(a, poly_scale(b, -1))
+
+
+def strip(a: list) -> list:
+    """Drop trailing zero coefficients."""
+    out = list(a)
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+# --- symbolic lambda: polynomials in x whose coefficients are lists in lambda
+
+
+def bipoly_mul(a: list, b: list) -> list:
+    out = [[] for _ in range(len(a) + len(b) - 1)]
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = poly_add(out[i + j], poly_mul(ai, bj))
+    return out
+
+
+def factorial_bipoly(n: int, shift: int, sign: int) -> list:
+    """(x + shift)(x + shift + sign*lam) ... (x + shift + sign*(n-1)*lam)
+    with lam symbolic."""
+    out = [[Fraction(1)]]
+    for i in range(n):
+        out = bipoly_mul(out, [[Fraction(shift), Fraction(sign * i)], [Fraction(1)]])
+    return out
+
+
+def expand_in_falling_basis_symbolic(target: list) -> list:
+    """Lambda-coefficient lists c_k with target = sum_k c_k (x)_{k,lam}, lam
+    symbolic, by the same leading-term elimination as the fixed version."""
+    work = [list(c) for c in target]
+    coeffs = [[] for _ in work]
+    basis = [[[Fraction(1)]]]
+    for i in range(len(work) - 1):
+        basis.append(bipoly_mul(basis[-1], [[Fraction(0), Fraction(-i)], [Fraction(1)]]))
+    for k in range(len(work) - 1, -1, -1):
+        c = work[k]
+        coeffs[k] = c
+        for i, bi in enumerate(basis[k]):
+            work[i] = poly_sub(work[i], poly_mul(c, bi))
+    assert all(not any(w) for w in work), "nonzero remainder in naive expansion"
+    return coeffs
+
+
+# --- whole rows of every family; lam=None keeps lambda symbolic, and then an
+# --- entry is its list of lambda coefficients with trailing zeros stripped
+
+
+def whitney_type_row(n: int, m: int, r: int, lam) -> list:
+    """Coefficients of m^k (x)_{k,lam} in (m x + r)^n for k = 0..n; m = 1
+    gives the r-shifted second kind."""
+    if lam is None:
+        target = [[Fraction(1)]]
+        for _ in range(n):
+            target = bipoly_mul(target, [[Fraction(r)], [Fraction(m)]])
+        coeffs = expand_in_falling_basis_symbolic(target)
+        return [
+            strip(poly_scale(c, Fraction(1, m**k))) for k, c in enumerate(coeffs)
+        ]
+    coeffs = expand_in_falling_basis(poly_pow([Fraction(r), Fraction(m)], n), lam)
+    return [c / m**k for k, c in enumerate(coeffs)]
+
+
+def first_kind_row(n: int, r: int, sign: int, lam) -> list:
+    """Coefficients of x^k in (x + r)(x + r + sign*lam)...(x + r + sign*(n-1)*lam):
+    sign -1 is the signed first kind, +1 the unsigned one."""
+    if lam is None:
+        return [strip(c) for c in factorial_bipoly(n, r, sign)]
+    if sign < 0:
+        return falling_poly(n, lam, Fraction(r))
+    return rising_poly(n, lam, Fraction(r))
 
 
 # --- brute-force set partitions ---------------------------------------------

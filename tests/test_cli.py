@@ -233,3 +233,17 @@ def test_cli_output_is_deterministic(capsys):
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
+
+
+def test_negative_sizes_exit_2(capsys):
+    for argv in (
+        ("triangle", "--family", "s2lambda", "--n-max", "-1", "--lambda", "1/2"),
+        ("bernoulli", "--n-max", "-2", "--m", "1", "--x", "0"),
+        ("dump-series", "--kind", "stirling2", "--k", "2", "--order", "-1"),
+        ("dump-series", "--kind", "whitney-r", "--k", "1", "--m", "2",
+         "--r", "1", "--order", "-1", "--lambda", "1/2"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: ") and "nonnegative" in err

@@ -1,0 +1,117 @@
+"""Parity of the integer triangle engine with naive list arithmetic.
+
+Every tabulated family is compared, row by row up to n = 20, with the
+definitional expansions in ``oracles`` (which imports nothing from the
+package), at fixed lambda with q > 1, negative p and integer values, and
+with lambda symbolic.  The public value types are asserted on every entry:
+``Fraction`` throughout for fixed lambda; for symbolic lambda ``Fraction(1)``
+in row 0 and on the diagonal and ``Poly`` below it, the zero polynomial
+included.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lambda_stirling.poly import LambdaScalar, Poly, SYMBOLIC
+from lambda_stirling.stirling import (
+    rstirling1_lambda,
+    rstirling2_by_difference,
+    rstirling2_lambda,
+    unsigned_rstirling1_lambda,
+)
+from lambda_stirling.whitney import whitney_r
+
+import oracles
+
+N_MAX = 20
+
+# name -> (library value(n, k, lam), oracle row(n, lam value or None))
+FAMILIES = {
+    "second r=0": (
+        lambda n, k, lam: rstirling2_lambda(n, k, 0, lam),
+        lambda n, lam: oracles.whitney_type_row(n, 1, 0, lam),
+    ),
+    "second r=2": (
+        lambda n, k, lam: rstirling2_lambda(n, k, 2, lam),
+        lambda n, lam: oracles.whitney_type_row(n, 1, 2, lam),
+    ),
+    "signed first r=0": (
+        lambda n, k, lam: rstirling1_lambda(n, k, 0, lam),
+        lambda n, lam: oracles.first_kind_row(n, 0, -1, lam),
+    ),
+    "signed first r=3": (
+        lambda n, k, lam: rstirling1_lambda(n, k, 3, lam),
+        lambda n, lam: oracles.first_kind_row(n, 3, -1, lam),
+    ),
+    "unsigned first r=1": (
+        lambda n, k, lam: unsigned_rstirling1_lambda(n, k, 1, lam),
+        lambda n, lam: oracles.first_kind_row(n, 1, 1, lam),
+    ),
+    "whitney m=2 r=1": (
+        lambda n, k, lam: whitney_r(n, k, 2, 1, lam),
+        lambda n, lam: oracles.whitney_type_row(n, 2, 1, lam),
+    ),
+    "whitney m=3 r=0": (
+        lambda n, k, lam: whitney_r(n, k, 3, 0, lam),
+        lambda n, lam: oracles.whitney_type_row(n, 3, 0, lam),
+    ),
+}
+
+FIXED_LAMBDAS = (
+    Fraction(1, 3), Fraction(-2, 3), Fraction(2), Fraction(-1), Fraction(5, 7),
+)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("lam_value", FIXED_LAMBDAS, ids=str)
+def test_fixed_lambda_parity(family, lam_value):
+    value, oracle_row = FAMILIES[family]
+    lam = LambdaScalar.fixed(lam_value)
+    for n in range(N_MAX + 1):
+        expected = oracle_row(n, lam_value)
+        got = [value(n, k, lam) for k in range(n + 1)]
+        assert all(type(v) is Fraction for v in got)
+        assert got == expected, (family, n)
+        assert value(n, n + 1, lam) == 0 and value(n, -1, lam) == 0
+
+
+def _lambda_coeffs(v) -> list:
+    """The library value as its list of lambda coefficients."""
+    if isinstance(v, Poly):
+        return list(v.coeffs)
+    return oracles.strip([v])
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_symbolic_lambda_parity(family):
+    value, oracle_row = FAMILIES[family]
+    for n in range(N_MAX + 1):
+        expected = oracle_row(n, None)
+        got = [value(n, k, SYMBOLIC) for k in range(n + 1)]
+        assert type(got[n]) is Fraction and got[n] == 1
+        assert all(type(v) is Poly for v in got[:n])
+        assert [_lambda_coeffs(v) for v in got] == expected, (family, n)
+
+
+def test_symbolic_zero_entries_are_zero_poly():
+    # r = 0 leaves column 0 empty below row 0: the zero polynomial, not 0
+    assert type(rstirling2_lambda(0, 0, 0, SYMBOLIC)) is Fraction
+    for n in range(1, 6):
+        entry = rstirling2_lambda(n, 0, 0, SYMBOLIC)
+        assert type(entry) is Poly and entry.is_zero
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=60),
+    st.integers(min_value=0, max_value=60),
+    st.integers(min_value=0, max_value=4),
+    st.fractions(min_value=-5, max_value=5, max_denominator=9).filter(lambda q: q != 0),
+)
+def test_second_kind_matches_difference_formula(n, k, r, lam_value):
+    got = rstirling2_lambda(n, k, r, LambdaScalar.fixed(lam_value))
+    assert type(got) is Fraction
+    assert got == rstirling2_by_difference(n, k, r, lam_value)

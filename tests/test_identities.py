@@ -42,6 +42,15 @@ EXPECTED_ORDER = (
 )
 
 
+def test_dobinski_check_compares_exactly():
+    # |numeric - exact| taken at mpmath's default 53 bits read 4.8e-7 at
+    # (n, x, m, lambda) = (21, 1/2, 1, 1/2); the exact difference is below
+    # the 1e-12 tolerance on the whole n <= 21 grid
+    report = check_identity("DOBINSKI_T11", SuiteConfig(bernoulli_n_max=21))
+    assert report.checked_instances == 264
+    assert report.status == "pass", report.witness
+
+
 def test_registry_order():
     assert tuple(CHECKS) == EXPECTED_ORDER
 

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,13 @@ def test_hash_matches_scalar_for_constants():
     assert hash(Poly.constant(Fraction(7, 2))) == hash(Fraction(7, 2))
     d = {Fraction(7, 2): "value"}
     assert d[Poly.constant(Fraction(7, 2))] == "value"
+
+
+def test_zero_poly_hashes_like_zero():
+    assert Poly.zero() == 0
+    assert hash(Poly.zero()) == hash(0) == hash(Fraction(0))
+    assert {0: "value"}.get(Poly.zero()) == "value"
+    assert {Fraction(0): "value"}.get(Poly()) == "value"
 
 
 def test_float_rejected():
@@ -161,6 +169,9 @@ def test_lambda_scalar_hashable_and_frozen():
     assert len({a, b, SYMBOLIC}) == 2
     with pytest.raises(Exception):
         a.value = Fraction(3)
+    for lam in (a, SYMBOLIC):
+        copy = pickle.loads(pickle.dumps(lam))
+        assert copy == lam and hash(copy) == hash(lam)
 
 
 def test_falling_factorial_symbolic():

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from threading import Thread
 
@@ -66,6 +67,11 @@ def test_negative_shift_rejected():
         rstirling2_lambda(2, 1, -1, SYMBOLIC)
     with pytest.raises(ValueError):
         rstirling2_by_expansion(2, 1, -1, SYMBOLIC)
+
+
+def test_series_rejects_negative_order():
+    with pytest.raises(ValueError):
+        second_kind_series(2, 0, SYMBOLIC, -1)
 
 
 def test_first_kind_symbolic_frozen():
@@ -246,13 +252,20 @@ def test_lambda_zero_collapses_to_identity():
 
 
 def test_triangle_rows_immutable_and_consistent():
-    tri = NumberTriangle(lambda n, k: Fraction(k))
+    tri = NumberTriangle(LambdaScalar.fixed(1), beta=1)
     row3 = tri.row(3)
     assert isinstance(row3, tuple)
     # ordinary second-kind numbers at lam=1
     assert row3 == (0, 1, 3, 1)
     with pytest.raises(ValueError):
         tri.row(-1)
+
+
+def test_triangle_parameters_must_be_integers():
+    with pytest.raises(TypeError):
+        NumberTriangle(HALF, beta=1, r=Fraction(1, 2))
+    with pytest.raises(TypeError):
+        NumberTriangle(Fraction(1, 2), beta=1)
 
 
 def test_concurrent_growth_is_consistent():
@@ -267,5 +280,31 @@ def test_concurrent_growth_is_consistent():
         t.start()
     for t in threads:
         t.join()
-    fresh = NumberTriangle(lambda row, col: Fraction(7, 5) * col + 5)
+    fresh = NumberTriangle(lam, beta=1, r=5)
     assert all(v == fresh.value(40, 17) for v in results)
+
+
+def test_lock_free_reads_race_growth():
+    lam = LambdaScalar.fixed(Fraction(-2, 3))
+    want = NumberTriangle(lam, alpha=-1, r=2)
+    shared = NumberTriangle(lam, alpha=-1, r=2)
+    seen = []
+
+    def worker(start):
+        for n in range(start, 60, 4):
+            seen.append((n, shared.row(n), shared.value(n, n // 2)))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [Thread(target=worker, args=(i % 4,)) for i in range(16)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == 16 * 15
+    for n, row, entry in seen:
+        assert row == want.row(n) and entry == want.value(n, n // 2)

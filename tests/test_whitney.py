@@ -45,6 +45,8 @@ def test_domain_validation():
         whitney_r(2, 1, -1, 1, SYMBOLIC)
     with pytest.raises(ValueError):
         whitney_r(2, 1, 2, -1, SYMBOLIC)
+    with pytest.raises(ValueError):
+        whitney_series(1, 2, 1, SYMBOLIC, -1)
 
 
 def test_expansion_oracle_agreement_symbolic():
