@@ -17,7 +17,6 @@ from lambda_stirling import (
     TruncatedSeries,
     bernoulli_base_series,
     bernoulli_higher,
-    dowling_egf_check,
     dowling_poly,
     dowling_series,
     format_element,
@@ -68,8 +67,6 @@ def main():
     rows = [dowling_poly(n, x, m, lam) for n in range(order + 1)]
     assert [ds.coeff(n) for n in range(order + 1)] == rows
     print(f"  x=3/2, m={m}, lam=1/2:", [str(v) for v in rows])
-    check = dowling_egf_check(order, x, m, lam)
-    print(f"  built-in comparison: ok={check.ok}, coefficients checked={check.checked}")
 
     print("\nHigher-order Bernoulli numbers: (t / (e^t - 1))^m.")
     base1 = bernoulli_base_series(1, 6)

@@ -20,7 +20,12 @@ Public surface:
 * numeric evaluation: :func:`dobinski_eval`
 * verification: :func:`run_suite`, :func:`check_identity`,
   :func:`resolve_theorem13_variant`, :class:`SuiteConfig`
-* exact scalars: :class:`LambdaScalar`, :data:`SYMBOLIC`, :class:`Poly`
+* exact scalars: :class:`LambdaScalar`, :data:`SYMBOLIC`, :class:`Poly`;
+  rationals are plain :class:`fractions.Fraction` values
+
+Triangles, basis expansions and Bernoulli tables are cached with
+``functools.cache``, keyed by their parameters: the caches are unbounded,
+and each triangle or table grows on demand under its own lock.
 """
 
 from .bernoulli import BernoulliTable, bernoulli_base_series, bernoulli_higher
@@ -45,13 +50,10 @@ from .poly import (
     falling_factorial_poly,
     format_element,
 )
-from .rational import Rational, format_rational, parse_rational
 from .series import TruncatedSeries
 from .stirling import (
     BasisExpansion,
     classical_rstirling2,
-    convert_plain_from_r,
-    convert_r_to_plain,
     expand_in_falling_basis,
     rstirling1_lambda,
     rstirling2_by_difference,
@@ -64,11 +66,9 @@ from .stirling import (
 )
 from .whitney import (
     DowlingValue,
-    EgfCheck,
     UnsupportedDomainError,
     bell_poly_lambda,
     dobinski_eval,
-    dowling_egf_check,
     dowling_poly,
     dowling_series,
     whitney,
@@ -84,13 +84,11 @@ __all__ = [
     "BernoulliTable",
     "CHECKS",
     "DowlingValue",
-    "EgfCheck",
     "ExactDivisionError",
     "IdentityReport",
     "LambdaScalar",
     "Poly",
     "Providers",
-    "Rational",
     "SYMBOLIC",
     "SuiteConfig",
     "SuiteResult",
@@ -102,10 +100,7 @@ __all__ = [
     "bernoulli_higher",
     "check_identity",
     "classical_rstirling2",
-    "convert_plain_from_r",
-    "convert_r_to_plain",
     "dobinski_eval",
-    "dowling_egf_check",
     "dowling_poly",
     "dowling_series",
     "eval_element",
@@ -113,8 +108,6 @@ __all__ = [
     "expand_in_falling_basis",
     "falling_factorial_poly",
     "format_element",
-    "format_rational",
-    "parse_rational",
     "resolve_theorem13_variant",
     "rstirling1_lambda",
     "rstirling2_by_difference",

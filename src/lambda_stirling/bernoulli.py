@@ -10,6 +10,7 @@ With m = 1 this is the first-Bernoulli-number convention, B_1 = -1/2.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import comb
 from threading import Lock
 
@@ -57,16 +58,11 @@ class BernoulliTable:
         )
 
 
-_tables_lock = Lock()
-_tables: dict[int, BernoulliTable] = {}
+_table = cache(BernoulliTable)
 
 
 def bernoulli_higher(n: int, m: int, x) -> Fraction:
     """B_n^(m)(x) for nonnegative n, positive integer order m, rational x."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    with _tables_lock:
-        table = _tables.get(m)
-        if table is None:
-            table = _tables[m] = BernoulliTable(m)
-    return table.value(n, x)
+    return _table(m).value(n, x)

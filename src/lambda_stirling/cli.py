@@ -2,8 +2,9 @@
 
 Thin argparse wrapper over the library: every number the commands print is
 produced by the package modules, never computed here.  All rational inputs
-accept ``p/q`` strings; ``--lambda`` additionally accepts the word
-``symbolic`` to keep the deformation parameter as a polynomial variable.
+accept ``p/q`` strings, negative ones too (``--lambda -2/3``); ``--lambda``
+additionally accepts the word ``symbolic`` to keep the deformation
+parameter as a polynomial variable.
 Domain errors (zero lambda, unsupported parameter ranges, unknown check ids)
 exit with status 2; the ``verify`` command exits 0 when every check passes
 and 1 otherwise.
@@ -15,14 +16,15 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
+from fractions import Fraction
 
 import mpmath
 
 from .bernoulli import bernoulli_base_series, bernoulli_higher
 from .identities import CHECKS, SuiteConfig, run_suite
 from .poly import LambdaScalar, SYMBOLIC, csv_element, format_element
-from .rational import parse_rational
 from .stirling import (
     rstirling1_lambda,
     rstirling2_lambda,
@@ -61,7 +63,7 @@ TRIANGLE_FAMILIES = {
 def _parse_lambda(text: str) -> LambdaScalar:
     if text.strip().lower() == "symbolic":
         return SYMBOLIC
-    return LambdaScalar.fixed(parse_rational(text))
+    return LambdaScalar.fixed(Fraction(text))
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -146,7 +148,7 @@ def _cmd_triangle(args) -> int:
 
 def _cmd_eval(args) -> int:
     lam = _parse_lambda(args.lam)
-    x = parse_rational(args.x)
+    x = Fraction(args.x)
     if args.poly == "dowling":
         value = dowling_poly(args.n, x, args.m, lam)
     else:
@@ -171,7 +173,7 @@ def _cmd_dobinski(args) -> int:
     lam = _parse_lambda(args.lam)
     if lam.is_symbolic:
         raise ValueError("the series evaluation needs a fixed rational lambda")
-    x = parse_rational(args.x)
+    x = Fraction(args.x)
     result = dobinski_eval(args.n, x, args.m, lam.value, args.tol)
     payload = {
         "n": result.n,
@@ -189,7 +191,7 @@ def _cmd_dobinski(args) -> int:
 
 def _cmd_bernoulli(args) -> int:
     _check_n_max(args.n_max)
-    x = parse_rational(args.x)
+    x = Fraction(args.x)
     rows = [(n, bernoulli_higher(n, args.m, x)) for n in range(args.n_max + 1)]
     if args.format == "csv":
         buffer = io.StringIO()
@@ -239,7 +241,7 @@ def _cmd_dump_series(args) -> int:
         elif kind == "whitney-r":
             series = whitney_series(args.k, args.m, args.r, lam, args.order)
         else:  # dowling
-            x = parse_rational(args.x)
+            x = Fraction(args.x)
             series = dowling_series(x, args.m, lam, args.order)
     payload = {"kind": kind, **series.to_json()}
     _emit(json.dumps(payload, indent=2), args.output)
@@ -354,9 +356,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_NEGATIVE_FRACTION = re.compile(r"-\d+/\d+")
+
+
+def _attach_negative_fractions(argv: list) -> list:
+    """argparse takes a token like ``-2/3`` for an option, so an option
+    followed by one is rewritten as ``--option=-2/3``."""
+    out = []
+    for token in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and _NEGATIVE_FRACTION.fullmatch(token)):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(_attach_negative_fractions(argv))
     try:
         return args.fn(args)
     except (ValueError, ZeroDivisionError, UnsupportedDomainError, ArithmeticError) as exc:

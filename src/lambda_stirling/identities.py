@@ -47,7 +47,6 @@ from . import bernoulli as _bernoulli
 from . import stirling as _stirling
 from . import whitney as _whitney
 from .poly import LambdaScalar, SYMBOLIC, eval_element, format_element
-from .series import TruncatedSeries
 
 
 @dataclass(frozen=True)
@@ -566,6 +565,12 @@ def _check_gf_t8(cfg: SuiteConfig) -> IdentityReport:
     return _run_grid("GF_T8", desc, instances())
 
 
+def _dowling_row(p: Providers, n: int, x, m: int, lam: LambdaScalar):
+    """Dowling polynomial d(n, x) = sum_k W(n, k) x^k, read through the
+    provided Whitney triangle."""
+    return sum(p.whitney(n, k, m, lam) * Fraction(x) ** k for k in range(n + 1))
+
+
 def _check_gf_t10(cfg: SuiteConfig) -> IdentityReport:
     """Dowling EGF e^t exp(x (e^{lam m t}-1)/(lam m)) against the polynomial
     rows built from the Whitney triangle."""
@@ -576,20 +581,11 @@ def _check_gf_t10(cfg: SuiteConfig) -> IdentityReport:
         for lam_value in cfg.egf_lambdas:
             lam = LambdaScalar.fixed(lam_value)
             for m in cfg.m_values:
-                lm = lam_value * m
                 for x in cfg.egf_x_values:
-                    inner = (TruncatedSeries.exp_linear(lm, n_max) - 1) * (
-                        Fraction(x) / lm
-                    )
-                    series = inner.exp() * TruncatedSeries.exp_linear(
-                        Fraction(1), n_max
-                    )
+                    series = _whitney.dowling_series(x, m, lam, n_max)
                     for n in range(n_max + 1):
                         lhs = series.coeff(n)
-                        rhs = sum(
-                            p.whitney(n, k, m, lam) * Fraction(x) ** k
-                            for k in range(n + 1)
-                        )
+                        rhs = _dowling_row(p, n, x, m, lam)
                         yield {"n": n, "x": x, "m": m, "lambda": lam_value}, lhs, rhs
 
     desc = (
@@ -640,10 +636,7 @@ def _check_dobinski(cfg: SuiteConfig) -> IdentityReport:
                 for x in cfg.dobinski_x_values:
                     for n in range(cfg.bernoulli_n_max + 1):
                         value = _whitney.dobinski_eval(n, x, m, lam_value, tol)
-                        exact = sum(
-                            p.whitney(n, k, m, lam) * Fraction(x) ** k
-                            for k in range(n + 1)
-                        )
+                        exact = _dowling_row(p, n, x, m, lam)
                         # the mpf is a dyadic rational, so the difference
                         # is taken exactly; no working precision hides it
                         man, exp = value.numeric.man, value.numeric.exp

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 from threading import Lock
 
@@ -125,19 +126,18 @@ class NumberTriangle:
         return self._rows[n][k]
 
 
-_cache_lock = Lock()
-_triangles: dict = {}
+@cache
+def _triangle(lam: LambdaScalar, alpha: int, beta: int, r: int) -> NumberTriangle:
+    """The shared triangle of the recurrence parameters, made on first use.
 
-
-def _triangle(key, lam: LambdaScalar, **params) -> NumberTriangle:
-    """The shared triangle cached under ``key``, made on first use."""
-    tri = _triangles.get(key)
-    if tri is None:
-        with _cache_lock:
-            tri = _triangles.get(key)
-            if tri is None:
-                tri = _triangles[key] = NumberTriangle(lam, **params)
-    return tri
+    The cache is keyed by the parameters themselves, so families that
+    coincide (Whitney at m = 1 and the second kind) share one triangle.  It
+    is unbounded and takes no lock: two threads that miss on the same key
+    at once may each build a triangle, and one of them is kept.  Both hold
+    equal values and each has its own growth lock, so no caller can see a
+    wrong or partial row.
+    """
+    return NumberTriangle(lam, alpha=alpha, beta=beta, r=r)
 
 
 def _check_shift(r: int) -> None:
@@ -149,7 +149,7 @@ def rstirling2_lambda(n: int, k: int, r: int, lam: LambdaScalar) -> RingElement:
     """Entry T(n, k) of the r-shifted second-kind triangle, tabulated by the
     recurrence T(n+1, k) = T(n, k-1) + (lam*k + r) * T(n, k)."""
     _check_shift(r)
-    return _triangle(("second", r, lam), lam, beta=1, r=r).value(n, k)
+    return _triangle(lam, 0, 1, r).value(n, k)
 
 
 def stirling2_lambda(n: int, k: int, lam: LambdaScalar) -> RingElement:
@@ -161,7 +161,7 @@ def rstirling1_lambda(n: int, k: int, r: int, lam: LambdaScalar) -> RingElement:
     """Coefficient of x^k in the shifted falling factorial
     (x+r)(x+r-lam)...(x+r-(n-1)lam); row extension multiplies by (x+r-n*lam)."""
     _check_shift(r)
-    return _triangle(("first-signed", r, lam), lam, alpha=1, r=r).value(n, k)
+    return _triangle(lam, 1, 0, r).value(n, k)
 
 
 def stirling1_lambda(n: int, k: int, lam: LambdaScalar) -> RingElement:
@@ -173,7 +173,7 @@ def unsigned_rstirling1_lambda(n: int, k: int, r: int, lam: LambdaScalar) -> Rin
     """Coefficient of x^k in the shifted rising product
     (x+r)(x+r+lam)...(x+r+(n-1)lam)."""
     _check_shift(r)
-    return _triangle(("first-unsigned", r, lam), lam, alpha=-1, r=r).value(n, k)
+    return _triangle(lam, -1, 0, r).value(n, k)
 
 
 def rstirling2_by_difference(n: int, k: int, r: int, lam_value) -> Fraction:
@@ -236,8 +236,11 @@ def expand_in_falling_basis(target: Poly, lam: LambdaScalar) -> BasisExpansion:
     return BasisExpansion(target=target, lam=lam, coefficients=tuple(coefficients))
 
 
-_expansion_lock = Lock()
-_expansions: dict = {}
+@cache
+def _expansion(n: int, m: int, r: int, lam: LambdaScalar) -> tuple:
+    """Coefficients of (m x + r)^n in the basis (x)_{k,lam}, by elimination."""
+    target = Poly([Fraction(r), Fraction(m)]) ** n
+    return expand_in_falling_basis(target, lam).coefficients
 
 
 def rstirling2_by_expansion(n: int, k: int, r: int, lam: LambdaScalar) -> RingElement:
@@ -246,14 +249,7 @@ def rstirling2_by_expansion(n: int, k: int, r: int, lam: LambdaScalar) -> RingEl
     _check_shift(r)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    key = (n, r, lam)
-    with _expansion_lock:
-        coefficients = _expansions.get(key)
-    if coefficients is None:
-        target = Poly([Fraction(r), Fraction(1)]) ** n
-        coefficients = expand_in_falling_basis(target, lam).coefficients
-        with _expansion_lock:
-            _expansions[key] = coefficients
+    coefficients = _expansion(n, 1, r, lam)
     if 0 <= k < len(coefficients):
         return coefficients[k]
     return _ZERO
@@ -273,26 +269,6 @@ def second_kind_series(k: int, r: int, lam: LambdaScalar, order: int) -> Truncat
     p = (TruncatedSeries.exp_linear(lam_elem, order) - 1) ** k
     p = p * TruncatedSeries.exp_linear(Fraction(r), order)
     return p.exact_scale_div(lam_elem**k * factorial(k))
-
-
-def convert_r_to_plain(n: int, k: int, r: int, lam: LambdaScalar) -> RingElement:
-    """Binomial mix of the plain triangle that reproduces the r-shifted one:
-    sum_{l=k}^{n} C(n,l) S2(l,k) r^(n-l)."""
-    _check_shift(r)
-    return sum(
-        (comb(n, l) * Fraction(r) ** (n - l)) * stirling2_lambda(l, k, lam)
-        for l in range(k, n + 1)
-    )
-
-
-def convert_plain_from_r(n: int, k: int, r: int, lam: LambdaScalar) -> RingElement:
-    """Inverse mix recovering the plain triangle from the r-shifted one:
-    sum_{l=k}^{n} C(n,l) T(l,k) (-r)^(n-l)."""
-    _check_shift(r)
-    return sum(
-        (comb(n, l) * Fraction(-r) ** (n - l)) * rstirling2_lambda(l, k, r, lam)
-        for l in range(k, n + 1)
-    )
 
 
 def classical_rstirling2(n: int, k: int, r: int) -> int:

@@ -27,14 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from threading import Lock
-from typing import NamedTuple
 
 import mpmath
 
-from .poly import LambdaScalar, Poly, RingElement, exact_div
+from .poly import LambdaScalar, RingElement, exact_div
 from .series import TruncatedSeries
-from .stirling import _triangle, expand_in_falling_basis, stirling2_lambda
+from .stirling import _expansion, _triangle, stirling2_lambda
 
 _ZERO = Fraction(0)
 
@@ -54,16 +52,12 @@ def whitney_r(n: int, k: int, m: int, r: int, lam: LambdaScalar) -> RingElement:
     """Shifted Whitney-type number, tabulated by the recurrence
     W(n+1, k) = W(n, k-1) + (lam*m*k + r) * W(n, k)."""
     _check_params(m, r)
-    return _triangle(("whitney", m, r, lam), lam, beta=m, r=r).value(n, k)
+    return _triangle(lam, 0, m, r).value(n, k)
 
 
 def whitney(n: int, k: int, m: int, lam: LambdaScalar) -> RingElement:
     """Whitney-type number with unit shift (the Dowling-lattice case)."""
     return whitney_r(n, k, m, 1, lam)
-
-
-_expansion_lock = Lock()
-_expansions: dict = {}
 
 
 def whitney_r_by_expansion(n: int, k: int, m: int, r: int, lam: LambdaScalar) -> RingElement:
@@ -74,15 +68,7 @@ def whitney_r_by_expansion(n: int, k: int, m: int, r: int, lam: LambdaScalar) ->
         raise ValueError("n must be nonnegative")
     if k < 0 or k > n:
         return _ZERO
-    key = (n, m, r, lam)
-    with _expansion_lock:
-        coefficients = _expansions.get(key)
-    if coefficients is None:
-        target = Poly([Fraction(r), Fraction(m)]) ** n
-        coefficients = expand_in_falling_basis(target, lam).coefficients
-        with _expansion_lock:
-            _expansions[key] = coefficients
-    return exact_div(coefficients[k], Fraction(m) ** k)
+    return exact_div(_expansion(n, m, r, lam)[k], Fraction(m) ** k)
 
 
 def whitney_series(k: int, m: int, r: int, lam: LambdaScalar, order: int) -> TruncatedSeries:
@@ -130,30 +116,6 @@ def dowling_series(x, m: int, lam: LambdaScalar, order: int) -> TruncatedSeries:
     lm = lam.value * m
     inner = (TruncatedSeries.exp_linear(lm, order) - 1) * (x / lm)
     return inner.exp() * TruncatedSeries.exp_linear(Fraction(1), order)
-
-
-class EgfCheck(NamedTuple):
-    ok: bool
-    checked: int
-    mismatch: tuple | None
-
-
-def dowling_egf_check(n_max: int, x, m: int, lam: LambdaScalar) -> EgfCheck:
-    """Compare the closed EGF e^t * exp(x (e^{lam m t} - 1)/(lam m)) against
-    the Dowling polynomial rows, coefficient by coefficient, for a fixed
-    rational lambda."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    series = dowling_series(x, m, lam, n_max)
-    x = Fraction(x)
-    mismatch = None
-    for n in range(n_max + 1):
-        lhs = series.coeff(n)
-        rhs = dowling_poly(n, x, m, lam)
-        if lhs != rhs:
-            mismatch = (n, lhs, rhs)
-            break
-    return EgfCheck(ok=mismatch is None, checked=n_max + 1, mismatch=mismatch)
 
 
 @dataclass(frozen=True)

@@ -105,12 +105,33 @@ def test_triangle_requires_shift_for_shifted_family(capsys):
 
 
 def test_zero_lambda_exits_2(capsys):
-    code, _, err = run_cli(
-        capsys,
-        "triangle", "--family", "s2lambda", "--n-max", "3", "--lambda", "0",
-    )
-    assert code == 2
-    assert "nonzero" in err
+    for argv, message in (
+        (("triangle", "--family", "s2lambda", "--n-max", "3", "--lambda", "0"),
+         "nonzero"),
+        (("eval", "--poly", "bell", "--n", "3", "--x", "abc", "--lambda", "1/2"),
+         "abc"),
+        (("eval", "--poly", "bell", "--n", "3", "--x", "1/0", "--lambda", "1/2"),
+         ""),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
+
+def test_rational_spellings_give_identical_output(capsys):
+    triangle = ("triangle", "--family", "rstirling2", "--n-max", "4", "--r", "1")
+    bell = ("eval", "--poly", "bell", "--n", "4", "--lambda", "1/3")
+    for argv, reference in (
+        (triangle + ("--lambda", " 1/2 "), triangle + ("--lambda", "1/2")),
+        (triangle + ("--lambda", "2/4"), triangle + ("--lambda", "1/2")),
+        # argparse alone reads -2/3 as an option, not as the value
+        (triangle + ("--lambda", "-2/3"), triangle + ("--lambda=-2/3",)),
+        (bell + ("--x", "-1/2"), bell + ("--x=-1/2",)),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == "", argv
+        assert out == run_cli(capsys, *reference)[1], argv
 
 
 def test_eval_dowling_parity(capsys):

@@ -64,6 +64,13 @@ def test_each_check_passes_on_small_grid(theorem_id):
     assert report.theorem_id == theorem_id
 
 
+def test_package_exports_resolve():
+    import lambda_stirling
+
+    missing = [n for n in lambda_stirling.__all__ if not hasattr(lambda_stirling, n)]
+    assert missing == []
+
+
 def test_unknown_check_id_rejected():
     with pytest.raises(ValueError):
         check_identity("T99", small_config())

@@ -10,8 +10,6 @@ from lambda_stirling.poly import LambdaScalar, Poly, SYMBOLIC, eval_element
 from lambda_stirling.stirling import (
     NumberTriangle,
     classical_rstirling2,
-    convert_plain_from_r,
-    convert_r_to_plain,
     expand_in_falling_basis,
     rstirling1_lambda,
     rstirling2_by_difference,
@@ -195,22 +193,6 @@ def test_expansion_matches_naive_oracle():
         [Fraction(2), Fraction(0), Fraction(1), Fraction(1)], lam_value
     )
     assert list(ours.coefficients) == naive
-
-
-# --- conversions --------------------------------------------------------------
-
-
-def test_conversions_roundtrip():
-    for lam in (HALF, SYMBOLIC):
-        for r in (1, 2):
-            for n in range(7):
-                for k in range(n + 1):
-                    assert convert_r_to_plain(n, k, r, lam) == rstirling2_lambda(
-                        n, k, r, lam
-                    )
-                    assert convert_plain_from_r(n, k, r, lam) == stirling2_lambda(
-                        n, k, lam
-                    )
 
 
 # --- classical limits ---------------------------------------------------------

@@ -9,7 +9,6 @@ from lambda_stirling.whitney import (
     UnsupportedDomainError,
     bell_poly_lambda,
     dobinski_eval,
-    dowling_egf_check,
     dowling_poly,
     dowling_series,
     whitney,
@@ -135,11 +134,6 @@ def test_dowling_series_matches_rows():
 def test_dowling_series_rejects_symbolic():
     with pytest.raises(ValueError):
         dowling_series(Fraction(1), 1, SYMBOLIC, 5)
-
-
-def test_dowling_egf_check():
-    result = dowling_egf_check(6, Fraction(2, 3), 2, HALF)
-    assert result.ok and result.checked == 7 and result.mismatch is None
 
 
 def test_shear_to_second_kind():
