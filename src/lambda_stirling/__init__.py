@@ -41,12 +41,10 @@ from .identities import (
     run_suite,
 )
 from .poly import (
-    ExactDivisionError,
     LambdaScalar,
     Poly,
     SYMBOLIC,
     eval_element,
-    exact_div,
     falling_factorial_poly,
     format_element,
 )
@@ -84,7 +82,6 @@ __all__ = [
     "BernoulliTable",
     "CHECKS",
     "DowlingValue",
-    "ExactDivisionError",
     "IdentityReport",
     "LambdaScalar",
     "Poly",
@@ -104,7 +101,6 @@ __all__ = [
     "dowling_poly",
     "dowling_series",
     "eval_element",
-    "exact_div",
     "expand_in_falling_basis",
     "falling_factorial_poly",
     "format_element",

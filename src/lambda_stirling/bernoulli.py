@@ -23,8 +23,8 @@ def bernoulli_base_series(m: int, order: int) -> TruncatedSeries:
         raise ValueError("order m must be a positive integer")
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
-    expt = TruncatedSeries.exp_linear(Fraction(1), order + 1)
-    core = (expt - 1).divide_by_t_power(1)
+    # (e^t - 1)/t = sum t^n/(n+1)!, so its n-th EGF coefficient is 1/(n+1)
+    core = TruncatedSeries([Fraction(1, n + 1) for n in range(order + 1)])
     return core.inverse() ** m
 
 

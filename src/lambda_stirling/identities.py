@@ -47,6 +47,7 @@ from . import bernoulli as _bernoulli
 from . import stirling as _stirling
 from . import whitney as _whitney
 from .poly import LambdaScalar, SYMBOLIC, eval_element, format_element
+from .series import lambda_columns
 
 
 @dataclass(frozen=True)
@@ -531,8 +532,8 @@ def _check_gf_t1(cfg: SuiteConfig) -> IdentityReport:
     def instances():
         for lam in cfg.lambdas():
             for r in cfg.r_values:
-                for k in range(cfg.n_max + 1):
-                    series = _stirling.second_kind_series(k, r, lam, cfg.n_max)
+                columns = lambda_columns(1, r, lam, cfg.n_max)
+                for k, series in zip(range(cfg.n_max + 1), columns):
                     for n in range(cfg.n_max + 1):
                         lhs = series.coeff(n)
                         rhs = p.rstirling2(n, k, r, lam)
@@ -551,8 +552,8 @@ def _check_gf_t8(cfg: SuiteConfig) -> IdentityReport:
         for lam_value in cfg.fixed_lambdas:
             lam = LambdaScalar.fixed(lam_value)
             for m in cfg.m_values:
-                for k in range(cfg.n_max + 1):
-                    series = _whitney.whitney_series(k, m, 1, lam, cfg.n_max)
+                columns = lambda_columns(m, 1, lam, cfg.n_max)
+                for k, series in zip(range(cfg.n_max + 1), columns):
                     for n in range(cfg.n_max + 1):
                         lhs = series.coeff(n)
                         rhs = p.whitney(n, k, m, lam)
@@ -605,8 +606,8 @@ def _check_gf_t12(cfg: SuiteConfig) -> IdentityReport:
             lam = LambdaScalar.fixed(lam_value)
             for m in cfg.m_values:
                 for r in cfg.r_values:
-                    for k in range(cfg.n_max + 1):
-                        series = _whitney.whitney_series(k, m, r, lam, cfg.n_max)
+                    columns = lambda_columns(m, r, lam, cfg.n_max)
+                    for k, series in zip(range(cfg.n_max + 1), columns):
                         for n in range(cfg.n_max + 1):
                             lhs = series.coeff(n)
                             rhs = p.whitney_r(n, k, m, r, lam)

@@ -29,11 +29,13 @@ from typing import Iterable, Union
 RingElement = Union[Fraction, "Poly"]
 
 
-class ExactDivisionError(ArithmeticError):
-    """A division that was required to be exact left a remainder."""
-
-
 def _coerce(value) -> RingElement:
+    # exact types first: isinstance against Fraction walks the numbers ABCs
+    kind = type(value)
+    if kind is Fraction or kind is Poly:
+        return value
+    if kind is int:
+        return Fraction(value)
     if isinstance(value, (Poly, Fraction)):
         return value
     if isinstance(value, int):
@@ -181,26 +183,6 @@ class Poly:
             e >>= 1
         return result
 
-    def __divmod__(self, other: "Poly"):
-        """Long division; coefficients must form a field (rationals)."""
-        if not isinstance(other, Poly):
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Poly(), self
-        lead = other.coeffs[-1]
-        quot = [Fraction(0)] * (dq + 1)
-        for i in range(dq, -1, -1):
-            c = rem[i + len(other.coeffs) - 1] / lead
-            quot[i] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[i + j] -= c * b
-        return Poly(quot), Poly(rem)
-
     def __call__(self, point):
         """Horner evaluation; works for nested coefficients as well."""
         acc = Fraction(0)
@@ -226,28 +208,6 @@ class Poly:
             else:
                 parts.append(f"{cs}*x^{i}")
         return " + ".join(parts)
-
-
-def exact_div(a: RingElement, b) -> RingElement:
-    """Divide a by b, requiring the division to be exact in the ring."""
-    if isinstance(b, int):
-        b = Fraction(b)
-    if isinstance(b, Poly):
-        if b.is_zero:
-            raise ZeroDivisionError("division by zero polynomial")
-        if b.degree == 0:
-            b = b.coeffs[0]
-        else:
-            numerator = a if isinstance(a, Poly) else Poly([a])
-            q, rem = divmod(numerator, b)
-            if not rem.is_zero:
-                raise ExactDivisionError(f"{a!r} is not divisible by {b!r}")
-            return q
-    if b == 0:
-        raise ZeroDivisionError("division by zero")
-    if isinstance(a, Poly):
-        return a.scale(Fraction(1) / b)
-    return a / b
 
 
 def eval_element(value: RingElement, point: Fraction) -> Fraction:

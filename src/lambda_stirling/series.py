@@ -6,14 +6,22 @@ binomial convolutions and coefficients are read off without factorial
 bookkeeping.  Binary operations between series of different orders truncate
 to the smaller order.  Coefficients are rationals, or lambda-polynomials in
 symbolic mode; instances are immutable.
+
+The column EGFs of the paper are one family: column k of the Whitney-type
+r-Stirling numbers of parameter m is ((e^{lam m t} - 1)/(lam m))^k e^{r t} / k!,
+and the r-shifted second kind is its m = 1 case.  ``lambda_columns`` builds
+them from the closed-form base E = (e^{lam m t} - 1)/(lam m), whose EGF
+coefficients are 0 and then (lam m)^(n-1).  These are polynomials in lam even
+when lam is symbolic, so no step divides by lam.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, perm
+from itertools import count
+from math import comb
 
-from .poly import Poly, RingElement, _coerce, exact_div, format_element
+from .poly import LambdaScalar, Poly, RingElement, _coerce, format_element
 
 
 class TruncatedSeries:
@@ -31,25 +39,18 @@ class TruncatedSeries:
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
-        return cls([Fraction(1)] + [Fraction(0)] * order)
+        """The constant series 1 = e^{0 t}."""
+        return cls.exp_linear(Fraction(0), order)
 
     @classmethod
     def exp_linear(cls, c, order: int) -> "TruncatedSeries":
         """e^{c t}: EGF coefficients are the powers c^n."""
+        if order < 0:
+            raise ValueError("order must be nonnegative")
         c = _coerce(c)
         coeffs = [Fraction(1)]
         for _ in range(order):
             coeffs.append(coeffs[-1] * c)
-        return cls(coeffs)
-
-    @classmethod
-    def t_power(cls, m: int, order: int) -> "TruncatedSeries":
-        """The monomial t^m, whose EGF coefficient at index m is m!."""
-        if m < 0:
-            raise ValueError("monomial degree must be nonnegative")
-        coeffs = [Fraction(0)] * (order + 1)
-        if m <= order:
-            coeffs[m] = Fraction(factorial(m))
         return cls(coeffs)
 
     def coeff(self, n: int) -> RingElement:
@@ -128,43 +129,17 @@ class TruncatedSeries:
             out.append(-inv0 * acc)
         return TruncatedSeries(out)
 
-    def divide_by_t_power(self, m: int) -> "TruncatedSeries":
-        """Exact division by t^m with EGF reindexing: requires the first m
-        coefficients to vanish, returns b with b_n = a_{n+m} * n!/(n+m)! and
-        order reduced by m, so that multiplying back by the t^m series
-        recovers the input exactly."""
-        if m < 1:
-            raise ValueError("division order must be positive")
-        if m > self.order:
-            raise ValueError("division order exceeds truncation order")
-        for i in range(m):
-            if not self.coeffs[i] == 0:
-                raise ValueError(
-                    f"coefficient {i} is nonzero; series is not divisible by t^{m}"
-                )
-        return TruncatedSeries(
-            [
-                self.coeffs[n + m] * Fraction(1, perm(n + m, m))
-                for n in range(self.order - m + 1)
-            ]
-        )
-
     def exp(self) -> "TruncatedSeries":
-        """Exponential of a series with zero constant term, built from the
-        finite power sum 1 + a + a^2/2! + ... up to the truncation order."""
-        if not self.coeffs[0] == 0:
+        """Exponential of a series with zero constant term, by the EGF
+        recurrence b_n = sum_{j=1..n} C(n-1, j-1) a_j b_{n-j} that b' = a' b
+        gives for b = e^a."""
+        a = self.coeffs
+        if not a[0] == 0:
             raise ValueError("exp needs a zero constant term")
-        acc = TruncatedSeries.one(self.order)
-        power = TruncatedSeries.one(self.order)
-        for k in range(1, self.order + 1):
-            power = power * self * Fraction(1, k)
-            acc = acc + power
-        return acc
-
-    def exact_scale_div(self, divisor) -> "TruncatedSeries":
-        """Divide every coefficient by a ring element, requiring exactness
-        (used for the 1/lambda^k prefactors, symbolically as well)."""
-        return TruncatedSeries([exact_div(c, divisor) for c in self.coeffs])
+        b = [Fraction(1)]
+        for n in range(1, len(a)):
+            b.append(sum(comb(n - 1, j - 1) * a[j] * b[n - j] for j in range(1, n + 1)))
+        return TruncatedSeries(b)
 
     def to_json(self) -> dict:
         return {
@@ -174,3 +149,19 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({list(self.coeffs)!r})"
+
+
+def lambda_columns(m: int, r: int, lam: LambdaScalar, order: int):
+    """Yield the columns C_k = ((e^{lam m t} - 1)/(lam m))^k e^{r t} / k!,
+    k = 0, 1, 2, ..., truncated at ``order``: C_0 = e^{r t} and
+    C_k = C_{k-1} E / k with the base E = (e^{lam m t} - 1)/(lam m).
+    Symbolic columns with k >= 1 hold only ``Poly`` coefficients, all
+    others only ``Fraction``."""
+    # a zero Poly as E_0 makes every coefficient of a symbolic product a Poly
+    zero = Poly() if lam.is_symbolic else Fraction(0)
+    powers = TruncatedSeries.exp_linear(lam.element * m, order).coeffs
+    base = TruncatedSeries((zero,) + powers[:-1])
+    column = TruncatedSeries.exp_linear(Fraction(r), order)
+    for k in count(1):
+        yield column
+        column = column * base * Fraction(1, k)

@@ -29,11 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import islice
 from math import comb, factorial
 from threading import Lock
 
 from .poly import LambdaScalar, Poly, RingElement, falling_factorial_poly
-from .series import TruncatedSeries
+from .series import TruncatedSeries, lambda_columns
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -256,19 +257,15 @@ def rstirling2_by_expansion(n: int, k: int, r: int, lam: LambdaScalar) -> RingEl
 
 
 def second_kind_series(k: int, r: int, lam: LambdaScalar, order: int) -> TruncatedSeries:
-    """EGF route: the series (e^{lam t} - 1)^k e^{r t} / (lam^k k!) carries
-    the r-shifted second-kind numbers T(n, k) as its EGF coefficients.  In
-    symbolic mode the lam^k division is exact polynomial division and raises
-    if a remainder ever appears."""
+    """EGF route: the series ((e^{lam t} - 1)/lam)^k e^{r t} / k! carries
+    the r-shifted second-kind numbers T(n, k) as its EGF coefficients.  It is
+    column k of ``series.lambda_columns`` at m = 1, built from the base
+    (e^{lam t} - 1)/lam with polynomial coefficients lam^(n-1), so symbolic
+    lam needs no division."""
     _check_shift(r)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    lam_elem = lam.element
-    p = (TruncatedSeries.exp_linear(lam_elem, order) - 1) ** k
-    p = p * TruncatedSeries.exp_linear(Fraction(r), order)
-    return p.exact_scale_div(lam_elem**k * factorial(k))
+    return next(islice(lambda_columns(1, r, lam, order), k, None))
 
 
 def classical_rstirling2(n: int, k: int, r: int) -> int:

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from itertools import islice
 
 import mpmath
 
-from .poly import LambdaScalar, RingElement, exact_div
-from .series import TruncatedSeries
+from .poly import LambdaScalar, RingElement
+from .series import TruncatedSeries, lambda_columns
 from .stirling import _expansion, _triangle, stirling2_lambda
 
 _ZERO = Fraction(0)
@@ -68,22 +68,17 @@ def whitney_r_by_expansion(n: int, k: int, m: int, r: int, lam: LambdaScalar) ->
         raise ValueError("n must be nonnegative")
     if k < 0 or k > n:
         return _ZERO
-    return exact_div(_expansion(n, m, r, lam)[k], Fraction(m) ** k)
+    return _expansion(n, m, r, lam)[k] / Fraction(m) ** k
 
 
 def whitney_series(k: int, m: int, r: int, lam: LambdaScalar, order: int) -> TruncatedSeries:
-    """EGF route: ((e^{lam m t} - 1)/m)^k e^{r t} / (lam^k k!) carries the
-    shifted Whitney-type numbers as EGF coefficients; r = 1 gives the plain
-    family.  Symbolic lam divides exactly or raises."""
+    """EGF route: ((e^{lam m t} - 1)/(lam m))^k e^{r t} / k!, column k of
+    ``series.lambda_columns``, carries the shifted Whitney-type numbers as
+    EGF coefficients; r = 1 gives the plain family."""
     _check_params(m, r)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    lam_elem = lam.element
-    p = (TruncatedSeries.exp_linear(lam_elem * m, order) - 1) ** k
-    p = p * TruncatedSeries.exp_linear(Fraction(r), order)
-    return p.exact_scale_div(lam_elem**k * Fraction(m) ** k * factorial(k))
+    return next(islice(lambda_columns(m, r, lam, order), k, None))
 
 
 def dowling_poly(n: int, x, m: int, lam: LambdaScalar) -> RingElement:

@@ -221,3 +221,23 @@ def alternating_sum_stirling2(n: int, k: int) -> Fraction:
 
     total = sum((-1) ** (k - l) * comb(k, l) * l**n for l in range(k + 1))
     return Fraction(total, factorial(k))
+
+
+def egf_mul(a: list, b: list) -> list:
+    """Product of two truncated EGFs given as coefficient lists: the
+    binomial convolution, truncated to the shorter list."""
+    return [
+        sum(comb(n, l) * a[l] * b[n - l] for l in range(n + 1))
+        for n in range(min(len(a), len(b)))
+    ]
+
+
+def egf_exp(a: list) -> list:
+    """e^a for an EGF coefficient list with a[0] = 0, as the finite power
+    sum 1 + a + a^2/2! + ... (a^k has no term below t^k)."""
+    term = [Fraction(1)] + [Fraction(0)] * (len(a) - 1)
+    total = list(term)
+    for k in range(1, len(a)):
+        term = [c / k for c in egf_mul(term, a)]
+        total = [x + y for x, y in zip(total, term)]
+    return total

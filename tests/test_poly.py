@@ -6,12 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lambda_stirling.poly import (
-    ExactDivisionError,
     LambdaScalar,
     Poly,
     SYMBOLIC,
     eval_element,
-    exact_div,
     falling_factorial_poly,
     format_element,
     csv_element,
@@ -77,6 +75,11 @@ def test_float_rejected():
         X * 0.5
 
 
+def test_int_subclass_becomes_fraction():
+    (c,) = Poly([True]).coeffs
+    assert type(c) is Fraction and c == 1
+
+
 def test_pow_matches_repeated_multiplication():
     p = 1 + 2 * X
     explicit = Poly.one()
@@ -84,22 +87,6 @@ def test_pow_matches_repeated_multiplication():
         explicit = explicit * p
     assert p**5 == explicit
     assert p**0 == Poly.one()
-
-
-def test_divmod_and_exact_div():
-    num = X**2 - 1
-    q, rem = divmod(num, X - 1)
-    assert q == X + 1 and rem == Poly.zero()
-    assert exact_div(num, X - 1) == X + 1
-    with pytest.raises(ExactDivisionError):
-        exact_div(X**2 + 1, X - 1)
-
-
-def test_exact_div_scalars():
-    assert exact_div(Fraction(3, 2), Fraction(1, 2)) == 3
-    assert exact_div(Poly([2, 4]), Fraction(2)) == Poly([1, 2])
-    with pytest.raises(ZeroDivisionError):
-        exact_div(Fraction(1), Fraction(0))
 
 
 def test_scale_is_coefficientwise():

@@ -1,14 +1,15 @@
 from fractions import Fraction
+from itertools import islice
 from math import factorial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lambda_stirling.poly import ExactDivisionError, Poly
-from lambda_stirling.series import TruncatedSeries
+from lambda_stirling.poly import SYMBOLIC, LambdaScalar, Poly
+from lambda_stirling.series import TruncatedSeries, lambda_columns
 
-from oracles import alternating_sum_stirling2
+from oracles import alternating_sum_stirling2, egf_exp
 
 LAM = Poly([0, 1])
 
@@ -55,44 +56,25 @@ def test_scalar_ops():
     assert (1 + (s - 1)).coeff(0) == 1
 
 
-def test_t_power():
-    s = TruncatedSeries.t_power(3, 6)
-    assert [s.coeff(n) for n in range(7)] == [0, 0, 0, 6, 0, 0, 0]
+def test_negative_order_rejected():
+    with pytest.raises(ValueError):
+        TruncatedSeries.one(-1)
+    with pytest.raises(ValueError):
+        TruncatedSeries.exp_linear(Fraction(2), -3)
 
 
 def test_inverse_roundtrip():
-    s = TruncatedSeries.exp_linear(Fraction(2), 6) + TruncatedSeries.t_power(2, 6)
+    # e^{2t} + t^2; the EGF coefficient of t^2 is 2!
+    s = TruncatedSeries.exp_linear(Fraction(2), 6) + TruncatedSeries([0, 0, 2, 0, 0, 0, 0])
     inv = s.inverse()
     prod = s * inv
     assert prod == TruncatedSeries.one(6)
 
 
 def test_inverse_needs_nonzero_constant():
-    s = TruncatedSeries.t_power(1, 4)
+    s = TruncatedSeries([0, 1, 0, 0, 0])  # the series t
     with pytest.raises(ValueError):
         s.inverse()
-
-
-def test_divide_by_t_power_example():
-    # a(t) = t: shifting down by one gives the constant series 1
-    s = TruncatedSeries.t_power(1, 5)
-    shifted = s.divide_by_t_power(1)
-    assert shifted.order == 4
-    assert [shifted.coeff(n) for n in range(5)] == [1, 0, 0, 0, 0]
-
-
-def test_divide_by_t_power_requires_vanishing_head():
-    s = TruncatedSeries.one(4)
-    with pytest.raises(ValueError):
-        s.divide_by_t_power(1)
-
-
-def test_divide_by_t_power_roundtrip():
-    base = (TruncatedSeries.exp_linear(Fraction(1), 8) - 1) ** 2
-    down = base.divide_by_t_power(2)
-    back = down * TruncatedSeries.t_power(2, down.order)
-    for n in range(back.order + 1):
-        assert back.coeff(n) == base.coeff(n)
 
 
 def test_exp_gives_bell_numbers():
@@ -107,24 +89,43 @@ def test_exp_requires_zero_constant():
 
 
 def test_exp_of_sum_is_product():
-    a = TruncatedSeries.t_power(1, 6)
+    a = TruncatedSeries([0, 1, 0, 0, 0, 0, 0])  # the series t
     b = (TruncatedSeries.exp_linear(Fraction(2), 6) - 1) * Fraction(1, 3)
     lhs = (a + b).exp()
     rhs = a.exp() * b.exp()
     assert lhs == rhs
 
 
-def test_exact_scale_div_symbolic():
-    s = TruncatedSeries.exp_linear(LAM, 5) - 1
-    scaled = s.exact_scale_div(LAM)
-    for n in range(1, 6):
-        assert scaled.coeff(n) == LAM ** (n - 1)
+@given(
+    st.lists(
+        st.fractions(min_value=-3, max_value=3, max_denominator=5),
+        max_size=8,
+    )
+)
+def test_exp_matches_power_sum_oracle(tail):
+    a = [Fraction(0)] + tail
+    assert list(TruncatedSeries(a).exp().coeffs) == egf_exp(a)
 
 
-def test_exact_scale_div_rejects_nondivisible():
-    s = TruncatedSeries.exp_linear(Fraction(1), 3)
-    with pytest.raises(ExactDivisionError):
-        s.exact_scale_div(LAM)
+def test_symbolic_base_column_is_lambda_powers():
+    # column 1 at m = 1, r = 0 is the base (e^{lam t} - 1)/lam itself
+    base = next(islice(lambda_columns(1, 0, SYMBOLIC, 6), 1, None))
+    assert base.coeff(0) == 0
+    for n in range(1, 7):
+        assert base.coeff(n) == LAM ** (n - 1)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 17])
+def test_column_coefficient_types(order):
+    lams = [SYMBOLIC, LambdaScalar.fixed(Fraction(1, 3)), LambdaScalar.fixed(-2)]
+    for lam in lams:
+        for m in (1, 3):
+            for r in (0, 2):
+                columns = islice(lambda_columns(m, r, lam, order), order + 3)
+                for k, column in enumerate(columns):
+                    assert column.order == order
+                    kind = Poly if lam.is_symbolic and k >= 1 else Fraction
+                    assert all(type(c) is kind for c in column.coeffs), (lam, m, r, k)
 
 
 def test_second_kind_gf_matches_alternating_sum():
@@ -152,13 +153,3 @@ def test_alignment_truncates_to_smaller_order():
 def test_to_json():
     s = TruncatedSeries.exp_linear(LAM, 2)
     assert s.to_json() == {"order": 2, "egf_coeffs": ["1", ["0", "1"], ["0", "0", "1"]]}
-
-
-@given(st.integers(min_value=0, max_value=5), st.integers(min_value=1, max_value=4))
-def test_divide_then_multiply_roundtrip_property(extra, m):
-    order = m + extra + 2
-    base = (TruncatedSeries.exp_linear(Fraction(1), order) - 1) ** m
-    down = base.divide_by_t_power(m)
-    back = down * TruncatedSeries.t_power(m, down.order)
-    for n in range(back.order + 1):
-        assert back.coeff(n) == base.coeff(n)
