@@ -30,16 +30,10 @@ RingElement = Union[Fraction, "Poly"]
 
 
 def _coerce(value) -> RingElement:
-    # exact types first: isinstance against Fraction walks the numbers ABCs
-    kind = type(value)
-    if kind is Fraction or kind is Poly:
-        return value
-    if kind is int:
+    if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, (Poly, Fraction)):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     raise TypeError(f"exact coefficient expected, got {type(value).__name__}")
 
 
