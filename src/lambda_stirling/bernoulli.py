@@ -1,10 +1,12 @@
 """Higher-order Bernoulli numbers and polynomials.
 
 Defined through the EGF (t/(e^t - 1))^m e^{x t} = sum B_n^(m)(x) t^n / n!.
-The order-m base coefficients B_n^(m) = B_n^(m)(0) are produced once from
-the series engine (invert (e^t - 1)/t, raise to the m-th power) and cached;
-a polynomial value is then the binomial mix sum_j C(n,j) B_j^(m) x^(n-j).
-With m = 1 this is the first-Bernoulli-number convention, B_1 = -1/2.
+The order-m base coefficients B_n^(m) = B_n^(m)(0) are the EGF coefficients
+of ((e^t - 1)/t)^(-m), produced by the series power recurrence
+(``series.power_coeffs``); a table grows by continuing that recurrence to
+exactly the index asked for.  A polynomial value is then the binomial mix
+sum_j C(n,j) B_j^(m) x^(n-j), memoized per (n, x).  With m = 1 this is the
+first-Bernoulli-number convention, B_1 = -1/2.
 """
 
 from __future__ import annotations
@@ -14,30 +16,43 @@ from functools import cache
 from math import comb
 from threading import Lock
 
-from .series import TruncatedSeries
+from .series import TruncatedSeries, power_coeffs
+
+
+def _check_order(m) -> None:
+    if not isinstance(m, int) or m < 1:
+        raise ValueError("order m must be a positive integer")
+
+
+def _core(order: int) -> list:
+    # (e^t - 1)/t = sum t^n/(n+1)!, so its n-th EGF coefficient is 1/(n+1)
+    return [Fraction(1, n + 1) for n in range(order + 1)]
 
 
 def bernoulli_base_series(m: int, order: int) -> TruncatedSeries:
     """(t/(e^t - 1))^m as a truncated EGF."""
-    if m < 1:
-        raise ValueError("order m must be a positive integer")
+    _check_order(m)
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
-    # (e^t - 1)/t = sum t^n/(n+1)!, so its n-th EGF coefficient is 1/(n+1)
-    core = TruncatedSeries([Fraction(1, n + 1) for n in range(order + 1)])
-    return core.inverse() ** m
+    return TruncatedSeries(_core(order)) ** -m
 
 
 class BernoulliTable:
-    """Cached base coefficients for one order m, grown on demand."""
+    """Base coefficients and polynomial values for one order m, grown on
+    demand.
 
-    __slots__ = ("m", "_coeffs", "_lock")
+    The coefficient list only ever has finished values appended, so a read
+    below its length needs no lock; growth takes the lock.  Two threads
+    that miss the same value at once both compute it, and both results are
+    equal."""
+
+    __slots__ = ("m", "_coeffs", "_values", "_lock")
 
     def __init__(self, m: int):
-        if m < 1:
-            raise ValueError("order m must be a positive integer")
+        _check_order(m)
         self.m = m
-        self._coeffs: tuple = ()
+        self._coeffs = [Fraction(1)]
+        self._values: dict = {}
         self._lock = Lock()
 
     def base_coeff(self, n: int) -> Fraction:
@@ -45,24 +60,33 @@ class BernoulliTable:
             raise ValueError("index must be nonnegative")
         if n >= len(self._coeffs):
             with self._lock:
-                if n >= len(self._coeffs):
-                    order = max(8, 2 * n)
-                    self._coeffs = bernoulli_base_series(self.m, order).coeffs
+                power_coeffs(_core(n), -self.m, n, self._coeffs)
         return self._coeffs[n]
 
     def value(self, n: int, x) -> Fraction:
-        x = Fraction(x)
-        self.base_coeff(n)
-        return sum(
-            comb(n, j) * self._coeffs[j] * x ** (n - j) for j in range(n + 1)
-        )
+        if not isinstance(x, (int, Fraction)):
+            raise ValueError("x must be an int or a Fraction")
+        key = (n, x)
+        value = self._values.get(key)
+        if value is None:
+            self.base_coeff(n)
+            coeffs = self._coeffs
+            x = Fraction(x)
+            value = self._values[key] = sum(
+                comb(n, j) * coeffs[j] * x ** (n - j) for j in range(n + 1)
+            )
+        return value
 
 
 _table = cache(BernoulliTable)
 
 
 def bernoulli_higher(n: int, m: int, x) -> Fraction:
-    """B_n^(m)(x) for nonnegative n, positive integer order m, rational x."""
+    """B_n^(m)(x) for nonnegative n, positive integer order m, rational x
+    (an ``int`` or a ``Fraction``)."""
     if n < 0:
         raise ValueError("index must be nonnegative")
+    # checked before the cache, where a float m would find the table of
+    # the equal int
+    _check_order(m)
     return _table(m).value(n, x)

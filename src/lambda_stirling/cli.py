@@ -20,8 +20,6 @@ import re
 import sys
 from fractions import Fraction
 
-import mpmath
-
 from .bernoulli import bernoulli_base_series, bernoulli_higher
 from .identities import CHECKS, SuiteConfig, run_suite
 from .poly import LambdaScalar, SYMBOLIC, csv_element, format_element
@@ -170,6 +168,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_dobinski(args) -> int:
+    import mpmath  # deferred: the other commands never load it
+
     lam = _parse_lambda(args.lam)
     if lam.is_symbolic:
         raise ValueError("the series evaluation needs a fixed rational lambda")

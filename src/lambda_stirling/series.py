@@ -13,13 +13,17 @@ and the r-shifted second kind is its m = 1 case.  ``lambda_columns`` builds
 them from the closed-form base E = (e^{lam m t} - 1)/(lam m), whose EGF
 coefficients are 0 and then (lam m)^(n-1).  These are polynomials in lam even
 when lam is symbolic, so no step divides by lam.
+
+Every integer power, the inverse included, is one O(N^2) pass of J.C.P.
+Miller's recurrence (``power_coeffs``), so column k is built directly as
+E^k e^{r t} / k! at the cost of two products, whatever k is.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
-from math import comb
+from math import comb, factorial, perm
 
 from .poly import LambdaScalar, Poly, RingElement, _coerce, format_element
 
@@ -103,31 +107,39 @@ class TruncatedSeries:
         return NotImplemented
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
+        """A^k for any integer k, in one O(N^2) pass of ``power_coeffs``.
+
+        A series with valuation v >= 1 is written t^v g; g has an invertible
+        constant term and g^k is shifted back by t^(v k), so every
+        coefficient below t^(v k) is zero, and all are once v k > N.  The
+        series' own leading zero is the padding, so a symbolic zero stays a
+        ``Poly``."""
+        if not isinstance(exponent, int):
+            raise ValueError("series exponent must be an integer")
+        if exponent == 0:
+            return TruncatedSeries.one(self.order)
+        if exponent == 1:
+            return self
+        a = self.coeffs
+        v = next((i for i, c in enumerate(a) if not c == 0), len(a))
+        if v == 0:
+            return TruncatedSeries(power_coeffs(a, exponent, self.order))
         if exponent < 0:
-            raise ValueError("negative series power; use inverse()")
-        result = TruncatedSeries.one(self.order)
-        for _ in range(exponent):
-            result = result * self
-        return result
+            raise ValueError("constant term is not invertible in the ring")
+        zero, shift, order = a[0], v * exponent, self.order
+        if shift > order:
+            return TruncatedSeries([zero] * (order + 1))
+        g = [a[n + v] * Fraction(1, perm(n + v, v)) for n in range(order - shift + 1)]
+        h = power_coeffs(g, exponent, order - shift)
+        return TruncatedSeries(
+            [zero] * shift
+            + [perm(n, shift) * h[n - shift] for n in range(shift, order + 1)]
+        )
 
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse; the constant term must be invertible
         (nonzero rational, or a nonzero constant polynomial)."""
-        c0 = self.coeffs[0]
-        if isinstance(c0, Poly):
-            if c0.degree != 0:
-                raise ValueError("constant term is not invertible in the ring")
-            c0 = c0.coeffs[0]
-        if c0 == 0:
-            raise ValueError("constant term is not invertible in the ring")
-        inv0 = Fraction(1) / c0
-        out: list = [inv0]
-        for n in range(1, self.order + 1):
-            acc = sum(
-                (comb(n, l) * self.coeffs[l]) * out[n - l] for l in range(1, n + 1)
-            )
-            out.append(-inv0 * acc)
-        return TruncatedSeries(out)
+        return self ** -1
 
     def exp(self) -> "TruncatedSeries":
         """Exponential of a series with zero constant term, by the EGF
@@ -151,17 +163,56 @@ class TruncatedSeries:
         return f"TruncatedSeries({list(self.coeffs)!r})"
 
 
-def lambda_columns(m: int, r: int, lam: LambdaScalar, order: int):
+def power_coeffs(a, k: int, order: int, b: list | None = None) -> list:
+    """EGF coefficients b_0..b_order of A^k for an integer k, by J.C.P.
+    Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), which B' A = k A' B
+    gives for B = A^k:
+
+        a_0 b_{n+1} = sum_{i=1..n+1} (k C(n, i-1) - C(n, i)) a_i b_{n+1-i}.
+
+    ``a`` holds a_0..a_order and a_0 must be invertible: a nonzero rational
+    or a nonzero constant polynomial.  The multipliers are integers, so
+    with a_0 = 1 no step divides.  A list ``b`` of leading coefficients of
+    A^k is extended in place, so a table grows by continuing the
+    recurrence."""
+    c0 = a[0]
+    if isinstance(c0, Poly):
+        c0 = c0.coeffs[0] if c0.degree == 0 else Fraction(0)
+    if c0 == 0:
+        raise ValueError("constant term is not invertible in the ring")
+    inv0 = 1 / c0
+    if b is None:
+        b = [a[0] ** k if k > 0 else inv0 ** -k]
+    for n in range(len(b) - 1, order):
+        acc = sum(
+            (k * comb(n, i - 1) - comb(n, i)) * a[i] * b[n + 1 - i]
+            for i in range(1, n + 2)
+        )
+        b.append(acc if inv0 == 1 else acc * inv0)
+    return b
+
+
+def lambda_columns(m: int, r: int, lam: LambdaScalar, order: int, first: int = 0):
     """Yield the columns C_k = ((e^{lam m t} - 1)/(lam m))^k e^{r t} / k!,
-    k = 0, 1, 2, ..., truncated at ``order``: C_0 = e^{r t} and
-    C_k = C_{k-1} E / k with the base E = (e^{lam m t} - 1)/(lam m).
-    Symbolic columns with k >= 1 hold only ``Poly`` coefficients, all
-    others only ``Fraction``."""
+    k = first, first + 1, ..., truncated at ``order``.  With the base
+    E = (e^{lam m t} - 1)/(lam m), C_first = E^first e^{r t} / first! is
+    built by one series power and C_k = C_{k-1} E / k after it.  E has
+    valuation 1, so every column past ``order`` is zero.  Symbolic columns
+    with k >= 1 hold only ``Poly`` coefficients, all others only
+    ``Fraction``."""
+    if not isinstance(first, int):
+        raise ValueError("k must be an integer")
+    if first < 0:
+        raise ValueError("k must be nonnegative")
     # a zero Poly as E_0 makes every coefficient of a symbolic product a Poly
     zero = Poly() if lam.is_symbolic else Fraction(0)
     powers = TruncatedSeries.exp_linear(lam.element * m, order).coeffs
     base = TruncatedSeries((zero,) + powers[:-1])
     column = TruncatedSeries.exp_linear(Fraction(r), order)
-    for k in count(1):
+    if first > order:
+        column = TruncatedSeries([zero] * (order + 1))
+    elif first:
+        column = base**first * column * Fraction(1, factorial(first))
+    for k in count(first + 1):
         yield column
         column = column * base * Fraction(1, k)

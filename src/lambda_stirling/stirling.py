@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import islice
 from math import comb, factorial
 from threading import Lock
 
@@ -259,13 +258,11 @@ def rstirling2_by_expansion(n: int, k: int, r: int, lam: LambdaScalar) -> RingEl
 def second_kind_series(k: int, r: int, lam: LambdaScalar, order: int) -> TruncatedSeries:
     """EGF route: the series ((e^{lam t} - 1)/lam)^k e^{r t} / k! carries
     the r-shifted second-kind numbers T(n, k) as its EGF coefficients.  It is
-    column k of ``series.lambda_columns`` at m = 1, built from the base
-    (e^{lam t} - 1)/lam with polynomial coefficients lam^(n-1), so symbolic
-    lam needs no division."""
+    column k of ``series.lambda_columns`` at m = 1, built directly as the
+    k-th power of the base (e^{lam t} - 1)/lam, whose polynomial
+    coefficients lam^(n-1) spare symbolic lam any division."""
     _check_shift(r)
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return next(islice(lambda_columns(1, r, lam, order), k, None))
+    return next(lambda_columns(1, r, lam, order, first=k))
 
 
 def classical_rstirling2(n: int, k: int, r: int) -> int:

@@ -26,9 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-
-import mpmath
 
 from .poly import LambdaScalar, RingElement
 from .series import TruncatedSeries, lambda_columns
@@ -73,12 +70,11 @@ def whitney_r_by_expansion(n: int, k: int, m: int, r: int, lam: LambdaScalar) ->
 
 def whitney_series(k: int, m: int, r: int, lam: LambdaScalar, order: int) -> TruncatedSeries:
     """EGF route: ((e^{lam m t} - 1)/(lam m))^k e^{r t} / k!, column k of
-    ``series.lambda_columns``, carries the shifted Whitney-type numbers as
-    EGF coefficients; r = 1 gives the plain family."""
+    ``series.lambda_columns`` built directly by one series power, carries
+    the shifted Whitney-type numbers as EGF coefficients; r = 1 gives the
+    plain family."""
     _check_params(m, r)
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return next(islice(lambda_columns(m, r, lam, order), k, None))
+    return next(lambda_columns(m, r, lam, order, first=k))
 
 
 def dowling_poly(n: int, x, m: int, lam: LambdaScalar) -> RingElement:
@@ -133,6 +129,8 @@ class DowlingValue:
 
 
 def _to_mpf(q: Fraction):
+    import mpmath
+
     return mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
 
 
@@ -155,6 +153,8 @@ def dobinski_eval(n: int, x, m: int, lam, tol: float = 1e-12) -> DowlingValue:
         raise UnsupportedDomainError("the numeric series needs x >= 0")
     if not tol > 0:
         raise ValueError("tolerance must be positive")
+
+    import mpmath  # deferred: only the numeric evaluator needs it
 
     exact = dowling_poly(n, x, m, LambdaScalar.fixed(lam))
     with mpmath.workdps(40):

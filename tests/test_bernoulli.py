@@ -99,6 +99,41 @@ def test_domain_checks():
         bernoulli_higher(2, -1, Fraction(0))
 
 
+def test_non_integer_order_and_float_x_rejected():
+    for call in (
+        lambda: bernoulli_base_series(2.0, 5),
+        lambda: BernoulliTable(2.0),
+        lambda: bernoulli_higher(2, 2.0, Fraction(0)),
+        # a float x is a binary fraction, not the rational it spells
+        lambda: bernoulli_higher(2, 1, 0.1),
+        lambda: BernoulliTable(1).value(2, 0.5),
+    ):
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_table_grown_in_one_jump_equals_stepwise_growth():
+    for m in (1, 2, 5):
+        jump, steps = BernoulliTable(m), BernoulliTable(m)
+        last = jump.base_coeff(40)
+        values = [steps.base_coeff(n) for n in range(41)]
+        assert values[-1] == last
+        assert values == [jump.base_coeff(n) for n in range(41)]
+        assert values == list(bernoulli_base_series(m, 40).coeffs)
+
+
+def test_memoized_values_equal_fresh_sums():
+    table = BernoulliTable(3)
+    for x in (Fraction(1, 3), Fraction(-2), 4):
+        for n in (0, 5, 12):
+            fresh = sum(
+                comb(n, j) * table.base_coeff(j) * Fraction(x) ** (n - j)
+                for j in range(n + 1)
+            )
+            assert table.value(n, x) == fresh
+            assert table.value(n, x) == fresh  # a memo hit
+
+
 def test_degree_in_x():
     # B_n^(m)(x) has exact degree n in x: the n-th finite difference is
     # constant n! and the (n+1)-st vanishes

@@ -1,7 +1,13 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from lambda_stirling.cli import main
 from lambda_stirling.poly import LambdaScalar, SYMBOLIC, csv_element, format_element
@@ -268,3 +274,63 @@ def test_negative_sizes_exit_2(capsys):
         assert code == 2, argv
         assert out == ""
         assert err.startswith("error: ") and "nonnegative" in err
+
+
+def run_cli_process(*argv, timeout=60):
+    """Run the CLI in a fresh interpreter against this checkout's sources."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True,
+        timeout=timeout,
+    )
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    proc = run_cli_process(
+        "-c", "import sys, lambda_stirling.cli; print('mpmath' in sys.modules)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+HUGE = 10**9
+
+
+@pytest.mark.parametrize(
+    "kind, extra",
+    [
+        ("stirling2", ["--lambda", "1/2"]),
+        ("rstirling2", ["--r", "2", "--lambda", "symbolic"]),
+        ("whitney-r", ["--m", "3", "--r", "1", "--lambda", "-2/3"]),
+    ],
+)
+def test_dump_series_huge_k_is_zero_column(kind, extra):
+    # column k vanishes below t^k; the walk through k earlier columns took
+    # time linear in k
+    proc = run_cli_process(
+        "-m", "lambda_stirling", "dump-series", "--kind", kind,
+        "--k", str(HUGE), "--order", "8", *extra, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = {"kind": kind, "order": 8, "egf_coeffs": ["0"] * 9}
+    assert proc.stdout == json.dumps(expected, indent=2) + "\n"
+
+
+def test_dump_series_huge_bernoulli_order():
+    proc = run_cli_process(
+        "-m", "lambda_stirling", "dump-series", "--kind", "bernoulli-base",
+        "--m", str(HUGE), "--order", "8", timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    coeffs = [Fraction(c) for c in json.loads(proc.stdout)["egf_coeffs"]]
+    m = HUGE
+    # closed forms of B_n^(m) as polynomials in the order m
+    assert coeffs[:5] == [
+        1,
+        Fraction(-m, 2),
+        Fraction(m * (3 * m - 1), 12),
+        Fraction(-m * m * (m - 1), 8),
+        Fraction(m * (15 * m**3 - 30 * m**2 + 5 * m + 2), 240),
+    ]

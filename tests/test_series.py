@@ -3,13 +3,15 @@ from itertools import islice
 from math import factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambda_stirling.poly import SYMBOLIC, LambdaScalar, Poly
 from lambda_stirling.series import TruncatedSeries, lambda_columns
+from lambda_stirling.stirling import second_kind_series
+from lambda_stirling.whitney import whitney_series
 
-from oracles import alternating_sum_stirling2, egf_exp
+from oracles import alternating_sum_stirling2, egf_exp, egf_mul
 
 LAM = Poly([0, 1])
 
@@ -117,15 +119,32 @@ def test_symbolic_base_column_is_lambda_powers():
 
 @pytest.mark.parametrize("order", [0, 1, 2, 17])
 def test_column_coefficient_types(order):
+    # the walk from column 0 is the reference for the columns built
+    # directly as one power of the base
     lams = [SYMBOLIC, LambdaScalar.fixed(Fraction(1, 3)), LambdaScalar.fixed(-2)]
     for lam in lams:
         for m in (1, 3):
             for r in (0, 2):
-                columns = islice(lambda_columns(m, r, lam, order), order + 3)
+                columns = list(islice(lambda_columns(m, r, lam, order), order + 3))
+                tail = list(islice(lambda_columns(m, r, lam, order, first=2), order + 1))
+                assert tail == columns[2:]
                 for k, column in enumerate(columns):
-                    assert column.order == order
+                    direct = [whitney_series(k, m, r, lam, order)]
+                    if m == 1:
+                        direct.append(second_kind_series(k, r, lam, order))
+                    assert all(d == column for d in direct), (lam, m, r, k)
                     kind = Poly if lam.is_symbolic and k >= 1 else Fraction
-                    assert all(type(c) is kind for c in column.coeffs), (lam, m, r, k)
+                    for series in [column] + direct:
+                        assert series.order == order
+                        assert all(type(c) is kind for c in series.coeffs), (lam, m, r, k)
+
+
+def test_non_integer_column_index_rejected():
+    lam = LambdaScalar.fixed(Fraction(1, 2))
+    with pytest.raises(ValueError, match="k must be an integer"):
+        second_kind_series(2.0, 0, lam, 5)
+    with pytest.raises(ValueError, match="k must be an integer"):
+        whitney_series(2.0, 2, 1, lam, 5)
 
 
 def test_second_kind_gf_matches_alternating_sum():
@@ -141,6 +160,46 @@ def test_second_kind_gf_matches_alternating_sum():
 def test_pow_zero_is_one():
     s = TruncatedSeries.exp_linear(Fraction(5), 4)
     assert s**0 == TruncatedSeries.one(4)
+
+
+def test_pow_rejects_non_integer_exponent():
+    s = TruncatedSeries.exp_linear(Fraction(5), 4)
+    with pytest.raises(ValueError):
+        s**2.0
+    with pytest.raises(ValueError):
+        s ** Fraction(1, 2)
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+# a coefficient polynomial in a symbolic lambda
+lam_poly = st.lists(small, min_size=1, max_size=3).map(Poly)
+
+
+def oracle_power(a: list, k: int) -> list:
+    out = [Fraction(1)] + [Fraction(0)] * (len(a) - 1)
+    for _ in range(k):
+        out = egf_mul(out, a)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.sampled_from([Fraction(0), Poly()]), max_size=2),
+    small.filter(lambda c: c != 0),
+    st.lists(st.one_of(small, lam_poly), max_size=6),
+    st.integers(min_value=-4, max_value=12),
+)
+def test_pow_matches_repeated_products(zeros, lead, tail, k):
+    a = zeros + [lead] + tail
+    series = TruncatedSeries(a)
+    if k >= 0:
+        assert list((series**k).coeffs) == oracle_power(a, k)
+    elif zeros:
+        with pytest.raises(ValueError):
+            series**k
+    else:
+        product = series**k * TruncatedSeries(oracle_power(a, -k))
+        assert product == TruncatedSeries.one(series.order)
 
 
 def test_alignment_truncates_to_smaller_order():
