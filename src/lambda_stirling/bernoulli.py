@@ -5,8 +5,8 @@ The order-m base coefficients B_n^(m) = B_n^(m)(0) are the EGF coefficients
 of ((e^t - 1)/t)^(-m), produced by the series power recurrence
 (``series.power_coeffs``); a table grows by continuing that recurrence to
 exactly the index asked for.  A polynomial value is then the binomial mix
-sum_j C(n,j) B_j^(m) x^(n-j), memoized per (n, x).  With m = 1 this is the
-first-Bernoulli-number convention, B_1 = -1/2.
+sum_j C(n,j) B_j^(m) x^(n-j), summed by Horner's rule in x.  With m = 1 this
+is the first-Bernoulli-number convention, B_1 = -1/2.
 """
 
 from __future__ import annotations
@@ -38,21 +38,19 @@ def bernoulli_base_series(m: int, order: int) -> TruncatedSeries:
 
 
 class BernoulliTable:
-    """Base coefficients and polynomial values for one order m, grown on
-    demand.
+    """Base coefficients for one order m, grown on demand, and the
+    polynomial values built from them.
 
     The coefficient list only ever has finished values appended, so a read
-    below its length needs no lock; growth takes the lock.  Two threads
-    that miss the same value at once both compute it, and both results are
-    equal."""
+    below its length needs no lock; growth takes the lock and continues the
+    recurrence from wherever the list ends."""
 
-    __slots__ = ("m", "_coeffs", "_values", "_lock")
+    __slots__ = ("m", "_coeffs", "_lock")
 
     def __init__(self, m: int):
         _check_order(m)
         self.m = m
         self._coeffs = [Fraction(1)]
-        self._values: dict = {}
         self._lock = Lock()
 
     def base_coeff(self, n: int) -> Fraction:
@@ -66,15 +64,13 @@ class BernoulliTable:
     def value(self, n: int, x) -> Fraction:
         if not isinstance(x, (int, Fraction)):
             raise ValueError("x must be an int or a Fraction")
-        key = (n, x)
-        value = self._values.get(key)
-        if value is None:
-            self.base_coeff(n)
-            coeffs = self._coeffs
-            x = Fraction(x)
-            value = self._values[key] = sum(
-                comb(n, j) * coeffs[j] * x ** (n - j) for j in range(n + 1)
-            )
+        self.base_coeff(n)
+        coeffs = self._coeffs
+        x = Fraction(x)
+        # Horner's rule in x: one product per term instead of a power
+        value = Fraction(0)
+        for j in range(n + 1):
+            value = value * x + comb(n, j) * coeffs[j]
         return value
 
 

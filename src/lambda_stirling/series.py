@@ -14,9 +14,10 @@ them from the closed-form base E = (e^{lam m t} - 1)/(lam m), whose EGF
 coefficients are 0 and then (lam m)^(n-1).  These are polynomials in lam even
 when lam is symbolic, so no step divides by lam.
 
-Every integer power, the inverse included, is one O(N^2) pass of J.C.P.
-Miller's recurrence (``power_coeffs``), so column k is built directly as
-E^k e^{r t} / k! at the cost of two products, whatever k is.
+Every integer power of a series whose first nonzero coefficient is a unit,
+the inverse included, is one O(N^2) pass of J.C.P. Miller's recurrence
+(``power_coeffs``), so column k is built directly as E^k e^{r t} / k! at the
+cost of two products, whatever k is.
 """
 
 from __future__ import annotations
@@ -113,28 +114,40 @@ class TruncatedSeries:
         constant term and g^k is shifted back by t^(v k), so every
         coefficient below t^(v k) is zero, and all are once v k > N.  The
         series' own leading zero is the padding, so a symbolic zero stays a
-        ``Poly``."""
+        ``Poly``.  A positive power of a series whose first nonzero
+        coefficient is a non-constant polynomial, which the recurrence
+        cannot divide by, is taken by repeated squaring."""
         if not isinstance(exponent, int):
             raise ValueError("series exponent must be an integer")
         if exponent == 0:
             return TruncatedSeries.one(self.order)
-        if exponent == 1:
-            return self
         a = self.coeffs
         v = next((i for i, c in enumerate(a) if not c == 0), len(a))
-        if v == 0:
-            return TruncatedSeries(power_coeffs(a, exponent, self.order))
-        if exponent < 0:
+        if exponent < 0 and v:
             raise ValueError("constant term is not invertible in the ring")
         zero, shift, order = a[0], v * exponent, self.order
         if shift > order:
             return TruncatedSeries([zero] * (order + 1))
+        if exponent > 0 and _unit_inverse(a[v]) is None:
+            return self._power_by_squaring(exponent)
+        if v == 0:
+            return TruncatedSeries(power_coeffs(a, exponent, order))
         g = [a[n + v] * Fraction(1, perm(n + v, v)) for n in range(order - shift + 1)]
         h = power_coeffs(g, exponent, order - shift)
         return TruncatedSeries(
             [zero] * shift
             + [perm(n, shift) * h[n - shift] for n in range(shift, order + 1)]
         )
+
+    def _power_by_squaring(self, exponent: int) -> "TruncatedSeries":
+        result, square = TruncatedSeries.one(self.order), self
+        while True:
+            if exponent & 1:
+                result = result * square
+            exponent >>= 1
+            if not exponent:
+                return result
+            square = square * square
 
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse; the constant term must be invertible
@@ -163,6 +176,14 @@ class TruncatedSeries:
         return f"TruncatedSeries({list(self.coeffs)!r})"
 
 
+def _unit_inverse(c):
+    """1/c for a unit of the ring (a nonzero rational or a nonzero constant
+    polynomial), else None."""
+    if isinstance(c, Poly):
+        c = c.coeffs[0] if c.degree == 0 else Fraction(0)
+    return None if c == 0 else 1 / c
+
+
 def power_coeffs(a, k: int, order: int, b: list | None = None) -> list:
     """EGF coefficients b_0..b_order of A^k for an integer k, by J.C.P.
     Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), which B' A = k A' B
@@ -175,12 +196,9 @@ def power_coeffs(a, k: int, order: int, b: list | None = None) -> list:
     with a_0 = 1 no step divides.  A list ``b`` of leading coefficients of
     A^k is extended in place, so a table grows by continuing the
     recurrence."""
-    c0 = a[0]
-    if isinstance(c0, Poly):
-        c0 = c0.coeffs[0] if c0.degree == 0 else Fraction(0)
-    if c0 == 0:
+    inv0 = _unit_inverse(a[0])
+    if inv0 is None:
         raise ValueError("constant term is not invertible in the ring")
-    inv0 = 1 / c0
     if b is None:
         b = [a[0] ** k if k > 0 else inv0 ** -k]
     for n in range(len(b) - 1, order):

@@ -122,18 +122,6 @@ def test_table_grown_in_one_jump_equals_stepwise_growth():
         assert values == list(bernoulli_base_series(m, 40).coeffs)
 
 
-def test_memoized_values_equal_fresh_sums():
-    table = BernoulliTable(3)
-    for x in (Fraction(1, 3), Fraction(-2), 4):
-        for n in (0, 5, 12):
-            fresh = sum(
-                comb(n, j) * table.base_coeff(j) * Fraction(x) ** (n - j)
-                for j in range(n + 1)
-            )
-            assert table.value(n, x) == fresh
-            assert table.value(n, x) == fresh  # a memo hit
-
-
 def test_degree_in_x():
     # B_n^(m)(x) has exact degree n in x: the n-th finite difference is
     # constant n! and the (n+1)-st vanishes

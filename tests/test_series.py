@@ -3,7 +3,7 @@ from itertools import islice
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lambda_stirling.poly import SYMBOLIC, LambdaScalar, Poly
@@ -185,16 +185,20 @@ def oracle_power(a: list, k: int) -> list:
 @settings(max_examples=80, deadline=None)
 @given(
     st.lists(st.sampled_from([Fraction(0), Poly()]), max_size=2),
-    small.filter(lambda c: c != 0),
+    st.one_of(small, lam_poly).filter(lambda c: c != 0),
     st.lists(st.one_of(small, lam_poly), max_size=6),
     st.integers(min_value=-4, max_value=12),
 )
+# lam + t: the recurrence cannot divide by lam, the ring product can
+@example([], LAM, [1, 0, 0], 5)
+@example([], LAM, [1, 0, 0], -1)
 def test_pow_matches_repeated_products(zeros, lead, tail, k):
     a = zeros + [lead] + tail
     series = TruncatedSeries(a)
+    unit = not isinstance(lead, Poly) or lead.degree == 0
     if k >= 0:
         assert list((series**k).coeffs) == oracle_power(a, k)
-    elif zeros:
+    elif zeros or not unit:
         with pytest.raises(ValueError):
             series**k
     else:
