@@ -16,8 +16,10 @@ with integer alpha, beta, gamma, r: the second kind is beta = 1, the signed
 and unsigned first kinds alpha = 1 and alpha = -1, the Whitney-type numbers
 (in ``whitney``) beta = m.  ``NumberTriangle`` tabulates it lazily over Python
 integers only (lambda-coefficient lists when lambda is symbolic, entries
-scaled by q^(n-k) when lambda = p/q) and converts each row once, as it is
-grown, to the public ``Fraction``/``Poly`` values.  Alongside the recurrences
+scaled by q^(n-k) when lambda = p/q).  A row is converted to the public
+``Fraction``/``Poly`` values on its first read, and its row sums against
+powers of x (the Dowling and Bell rows) are taken over the integers without
+converting it.  Alongside the recurrences
 the module carries the definitional basis-expansion oracle, the
 finite-difference closed form and the EGF route, so every value can be
 cross-checked by computations that share no code path; none of them uses
@@ -29,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import zip_longest
 from math import comb, factorial
 from threading import Lock
 
@@ -53,13 +56,20 @@ class NumberTriangle:
     multiplier is a shift-and-add.  With lam = p/q, row n stores the
     integers U(n, k) = q^(n-k) T(n, k), which obey
     U(n+1, k) = U(n, k-1) + ((beta k - alpha n + gamma) p + r q) U(n, k).
-    Each row is converted once, as it is grown, to its public values:
-    ``Fraction(U, q^(n-k))`` for fixed lam; for symbolic lam ``Poly`` below
-    the diagonal and ``Fraction(1)`` on it and in row 0.  Only the newest
-    row is kept in integer form.
 
-    Finished rows are appended whole and never change, so a lookup of an
-    existing row is a plain read; only growth takes the lock.
+    Each row is held in one form at a time.  It stays in its grown integer
+    form until the first ``row``/``value`` read, which replaces it by its
+    public tuple: ``Fraction(U, q^(n-k))`` for fixed lam; for symbolic lam
+    ``Poly`` below the diagonal and ``Fraction(1)`` on it and in row 0.
+    ``row_sum`` works on the integer form, recovering it exactly from a row
+    that is already public, so a row that is only summed is never
+    converted.  Growth reads the newest integer row, kept apart as the
+    frontier.
+
+    Rows are appended whole and a slot only ever swaps one complete form
+    for an equal one, so a lookup of an existing row is a plain read; two
+    readers that race to convert a row may both build its tuple, and either
+    is kept.  Only growth takes the lock.
     """
 
     __slots__ = ("_rows", "_frontier", "_params", "_lock")
@@ -72,8 +82,8 @@ class NumberTriangle:
         if not isinstance(lam, LambdaScalar):
             raise TypeError("lam must be a LambdaScalar")
         self._params = (lam,) + params
-        self._rows = [(_ONE,)]
         self._frontier = [[1]] if lam.is_symbolic else [1]
+        self._rows = [self._frontier]
         self._lock = Lock()
 
     def _grow(self, n: int) -> None:
@@ -95,7 +105,7 @@ class NumberTriangle:
                 [x + r * y + a * z for x, y, z in zip(left, cur + [0], [0] + cur)]
             )
         self._frontier = new
-        self._rows.append(tuple(map(Poly.from_ints, new[:-1])) + (_ONE,))
+        self._rows.append(new)
 
     def _grow_fixed(self) -> None:
         lam, alpha, beta, gamma, r = self._params
@@ -107,23 +117,87 @@ class NumberTriangle:
             for k, (left, cur) in enumerate(zip([0] + ints, ints + [0]))
         ]
         self._frontier = new
-        self._rows.append(
-            tuple(Fraction(u, q ** (m + 1 - k)) for k, u in enumerate(new))
-        )
+        self._rows.append(new)
+
+    def _publish(self, n: int, ints: list) -> tuple:
+        """Replace the integer form ``ints`` of row n by its public tuple."""
+        lam = self._params[0]
+        if lam.is_symbolic:
+            row = tuple(map(Poly.from_ints, ints[:-1])) + (_ONE,)
+        else:
+            q = lam.value.denominator
+            row = tuple(Fraction(u, q ** (n - k)) for k, u in enumerate(ints))
+        self._rows[n] = row
+        return row
+
+    def _ints(self, n: int) -> list:
+        """The integer form of row n, recovered exactly if it is public."""
+        row = self._rows[n]
+        if type(row) is not tuple:
+            return row
+        lam = self._params[0]
+        if lam.is_symbolic:
+            return [[c.numerator for c in e.coeffs] for e in row[:-1]] + [[1]]
+        q = lam.value.denominator
+        return [
+            e.numerator * (q ** (n - k) // e.denominator) for k, e in enumerate(row)
+        ]
 
     def row(self, n: int) -> tuple:
         if n < 0:
             raise ValueError("row index must be nonnegative")
         if len(self._rows) <= n:
             self._grow(n)
-        return self._rows[n]
+        row = self._rows[n]
+        if type(row) is not tuple:
+            row = self._publish(n, row)
+        return row
 
     def value(self, n: int, k: int) -> RingElement:
         if n < 0 or k < 0 or k > n:
             return _ZERO
         if len(self._rows) <= n:
             self._grow(n)
-        return self._rows[n][k]
+        row = self._rows[n]
+        if type(row) is not tuple:
+            row = self._publish(n, row)
+        return row[k]
+
+    def row_sum(self, n: int, x: Fraction) -> RingElement:
+        """sum_k T(n, k) x^k, summed over the integer form of row n.
+
+        With x = a/b and lam = p/q this is S / (q b)^n, where
+        S = sum_k U(n, k) (a q)^k b^(n-k) is one homogeneous Horner pass
+        over ``int``.  With lam symbolic the same pass runs once per power
+        of lam and gives a ``Poly`` with coefficients s_j / b^n; row 0 sums
+        to ``Fraction(1)``, as its only entry is.
+        """
+        if n < 0:
+            raise ValueError("row index must be nonnegative")
+        if len(self._rows) <= n:
+            self._grow(n)
+        ints = self._ints(n)
+        a, b = x.numerator, x.denominator
+        lam = self._params[0]
+        if not lam.is_symbolic:
+            q = lam.value.denominator
+            return Fraction(_horner(ints, a * q, b), (q * b) ** n)
+        if n == 0:
+            return _ONE
+        bn = b ** n
+        return Poly([
+            Fraction(_horner(column, a, b), bn)
+            for column in zip_longest(*ints, fillvalue=0)
+        ])
+
+
+def _horner(coeffs, a: int, b: int) -> int:
+    """sum_k coeffs[k] a^k b^(n-k) over ``int``, n = len(coeffs) - 1."""
+    total, b_power = 0, 1
+    for c in reversed(coeffs):
+        total = total * a + c * b_power
+        b_power *= b
+    return total
 
 
 @cache

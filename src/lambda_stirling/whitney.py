@@ -11,7 +11,8 @@ They satisfy the triangular recurrence W(n+1, k) = W(n, k-1) + (lam*m*k + r) W(n
 which is what the tabulation uses; the basis-expansion oracle below is the
 independent check.  Dowling polynomials are the row sums d(n, x) =
 sum_k W(n, k) x^k with r = 1, and the Bell polynomials are the same row sums
-for the plain second-kind triangle.
+for the plain second-kind triangle; both are summed over the triangle's
+integer rows by ``NumberTriangle.row_sum``.
 
 ``dobinski_eval`` sums the infinite-series representation
 
@@ -29,7 +30,7 @@ from fractions import Fraction
 
 from .poly import LambdaScalar, RingElement
 from .series import TruncatedSeries, lambda_columns
-from .stirling import _expansion, _triangle, stirling2_lambda
+from .stirling import _expansion, _triangle
 
 _ZERO = Fraction(0)
 
@@ -78,11 +79,13 @@ def whitney_series(k: int, m: int, r: int, lam: LambdaScalar, order: int) -> Tru
 
 
 def dowling_poly(n: int, x, m: int, lam: LambdaScalar) -> RingElement:
-    """Dowling polynomial d(n, x) = sum_k W(n, k) x^k."""
+    """Dowling polynomial d(n, x) = sum_k W(n, k) x^k, summed over the
+    integer form of the Whitney row (``NumberTriangle.row_sum``)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     x = Fraction(x)
-    return sum(whitney(n, k, m, lam) * x**k for k in range(n + 1))
+    _check_params(m, 1)
+    return _triangle(lam, 0, m, 1).row_sum(n, x)
 
 
 def bell_poly_lambda(n: int, x, lam: LambdaScalar) -> RingElement:
@@ -91,7 +94,7 @@ def bell_poly_lambda(n: int, x, lam: LambdaScalar) -> RingElement:
     if n < 0:
         raise ValueError("n must be nonnegative")
     x = Fraction(x)
-    return sum(stirling2_lambda(n, k, lam) * x**k for k in range(n + 1))
+    return _triangle(lam, 0, 1, 0).row_sum(n, x)
 
 
 def dowling_series(x, m: int, lam: LambdaScalar, order: int) -> TruncatedSeries:

@@ -290,3 +290,41 @@ def test_lock_free_reads_race_growth():
     assert len(seen) == 16 * 15
     for n, row, entry in seen:
         assert row == want.row(n) and entry == want.value(n, n // 2)
+
+
+def test_row_sums_and_reads_race_conversion():
+    # Rows stay integer until their first read; readers that race the swap
+    # to the public tuple, and sums that race it, must each see one whole
+    # form of the row.
+    x = Fraction(-3, 5)
+    for lam, n_rows in ((LambdaScalar.fixed(Fraction(-2, 3)), 60), (SYMBOLIC, 30)):
+        want = NumberTriangle(lam, beta=2, r=1)
+        sums = [want.row_sum(n, x) for n in range(n_rows)]
+        shared = NumberTriangle(lam, beta=2, r=1)
+        seen = []
+
+        def worker(i):
+            for n in range(n_rows):
+                op = (i + n) % 3
+                if op == 0:
+                    seen.append((0, n, shared.row_sum(n, x)))
+                elif op == 1:
+                    seen.append((1, n, shared.row(n)))
+                else:
+                    seen.append((2, n, shared.value(n, n // 2)))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [Thread(target=worker, args=(i,)) for i in range(16)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert len(seen) == 16 * n_rows
+        for op, n, got in seen:
+            expected = (sums[n], want.row(n), want.value(n, n // 2))[op]
+            assert got == expected and type(got) is type(expected)

@@ -2,7 +2,10 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from lambda_stirling import stirling
 from lambda_stirling.poly import LambdaScalar, Poly, SYMBOLIC
 from lambda_stirling.stirling import rstirling2_lambda, stirling2_lambda
 from lambda_stirling.whitney import (
@@ -129,6 +132,78 @@ def test_dowling_series_matches_rows():
     series = dowling_series(Fraction(1, 2), 2, lam, 7)
     for n in range(8):
         assert series.coeff(n) == dowling_poly(n, Fraction(1, 2), 2, lam)
+
+
+ROW_LAMBDAS = [SYMBOLIC] + [
+    LambdaScalar.fixed(Fraction(v)) for v in ("1/3", "-2/3", "2", "-1", "5/7")
+]
+row_points = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(-1), Fraction(-5, 2), Fraction(3, 4)]),
+    st.fractions(min_value=-6, max_value=6, max_denominator=9),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=40),
+    lam=st.sampled_from(ROW_LAMBDAS),
+    x=row_points,
+    read_first=st.booleans(),
+)
+@example(n=40, lam=ROW_LAMBDAS[1], x=Fraction(-5, 2), read_first=False)
+@example(n=40, lam=ROW_LAMBDAS[0], x=Fraction(3, 4), read_first=True)
+@example(n=0, lam=ROW_LAMBDAS[0], x=Fraction(0), read_first=False)
+def test_row_sums_match_entrywise_sums(n, lam, x, read_first):
+    # A fresh cache makes the first touch of row n either the row sum (over
+    # the grown integer form) or the entry reads (after which the sum
+    # recovers the integers from the public values).
+    stirling._triangle.cache_clear()
+    rows = [
+        (lambda k, m=m: whitney(n, k, m, lam), lambda m=m: dowling_poly(n, x, m, lam))
+        for m in (1, 2, 3)
+    ]
+    rows.append((lambda k: stirling2_lambda(n, k, lam), lambda: bell_poly_lambda(n, x, lam)))
+    for entry, row_sum in rows:
+        if read_first:
+            expected = sum(entry(k) * x**k for k in range(n + 1))
+            got = row_sum()
+        else:
+            got = row_sum()
+            expected = sum(entry(k) * x**k for k in range(n + 1))
+        assert got == expected
+        assert type(got) is type(expected)
+        if isinstance(got, Poly):
+            assert got.coeffs == expected.coeffs
+
+
+def test_dowling_rows_match_series_at_order_40():
+    x = Fraction(-3, 4)
+    for lam in ROW_LAMBDAS[1:]:
+        for m in (1, 2, 3):
+            series = dowling_series(x, m, lam, 40)
+            for n in range(41):
+                assert dowling_poly(n, x, m, lam) == series.coeff(n)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: dowling_poly(-1, 1, 2, HALF), ValueError),
+        (lambda: dowling_poly(3, 1, 0, HALF), ValueError),
+        (lambda: dowling_poly(0, 1, 0, SYMBOLIC), ValueError),
+        (lambda: dowling_poly(3, 1, 2.0, HALF), ValueError),
+        (lambda: dowling_poly(3, 1, Fraction(2), SYMBOLIC), ValueError),
+        (lambda: dowling_poly(3, 1, 2, Fraction(1, 2)), TypeError),
+        (lambda: dowling_poly(3, 1, 2, "symbolic"), TypeError),
+        (lambda: bell_poly_lambda(-1, 1, HALF), ValueError),
+        (lambda: bell_poly_lambda(3, 1, Fraction(1, 2)), TypeError),
+        (lambda: bell_poly_lambda(0, 1, 2), TypeError),
+    ],
+)
+def test_row_functions_reject_bad_input(call, error):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error
 
 
 def test_dowling_series_rejects_symbolic():
