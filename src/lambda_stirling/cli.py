@@ -21,7 +21,6 @@ import sys
 from fractions import Fraction
 
 from .bernoulli import bernoulli_base_series, bernoulli_higher
-from .identities import CHECKS, SuiteConfig, run_suite
 from .poly import LambdaScalar, SYMBOLIC, csv_element, format_element
 from .stirling import (
     rstirling1_lambda,
@@ -168,6 +167,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_dobinski(args) -> int:
+    if args.digits < 1:
+        raise ValueError("--digits must be positive")
     import mpmath  # deferred: the other commands never load it
 
     lam = _parse_lambda(args.lam)
@@ -212,6 +213,8 @@ def _cmd_bernoulli(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .identities import SuiteConfig, run_suite  # deferred: no other command needs it
+
     overrides = {}
     if args.theorem:
         overrides["theorems"] = tuple(args.theorem)
@@ -246,6 +249,15 @@ def _cmd_dump_series(args) -> int:
     payload = {"kind": kind, **series.to_json()}
     _emit(json.dumps(payload, indent=2), args.output)
     return 0
+
+
+class _KnownChecks:
+    """The check ids, read from the suite only when help text is printed."""
+
+    def __str__(self) -> str:
+        from .identities import CHECKS
+
+        return ", ".join(CHECKS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,13 +328,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the identity-verification suite; JSON-lines report, "
         "exit 0 iff every check passes",
     )
-    p_verify.add_argument(
+    theorem = p_verify.add_argument(
         "--theorem",
         action="append",
         default=None,
         metavar="ID",
-        help=f"restrict to a check id (repeatable); known: {', '.join(CHECKS)}",
+        help="restrict to a check id (repeatable); known: %(known)s",
     )
+    theorem.known = _KnownChecks()
     p_verify.add_argument("--n-max", type=int, default=None)
     p_verify.add_argument("--bernoulli-n-max", type=int, default=None)
     _add_output_argument(p_verify)

@@ -40,12 +40,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from importlib import import_module
 from math import comb
 from typing import Callable
 
 from . import bernoulli as _bernoulli
 from . import stirling as _stirling
-from . import whitney as _whitney
+# the package binds the function ``whitney`` over the submodule's name, so
+# ``from . import whitney`` would return the function
+_whitney = import_module(".whitney", __package__)
 from .poly import LambdaScalar, SYMBOLIC, eval_element, format_element
 from .series import lambda_columns
 

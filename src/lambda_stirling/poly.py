@@ -22,7 +22,6 @@ immutable and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -229,26 +228,43 @@ def csv_element(value: RingElement) -> str:
     return as_json
 
 
-@dataclass(frozen=True)
 class LambdaScalar:
     """Deformation parameter: a fixed nonzero rational, or symbolic.
 
     ``element`` is the ring representation of lambda itself, a ``Fraction``
-    in fixed mode and the degree-1 ``Poly`` in symbolic mode.
+    in fixed mode and the degree-1 ``Poly`` in symbolic mode.  Instances
+    are immutable; two are equal when their values are.
     """
 
-    value: Fraction | None = None
+    __slots__ = ("value", "_hash")
 
-    def __post_init__(self):
-        if self.value is not None and self.value == 0:
+    def __init__(self, value: Fraction | None = None):
+        if value is not None and value == 0:
             raise ValueError("lambda must be nonzero in fixed mode")
+        object.__setattr__(self, "value", value)
         # every triangle lookup hashes its lambda as part of the cache key,
-        # and a Fraction recomputes its hash on each call.  Numeric hashes
-        # do not depend on the process, so a copy keeps a valid hash.
-        object.__setattr__(self, "_hash", 0 if self.value is None else hash(self.value))
+        # and a Fraction recomputes its hash on each call
+        object.__setattr__(self, "_hash", 0 if value is None else hash(value))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.value == other.value
+        return NotImplemented
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        return f"LambdaScalar(value={self.value!r})"
+
+    def __reduce__(self):
+        return (LambdaScalar, (self.value,))
 
     @classmethod
     def fixed(cls, value) -> "LambdaScalar":

@@ -28,12 +28,12 @@ cross-checked by computations that share no code path; none of them uses
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import zip_longest
 from math import comb, factorial
 from threading import Lock
+from typing import NamedTuple
 
 from .poly import LambdaScalar, Poly, RingElement, falling_factorial_poly
 from .series import TruncatedSeries, lambda_columns
@@ -270,8 +270,7 @@ def rstirling2_by_difference(n: int, k: int, r: int, lam_value) -> Fraction:
     return lam_value ** (n - k) * Fraction(total, factorial(k))
 
 
-@dataclass(frozen=True)
-class BasisExpansion:
+class BasisExpansion(NamedTuple):
     """A polynomial written in the generalized falling-factorial basis."""
 
     target: Poly

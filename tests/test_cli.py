@@ -176,6 +176,18 @@ def test_dobinski_json(capsys):
     assert payload["truncation_terms"] > 0
 
 
+@pytest.mark.parametrize("digits", ["0", "-3"])
+def test_dobinski_rejects_nonpositive_digits(capsys, digits):
+    code, out, err = run_cli(
+        capsys,
+        "dobinski", "--n", "3", "--x", "1/2", "--m", "2", "--lambda", "1/2",
+        "--digits", digits,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: --digits must be positive\n"
+
+
 def test_dobinski_rejects_symbolic(capsys):
     code, _, err = run_cli(
         capsys,
@@ -288,11 +300,89 @@ def run_cli_process(*argv, timeout=60):
 
 
 def test_cli_import_leaves_mpmath_unloaded():
+    # the suite module is registered, but its body has not run
     proc = run_cli_process(
-        "-c", "import sys, lambda_stirling.cli; print('mpmath' in sys.modules)"
+        "-c",
+        "import sys, lambda_stirling.cli; "
+        "suite = sys.modules['lambda_stirling.identities']; "
+        "print('mpmath' in sys.modules, 'dataclasses' in sys.modules, "
+        "'CHECKS' in suite.__dict__)",
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "False False False\n"
+
+
+def test_verify_help_lists_every_check_id(capsys):
+    from lambda_stirling.identities import CHECKS
+
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"known: {', '.join(CHECKS)}" in help_text
+
+
+FIRST_LOOKUP_RACE = """
+import sys, threading
+import lambda_stirling
+
+sys.setswitchinterval(1e-6)
+suite = sys.modules["lambda_stirling.identities"]
+assert "CHECKS" not in suite.__dict__
+start = threading.Barrier(8)
+seen, errors = [], []
+
+def lookup(i):
+    source = lambda_stirling if i % 2 else sys.modules["lambda_stirling.identities"]
+    start.wait(timeout=30)
+    try:
+        checks = source.CHECKS
+        assert callable(source.run_suite) and callable(source.SuiteConfig)
+        seen.append(len(checks))
+    except BaseException as exc:
+        errors.append(repr(exc))
+
+threads = [threading.Thread(target=lookup, args=(i,)) for i in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+print(sum(t.is_alive() for t in threads), sorted(seen), errors)
+"""
+
+
+def test_first_suite_lookup_is_thread_safe():
+    proc = run_cli_process("-c", FIRST_LOOKUP_RACE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"0 {[17] * 8} []\n"
+
+
+FAILING_BODY = """
+import sys
+import lambda_stirling
+
+suite = sys.modules["lambda_stirling.identities"]
+loader = suite.__spec__.loader
+
+def half_built(module):
+    module.__dict__["CHECKS"] = {}
+    raise RuntimeError("body failed")
+
+loader.exec_module = half_built
+for attempt in range(2):
+    try:
+        lambda_stirling.CHECKS
+    except RuntimeError as exc:
+        print(exc, "CHECKS" in suite.__dict__)
+del loader.exec_module
+print(len(suite.CHECKS), lambda_stirling.CHECKS is suite.CHECKS)
+"""
+
+
+def test_failed_suite_body_is_rerun_on_next_lookup():
+    proc = run_cli_process("-c", FAILING_BODY)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "body failed False\nbody failed False\n17 True\n"
 
 
 HUGE = 10**9

@@ -14,6 +14,8 @@ from lambda_stirling.poly import (
     format_element,
     csv_element,
 )
+from lambda_stirling.stirling import BasisExpansion, expand_in_falling_basis
+from lambda_stirling.whitney import dobinski_eval
 
 X = Poly.x()
 
@@ -154,11 +156,46 @@ def test_lambda_scalar_hashable_and_frozen():
     b = LambdaScalar.fixed(Fraction(2))
     assert a == b and hash(a) == hash(b)
     assert len({a, b, SYMBOLIC}) == 2
-    with pytest.raises(Exception):
+    assert LambdaScalar(Fraction(2)) == LambdaScalar(value=Fraction(2)) == a
+    assert LambdaScalar() == SYMBOLIC
+    assert a != Fraction(2) and SYMBOLIC != None  # noqa: E711
+    assert repr(a) == "LambdaScalar(value=Fraction(2, 1))"
+    assert repr(SYMBOLIC) == "LambdaScalar(value=None)"
+    with pytest.raises(AttributeError):
         a.value = Fraction(3)
+    with pytest.raises(AttributeError):
+        del a.value
+    with pytest.raises(AttributeError):
+        a.other = 1
+    assert a.value == Fraction(2)
     for lam in (a, SYMBOLIC):
         copy = pickle.loads(pickle.dumps(lam))
         assert copy == lam and hash(copy) == hash(lam)
+
+
+def test_value_records_keep_their_contracts():
+    lam = LambdaScalar.fixed(Fraction(1, 2))
+    target = Poly([1, 2, 1])
+    expansion = expand_in_falling_basis(target, lam)
+    assert expansion == BasisExpansion(target, lam, expansion.coefficients)
+    assert expansion == BasisExpansion(
+        coefficients=expansion.coefficients, lam=lam, target=target)
+    assert expansion.reconstruct() == target
+    assert repr(expansion) == (
+        "BasisExpansion(target=Poly([Fraction(1, 1), Fraction(2, 1), "
+        "Fraction(1, 1)]), lam=LambdaScalar(value=Fraction(1, 2)), "
+        "coefficients=(Fraction(1, 1), Fraction(5, 2), Fraction(1, 1)))"
+    )
+    dowling = dobinski_eval(3, Fraction(1, 2), 2, Fraction(1, 2))
+    assert dowling.exact == Fraction(49, 8) and dowling.truncation_terms > 0
+    assert repr(dowling).startswith(
+        "DowlingValue(n=3, x=Fraction(1, 2), m=2, lam=Fraction(1, 2), "
+        "exact=Fraction(49, 8), numeric=mpf(")
+    for record, field in ((expansion, "lam"), (dowling, "tail_bound")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record and hash(copy) == hash(record)
 
 
 def test_falling_factorial_symbolic():
