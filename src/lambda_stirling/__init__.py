@@ -27,18 +27,14 @@ Triangles, basis expansions and Bernoulli tables are cached with
 ``functools.cache``, keyed by their parameters: the caches are unbounded,
 and each triangle or table grows on demand under its own lock.
 
-The verification names load on first use.  ``import lambda_stirling``
-registers ``lambda_stirling.identities`` in ``sys.modules`` without running
-its body; the first lookup of a name the body defines (``CHECKS``,
-``run_suite``, ...), through this package or through the module itself,
-runs it once, so code that never verifies never pays for the suite.
+The verification names load on first use.  ``lambda_stirling.identities``
+is a stub that only lists them; the first lookup of one (``CHECKS``,
+``run_suite``, ...), through this package or through the stub, imports the
+suite from ``lambda_stirling._suite``, so code that never verifies never
+pays for it.
 """
 
-import sys
-import types
-from importlib.util import find_spec, module_from_spec
-from threading import RLock
-
+from . import identities
 from .bernoulli import BernoulliTable, bernoulli_base_series, bernoulli_higher
 from .poly import (
     LambdaScalar,
@@ -77,71 +73,8 @@ from .whitney import (
 
 __version__ = "0.1.0"
 
-_SUITE_NAMES = frozenset({
-    "CHECKS",
-    "IdentityReport",
-    "Providers",
-    "SuiteConfig",
-    "SuiteResult",
-    "Theorem13Resolution",
-    "check_identity",
-    "resolve_theorem13_variant",
-    "run_suite",
-})
-
-
-class _DeferredModule(types.ModuleType):
-    """A submodule in ``sys.modules`` whose body has not run yet.
-
-    A lookup of any name but the import system's own attributes runs the
-    body first, once, under ``_deferred_lock``; a lookup from another
-    thread meanwhile waits on the lock, so no thread sees the module half
-    built.  If the body raises, the module is reset to its unrun state and
-    the next lookup runs it again.  After the body has run, the module is a
-    plain module.
-    """
-
-    def __getattribute__(self, name):
-        if name not in _IMPORT_ATTRS:
-            _run_deferred(self)
-        return types.ModuleType.__getattribute__(self, name)
-
-
-_IMPORT_ATTRS = frozenset({
-    "__class__", "__dict__", "__name__", "__loader__", "__package__",
-    "__spec__", "__path__", "__file__", "__cached__",
-})
-_deferred_lock = RLock()
-_running = set()  # deferred modules whose body the lock holder is running
-
-
-def _run_deferred(module) -> None:
-    with _deferred_lock:
-        # lookups made by the running body itself go through
-        if type(module) is not _DeferredModule or module in _running:
-            return
-        namespace = module.__dict__
-        unrun = dict(namespace)
-        _running.add(module)
-        try:
-            module.__spec__.loader.exec_module(module)
-        except BaseException:
-            namespace.clear()
-            namespace.update(unrun)
-            raise
-        finally:
-            _running.discard(module)
-        module.__class__ = types.ModuleType
-
-
-# registered now, for code that reads it from sys.modules; run on first use
-identities = module_from_spec(find_spec(f"{__name__}.identities"))
-identities.__class__ = _DeferredModule
-sys.modules[identities.__name__] = identities
-
-
 def __getattr__(name):
-    if name in _SUITE_NAMES:
+    if name in identities.__all__:
         return getattr(identities, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 

@@ -1,0 +1,773 @@
+"""Mechanical verification of the algebraic identities tying the families
+together.
+
+Each check has a short stable id (``T2`` .. ``T13`` for the recurrence and
+convolution identities, ``GF_*`` for generating-function cross-checks,
+``ORTHO_*`` for matrix inversions, and so on).  A check evaluates both sides
+of its identity over a finite parameter grid through *independent* routes:
+a generating-function coefficient against a recurrence table, the
+definitional basis-expansion oracle against itself one row up, a closed
+finite-difference form against a tabulation.  The two sides of a check never
+share the code path whose correctness the check is supposed to establish.
+
+Results are ``IdentityReport`` records: pass/fail, the number of instances
+checked, and on failure the first offending parameter tuple with both side
+values serialized exactly.  Reports are deterministic, so a run with a fixed
+configuration is byte-identical across processes.
+
+Value lookups go through an injectable ``Providers`` bundle.  The default
+bundle is the real library; tests inject deliberately corrupted recurrences
+to demonstrate that every check actually bites (negative controls).
+
+Two checks resolve ambiguities empirically rather than assuming an answer:
+
+* ``T13`` evaluates the candidate argument conventions for the
+  Whitney/Bernoulli convolution, ``(r-1)/(m*lam)`` (constant across the sum)
+  and ``(r-n+l)/(m*lam)`` (varying with the summation index; the printed
+  ``(r-j)/(m*lam)`` form is the same family), and reports which single
+  family survives the full grid.
+* ``ORTHO_R`` verifies the true inversion partner of the shifted second-kind
+  matrix.  The naive same-shift pairing sum_k T(n,k) S_r(k,m) is *not* an
+  inversion: it composes two basis changes that both move by +r, giving
+  C(n,m) (2r)^(n-m) (value 2r already at n=1, m=0).  The actual inverse pairs
+  T with the sign-alternating unsigned first-kind numbers,
+  sum_k T(n,k) (-1)^(k-m) U(k,m) = [n = m], and that is what this check
+  establishes.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass, field
+from fractions import Fraction
+from importlib import import_module
+from math import comb
+from typing import Callable
+
+from . import bernoulli as _bernoulli
+from . import stirling as _stirling
+# the package binds the function ``whitney`` over the submodule's name, so
+# ``from . import whitney`` would return the function
+_whitney = import_module(".whitney", __package__)
+from .poly import LambdaScalar, SYMBOLIC, eval_element, format_element
+from .series import lambda_columns
+
+
+@dataclass(frozen=True)
+class Providers:
+    """The value sources the checks consume; swap entries to test the suite."""
+
+    stirling2: Callable = _stirling.stirling2_lambda
+    rstirling2: Callable = _stirling.rstirling2_lambda
+    stirling1: Callable = _stirling.stirling1_lambda
+    unsigned_rstirling1: Callable = _stirling.unsigned_rstirling1_lambda
+    whitney: Callable = _whitney.whitney
+    whitney_r: Callable = _whitney.whitney_r
+    bernoulli: Callable = _bernoulli.bernoulli_higher
+
+
+@dataclass(frozen=True)
+class SuiteConfig:
+    """Parameter grids for a suite run.  The defaults match the documented
+    verification grid; Bernoulli-heavy checks use the smaller ``bernoulli_n_max``."""
+
+    n_max: int = 10
+    bernoulli_n_max: int = 8
+    r_values: tuple = (0, 1, 2, 3)
+    m_values: tuple = (1, 2, 3)
+    alpha_values: tuple = (1, 2, 3)
+    fixed_lambdas: tuple = (Fraction(1, 2), Fraction(2), Fraction(-1, 3))
+    include_symbolic: bool = True
+    bernoulli_shift_lambdas: tuple = (Fraction(1, 2), Fraction(2))
+    egf_x_values: tuple = (Fraction(1, 2), Fraction(1), Fraction(2, 3))
+    egf_lambdas: tuple = (Fraction(1, 2), Fraction(-1, 3))
+    dobinski_x_values: tuple = (Fraction(1, 2), Fraction(1), Fraction(2))
+    dobinski_m_values: tuple = (1, 2)
+    dobinski_lambdas: tuple = (Fraction(1, 2), Fraction(1))
+    dobinski_tol: float = 1e-12
+    theorems: tuple | None = None
+    providers: Providers = field(default_factory=Providers)
+
+    def validate(self) -> None:
+        if self.n_max < 0 or self.bernoulli_n_max < 0:
+            raise ValueError("grid bounds must be nonnegative")
+        for name in (
+            "r_values", "m_values", "alpha_values", "fixed_lambdas",
+            "bernoulli_shift_lambdas", "egf_x_values", "egf_lambdas",
+            "dobinski_x_values", "dobinski_m_values", "dobinski_lambdas",
+        ):
+            if not getattr(self, name):
+                raise ValueError(f"empty parameter grid: {name}")
+        if not self.dobinski_tol > 0:
+            raise ValueError("tolerance must be positive")
+        if self.theorems is not None:
+            if not self.theorems:
+                raise ValueError("no check ids selected")
+            unknown = [t for t in self.theorems if t not in CHECKS]
+            if unknown:
+                raise ValueError(f"unknown check ids: {', '.join(unknown)}")
+
+    def lambdas(self) -> tuple:
+        """Fixed-lambda scalars plus the symbolic one when enabled."""
+        modes = [LambdaScalar.fixed(v) for v in self.fixed_lambdas]
+        if self.include_symbolic:
+            modes.append(SYMBOLIC)
+        return tuple(modes)
+
+
+@dataclass(frozen=True)
+class IdentityReport:
+    theorem_id: str
+    parameter_grid: str
+    checked_instances: int
+    status: str  # "pass" | "fail"
+    witness: dict | None = None
+    details: dict | None = None
+
+    def __post_init__(self):
+        if self.status == "pass" and self.checked_instances <= 0:
+            raise ValueError("a passing report needs at least one instance")
+
+    def to_dict(self) -> dict:
+        out = {
+            "theorem_id": self.theorem_id,
+            "parameter_grid": self.parameter_grid,
+            "checked_instances": self.checked_instances,
+            "status": self.status,
+            "witness": self.witness,
+        }
+        if self.details is not None:
+            out["details"] = self.details
+        return out
+
+
+def _witness(params: dict, lhs, rhs) -> dict:
+    return {
+        "params": {key: str(value) for key, value in params.items()},
+        "lhs": format_element(lhs) if not isinstance(lhs, str) else lhs,
+        "rhs": format_element(rhs) if not isinstance(rhs, str) else rhs,
+    }
+
+
+def _run_grid(theorem_id: str, grid_desc: str, instances) -> IdentityReport:
+    """Walk (params, lhs, rhs) triples; record the first mismatch."""
+    checked = 0
+    witness = None
+    for params, lhs, rhs in instances:
+        checked += 1
+        if witness is None and lhs != rhs:
+            witness = _witness(params, lhs, rhs)
+    if checked == 0:
+        raise ValueError(f"{theorem_id}: empty parameter grid")
+    return IdentityReport(
+        theorem_id=theorem_id,
+        parameter_grid=grid_desc,
+        checked_instances=checked,
+        status="pass" if witness is None else "fail",
+        witness=witness,
+    )
+
+
+def _cells(n_max: int):
+    for n in range(n_max + 1):
+        for k in range(n + 1):
+            yield n, k
+
+
+# --- individual checks ------------------------------------------------------
+
+
+def _check_t2(cfg: SuiteConfig) -> IdentityReport:
+    """Finite-difference closed form against the tabulated triangle,
+    including the vanishing rectangle 0 <= n < k."""
+    p = cfg.providers
+
+    def instances():
+        for lam_value in cfg.fixed_lambdas:
+            lam = LambdaScalar.fixed(lam_value)
+            for r in cfg.r_values:
+                for n in range(cfg.n_max + 1):
+                    for k in range(cfg.n_max + 1):
+                        lhs = _stirling.rstirling2_by_difference(n, k, r, lam_value)
+                        rhs = p.rstirling2(n, k, r, lam)
+                        yield {"n": n, "k": k, "r": r, "lambda": lam_value}, lhs, rhs
+
+    desc = (
+        f"n,k <= {cfg.n_max} (full rectangle), r in {list(cfg.r_values)}, "
+        f"lambda in {[str(v) for v in cfg.fixed_lambdas]}"
+    )
+    return _run_grid("T2", desc, instances())
+
+
+def _check_t3(cfg: SuiteConfig) -> IdentityReport:
+    """Shifted triangle from the plain one: T(n,k) = sum_l C(n,l) S2(l,k) r^(n-l)."""
+    p = cfg.providers
+
+    def instances():
+        for lam in cfg.lambdas():
+            for r in cfg.r_values:
+                for n, k in _cells(cfg.n_max):
+                    lhs = p.rstirling2(n, k, r, lam)
+                    rhs = sum(
+                        (comb(n, l) * Fraction(r) ** (n - l)) * p.stirling2(l, k, lam)
+                        for l in range(k, n + 1)
+                    )
+                    yield {"n": n, "k": k, "r": r, "lambda": lam}, lhs, rhs
+
+    desc = f"n <= {cfg.n_max}, k <= n, r in {list(cfg.r_values)}, all lambda modes"
+    return _run_grid("T3", desc, instances())
+
+
+def _check_t4(cfg: SuiteConfig) -> IdentityReport:
+    """The defining recurrence, with *both* sides produced by the
+    basis-expansion oracle rather than the recurrence itself."""
+
+    def instances():
+        for lam in cfg.lambdas():
+            lam_elem = lam.element
+            for r in cfg.r_values:
+                for n in range(cfg.n_max):
+                    for k in range(1, n + 1):
+                        lhs = _stirling.rstirling2_by_expansion(n + 1, k, r, lam)
+                        rhs = _stirling.rstirling2_by_expansion(n, k - 1, r, lam) + (
+                            lam_elem * k + r
+                        ) * _stirling.rstirling2_by_expansion(n, k, r, lam)
+                        yield {"n": n, "k": k, "r": r, "lambda": lam}, lhs, rhs
+
+    desc = (
+        f"1 <= k <= n < {cfg.n_max}, r in {list(cfg.r_values)}, all lambda modes; "
+        "both sides via basis expansion"
+    )
+    return _run_grid("T4", desc, instances())
+
+
+def _check_t5(cfg: SuiteConfig) -> IdentityReport:
+    """Cross-convolution splitting the shifted triangle at an inner index:
+    C(j+k,k) T(n,k+j) = sum_l C(n,l) S2(l,k) T(n-l,j) for j+k <= n."""
+    p = cfg.providers
+
+    def instances():
+        for lam in cfg.lambdas():
+            for r in cfg.r_values:
+                for n in range(cfg.n_max + 1):
+                    for j in range(n + 1):
+                        for k in range(n - j + 1):
+                            lhs = comb(j + k, k) * p.rstirling2(n, k + j, r, lam)
+                            rhs = sum(
+                                comb(n, l)
+                                * p.stirling2(l, k, lam)
+                                * p.rstirling2(n - l, j, r, lam)
+                                for l in range(k, n - j + 1)
+                            )
+                            yield (
+                                {"n": n, "k": k, "j": j, "r": r, "lambda": lam},
+                                lhs,
+                                rhs,
+                            )
+
+    desc = f"n <= {cfg.n_max}, j+k <= n, r in {list(cfg.r_values)}, all lambda modes"
+    return _run_grid("T5", desc, instances())
+
+
+def _check_t6(cfg: SuiteConfig) -> IdentityReport:
+    """Plain triangle back from the shifted one by the alternating mix:
+    S2(n,k) = sum_l C(n,l) T(l,k) (-r)^(n-l)."""
+    p = cfg.providers
+
+    def instances():
+        for lam in cfg.lambdas():
+            for r in cfg.r_values:
+                for n, k in _cells(cfg.n_max):
+                    lhs = p.stirling2(n, k, lam)
+                    rhs = sum(
+                        (comb(n, l) * Fraction(-r) ** (n - l))
+                        * p.rstirling2(l, k, r, lam)
+                        for l in range(k, n + 1)
+                    )
+                    yield {"n": n, "k": k, "r": r, "lambda": lam}, lhs, rhs
+
+    desc = f"n <= {cfg.n_max}, k <= n, r in {list(cfg.r_values)}, all lambda modes"
+    return _run_grid("T6", desc, instances())
+
+
+def _check_t7(cfg: SuiteConfig) -> IdentityReport:
+    """Bernoulli connection: T(n,k)/C(k+m,k) equals the binomial mix of the
+    plain triangle against higher-order Bernoulli values at r/lam."""
+    p = cfg.providers
+
+    def instances():
+        for lam_value in cfg.fixed_lambdas:
+            lam = LambdaScalar.fixed(lam_value)
+            for r in cfg.r_values:
+                shift = Fraction(r) / lam_value
+                for m in cfg.m_values:
+                    for n, k in _cells(cfg.bernoulli_n_max):
+                        lhs = p.rstirling2(n, k, r, lam) / comb(k + m, k)
+                        rhs = sum(
+                            Fraction(comb(n, l), comb(l + m, l))
+                            * p.stirling2(l + m, k + m, lam)
+                            * p.bernoulli(n - l, m, shift)
+                            * lam_value ** (n - l)
+                            for l in range(k, n + 1)
+                        )
+                        yield (
+                            {"n": n, "k": k, "m": m, "r": r, "lambda": lam_value},
+                            lhs,
+                            rhs,
+                        )
+
+    desc = (
+        f"n <= {cfg.bernoulli_n_max}, k <= n, m in {list(cfg.m_values)}, "
+        f"r in {list(cfg.r_values)}, lambda in {[str(v) for v in cfg.fixed_lambdas]}"
+    )
+    return _run_grid("T7", desc, instances())
+
+
+def _check_t9(cfg: SuiteConfig) -> IdentityReport:
+    """Whitney-to-second-kind shear: sum_l C(n,l) W_1(l,k) (lam-1)^(n-l)
+    = S2(n+1, k+1), over symbolic lambda."""
+    p = cfg.providers
+    lam = SYMBOLIC
+    lam_minus_one = lam.element - 1
+
+    def instances():
+        for n, k in _cells(cfg.n_max):
+            lhs = sum(
+                comb(n, l) * p.whitney(l, k, 1, lam) * lam_minus_one ** (n - l)
+                for l in range(k, n + 1)
+            )
+            rhs = p.stirling2(n + 1, k + 1, lam)
+            yield {"n": n, "k": k, "lambda": lam}, lhs, rhs
+
+    return _run_grid("T9", f"n <= {cfg.n_max}, k <= n, symbolic lambda", instances())
+
+
+T13_VARIANTS = {
+    "const": "(r-1)/(m*lambda)",
+    "shifted": "(r-n+l)/(m*lambda)",
+}
+
+
+def _check_t13_variant(cfg: SuiteConfig, variant: str) -> IdentityReport:
+    """One candidate argument convention for the Whitney/Bernoulli
+    convolution: W_r(n,k)/C(k+a,k) = sum_l C(n,l)/C(l+a,l) W(l+a,k+a)
+    B_(n-l)^(a)(ARG) (lam m)^(n-l)."""
+    p = cfg.providers
+
+    def instances():
+        for lam_value in cfg.bernoulli_shift_lambdas:
+            lam = LambdaScalar.fixed(lam_value)
+            for m in cfg.m_values:
+                for r in [r for r in cfg.r_values if r >= 1]:
+                    for alpha in cfg.alpha_values:
+                        for n, k in _cells(cfg.bernoulli_n_max):
+                            lhs = p.whitney_r(n, k, m, r, lam) / comb(k + alpha, k)
+                            rhs = Fraction(0)
+                            for l in range(k, n + 1):
+                                if variant == "const":
+                                    arg = Fraction(r - 1) / (m * lam_value)
+                                else:
+                                    arg = Fraction(r - (n - l)) / (m * lam_value)
+                                rhs += (
+                                    Fraction(comb(n, l), comb(l + alpha, l))
+                                    * p.whitney(l + alpha, k + alpha, m, lam)
+                                    * p.bernoulli(n - l, alpha, arg)
+                                    * (lam_value * m) ** (n - l)
+                                )
+                            yield (
+                                {
+                                    "n": n, "k": k, "m": m, "r": r,
+                                    "alpha": alpha, "lambda": lam_value,
+                                },
+                                lhs,
+                                rhs,
+                            )
+
+    desc = (
+        f"B-argument {T13_VARIANTS[variant]}; n <= {cfg.bernoulli_n_max}, "
+        f"alpha in {list(cfg.alpha_values)}, m in {list(cfg.m_values)}, "
+        f"r in {[r for r in cfg.r_values if r >= 1]}, "
+        f"lambda in {[str(v) for v in cfg.bernoulli_shift_lambdas]}"
+    )
+    return _run_grid(f"T13[{variant}]", desc, instances())
+
+
+@dataclass(frozen=True)
+class Theorem13Resolution:
+    """Outcome of evaluating every candidate argument convention."""
+
+    variant_reports: dict
+    verified: str | None
+
+    @property
+    def ok(self) -> bool:
+        return self.verified is not None
+
+
+def resolve_theorem13_variant(cfg: SuiteConfig | None = None) -> Theorem13Resolution:
+    """Evaluate each inequivalent candidate on the full grid and demand that
+    exactly one family survives."""
+    cfg = cfg or SuiteConfig()
+    cfg.validate()
+    reports = {name: _check_t13_variant(cfg, name) for name in T13_VARIANTS}
+    passing = [name for name, report in reports.items() if report.status == "pass"]
+    verified = passing[0] if len(passing) == 1 else None
+    return Theorem13Resolution(variant_reports=reports, verified=verified)
+
+
+def _check_t13(cfg: SuiteConfig) -> IdentityReport:
+    resolution = resolve_theorem13_variant(cfg)
+    losing = {
+        name: report.witness
+        for name, report in resolution.variant_reports.items()
+        if report.status == "fail"
+    }
+    details = {
+        "variants": {
+            name: report.status for name, report in resolution.variant_reports.items()
+        },
+        "verified_variant": (
+            T13_VARIANTS[resolution.verified] if resolution.verified else None
+        ),
+        "failing_witnesses": losing,
+    }
+    checked = sum(r.checked_instances for r in resolution.variant_reports.values())
+    some = next(iter(resolution.variant_reports.values()))
+    return IdentityReport(
+        theorem_id="T13",
+        parameter_grid=(
+            "adjudication between argument conventions "
+            + " vs ".join(T13_VARIANTS.values())
+            + "; "
+            + some.parameter_grid.split("; ", 1)[1]
+        ),
+        checked_instances=checked,
+        status="pass" if resolution.ok else "fail",
+        witness=None if resolution.ok else _witness(
+            {"passing_variants": ",".join(
+                n for n, r in resolution.variant_reports.items() if r.status == "pass"
+            ) or "none"},
+            "exactly one passing variant family",
+            "see details",
+        ),
+        details=details,
+    )
+
+
+def _check_ortho_plain(cfg: SuiteConfig) -> IdentityReport:
+    """Mutual inversion of the plain matrices:
+    sum_k S2(n,k) S1(k,m) = [n = m]."""
+    p = cfg.providers
+    lam = SYMBOLIC
+
+    def instances():
+        for n in range(cfg.n_max + 1):
+            for m in range(cfg.n_max + 1):
+                total = sum(
+                    p.stirling2(n, k, lam) * p.stirling1(k, m, lam)
+                    for k in range(m, n + 1)
+                )
+                expected = Fraction(1 if n == m else 0)
+                yield {"n": n, "m": m, "lambda": lam}, total, expected
+
+    return _run_grid(
+        "ORTHO_PLAIN", f"n, m <= {cfg.n_max}, symbolic lambda", instances()
+    )
+
+
+def _check_ortho_r(cfg: SuiteConfig) -> IdentityReport:
+    """True inversion partner of the shifted second-kind matrix:
+    sum_k T(n,k) (-1)^(k-m) U(k,m) = [n = m], with U the unsigned shifted
+    first-kind numbers.  (The same-shift signed pairing composes to
+    C(n,m)(2r)^(n-m) instead and is not an inversion; see the module
+    docstring.)"""
+    p = cfg.providers
+
+    def instances():
+        for lam in cfg.lambdas():
+            for r in cfg.r_values:
+                for n in range(cfg.n_max + 1):
+                    for m in range(cfg.n_max + 1):
+                        total = sum(
+                            (-1) ** (k - m)
+                            * p.rstirling2(n, k, r, lam)
+                            * p.unsigned_rstirling1(k, m, r, lam)
+                            for k in range(m, n + 1)
+                        )
+                        expected = Fraction(1 if n == m else 0)
+                        yield {"n": n, "m": m, "r": r, "lambda": lam}, total, expected
+
+    desc = (
+        f"n, m <= {cfg.n_max}, r in {list(cfg.r_values)}, all lambda modes; "
+        "sign-alternating pairing with the unsigned first kind"
+    )
+    return _run_grid("ORTHO_R", desc, instances())
+
+
+def _check_limit_lambda1(cfg: SuiteConfig) -> IdentityReport:
+    """Specializations of the symbolic triangle: at lambda = 1 the ordinary
+    r-shifted numbers (independent integer route), at lambda = 0 the plain
+    triangle collapses to the identity matrix."""
+    p = cfg.providers
+
+    def instances():
+        for r in cfg.r_values:
+            for n, k in _cells(cfg.n_max):
+                symbolic_value = p.rstirling2(n, k, r, SYMBOLIC)
+                lhs = eval_element(symbolic_value, Fraction(1))
+                rhs = Fraction(_stirling.classical_rstirling2(n, k, r))
+                yield {"n": n, "k": k, "r": r, "limit": "lambda=1"}, lhs, rhs
+        for n, k in _cells(cfg.n_max):
+            lhs = eval_element(p.stirling2(n, k, SYMBOLIC), Fraction(0))
+            rhs = Fraction(1 if n == k else 0)
+            yield {"n": n, "k": k, "limit": "lambda=0"}, lhs, rhs
+
+    desc = (
+        f"n <= {cfg.n_max}, k <= n: lambda=1 against the classical integer "
+        f"formula for r in {list(cfg.r_values)}; lambda=0 against [n = k]"
+    )
+    return _run_grid("LIMIT_LAMBDA1", desc, instances())
+
+
+def _check_gf_t1(cfg: SuiteConfig) -> IdentityReport:
+    """EGF coefficients of (e^{lam t}-1)^k e^{rt}/(lam^k k!) against the
+    tabulated shifted triangle."""
+    p = cfg.providers
+
+    def instances():
+        for lam in cfg.lambdas():
+            for r in cfg.r_values:
+                columns = lambda_columns(1, r, lam, cfg.n_max)
+                for k, series in zip(range(cfg.n_max + 1), columns):
+                    for n in range(cfg.n_max + 1):
+                        lhs = series.coeff(n)
+                        rhs = p.rstirling2(n, k, r, lam)
+                        yield {"n": n, "k": k, "r": r, "lambda": lam}, lhs, rhs
+
+    desc = f"n, k <= {cfg.n_max}, r in {list(cfg.r_values)}, all lambda modes"
+    return _run_grid("GF_T1", desc, instances())
+
+
+def _check_gf_t8(cfg: SuiteConfig) -> IdentityReport:
+    """EGF coefficients of ((e^{lam m t}-1)/m)^k e^t/(lam^k k!) against the
+    Whitney-type triangle."""
+    p = cfg.providers
+
+    def instances():
+        for lam_value in cfg.fixed_lambdas:
+            lam = LambdaScalar.fixed(lam_value)
+            for m in cfg.m_values:
+                columns = lambda_columns(m, 1, lam, cfg.n_max)
+                for k, series in zip(range(cfg.n_max + 1), columns):
+                    for n in range(cfg.n_max + 1):
+                        lhs = series.coeff(n)
+                        rhs = p.whitney(n, k, m, lam)
+                        yield {"n": n, "k": k, "m": m, "lambda": lam_value}, lhs, rhs
+
+    desc = (
+        f"n, k <= {cfg.n_max}, m in {list(cfg.m_values)}, "
+        f"lambda in {[str(v) for v in cfg.fixed_lambdas]}"
+    )
+    return _run_grid("GF_T8", desc, instances())
+
+
+def _dowling_row(p: Providers, n: int, x, m: int, lam: LambdaScalar):
+    """Dowling polynomial d(n, x) = sum_k W(n, k) x^k, read through the
+    provided Whitney triangle."""
+    return sum(p.whitney(n, k, m, lam) * Fraction(x) ** k for k in range(n + 1))
+
+
+def _check_gf_t10(cfg: SuiteConfig) -> IdentityReport:
+    """Dowling EGF e^t exp(x (e^{lam m t}-1)/(lam m)) against the polynomial
+    rows built from the Whitney triangle."""
+    p = cfg.providers
+    n_max = cfg.bernoulli_n_max
+
+    def instances():
+        for lam_value in cfg.egf_lambdas:
+            lam = LambdaScalar.fixed(lam_value)
+            for m in cfg.m_values:
+                for x in cfg.egf_x_values:
+                    series = _whitney.dowling_series(x, m, lam, n_max)
+                    for n in range(n_max + 1):
+                        lhs = series.coeff(n)
+                        rhs = _dowling_row(p, n, x, m, lam)
+                        yield {"n": n, "x": x, "m": m, "lambda": lam_value}, lhs, rhs
+
+    desc = (
+        f"n <= {n_max}, x in {[str(v) for v in cfg.egf_x_values]}, "
+        f"m in {list(cfg.m_values)}, lambda in {[str(v) for v in cfg.egf_lambdas]}"
+    )
+    return _run_grid("GF_T10", desc, instances())
+
+
+def _check_gf_t12(cfg: SuiteConfig) -> IdentityReport:
+    """EGF coefficients of ((e^{lam m t}-1)/m)^k e^{rt}/(lam^k k!) against
+    the shifted Whitney-type triangle."""
+    p = cfg.providers
+
+    def instances():
+        for lam_value in cfg.fixed_lambdas:
+            lam = LambdaScalar.fixed(lam_value)
+            for m in cfg.m_values:
+                for r in cfg.r_values:
+                    columns = lambda_columns(m, r, lam, cfg.n_max)
+                    for k, series in zip(range(cfg.n_max + 1), columns):
+                        for n in range(cfg.n_max + 1):
+                            lhs = series.coeff(n)
+                            rhs = p.whitney_r(n, k, m, r, lam)
+                            yield (
+                                {"n": n, "k": k, "m": m, "r": r, "lambda": lam_value},
+                                lhs,
+                                rhs,
+                            )
+
+    desc = (
+        f"n, k <= {cfg.n_max}, m in {list(cfg.m_values)}, r in {list(cfg.r_values)}, "
+        f"lambda in {[str(v) for v in cfg.fixed_lambdas]}"
+    )
+    return _run_grid("GF_T12", desc, instances())
+
+
+def _check_dobinski(cfg: SuiteConfig) -> IdentityReport:
+    """Numeric series evaluation against the exact polynomial rows, within
+    the configured tolerance and with the recorded tail bound honored."""
+    p = cfg.providers
+    tol = cfg.dobinski_tol
+
+    def instances():
+        for lam_value in cfg.dobinski_lambdas:
+            lam = LambdaScalar.fixed(lam_value)
+            for m in cfg.dobinski_m_values:
+                for x in cfg.dobinski_x_values:
+                    for n in range(cfg.bernoulli_n_max + 1):
+                        value = _whitney.dobinski_eval(n, x, m, lam_value, tol)
+                        exact = _dowling_row(p, n, x, m, lam)
+                        # the mpf is a dyadic rational, so the difference
+                        # is taken exactly; no working precision hides it
+                        man, exp = value.numeric.man, value.numeric.exp
+                        error = abs(Fraction(man) * Fraction(2) ** exp - exact)
+                        params = {
+                            "n": n, "x": x, "m": m, "lambda": lam_value,
+                            "tol": tol,
+                        }
+                        if error <= tol and value.tail_bound <= tol:
+                            yield params, Fraction(0), Fraction(0)
+                        else:
+                            yield (
+                                params,
+                                f"|error| = {_whitney._to_mpf(error)}",
+                                f"tolerance {tol}",
+                            )
+
+    desc = (
+        f"n <= {cfg.bernoulli_n_max}, x in {[str(v) for v in cfg.dobinski_x_values]}, "
+        f"m in {list(cfg.dobinski_m_values)}, "
+        f"lambda in {[str(v) for v in cfg.dobinski_lambdas]}, tol {cfg.dobinski_tol}"
+    )
+    return _run_grid("DOBINSKI_T11", desc, instances())
+
+
+def _check_reductions(cfg: SuiteConfig) -> IdentityReport:
+    """Specialization chain: the shifted Whitney family at m=1 is the shifted
+    second-kind triangle, at r=1 the plain Whitney family, and at m=1, r=0
+    the plain second-kind triangle."""
+    p = cfg.providers
+
+    def instances():
+        for lam in cfg.lambdas():
+            for n, k in _cells(cfg.n_max):
+                for r in cfg.r_values:
+                    lhs = p.whitney_r(n, k, 1, r, lam)
+                    rhs = p.rstirling2(n, k, r, lam)
+                    yield (
+                        {"n": n, "k": k, "lambda": lam, "reduction": f"m=1,r={r}"},
+                        lhs,
+                        rhs,
+                    )
+                for m in cfg.m_values:
+                    lhs = p.whitney_r(n, k, m, 1, lam)
+                    rhs = p.whitney(n, k, m, lam)
+                    yield (
+                        {"n": n, "k": k, "lambda": lam, "reduction": f"m={m},r=1"},
+                        lhs,
+                        rhs,
+                    )
+                lhs = p.whitney_r(n, k, 1, 0, lam)
+                rhs = p.stirling2(n, k, lam)
+                yield (
+                    {"n": n, "k": k, "lambda": lam, "reduction": "m=1,r=0"},
+                    lhs,
+                    rhs,
+                )
+
+    desc = (
+        f"n <= {cfg.n_max}, k <= n, r in {list(cfg.r_values)}, "
+        f"m in {list(cfg.m_values)}, all lambda modes"
+    )
+    return _run_grid("REDUCTIONS", desc, instances())
+
+
+CHECKS: dict[str, Callable[[SuiteConfig], IdentityReport]] = {
+    "T2": _check_t2,
+    "T3": _check_t3,
+    "T4": _check_t4,
+    "T5": _check_t5,
+    "T6": _check_t6,
+    "T7": _check_t7,
+    "T9": _check_t9,
+    "T13": _check_t13,
+    "ORTHO_PLAIN": _check_ortho_plain,
+    "ORTHO_R": _check_ortho_r,
+    "LIMIT_LAMBDA1": _check_limit_lambda1,
+    "GF_T1": _check_gf_t1,
+    "GF_T8": _check_gf_t8,
+    "GF_T10": _check_gf_t10,
+    "GF_T12": _check_gf_t12,
+    "DOBINSKI_T11": _check_dobinski,
+    "REDUCTIONS": _check_reductions,
+}
+
+
+def check_identity(theorem_id: str, cfg: SuiteConfig | None = None) -> IdentityReport:
+    """Run a single named check over the configured grid."""
+    cfg = cfg or SuiteConfig()
+    cfg.validate()
+    try:
+        check = CHECKS[theorem_id]
+    except KeyError:
+        raise ValueError(
+            f"unknown check id {theorem_id!r}; valid ids: {', '.join(CHECKS)}"
+        ) from None
+    return check(cfg)
+
+
+@dataclass(frozen=True)
+class SuiteResult:
+    reports: tuple
+    exit_status: int
+
+    @property
+    def failed(self) -> tuple:
+        return tuple(r.theorem_id for r in self.reports if r.status == "fail")
+
+    def to_json_lines(self) -> str:
+        lines = [json.dumps(r.to_dict(), default=str) for r in self.reports]
+        summary = {
+            "summary": True,
+            "total": len(self.reports),
+            "failed": list(self.failed),
+            "status": "pass" if not self.failed else "fail",
+        }
+        lines.append(json.dumps(summary))
+        return "\n".join(lines) + "\n"
+
+
+def run_suite(cfg: SuiteConfig | None = None) -> SuiteResult:
+    """Run every configured check in the fixed registry order."""
+    cfg = cfg or SuiteConfig()
+    cfg.validate()
+    selected = cfg.theorems if cfg.theorems is not None else tuple(CHECKS)
+    reports = tuple(CHECKS[theorem_id](cfg) for theorem_id in selected)
+    exit_status = 0 if all(r.status == "pass" for r in reports) else 1
+    return SuiteResult(reports=reports, exit_status=exit_status)

@@ -31,6 +31,7 @@ from .stirling import (
     unsigned_rstirling1_lambda,
 )
 from .whitney import (
+    DOBINSKI_DIGITS,
     UnsupportedDomainError,
     bell_poly_lambda,
     dobinski_eval,
@@ -169,6 +170,8 @@ def _cmd_eval(args) -> int:
 def _cmd_dobinski(args) -> int:
     if args.digits < 1:
         raise ValueError("--digits must be positive")
+    if args.digits > DOBINSKI_DIGITS:  # the sum carries no more digits
+        raise ValueError(f"--digits must be at most {DOBINSKI_DIGITS}")
     import mpmath  # deferred: the other commands never load it
 
     lam = _parse_lambda(args.lam)

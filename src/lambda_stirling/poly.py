@@ -56,10 +56,6 @@ class Poly:
         return cls([1])
 
     @classmethod
-    def constant(cls, c) -> "Poly":
-        return cls([c])
-
-    @classmethod
     def x(cls) -> "Poly":
         return cls([0, 1])
 

@@ -33,6 +33,7 @@ from .series import TruncatedSeries, lambda_columns
 from .stirling import _expansion, _triangle
 
 _ZERO = Fraction(0)
+DOBINSKI_DIGITS = 40  # decimal working precision of dobinski_eval
 
 
 class UnsupportedDomainError(ValueError):
@@ -115,7 +116,8 @@ def dowling_series(x, m: int, lam: LambdaScalar, order: int) -> TruncatedSeries:
 class DowlingValue(NamedTuple):
     """Numeric Dowling value with its exact reference and error accounting.
 
-    ``numeric`` is an ``mpmath.mpf`` summed at a fixed 40 decimal digits;
+    ``numeric`` is an ``mpmath.mpf`` summed at a fixed ``DOBINSKI_DIGITS``
+    (40) decimal digits;
     ``tail_bound`` bounds only the truncation of the series, as a float.
     The rounding error of the summation is not in it and can exceed it by
     far once the terms outgrow the working precision (at m = 2, lam = 1/2,
@@ -161,7 +163,7 @@ def dobinski_eval(n: int, x, m: int, lam, tol: float = 1e-12) -> DowlingValue:
     import mpmath  # deferred: only the numeric evaluator needs it
 
     exact = dowling_poly(n, x, m, LambdaScalar.fixed(lam))
-    with mpmath.workdps(40):
+    with mpmath.workdps(DOBINSKI_DIGITS):
         c = _to_mpf(x / (lam * m))
         prefactor = mpmath.exp(-c)
         tol_scaled = mpmath.mpf(tol) * prefactor

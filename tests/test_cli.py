@@ -188,6 +188,32 @@ def test_dobinski_rejects_nonpositive_digits(capsys, digits):
     assert err == "error: --digits must be positive\n"
 
 
+@pytest.mark.parametrize("digits", ["41", "1000000"])
+def test_dobinski_rejects_digits_beyond_working_precision(capsys, digits):
+    # the sum carries 40 digits, and printing more takes time that grows
+    # with the number asked for
+    code, out, err = run_cli(
+        capsys,
+        "dobinski", "--n", "3", "--x", "1/2", "--m", "2", "--lambda", "1/2",
+        "--digits", digits,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: --digits must be at most 40\n"
+
+
+def test_dobinski_prints_the_full_working_precision(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "dobinski", "--n", "3", "--x", "1/2", "--m", "2", "--lambda", "1/2",
+        "--digits", "40",
+    )
+    assert code == 0
+    numeric = json.loads(out)["numeric"]
+    assert numeric.startswith("6.124999999")
+    assert len(numeric.replace(".", "")) == 40
+
+
 def test_dobinski_rejects_symbolic(capsys):
     code, _, err = run_cli(
         capsys,
@@ -300,16 +326,48 @@ def run_cli_process(*argv, timeout=60):
 
 
 def test_cli_import_leaves_mpmath_unloaded():
-    # the suite module is registered, but its body has not run
+    # the suite stub is registered, but the suite itself is not loaded
     proc = run_cli_process(
         "-c",
         "import sys, lambda_stirling.cli; "
         "suite = sys.modules['lambda_stirling.identities']; "
         "print('mpmath' in sys.modules, 'dataclasses' in sys.modules, "
-        "'CHECKS' in suite.__dict__)",
+        "'lambda_stirling._suite' in sys.modules, 'CHECKS' in suite.__dict__)",
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False False False\n"
+    assert proc.stdout == "False False False False\n"
+
+
+RUN_COMMAND = """
+import contextlib, io, sys
+from lambda_stirling.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, *(name in sys.modules for name in
+              ("lambda_stirling._suite", "dataclasses", "mpmath")))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["triangle", "--family", "whitney-r", "--m", "2", "--r", "1",
+         "--n-max", "4", "--lambda", "1/2"],
+        ["eval", "--poly", "dowling", "--n", "5", "--x", "2", "--m", "2",
+         "--lambda", "1/3"],
+        ["bernoulli", "--n-max", "4", "--m", "2", "--x", "1/2"],
+        ["dump-series", "--kind", "whitney", "--k", "2", "--m", "2",
+         "--order", "5"],
+        ["dobinski", "--n", "3", "--x", "1/2", "--m", "2", "--lambda", "1/2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_command_leaves_suite_unloaded(argv):
+    # only verify needs the suite, and only dobinski needs mpmath
+    proc = run_cli_process("-c", RUN_COMMAND, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"0 False False {argv[0] == 'dobinski'}\n"
 
 
 def test_verify_help_lists_every_check_id(capsys):
@@ -359,22 +417,25 @@ def test_first_suite_lookup_is_thread_safe():
 
 FAILING_BODY = """
 import sys
+from importlib.machinery import SourceFileLoader
 import lambda_stirling
 
 suite = sys.modules["lambda_stirling.identities"]
-loader = suite.__spec__.loader
+exec_module = SourceFileLoader.exec_module
 
-def half_built(module):
-    module.__dict__["CHECKS"] = {}
+def half_built(loader, module):
+    if module.__name__ != "lambda_stirling._suite":
+        return exec_module(loader, module)
+    module.CHECKS = {}
     raise RuntimeError("body failed")
 
-loader.exec_module = half_built
+SourceFileLoader.exec_module = half_built
 for attempt in range(2):
     try:
         lambda_stirling.CHECKS
     except RuntimeError as exc:
-        print(exc, "CHECKS" in suite.__dict__)
-del loader.exec_module
+        print(exc, "CHECKS" in suite.__dict__, "lambda_stirling._suite" in sys.modules)
+SourceFileLoader.exec_module = exec_module
 print(len(suite.CHECKS), lambda_stirling.CHECKS is suite.CHECKS)
 """
 
@@ -382,7 +443,9 @@ print(len(suite.CHECKS), lambda_stirling.CHECKS is suite.CHECKS)
 def test_failed_suite_body_is_rerun_on_next_lookup():
     proc = run_cli_process("-c", FAILING_BODY)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "body failed False\nbody failed False\n17 True\n"
+    assert proc.stdout == (
+        "body failed False False\nbody failed False False\n17 True\n"
+    )
 
 
 HUGE = 10**9

@@ -69,6 +69,15 @@ def test_package_exports_resolve():
 
     missing = [n for n in lambda_stirling.__all__ if not hasattr(lambda_stirling, n)]
     assert missing == []
+    # the stub star-exports the nine suite names, each the suite's own object
+    from lambda_stirling import _suite
+
+    names = {}
+    exec("from lambda_stirling.identities import *", names)
+    del names["__builtins__"]
+    assert sorted(names) == sorted(lambda_stirling.identities.__all__)
+    assert len(names) == 9
+    assert all(value is getattr(_suite, name) for name, value in names.items())
 
 
 def test_unknown_check_id_rejected():
@@ -83,6 +92,14 @@ def test_empty_grid_rejected():
         small_config(r_values=()).validate()
     with pytest.raises(ValueError):
         run_suite(small_config(fixed_lambdas=()))
+
+
+def test_empty_check_selection_rejected():
+    # an empty selection would run no check and report a pass
+    with pytest.raises(ValueError):
+        small_config(theorems=()).validate()
+    with pytest.raises(ValueError):
+        run_suite(small_config(theorems=()))
 
 
 def test_pass_requires_instances():
