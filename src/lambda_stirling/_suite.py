@@ -69,7 +69,8 @@ class Providers:
 @dataclass(frozen=True)
 class SuiteConfig:
     """Parameter grids for a suite run.  The defaults match the documented
-    verification grid; Bernoulli-heavy checks use the smaller ``bernoulli_n_max``."""
+    verification grid; Bernoulli-heavy checks use the smaller ``bernoulli_n_max``.
+    A config is validated when it is built, ``dataclasses.replace`` included."""
 
     n_max: int = 10
     bernoulli_n_max: int = 8
@@ -87,6 +88,9 @@ class SuiteConfig:
     dobinski_tol: float = 1e-12
     theorems: tuple | None = None
     providers: Providers = field(default_factory=Providers)
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         if self.n_max < 0 or self.bernoulli_n_max < 0:
@@ -348,6 +352,16 @@ T13_VARIANTS = {
 }
 
 
+def _t13_grid(cfg: SuiteConfig) -> str:
+    """The grid shared by the T13 variant reports and the T13 report."""
+    return (
+        f"n <= {cfg.bernoulli_n_max}, "
+        f"alpha in {list(cfg.alpha_values)}, m in {list(cfg.m_values)}, "
+        f"r in {[r for r in cfg.r_values if r >= 1]}, "
+        f"lambda in {[str(v) for v in cfg.bernoulli_shift_lambdas]}"
+    )
+
+
 def _check_t13_variant(cfg: SuiteConfig, variant: str) -> IdentityReport:
     """One candidate argument convention for the Whitney/Bernoulli
     convolution: W_r(n,k)/C(k+a,k) = sum_l C(n,l)/C(l+a,l) W(l+a,k+a)
@@ -383,12 +397,7 @@ def _check_t13_variant(cfg: SuiteConfig, variant: str) -> IdentityReport:
                                 rhs,
                             )
 
-    desc = (
-        f"B-argument {T13_VARIANTS[variant]}; n <= {cfg.bernoulli_n_max}, "
-        f"alpha in {list(cfg.alpha_values)}, m in {list(cfg.m_values)}, "
-        f"r in {[r for r in cfg.r_values if r >= 1]}, "
-        f"lambda in {[str(v) for v in cfg.bernoulli_shift_lambdas]}"
-    )
+    desc = f"B-argument {T13_VARIANTS[variant]}; {_t13_grid(cfg)}"
     return _run_grid(f"T13[{variant}]", desc, instances())
 
 
@@ -408,7 +417,6 @@ def resolve_theorem13_variant(cfg: SuiteConfig | None = None) -> Theorem13Resolu
     """Evaluate each inequivalent candidate on the full grid and demand that
     exactly one family survives."""
     cfg = cfg or SuiteConfig()
-    cfg.validate()
     reports = {name: _check_t13_variant(cfg, name) for name in T13_VARIANTS}
     passing = [name for name, report in reports.items() if report.status == "pass"]
     verified = passing[0] if len(passing) == 1 else None
@@ -432,14 +440,13 @@ def _check_t13(cfg: SuiteConfig) -> IdentityReport:
         "failing_witnesses": losing,
     }
     checked = sum(r.checked_instances for r in resolution.variant_reports.values())
-    some = next(iter(resolution.variant_reports.values()))
     return IdentityReport(
         theorem_id="T13",
         parameter_grid=(
             "adjudication between argument conventions "
             + " vs ".join(T13_VARIANTS.values())
             + "; "
-            + some.parameter_grid.split("; ", 1)[1]
+            + _t13_grid(cfg)
         ),
         checked_instances=checked,
         status="pass" if resolution.ok else "fail",
@@ -732,7 +739,6 @@ CHECKS: dict[str, Callable[[SuiteConfig], IdentityReport]] = {
 def check_identity(theorem_id: str, cfg: SuiteConfig | None = None) -> IdentityReport:
     """Run a single named check over the configured grid."""
     cfg = cfg or SuiteConfig()
-    cfg.validate()
     try:
         check = CHECKS[theorem_id]
     except KeyError:
@@ -766,7 +772,6 @@ class SuiteResult:
 def run_suite(cfg: SuiteConfig | None = None) -> SuiteResult:
     """Run every configured check in the fixed registry order."""
     cfg = cfg or SuiteConfig()
-    cfg.validate()
     selected = cfg.theorems if cfg.theorems is not None else tuple(CHECKS)
     reports = tuple(CHECKS[theorem_id](cfg) for theorem_id in selected)
     exit_status = 0 if all(r.status == "pass" for r in reports) else 1

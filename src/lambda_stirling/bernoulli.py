@@ -80,8 +80,6 @@ _table = cache(BernoulliTable)
 def bernoulli_higher(n: int, m: int, x) -> Fraction:
     """B_n^(m)(x) for nonnegative n, positive integer order m, rational x
     (an ``int`` or a ``Fraction``)."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
     # checked before the cache, where a float m would find the table of
     # the equal int
     _check_order(m)

@@ -43,37 +43,46 @@ from .whitney import (
 )
 
 TRIANGLE_FAMILIES = {
-    # name -> (value function, takes r, takes m)
-    "s2lambda": (lambda n, k, r, m, lam: stirling2_lambda(n, k, lam), False, False),
-    "rstirling2": (lambda n, k, r, m, lam: rstirling2_lambda(n, k, r, lam), True, False),
-    "s1lambda": (lambda n, k, r, m, lam: stirling1_lambda(n, k, lam), False, False),
-    "rstirling1": (lambda n, k, r, m, lam: rstirling1_lambda(n, k, r, lam), True, False),
-    "rstirling1-unsigned": (
-        lambda n, k, r, m, lam: unsigned_rstirling1_lambda(n, k, r, lam),
-        True,
-        False,
-    ),
-    "whitney": (lambda n, k, r, m, lam: whitney(n, k, m, lam), False, True),
-    "whitney-r": (lambda n, k, r, m, lam: whitney_r(n, k, m, r, lam), True, True),
+    # name -> (value function, its parameters between k and lambda, in order)
+    "s2lambda": (stirling2_lambda, ()),
+    "rstirling2": (rstirling2_lambda, ("r",)),
+    "s1lambda": (stirling1_lambda, ()),
+    "rstirling1": (rstirling1_lambda, ("r",)),
+    "rstirling1-unsigned": (unsigned_rstirling1_lambda, ("r",)),
+    "whitney": (whitney, ("m",)),
+    "whitney-r": (whitney_r, ("m", "r")),
 }
+
+
+def _parse_rational(option: str, text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{option}: zero denominator in {text!r}") from None
 
 
 def _parse_lambda(text: str) -> LambdaScalar:
     if text.strip().lower() == "symbolic":
         return SYMBOLIC
-    return LambdaScalar.fixed(Fraction(text))
+    return LambdaScalar(_parse_rational("--lambda", text))
 
 
 def _emit(text: str, output: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if output is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text)
-            if not text.endswith("\n"):
-                handle.write("\n")
+
+
+def _emit_csv(header: list, rows, output: str | None) -> None:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _emit(buffer.getvalue(), output)
 
 
 def _add_lambda_argument(parser: argparse.ArgumentParser, required: bool = True):
@@ -101,31 +110,24 @@ def _check_n_max(n_max: int) -> None:
 
 
 def _cmd_triangle(args) -> int:
-    value_fn, takes_r, takes_m = TRIANGLE_FAMILIES[args.family]
-    if args.r is not None and not takes_r:
-        raise ValueError(f"family {args.family!r} does not take --r")
-    if args.m is not None and not takes_m:
-        raise ValueError(f"family {args.family!r} does not take --m")
-    r = args.r if args.r is not None else 0
-    m = args.m if args.m is not None else 1
-    if takes_r and args.r is None:
-        raise ValueError(f"family {args.family!r} needs --r")
-    if takes_m and args.m is None:
-        raise ValueError(f"family {args.family!r} needs --m")
+    value_fn, params = TRIANGLE_FAMILIES[args.family]
+    for name in ("r", "m"):
+        if getattr(args, name) is not None and name not in params:
+            raise ValueError(f"family {args.family!r} does not take --{name}")
+    for name in ("r", "m"):
+        if getattr(args, name) is None and name in params:
+            raise ValueError(f"family {args.family!r} needs --{name}")
     _check_n_max(args.n_max)
     lam = _parse_lambda(args.lam)
+    extra = [getattr(args, name) for name in params]
     cells = [
-        (n, k, value_fn(n, k, r, m, lam))
+        (n, k, value_fn(n, k, *extra, lam))
         for n in range(args.n_max + 1)
         for k in range(n + 1)
     ]
     if args.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(["n", "k", "value"])
-        for n, k, value in cells:
-            writer.writerow([n, k, csv_element(value)])
-        _emit(buffer.getvalue(), args.output)
+        rows = [(n, k, csv_element(value)) for n, k, value in cells]
+        _emit_csv(["n", "k", "value"], rows, args.output)
     else:
         payload = {
             "family": args.family,
@@ -136,17 +138,16 @@ def _cmd_triangle(args) -> int:
                 for n, k, value in cells
             ],
         }
-        if takes_r:
-            payload["r"] = r
-        if takes_m:
-            payload["m"] = m
+        payload.update(
+            (name, getattr(args, name)) for name in ("r", "m") if name in params
+        )
         _emit(json.dumps(payload, indent=2), args.output)
     return 0
 
 
 def _cmd_eval(args) -> int:
     lam = _parse_lambda(args.lam)
-    x = Fraction(args.x)
+    x = _parse_rational("--x", args.x)
     if args.poly == "dowling":
         value = dowling_poly(args.n, x, args.m, lam)
     else:
@@ -177,7 +178,7 @@ def _cmd_dobinski(args) -> int:
     lam = _parse_lambda(args.lam)
     if lam.is_symbolic:
         raise ValueError("the series evaluation needs a fixed rational lambda")
-    x = Fraction(args.x)
+    x = _parse_rational("--x", args.x)
     result = dobinski_eval(args.n, x, args.m, lam.value, args.tol)
     payload = {
         "n": result.n,
@@ -195,15 +196,10 @@ def _cmd_dobinski(args) -> int:
 
 def _cmd_bernoulli(args) -> int:
     _check_n_max(args.n_max)
-    x = Fraction(args.x)
+    x = _parse_rational("--x", args.x)
     rows = [(n, bernoulli_higher(n, args.m, x)) for n in range(args.n_max + 1)]
     if args.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(["n", "value"])
-        for n, value in rows:
-            writer.writerow([n, csv_element(value)])
-        _emit(buffer.getvalue(), args.output)
+        _emit_csv(["n", "value"], [(n, csv_element(v)) for n, v in rows], args.output)
     else:
         payload = {
             "order": args.m,
@@ -225,8 +221,7 @@ def _cmd_verify(args) -> int:
         overrides["n_max"] = args.n_max
     if args.bernoulli_n_max is not None:
         overrides["bernoulli_n_max"] = args.bernoulli_n_max
-    config = SuiteConfig(**overrides)
-    config.validate()  # unknown ids exit 2 before any check runs
+    config = SuiteConfig(**overrides)  # unknown ids exit 2 before any check runs
     result = run_suite(config)
     _emit(result.to_json_lines(), args.output)
     return result.exit_status
@@ -247,7 +242,7 @@ def _cmd_dump_series(args) -> int:
         elif kind == "whitney-r":
             series = whitney_series(args.k, args.m, args.r, lam, args.order)
         else:  # dowling
-            x = Fraction(args.x)
+            x = _parse_rational("--x", args.x)
             series = dowling_series(x, args.m, lam, args.order)
     payload = {"kind": kind, **series.to_json()}
     _emit(json.dumps(payload, indent=2), args.output)

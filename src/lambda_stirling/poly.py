@@ -227,6 +227,8 @@ def csv_element(value: RingElement) -> str:
 class LambdaScalar:
     """Deformation parameter: a fixed nonzero rational, or symbolic.
 
+    A fixed value may be anything ``Fraction`` accepts and is kept as a
+    ``Fraction``, so equal scalars always carry the same exact value.
     ``element`` is the ring representation of lambda itself, a ``Fraction``
     in fixed mode and the degree-1 ``Poly`` in symbolic mode.  Instances
     are immutable; two are equal when their values are.
@@ -234,9 +236,11 @@ class LambdaScalar:
 
     __slots__ = ("value", "_hash")
 
-    def __init__(self, value: Fraction | None = None):
-        if value is not None and value == 0:
-            raise ValueError("lambda must be nonzero in fixed mode")
+    def __init__(self, value=None):
+        if value is not None:
+            value = Fraction(value)
+            if value == 0:
+                raise ValueError("lambda must be nonzero in fixed mode")
         object.__setattr__(self, "value", value)
         # every triangle lookup hashes its lambda as part of the cache key,
         # and a Fraction recomputes its hash on each call
@@ -264,7 +268,7 @@ class LambdaScalar:
 
     @classmethod
     def fixed(cls, value) -> "LambdaScalar":
-        return cls(Fraction(value))
+        return cls(value)
 
     @classmethod
     def symbolic(cls) -> "LambdaScalar":

@@ -339,14 +339,13 @@ def second_kind_series(k: int, r: int, lam: LambdaScalar, order: int) -> Truncat
 
 
 def classical_rstirling2(n: int, k: int, r: int) -> int:
-    """Ordinary r-shifted second-kind number over the integers, via the
-    alternating-sum closed form.  Serves as the independent reference for
-    the lam -> 1 specialization."""
+    """Ordinary r-shifted second-kind number over the integers: the
+    finite-difference closed form at lam = 1.  Serves as the independent
+    reference for the lam -> 1 specialization."""
     _check_shift(r)
     if n < 0 or k < 0:
         return 0
-    total = sum(comb(k, l) * (-1) ** (k - l) * (l + r) ** n for l in range(k + 1))
-    value = Fraction(total, factorial(k))
+    value = rstirling2_by_difference(n, k, r, 1)
     if value.denominator != 1:
         raise ArithmeticError("alternating sum was not divisible by k!")
     return int(value)

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from .poly import LambdaScalar, RingElement
 from .series import TruncatedSeries, lambda_columns
-from .stirling import _expansion, _triangle
+from .stirling import _check_shift, _expansion, _triangle
 
 _ZERO = Fraction(0)
 DOBINSKI_DIGITS = 40  # decimal working precision of dobinski_eval
@@ -43,8 +43,7 @@ class UnsupportedDomainError(ValueError):
 def _check_params(m: int, r: int) -> None:
     if not isinstance(m, int) or m < 1:
         raise ValueError("parameter m must be a positive integer")
-    if not isinstance(r, int) or r < 0:
-        raise ValueError("shift r must be a nonnegative integer")
+    _check_shift(r)
 
 
 def whitney_r(n: int, k: int, m: int, r: int, lam: LambdaScalar) -> RingElement:
@@ -104,13 +103,12 @@ def dowling_series(x, m: int, lam: LambdaScalar, order: int) -> TruncatedSeries:
     denominator)."""
     if lam.is_symbolic:
         raise ValueError("the closed Dowling EGF needs a fixed rational lambda")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    e_t = TruncatedSeries.exp_linear(Fraction(1), order)  # rejects a negative order
     _check_params(m, 1)
     x = Fraction(x)
     lm = lam.value * m
     inner = (TruncatedSeries.exp_linear(lm, order) - 1) * (x / lm)
-    return inner.exp() * TruncatedSeries.exp_linear(Fraction(1), order)
+    return inner.exp() * e_t
 
 
 class DowlingValue(NamedTuple):

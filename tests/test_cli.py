@@ -91,23 +91,107 @@ def test_triangle_json_format(capsys):
         assert row["value"] == format_element(value)
 
 
+# the parameters each family takes between k and lambda, in call order
+FAMILY_PARAMETERS = {
+    "s2lambda": (),
+    "rstirling2": ("r",),
+    "s1lambda": (),
+    "rstirling1": ("r",),
+    "rstirling1-unsigned": ("r",),
+    "whitney": ("m",),
+    "whitney-r": ("m", "r"),
+}
+PARAMETER_VALUES = {"r": ("--r", "1"), "m": ("--m", "2")}
+
+
+def triangle_argv(family, *names):
+    argv = ["triangle", "--family", family, "--n-max", "3", "--lambda", "1/2"]
+    for name in names:
+        argv += PARAMETER_VALUES[name]
+    return argv
+
+
 def test_triangle_rejects_stray_parameters(capsys):
-    code, _, err = run_cli(
-        capsys,
-        "triangle", "--family", "s2lambda", "--n-max", "3",
-        "--r", "1", "--lambda", "1/2",
-    )
-    assert code == 2
-    assert "does not take --r" in err
+    cases = [
+        (family, (*takes, stray), stray)
+        for family, takes in FAMILY_PARAMETERS.items()
+        for stray in ("r", "m")
+        if stray not in takes
+    ]
+    cases += [
+        ("s2lambda", ("m", "r"), "r"),  # --r is named first, whatever the order
+        ("rstirling2", ("m",), "m"),  # a stray one is named before a missing one
+    ]
+    for family, names, stray in cases:
+        code, out, err = run_cli(capsys, *triangle_argv(family, *names))
+        assert (code, out) == (2, ""), (family, names)
+        assert err == f"error: family {family!r} does not take --{stray}\n"
 
 
 def test_triangle_requires_shift_for_shifted_family(capsys):
-    code, _, err = run_cli(
-        capsys,
-        "triangle", "--family", "rstirling2", "--n-max", "3", "--lambda", "1/2",
+    cases = [("whitney-r", (), "r")]  # --r is named before --m
+    for family, takes in FAMILY_PARAMETERS.items():
+        assert run_cli(capsys, *triangle_argv(family, *takes))[0] == 0, family
+        cases += [
+            (family, tuple(name for name in takes if name != missing), missing)
+            for missing in takes
+        ]
+    for family, names, missing in cases:
+        code, out, err = run_cli(capsys, *triangle_argv(family, *names))
+        assert (code, out) == (2, ""), (family, names)
+        assert err == f"error: family {family!r} needs --{missing}\n"
+
+
+def test_triangle_json_lists_r_before_m(capsys):
+    code, out, _ = run_cli(
+        capsys, *triangle_argv("whitney-r", "m", "r"), "--format", "json"
     )
-    assert code == 2
-    assert "needs --r" in err
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload) == ["family", "n_max", "lambda", "rows", "r", "m"]
+    assert (payload["r"], payload["m"]) == (1, 2)
+
+
+def test_cli_family_table_matches_the_benchmark_map(monkeypatch):
+    # the benchmark calls the triangle functions as the CLI does; its map
+    # is read from its source file without writing bytecode next to it
+    import importlib
+    import importlib.util
+
+    from lambda_stirling.cli import TRIANGLE_FAMILIES
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(workloads)
+    assert set(workloads._FAMILIES) == set(TRIANGLE_FAMILIES)
+    for family, (module, name, takes_r, takes_m) in workloads._FAMILIES.items():
+        fn = getattr(importlib.import_module(f"lambda_stirling.{module}"), name)
+        params = ("m",) * takes_m + ("r",) * takes_r
+        assert TRIANGLE_FAMILIES[family][0] is fn, family
+        assert TRIANGLE_FAMILIES[family][1] == params, family
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("triangle", "--family", "s2lambda", "--n-max", "3", "--lambda", "1/0"),
+     "--lambda"),
+    (("eval", "--poly", "bell", "--n", "3", "--x", "1/2", "--lambda", "1/0"),
+     "--lambda"),
+    (("dobinski", "--n", "3", "--x", "1", "--lambda", "1/0"), "--lambda"),
+    (("dump-series", "--kind", "stirling2", "--k", "1", "--order", "3",
+      "--lambda", "1/0"), "--lambda"),
+    (("eval", "--poly", "bell", "--n", "3", "--x", "1/0", "--lambda", "1/2"),
+     "--x"),
+    (("bernoulli", "--n-max", "3", "--m", "1", "--x", "1/0"), "--x"),
+    (("dobinski", "--n", "3", "--x", "1/0", "--lambda", "1/2"), "--x"),
+    (("dump-series", "--kind", "dowling", "--order", "3", "--x", "1/0",
+      "--lambda", "1/2"), "--x"),
+], ids=lambda value: value.strip("-") if isinstance(value, str) else value[0])
+def test_zero_denominator_names_the_option(capsys, argv, option):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {option}: zero denominator in '1/0'\n"
 
 
 def test_zero_lambda_exits_2(capsys):
@@ -278,16 +362,19 @@ def test_dump_series_defaults_to_symbolic(capsys):
 
 
 def test_output_flag_writes_file(tmp_path, capsys):
-    target = tmp_path / "triangle.csv"
-    code, out, _ = run_cli(
-        capsys,
-        "triangle", "--family", "s2lambda", "--n-max", "2",
-        "--lambda", "1/2", "--output", str(target),
-    )
-    assert code == 0
-    assert out == ""
-    content = target.read_text(encoding="utf-8")
-    assert content.startswith("n,k,value")
+    target = tmp_path / "table.csv"
+    for argv, header in (
+        (("triangle", "--family", "s2lambda", "--n-max", "2", "--lambda", "1/2"),
+         "n,k,value"),
+        (("bernoulli", "--n-max", "4", "--m", "2", "--x", "1/3"), "n,value"),
+    ):
+        code, out, _ = run_cli(capsys, *argv, "--output", str(target))
+        assert code == 0
+        assert out == ""
+        content = target.read_bytes()
+        assert content.startswith(header.encode())
+        # the file holds exactly the bytes the command prints to stdout
+        assert content == run_cli(capsys, *argv)[1].encode("utf-8")
 
 
 def test_cli_output_is_deterministic(capsys):

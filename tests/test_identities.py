@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -92,6 +93,16 @@ def test_empty_grid_rejected():
         small_config(r_values=()).validate()
     with pytest.raises(ValueError):
         run_suite(small_config(fixed_lambdas=()))
+
+
+def test_config_rejects_a_bad_grid_when_built():
+    with pytest.raises(ValueError):
+        SuiteConfig(n_max=-1)
+    with pytest.raises(ValueError):
+        SuiteConfig(theorems=("T99",))
+    # replace builds a new config through __init__, so it validates too
+    with pytest.raises(ValueError):
+        replace(SuiteConfig(), r_values=())
 
 
 def test_empty_check_selection_rejected():

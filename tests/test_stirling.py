@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from lambda_stirling.poly import LambdaScalar, Poly, SYMBOLIC, eval_element
 from lambda_stirling.stirling import (
     NumberTriangle,
+    _triangle,
     classical_rstirling2,
     expand_in_falling_basis,
     rstirling1_lambda,
@@ -231,6 +232,15 @@ def test_lambda_zero_collapses_to_identity():
 
 
 # --- caching / concurrency ----------------------------------------------------
+
+
+def test_float_lambda_does_not_poison_the_triangle_cache():
+    # LambdaScalar(0.5) hashes and compares equal to the exact scalar, so
+    # the triangle it builds is the one every later lookup of 1/2 reads
+    _triangle.cache_clear()
+    for lam in (LambdaScalar(0.5), LambdaScalar.fixed(Fraction(1, 2))):
+        assert stirling2_lambda(3, 1, lam) == Fraction(1, 4)
+        assert type(lam.value) is Fraction
 
 
 def test_triangle_rows_immutable_and_consistent():
