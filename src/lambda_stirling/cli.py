@@ -54,6 +54,18 @@ TRIANGLE_FAMILIES = {
 }
 
 
+DUMP_KINDS = {
+    # kind -> the options it takes besides --order
+    "stirling2": ("k", "lam"),
+    "rstirling2": ("k", "r", "lam"),
+    "whitney": ("k", "m", "lam"),
+    "whitney-r": ("k", "m", "r", "lam"),
+    "bernoulli-base": ("m",),
+    "dowling": ("m", "x", "lam"),
+}
+DUMP_DEFAULTS = {"k": 0, "r": 0, "m": 1, "x": "1", "lam": "symbolic"}
+
+
 def _parse_rational(option: str, text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -104,6 +116,15 @@ def _add_output_argument(parser: argparse.ArgumentParser):
     )
 
 
+def _reject_stray(args, owner: str, takes, options) -> None:
+    """Exit 2 on the first of ``options`` given on the command line that
+    ``owner`` does not take; every such option defaults to ``None``."""
+    for name in options:
+        if getattr(args, name) is not None and name not in takes:
+            flag = "lambda" if name == "lam" else name
+            raise ValueError(f"{owner} does not take --{flag}")
+
+
 def _check_n_max(n_max: int) -> None:
     if n_max < 0:
         raise ValueError("--n-max must be nonnegative")
@@ -111,9 +132,7 @@ def _check_n_max(n_max: int) -> None:
 
 def _cmd_triangle(args) -> int:
     value_fn, params = TRIANGLE_FAMILIES[args.family]
-    for name in ("r", "m"):
-        if getattr(args, name) is not None and name not in params:
-            raise ValueError(f"family {args.family!r} does not take --{name}")
+    _reject_stray(args, f"family {args.family!r}", params, ("r", "m"))
     for name in ("r", "m"):
         if getattr(args, name) is None and name in params:
             raise ValueError(f"family {args.family!r} needs --{name}")
@@ -146,6 +165,10 @@ def _cmd_triangle(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    takes = ("m",) if args.poly == "dowling" else ()
+    _reject_stray(args, f"poly {args.poly!r}", takes, ("m",))
+    if args.m is None:
+        args.m = 1
     lam = _parse_lambda(args.lam)
     x = _parse_rational("--x", args.x)
     if args.poly == "dowling":
@@ -229,10 +252,14 @@ def _cmd_verify(args) -> int:
 
 def _cmd_dump_series(args) -> int:
     kind = args.kind
+    _reject_stray(args, f"kind {kind!r}", DUMP_KINDS[kind], DUMP_DEFAULTS)
+    for name, default in DUMP_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     if kind == "bernoulli-base":
         series = bernoulli_base_series(args.m, args.order)
     else:
-        lam = _parse_lambda(args.lam if args.lam is not None else "symbolic")
+        lam = _parse_lambda(args.lam)
         if kind == "stirling2":
             series = second_kind_series(args.k, 0, lam, args.order)
         elif kind == "rstirling2":
@@ -289,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--poly", required=True, choices=("dowling", "bell"))
     p_eval.add_argument("--n", type=int, required=True)
     p_eval.add_argument("--x", required=True, help="evaluation point, rational")
-    p_eval.add_argument("--m", type=int, default=1)
+    p_eval.add_argument("--m", type=int, default=None)
     _add_lambda_argument(p_eval)
     p_eval.add_argument("--format", choices=("text", "json"), default="text")
     _add_output_argument(p_eval)
@@ -343,23 +370,12 @@ def build_parser() -> argparse.ArgumentParser:
         "dump-series",
         help="dump truncated exponential-generating-function coefficients",
     )
-    p_dump.add_argument(
-        "--kind",
-        required=True,
-        choices=(
-            "stirling2",
-            "rstirling2",
-            "whitney",
-            "whitney-r",
-            "bernoulli-base",
-            "dowling",
-        ),
-    )
+    p_dump.add_argument("--kind", required=True, choices=tuple(DUMP_KINDS))
     p_dump.add_argument("--order", type=int, required=True)
-    p_dump.add_argument("--k", type=int, default=0, help="column index")
-    p_dump.add_argument("--r", type=int, default=0)
-    p_dump.add_argument("--m", type=int, default=1)
-    p_dump.add_argument("--x", default="1", help="Dowling evaluation point")
+    p_dump.add_argument("--k", type=int, default=None, help="column index")
+    p_dump.add_argument("--r", type=int, default=None)
+    p_dump.add_argument("--m", type=int, default=None)
+    p_dump.add_argument("--x", default=None, help="Dowling evaluation point")
     _add_lambda_argument(p_dump, required=False)
     _add_output_argument(p_dump)
     p_dump.set_defaults(fn=_cmd_dump_series)

@@ -9,22 +9,27 @@ symbolic mode; instances are immutable.
 
 The column EGFs of the paper are one family: column k of the Whitney-type
 r-Stirling numbers of parameter m is ((e^{lam m t} - 1)/(lam m))^k e^{r t} / k!,
-and the r-shifted second kind is its m = 1 case.  ``lambda_columns`` builds
-them from the closed-form base E = (e^{lam m t} - 1)/(lam m), whose EGF
-coefficients are 0 and then (lam m)^(n-1).  These are polynomials in lam even
-when lam is symbolic, so no step divides by lam.
+and the r-shifted second kind is its m = 1 case.  The base
+E = (e^{lam m t} - 1)/(lam m) has EGF coefficients 0 and then (lam m)^(n-1),
+so it is homogeneous: [E^k]_n = eta_{k,n} (lam m)^(n-k), where eta_k holds
+the integer EGF coefficients of (e^t - 1)^k.  ``lambda_columns`` therefore
+builds every column over ``int``: eta_k by integer series products, then one
+binomial mix with the powers of lam m and r per coefficient, converted once
+to a ``Fraction`` (fixed lam) or a ``Poly`` (symbolic lam).  No step divides
+by lam.  eta_k is never taken from its derivative recurrence, which is the
+triangles' own: the EGF route stays independent of the triangles it checks.
 
-Every integer power of a series whose first nonzero coefficient is a unit,
-the inverse included, is one O(N^2) pass of J.C.P. Miller's recurrence
-(``power_coeffs``), so column k is built directly as E^k e^{r t} / k! at the
-cost of two products, whatever k is.
+Every integer power of a ``TruncatedSeries`` whose first nonzero coefficient
+is a unit, the inverse included, is one O(N^2) pass of J.C.P. Miller's
+recurrence (``power_coeffs``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count
+from itertools import count, repeat
 from math import comb, factorial, perm
+from operator import mul
 
 from .poly import LambdaScalar, Poly, RingElement, _coerce, format_element
 
@@ -210,27 +215,107 @@ def power_coeffs(a, k: int, order: int, b: list | None = None) -> list:
     return b
 
 
+def _dot(x, y, z) -> int:
+    """sum_i x_i y_i z_i over ``int``, as long as the shortest input."""
+    return sum(map(mul, map(mul, x, y), z))
+
+
+def _binomial_product(a: list, b: list, order: int) -> list:
+    """EGF coefficients 0..order of the product of two series given by
+    their ``int`` EGF coefficients: the binomial convolution, summed only
+    where both factors can be nonzero."""
+    va = next((i for i, c in enumerate(a) if c), order + 1)
+    vb = next((i for i, c in enumerate(b) if c), order + 1)
+    # term l of coefficient n is C(n, l) a_l b_(n-l), for va <= l <= n - vb
+    return [
+        _dot(map(comb, repeat(n), range(va, n - vb + 1)), a[va:],
+             reversed(b[vb : n - va + 1]))
+        for n in range(order + 1)
+    ]
+
+
+def _int_power(a: list, k: int) -> list:
+    """a^k for k >= 1, by repeated squaring with ``_binomial_product``."""
+    order = len(a) - 1
+    result, square = None, a
+    while True:
+        if k & 1:
+            result = (square if result is None
+                      else _binomial_product(result, square, order))
+        k >>= 1
+        if not k:
+            return result
+        square = _binomial_product(square, square, order)
+
+
 def lambda_columns(m: int, r: int, lam: LambdaScalar, order: int, first: int = 0):
     """Yield the columns C_k = ((e^{lam m t} - 1)/(lam m))^k e^{r t} / k!,
-    k = first, first + 1, ..., truncated at ``order``.  With the base
-    E = (e^{lam m t} - 1)/(lam m), C_first = E^first e^{r t} / first! is
-    built by one series power and C_k = C_{k-1} E / k after it.  E has
-    valuation 1, so every column past ``order`` is zero.  Symbolic columns
-    with k >= 1 hold only ``Poly`` coefficients, all others only
-    ``Fraction``."""
+    k = first, first + 1, ..., truncated at ``order``.
+
+    The base E = (e^{lam m t} - 1)/(lam m) has EGF coefficients 0 and then
+    (lam m)^(n-1), so it is homogeneous: [E^k]_n = eta_{k,n} (lam m)^(n-k),
+    where eta_k holds the ``int`` EGF coefficients of (e^t - 1)^k, which do
+    not depend on lam, m or r.  Column k is then the binomial mix
+
+        C_k[n] = sum_{l=k..n} C(n, l) eta_{k,l} (lam m)^(l-k) r^(n-l) / k!.
+
+    eta_first is a repeated squaring of e^t - 1 and each later column of
+    the walk takes eta_k = eta_{k-1} (e^t - 1), all by integer series
+    products.  The derivative recurrence eta_k[n+1] = k (eta_k[n] +
+    eta_{k-1}[n]) is the triangle's own recurrence and is not used: the EGF
+    route must stay independent of the triangles it checks.
+
+    With lam m = P/q, coefficient n is one ``Fraction`` of
+    sum_l C(n, l) eta_{k,l} P^(l-k) (q r)^(n-l) over k! q^(n-k).  With lam
+    symbolic it is one ``Poly`` whose lam^j coefficient is
+    C(n, j+k) eta_{k,j+k} m^j r^(n-j-k) / k!: the same sum with P = m and
+    q = 1, kept term by term.  Column 0 holds the ``Fraction`` powers of r,
+    and a column past ``order`` is zero without being computed.  Symbolic
+    columns with k >= 1 hold only ``Poly`` coefficients, all others only
+    ``Fraction``.  A column takes O(order) memory: lists of length
+    order + 1, with each binomial C(n, l) taken from ``math.comb`` as it
+    is used."""
     if not isinstance(first, int):
         raise ValueError("k must be an integer")
     if first < 0:
         raise ValueError("k must be nonnegative")
-    # a zero Poly as E_0 makes every coefficient of a symbolic product a Poly
-    zero = Poly() if lam.is_symbolic else Fraction(0)
-    powers = TruncatedSeries.exp_linear(lam.element * m, order).coeffs
-    base = TruncatedSeries((zero,) + powers[:-1])
-    column = TruncatedSeries.exp_linear(Fraction(r), order)
-    if first > order:
-        column = TruncatedSeries([zero] * (order + 1))
-    elif first:
-        column = base**first * column * Fraction(1, factorial(first))
-    for k in count(first + 1):
-        yield column
-        column = column * base * Fraction(1, k)
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    symbolic = lam.is_symbolic
+    lm = Fraction(m) if symbolic else lam.value * m
+    p_powers, q_powers, qr_powers = (
+        [c**j for j in range(order + 1)]
+        for c in (lm.numerator, lm.denominator, lm.denominator * r)
+    )
+    zero = Poly() if symbolic else Fraction(0)
+    e_t_minus_1 = [0] + [1] * order
+    eta = None
+    for k in count(first):
+        if k > order:
+            column = TruncatedSeries([zero] * (order + 1))
+            while True:
+                yield column
+        if k == 0:
+            yield TruncatedSeries([Fraction(r) ** n for n in range(order + 1)])
+            continue
+        if eta is None:
+            eta = _int_power(e_t_minus_1, k)
+        else:
+            eta = _binomial_product(eta, e_t_minus_1, order)
+        # weights[j] = eta_{k,k+j} P^j
+        weights = [e * p for e, p in zip(eta[k:], p_powers)]
+        scale = factorial(k)
+        coeffs = [zero] * k
+        for n in range(k, order + 1):
+            # term j is C(n, k+j) weights[j] (q r)^(n-k-j)
+            binomials = map(comb, repeat(n), range(k, n + 1))
+            qr_tail = reversed(qr_powers[: n - k + 1])
+            if symbolic:
+                coeffs.append(Poly([
+                    Fraction(c * w * t, scale)
+                    for c, w, t in zip(binomials, weights, qr_tail)
+                ]))
+            else:
+                total = _dot(binomials, weights, qr_tail)
+                coeffs.append(Fraction(total, scale * q_powers[n - k]))
+        yield TruncatedSeries(coeffs)

@@ -30,8 +30,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import zip_longest
+from itertools import accumulate, repeat, zip_longest
 from math import comb, factorial
+from operator import mul
 from threading import Lock
 from typing import NamedTuple
 
@@ -125,8 +126,7 @@ class NumberTriangle:
         if lam.is_symbolic:
             row = tuple(map(Poly.from_ints, ints[:-1])) + (_ONE,)
         else:
-            q = lam.value.denominator
-            row = tuple(Fraction(u, q ** (n - k)) for k, u in enumerate(ints))
+            row = tuple(map(Fraction, ints, _falling_powers(lam.value.denominator, n)))
         self._rows[n] = row
         return row
 
@@ -138,10 +138,8 @@ class NumberTriangle:
         lam = self._params[0]
         if lam.is_symbolic:
             return [[c.numerator for c in e.coeffs] for e in row[:-1]] + [[1]]
-        q = lam.value.denominator
-        return [
-            e.numerator * (q ** (n - k) // e.denominator) for k, e in enumerate(row)
-        ]
+        powers = _falling_powers(lam.value.denominator, n)
+        return [e.numerator * (p // e.denominator) for e, p in zip(row, powers)]
 
     def row(self, n: int) -> tuple:
         if n < 0:
@@ -189,6 +187,11 @@ class NumberTriangle:
             Fraction(_horner(column, a, b), bn)
             for column in zip_longest(*ints, fillvalue=0)
         ])
+
+
+def _falling_powers(q: int, n: int) -> list:
+    """[q^n, q^(n-1), ..., q^0]: the denominators q^(n-k) of row n."""
+    return list(accumulate(repeat(q, n), mul, initial=1))[::-1]
 
 
 def _horner(coeffs, a: int, b: int) -> int:
@@ -331,9 +334,8 @@ def rstirling2_by_expansion(n: int, k: int, r: int, lam: LambdaScalar) -> RingEl
 def second_kind_series(k: int, r: int, lam: LambdaScalar, order: int) -> TruncatedSeries:
     """EGF route: the series ((e^{lam t} - 1)/lam)^k e^{r t} / k! carries
     the r-shifted second-kind numbers T(n, k) as its EGF coefficients.  It is
-    column k of ``series.lambda_columns`` at m = 1, built directly as the
-    k-th power of the base (e^{lam t} - 1)/lam, whose polynomial
-    coefficients lam^(n-1) spare symbolic lam any division."""
+    column k of ``series.lambda_columns`` at m = 1, built directly over the
+    integers from the powers of e^t - 1, with no division by lam."""
     _check_shift(r)
     return next(lambda_columns(1, r, lam, order, first=k))
 

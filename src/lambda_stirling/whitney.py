@@ -71,9 +71,9 @@ def whitney_r_by_expansion(n: int, k: int, m: int, r: int, lam: LambdaScalar) ->
 
 def whitney_series(k: int, m: int, r: int, lam: LambdaScalar, order: int) -> TruncatedSeries:
     """EGF route: ((e^{lam m t} - 1)/(lam m))^k e^{r t} / k!, column k of
-    ``series.lambda_columns`` built directly by one series power, carries
-    the shifted Whitney-type numbers as EGF coefficients; r = 1 gives the
-    plain family."""
+    ``series.lambda_columns`` built directly over the integers, carries the
+    shifted Whitney-type numbers as EGF coefficients; r = 1 gives the plain
+    family."""
     _check_params(m, r)
     return next(lambda_columns(m, r, lam, order, first=k))
 

@@ -4,13 +4,16 @@ Everything in this module is deliberately naive and self-contained:
 list-based polynomial arithmetic over ``Fraction``, brute-force
 set-partition enumeration, and the textbook alternating-sum/recurrence
 formulas.  Nothing here imports from the package under test, so agreement
-between these values and the library is evidence, not circularity.
+between these values and the library is evidence, not circularity.  The one
+exception is ``series_column``, which builds an EGF column by the package's
+generic ``TruncatedSeries`` arithmetic, a code path the column engine
+``lambda_columns`` does not use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 
 # --- list-based polynomial arithmetic (coefficients low-to-high) ------------
@@ -217,8 +220,6 @@ def classical_bernoulli(n_max: int) -> list:
 
 def alternating_sum_stirling2(n: int, k: int) -> Fraction:
     """Ordinary second-kind number by the alternating binomial sum."""
-    from math import factorial
-
     total = sum((-1) ** (k - l) * comb(k, l) * l**n for l in range(k + 1))
     return Fraction(total, factorial(k))
 
@@ -241,3 +242,19 @@ def egf_exp(a: list) -> list:
         term = [c / k for c in egf_mul(term, a)]
         total = [x + y for x, y in zip(total, term)]
     return total
+
+
+def series_column(m: int, r: int, lam, order: int, k: int):
+    """Column k of ((e^{lam m t} - 1)/(lam m))^k e^{r t} / k! as E**k e^{r t}
+    / k! in generic ``TruncatedSeries`` arithmetic (series power, product
+    and scalar product), E written out from its EGF coefficients 0 and
+    (lam m)^(n-1).  A zero ``Poly`` as E_0 makes every symbolic coefficient
+    with k >= 1 a ``Poly``, so the coefficient types are a reference too."""
+    from lambda_stirling.poly import Poly
+    from lambda_stirling.series import TruncatedSeries
+
+    zero = Poly() if lam.is_symbolic else Fraction(0)
+    powers = TruncatedSeries.exp_linear(lam.element * m, order).coeffs
+    base = TruncatedSeries((zero,) + powers[:-1])
+    shift = TruncatedSeries.exp_linear(Fraction(r), order)
+    return base**k * shift * Fraction(1, factorial(k))

@@ -142,6 +142,71 @@ def test_triangle_requires_shift_for_shifted_family(capsys):
         assert err == f"error: family {family!r} needs --{missing}\n"
 
 
+# dump-series kind -> the options it takes besides --order
+DUMP_OPTIONS = {
+    "stirling2": ("--k", "--lambda"),
+    "rstirling2": ("--k", "--r", "--lambda"),
+    "whitney": ("--k", "--m", "--lambda"),
+    "whitney-r": ("--k", "--m", "--r", "--lambda"),
+    "bernoulli-base": ("--m",),
+    "dowling": ("--m", "--x", "--lambda"),
+}
+DUMP_VALUES = {"--k": "2", "--r": "1", "--m": "2", "--x": "3/2", "--lambda": "1/2"}
+
+
+def test_dump_series_rejects_stray_options(capsys):
+    for kind, takes in DUMP_OPTIONS.items():
+        argv = ["dump-series", "--kind", kind, "--order", "3"]
+        for option in takes:
+            argv += [option, DUMP_VALUES[option]]
+        assert run_cli(capsys, *argv)[0] == 0, kind
+        for stray, value in DUMP_VALUES.items():
+            if stray in takes:
+                continue
+            code, out, err = run_cli(capsys, *argv, stray, value)
+            assert (code, out) == (2, ""), (kind, stray)
+            assert err == f"error: kind {kind!r} does not take {stray}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    # each printed the same bytes as without the stray option, or exited 0
+    (("dump-series", "--kind", "stirling2", "--k", "1", "--order", "3",
+      "--r", "5", "--lambda", "1/2"), "kind 'stirling2' does not take --r"),
+    (("eval", "--poly", "bell", "--n", "3", "--x", "1/2", "--lambda", "1/2",
+      "--m", "7"), "poly 'bell' does not take --m"),
+    (("dump-series", "--kind", "bernoulli-base", "--order", "3",
+      "--lambda", "1/0"), "kind 'bernoulli-base' does not take --lambda"),
+    # a stray option is named before any other fault
+    (("dump-series", "--kind", "bernoulli-base", "--order", "-1", "--k", "2"),
+     "kind 'bernoulli-base' does not take --k"),
+    (("dump-series", "--kind", "whitney", "--order", "3", "--m", "0",
+      "--x", "1/0"), "kind 'whitney' does not take --x"),
+], ids=["stirling2-r", "bell-m", "bernoulli-base-lambda", "before-order", "before-x"])
+def test_stray_option_exits_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, defaults", [
+    (("dump-series", "--kind", "stirling2", "--order", "4"),
+     ("--k", "0", "--lambda", "symbolic")),
+    (("dump-series", "--kind", "rstirling2", "--k", "2", "--order", "4"),
+     ("--r", "0")),
+    (("dump-series", "--kind", "whitney", "--k", "2", "--order", "4",
+      "--lambda", "1/2"), ("--m", "1")),
+    (("dump-series", "--kind", "bernoulli-base", "--order", "4"), ("--m", "1")),
+    (("dump-series", "--kind", "dowling", "--order", "4", "--lambda", "1/2"),
+     ("--x", "1", "--m", "1")),
+    (("eval", "--poly", "dowling", "--n", "4", "--x", "2/3", "--lambda", "1/2",
+      "--format", "json"), ("--m", "1")),
+], ids=["stirling2", "rstirling2", "whitney", "bernoulli-base", "dowling", "eval"])
+def test_left_out_options_take_their_defaults(capsys, argv, defaults):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == run_cli(capsys, *argv, *defaults)[1]
+
+
 def test_triangle_json_lists_r_before_m(capsys):
     code, out, _ = run_cli(
         capsys, *triangle_argv("whitney-r", "m", "r"), "--format", "json"

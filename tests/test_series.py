@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import islice
 from math import factorial
@@ -11,7 +12,7 @@ from lambda_stirling.series import TruncatedSeries, lambda_columns
 from lambda_stirling.stirling import second_kind_series
 from lambda_stirling.whitney import whitney_series
 
-from oracles import alternating_sum_stirling2, egf_exp, egf_mul
+from oracles import alternating_sum_stirling2, egf_exp, egf_mul, series_column
 
 LAM = Poly([0, 1])
 
@@ -137,6 +138,49 @@ def test_column_coefficient_types(order):
                     for series in [column] + direct:
                         assert series.order == order
                         assert all(type(c) is kind for c in series.coeffs), (lam, m, r, k)
+
+
+@st.composite
+def order_and_first(draw):
+    order = draw(st.integers(min_value=0, max_value=20))
+    return order, draw(st.integers(min_value=0, max_value=order + 2))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.one_of(
+        st.just(SYMBOLIC),
+        st.fractions(min_value=-3, max_value=3, max_denominator=5)
+        .filter(lambda v: v != 0)
+        .map(LambdaScalar.fixed),
+    ),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=3),
+    order_and_first(),
+)
+@example(SYMBOLIC, 2, 3, (20, 0))  # the longest symbolic walk
+def test_columns_match_generic_series_oracle(lam, m, r, order_first):
+    order, first = order_first
+    walk = lambda_columns(m, r, lam, order, first)
+    for k, column in zip(range(first, first + 3), walk):
+        expected = series_column(m, r, lam, order, k)
+        assert column == expected, (k, order)
+        assert [type(c) for c in column.coeffs] == [type(c) for c in expected.coeffs]
+
+
+@pytest.mark.parametrize("lam", [SYMBOLIC, LambdaScalar.fixed(Fraction(-2, 3))])
+def test_column_past_order_costs_no_work(lam):
+    # a column index past the order gives the zero column at once: no
+    # factorial of k and no power of the base, whatever k is
+    start = time.perf_counter()
+    columns = [second_kind_series(10**12, 2, lam, 8)]
+    columns += [whitney_series(10**12, m, r, lam, 8) for m, r in ((1, 1), (3, 0))]
+    assert time.perf_counter() - start < 0.5
+    zero = Poly() if lam.is_symbolic else Fraction(0)
+    for column in columns:
+        assert column.order == 8
+        assert [type(c) for c in column.coeffs] == [type(zero)] * 9
+        assert all(c == 0 for c in column.coeffs)
 
 
 def test_non_integer_column_index_rejected():
