@@ -3,20 +3,26 @@
 Defined through the EGF (t/(e^t - 1))^m e^{x t} = sum B_n^(m)(x) t^n / n!.
 The order-m base coefficients B_n^(m) = B_n^(m)(0) are the EGF coefficients
 of ((e^t - 1)/t)^(-m), produced by the series power recurrence
-(``series.power_coeffs``); a table grows by continuing that recurrence to
-exactly the index asked for.  A polynomial value is then the binomial mix
-sum_j C(n,j) B_j^(m) x^(n-j), summed by Horner's rule in x.  With m = 1 this
-is the first-Bernoulli-number convention, B_1 = -1/2.
+(``series.power_coeffs``).  Its multipliers are integers, so a table keeps
+the coefficients as integer numerators N_j = D B_j^(m) over one common
+denominator D and grows them over ``int`` (``series._power_ints``),
+continuing the recurrence to exactly the index asked for.  A polynomial
+value is the binomial mix sum_j C(n,j) B_j^(m) x^(n-j); at x = a/b it is one
+integer Horner pass, sum_j C(n,j) N_j a^(n-j) b^j, divided once by D b^n.
+With m = 1 this is the first-Bernoulli-number convention, B_1 = -1/2.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb
+from itertools import repeat
+from math import comb, lcm
+from operator import mul
 from threading import Lock
 
-from .series import TruncatedSeries, power_coeffs
+from .poly import _horner
+from .series import TruncatedSeries, _check_size, _power_ints
 
 
 def _check_order(m) -> None:
@@ -24,62 +30,78 @@ def _check_order(m) -> None:
         raise ValueError("order m must be a positive integer")
 
 
-def _core(order: int) -> list:
-    # (e^t - 1)/t = sum t^n/(n+1)!, so its n-th EGF coefficient is 1/(n+1)
-    return [Fraction(1, n + 1) for n in range(order + 1)]
+def _core(order: int) -> tuple:
+    """(e^t - 1)/t = sum t^n/(n+1)!, so its n-th EGF coefficient is
+    1/(n+1): returned for n = 0..order as integer numerators over their
+    common denominator lcm(1..order+1), with that denominator."""
+    den = lcm(*range(1, order + 2))
+    return [den // n for n in range(1, order + 2)], den
 
 
 def bernoulli_base_series(m: int, order: int) -> TruncatedSeries:
     """(t/(e^t - 1))^m as a truncated EGF."""
     _check_order(m)
-    if order < 0:
-        raise ValueError("truncation order must be nonnegative")
-    return TruncatedSeries(_core(order)) ** -m
+    _check_size(order, "truncation order")
+    core, den = _core(order)
+    return TruncatedSeries([Fraction(c, den) for c in core]) ** -m
 
 
 class BernoulliTable:
     """Base coefficients for one order m, grown on demand, and the
     polynomial values built from them.
 
-    The coefficient list only ever has finished values appended, so a read
-    below its length needs no lock; growth takes the lock and continues the
-    recurrence from wherever the list ends."""
+    The coefficients B_0..B_N are held as one pair (D, [N_0..N_N]) of a
+    positive common denominator and integer numerators, B_j = N_j / D.
+    Growth takes the lock and continues the recurrence over ``int`` from
+    wherever the list ends.  It appends to the list in place while D stays,
+    and when a new coefficient needs a larger D it rescales every numerator
+    into a new list and publishes the new pair whole.  So a reader takes
+    one snapshot of the pair and reads only below that list's length: it
+    never needs the lock, and never pairs numerators with another D.  Each
+    read reduces once, to one ``Fraction``."""
 
-    __slots__ = ("m", "_coeffs", "_lock")
+    __slots__ = ("m", "_state", "_lock")
 
     def __init__(self, m: int):
         _check_order(m)
         self.m = m
-        self._coeffs = [Fraction(1)]
+        self._state = (1, [1])
         self._lock = Lock()
 
-    def base_coeff(self, n: int) -> Fraction:
-        if n < 0:
-            raise ValueError("index must be nonnegative")
-        if n >= len(self._coeffs):
+    def _snapshot(self, n: int) -> tuple:
+        """A consistent (D, numerators) pair that reaches index n."""
+        _check_size(n, "index")
+        state = self._state
+        if n >= len(state[1]):
             with self._lock:
-                power_coeffs(_core(n), -self.m, n, self._coeffs)
-        return self._coeffs[n]
+                den, nums = self._state
+                if n >= len(nums):
+                    nums, den = _power_ints(_core(n)[0], -self.m, n, nums, den)
+                    self._state = (den, nums)
+                state = self._state
+        return state
+
+    def base_coeff(self, n: int) -> Fraction:
+        den, nums = self._snapshot(n)
+        return Fraction(nums[n], den)
 
     def value(self, n: int, x) -> Fraction:
         if not isinstance(x, (int, Fraction)):
             raise ValueError("x must be an int or a Fraction")
-        self.base_coeff(n)
-        coeffs = self._coeffs
-        x = Fraction(x)
-        # Horner's rule in x: one product per term instead of a power
-        value = Fraction(0)
-        for j in range(n + 1):
-            value = value * x + comb(n, j) * coeffs[j]
-        return value
+        den, nums = self._snapshot(n)
+        a, b = x.numerator, x.denominator
+        # the coefficient of x^k is C(n, k) B_(n-k)
+        coeffs = list(map(mul, map(comb, repeat(n), range(n + 1)),
+                          reversed(nums[: n + 1])))
+        return Fraction(_horner(coeffs, a, b), den * b**n)
 
 
 _table = cache(BernoulliTable)
 
 
 def bernoulli_higher(n: int, m: int, x) -> Fraction:
-    """B_n^(m)(x) for nonnegative n, positive integer order m, rational x
-    (an ``int`` or a ``Fraction``)."""
+    """B_n^(m)(x) for nonnegative integer n, positive integer order m,
+    rational x (an ``int`` or a ``Fraction``)."""
     # checked before the cache, where a float m would find the table of
     # the equal int
     _check_order(m)

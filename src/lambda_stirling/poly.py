@@ -199,6 +199,17 @@ class Poly:
         return " + ".join(parts)
 
 
+def _horner(coeffs, a: int, b: int) -> int:
+    """sum_k coeffs[k] a^k b^(n-k) over ``int``, n = len(coeffs) - 1: the
+    homogeneous Horner pass that sums a polynomial with integer coefficients
+    at x = a/b scaled by b^n, without any ``Fraction``."""
+    total, b_power = 0, 1
+    for c in reversed(coeffs):
+        total = total * a + c * b_power
+        b_power *= b
+    return total
+
+
 def eval_element(value: RingElement, point: Fraction) -> Fraction:
     """Evaluate a ring element at a rational lambda (constants pass through)."""
     if isinstance(value, Poly):

@@ -21,15 +21,19 @@ triangles' own: the EGF route stays independent of the triangles it checks.
 
 Every integer power of a ``TruncatedSeries`` whose first nonzero coefficient
 is a unit, the inverse included, is one O(N^2) pass of J.C.P. Miller's
-recurrence (``power_coeffs``).
+recurrence (``power_coeffs``).  Its multipliers are integers, so over the
+rationals it runs on integer numerators that share one denominator
+(``_power_ints``) and reduces once per coefficient, to one ``Fraction``; the
+Bernoulli tables keep that integer form and grow it in place.  Series with
+lam-polynomial coefficients take the same recurrence in ring arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count, repeat
-from math import comb, factorial, perm
-from operator import mul
+from itertools import chain, count, repeat
+from math import comb, factorial, gcd, lcm, perm
+from operator import mul, sub
 
 from .poly import LambdaScalar, Poly, RingElement, _coerce, format_element
 
@@ -55,8 +59,7 @@ class TruncatedSeries:
     @classmethod
     def exp_linear(cls, c, order: int) -> "TruncatedSeries":
         """e^{c t}: EGF coefficients are the powers c^n."""
-        if order < 0:
-            raise ValueError("order must be nonnegative")
+        _check_size(order, "order")
         c = _coerce(c)
         coeffs = [Fraction(1)]
         for _ in range(order):
@@ -189,6 +192,22 @@ def _unit_inverse(c):
     return None if c == 0 else 1 / c
 
 
+def _check_size(value, name: str) -> None:
+    """Reject a size (a truncation order, an index) that is not a
+    nonnegative ``int`` with ``ValueError``."""
+    if not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer")
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative")
+
+
+def _miller_multipliers(k: int, n: int) -> list:
+    """k C(n, i-1) - C(n, i) for i = 1..n+1: the integer multipliers of
+    step n of Miller's recurrence (C(n, n+1) = 0)."""
+    binomials = list(map(comb, repeat(n), range(n + 2)))
+    return list(map(sub, map(mul, repeat(k), binomials), binomials[1:]))
+
+
 def power_coeffs(a, k: int, order: int, b: list | None = None) -> list:
     """EGF coefficients b_0..b_order of A^k for an integer k, by J.C.P.
     Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), which B' A = k A' B
@@ -197,26 +216,68 @@ def power_coeffs(a, k: int, order: int, b: list | None = None) -> list:
         a_0 b_{n+1} = sum_{i=1..n+1} (k C(n, i-1) - C(n, i)) a_i b_{n+1-i}.
 
     ``a`` holds a_0..a_order and a_0 must be invertible: a nonzero rational
-    or a nonzero constant polynomial.  The multipliers are integers, so
-    with a_0 = 1 no step divides.  A list ``b`` of leading coefficients of
-    A^k is extended in place, so a table grows by continuing the
-    recurrence."""
+    or a nonzero constant polynomial.  A list ``b`` of leading coefficients
+    of A^k is extended in place, so a table grows by continuing the
+    recurrence.
+
+    When every a_i and b_j is rational (``int`` or ``Fraction``), the
+    recurrence runs over ``int`` (``_power_ints``) and each new coefficient
+    is one ``Fraction``, reduced once; b_0 = a_0^k is a ``Fraction`` too.
+    Otherwise (lam-polynomial coefficients) it runs in ring arithmetic with
+    the same multipliers; with a_0 = 1 no step divides."""
     inv0 = _unit_inverse(a[0])
     if inv0 is None:
         raise ValueError("constant term is not invertible in the ring")
+    a = a[: order + 1]
+    if any(isinstance(c, Poly) for c in chain(a, b or ())):
+        if b is None:
+            b = [a[0] ** k if k > 0 else inv0 ** -k]
+        tail = a[1:]
+        for n in range(len(b) - 1, order):
+            acc = _dot(_miller_multipliers(k, n), tail, reversed(b))
+            b.append(acc if inv0 == 1 else acc * inv0)
+        return b
     if b is None:
-        b = [a[0] ** k if k > 0 else inv0 ** -k]
-    for n in range(len(b) - 1, order):
-        acc = sum(
-            (k * comb(n, i - 1) - comb(n, i)) * a[i] * b[n + 1 - i]
-            for i in range(1, n + 2)
-        )
-        b.append(acc if inv0 == 1 else acc * inv0)
+        b = [Fraction(a[0]) ** k]
+    a_den = lcm(*(c.denominator for c in a))
+    alpha = [c.numerator * (a_den // c.denominator) for c in a]
+    den = lcm(*(c.denominator for c in b))
+    nums = [c.numerator * (den // c.denominator) for c in b]
+    nums, den = _power_ints(alpha, k, order, nums, den)
+    b.extend(Fraction(c, den) for c in nums[len(b):])
     return b
 
 
-def _dot(x, y, z) -> int:
-    """sum_i x_i y_i z_i over ``int``, as long as the shortest input."""
+def _power_ints(alpha: list, k: int, order: int, nums: list, den: int):
+    """Miller's recurrence for A^k over ``int``: the coefficients a_i are
+    alpha_i / c for any common denominator c (the recurrence does not see
+    c), and b_j = nums[j] / den for one positive ``den``.  Extends ``nums``
+    to b_0..b_order and returns ``(nums, den)``.
+
+    Each step sums s = sum_i (k C(n, i-1) - C(n, i)) alpha_i nums[n+1-i]
+    over ``int``, so b_{n+1} = s / (alpha_0 den), reduced by one gcd.  When
+    that denominator does not divide ``den``, ``den`` is raised to their
+    lcm and every numerator rescaled into a new list; otherwise ``nums`` is
+    appended to in place.  A list handed in is therefore never changed
+    below its length, and the pair returned is always consistent."""
+    a0, tail = alpha[0], alpha[1:]
+    for n in range(len(nums) - 1, order):
+        num = _dot(_miller_multipliers(k, n), tail, reversed(nums))
+        d = a0 * den
+        g = gcd(num, d)
+        if d < 0:
+            g = -g
+        num, d = num // g, d // g
+        if den % d:
+            scale = d // gcd(den, d)
+            nums = [c * scale for c in nums]
+            den *= scale
+        nums.append(num * (den // d))
+    return nums, den
+
+
+def _dot(x, y, z):
+    """sum_i x_i y_i z_i, as long as the shortest input."""
     return sum(map(mul, map(mul, x, y), z))
 
 
@@ -275,12 +336,8 @@ def lambda_columns(m: int, r: int, lam: LambdaScalar, order: int, first: int = 0
     ``Fraction``.  A column takes O(order) memory: lists of length
     order + 1, with each binomial C(n, l) taken from ``math.comb`` as it
     is used."""
-    if not isinstance(first, int):
-        raise ValueError("k must be an integer")
-    if first < 0:
-        raise ValueError("k must be nonnegative")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    _check_size(first, "k")
+    _check_size(order, "order")
     symbolic = lam.is_symbolic
     lm = Fraction(m) if symbolic else lam.value * m
     p_powers, q_powers, qr_powers = (

@@ -36,7 +36,7 @@ from operator import mul
 from threading import Lock
 from typing import NamedTuple
 
-from .poly import LambdaScalar, Poly, RingElement, falling_factorial_poly
+from .poly import LambdaScalar, Poly, RingElement, _horner, falling_factorial_poly
 from .series import TruncatedSeries, lambda_columns
 
 _ZERO = Fraction(0)
@@ -192,15 +192,6 @@ class NumberTriangle:
 def _falling_powers(q: int, n: int) -> list:
     """[q^n, q^(n-1), ..., q^0]: the denominators q^(n-k) of row n."""
     return list(accumulate(repeat(q, n), mul, initial=1))[::-1]
-
-
-def _horner(coeffs, a: int, b: int) -> int:
-    """sum_k coeffs[k] a^k b^(n-k) over ``int``, n = len(coeffs) - 1."""
-    total, b_power = 0, 1
-    for c in reversed(coeffs):
-        total = total * a + c * b_power
-        b_power *= b
-    return total
 
 
 @cache

@@ -218,6 +218,20 @@ def classical_bernoulli(n_max: int) -> list:
     return values
 
 
+def higher_bernoulli(m: int, n_max: int) -> list:
+    """B_0^(m)..B_{n_max}^(m) for a small order m as the m-fold EGF product
+    of the classical numbers, (t/(e^t - 1))^m = (sum B_n t^n/n!)^m, in
+    generic ``TruncatedSeries`` products: no series power and no power
+    recurrence."""
+    from lambda_stirling.series import TruncatedSeries
+
+    base = TruncatedSeries(classical_bernoulli(n_max))
+    product = base
+    for _ in range(m - 1):
+        product = product * base
+    return list(product.coeffs)
+
+
 def alternating_sum_stirling2(n: int, k: int) -> Fraction:
     """Ordinary second-kind number by the alternating binomial sum."""
     total = sum((-1) ** (k - l) * comb(k, l) * l**n for l in range(k + 1))

@@ -1,5 +1,7 @@
+import sys
 from fractions import Fraction
 from math import comb
+from threading import Thread
 
 import pytest
 from hypothesis import given, settings
@@ -140,3 +142,53 @@ def test_order_sum_composition():
     b = bernoulli_base_series(2, 7)
     c = bernoulli_base_series(3, 7)
     assert a * b == c
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_table_matches_independent_oracle(m):
+    # the oracle multiplies the classical numbers out; it shares no code
+    # with the power recurrence that grows the tables
+    oracle = oracles.higher_bernoulli(m, 30)
+    steps, jump = BernoulliTable(m), BernoulliTable(m)
+    jump.base_coeff(30)
+    assert [steps.base_coeff(n) for n in range(31)] == oracle
+    assert [jump.base_coeff(n) for n in range(31)] == oracle
+    assert list(bernoulli_base_series(m, 30).coeffs) == oracle
+    for x in (Fraction(0), Fraction(-2, 3), Fraction(5, 4), 3):
+        for n in (0, 1, 7, 30):
+            expected = sum(
+                comb(n, j) * oracle[j] * Fraction(x) ** (n - j) for j in range(n + 1)
+            )
+            got = jump.value(n, x)
+            assert got == expected and type(got) is Fraction
+
+
+def test_concurrent_growth_never_pairs_numerators_with_another_denominator():
+    # Growth rescales the integer numerators whenever the common
+    # denominator grows; a reader must see one whole (denominator,
+    # numerators) pair, never new numerators over the old denominator.
+    n_max, x = 90, Fraction(-2, 7)
+    want = BernoulliTable(3)
+    expected = [(want.base_coeff(n), want.value(n, x)) for n in range(n_max + 1)]
+    shared = BernoulliTable(3)
+    seen = []
+
+    def worker(i):
+        for n in range(n_max + 1):
+            for j in (n, n // 2, (i * n) % (n + 1), max(0, n - 1 - i % 3)):
+                seen.append((j, shared.base_coeff(j), shared.value(j, x)))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == 8 * 4 * (n_max + 1)
+    for j, coeff, value in seen:
+        assert (coeff, value) == expected[j]

@@ -7,10 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lambda_stirling.bernoulli import (
+    BernoulliTable,
+    bernoulli_base_series,
+    bernoulli_higher,
+)
 from lambda_stirling.poly import SYMBOLIC, LambdaScalar, Poly
-from lambda_stirling.series import TruncatedSeries, lambda_columns
+from lambda_stirling.series import TruncatedSeries, lambda_columns, power_coeffs
 from lambda_stirling.stirling import second_kind_series
-from lambda_stirling.whitney import whitney_series
+from lambda_stirling.whitney import dowling_series, whitney_series
 
 from oracles import alternating_sum_stirling2, egf_exp, egf_mul, series_column
 
@@ -191,6 +196,32 @@ def test_non_integer_column_index_rejected():
         whitney_series(2.0, 2, 1, lam, 5)
 
 
+HALF = LambdaScalar.fixed(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: TruncatedSeries.exp_linear(Fraction(1), 2.5),
+    lambda: TruncatedSeries.one(2.0),
+    lambda: next(lambda_columns(1, 0, HALF, 2.5)),
+    lambda: second_kind_series(1, 0, HALF, 2.5),
+    lambda: whitney_series(1, 2, 1, HALF, 2.5),
+    lambda: dowling_series(Fraction(1), 1, HALF, 2.5),
+    lambda: bernoulli_base_series(1, 2.5),
+    lambda: BernoulliTable(1).base_coeff(2.0),
+    lambda: BernoulliTable(1).value(2.5, Fraction(1, 3)),
+    lambda: bernoulli_higher(2.5, 1, 0),
+], ids=[
+    "exp_linear", "one", "lambda_columns", "second_kind_series",
+    "whitney_series", "dowling_series", "bernoulli_base_series",
+    "base_coeff", "table_value", "bernoulli_higher",
+])
+def test_non_integer_size_rejected(call):
+    # an order or index that is not an int is refused up front, not by
+    # range() or a list index with TypeError
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
 def test_second_kind_gf_matches_alternating_sum():
     # coefficient n of (e^t - 1)^k / k! is the ordinary second-kind number
     k = 3
@@ -260,3 +291,31 @@ def test_alignment_truncates_to_smaller_order():
 def test_to_json():
     s = TruncatedSeries.exp_linear(LAM, 2)
     assert s.to_json() == {"order": 2, "egf_coeffs": ["1", ["0", "1"], ["0", "0", "1"]]}
+
+
+rational = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rational.filter(lambda c: c not in (0, 1)),
+    st.lists(rational, max_size=24),
+    st.integers(min_value=-6, max_value=6),
+    st.data(),
+)
+def test_rational_power_matches_ring_path(lead, tail, k, data):
+    # the same series with every coefficient a constant Poly takes the
+    # ring-generic loop; the integer path must agree with it exactly
+    a, order = [lead] + tail, len(tail)
+    got = power_coeffs(a, k, order)
+    assert len(got) == order + 1
+    assert all(type(c) is Fraction for c in got)
+    wrapped = [Poly([c]) for c in a]
+    assert power_coeffs(wrapped, k, order) == got
+    # continuing the recurrence from a prefix gives the same coefficients
+    cut = data.draw(st.integers(min_value=1, max_value=order + 1))
+    prefix = got[:cut]
+    assert power_coeffs(a, k, order, prefix) is prefix
+    assert prefix == got
+    assert all(type(c) is Fraction for c in prefix)
+    assert power_coeffs(wrapped, k, order, [Poly([c]) for c in got[:cut]]) == got
