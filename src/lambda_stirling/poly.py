@@ -1,12 +1,23 @@
 """Dense univariate polynomials over exact scalars, and the deformation scalar.
 
-``Poly`` stores coefficients lowest degree first, trailing zeros stripped, so
-equal polynomials have equal coefficient tuples.  The class is deliberately
-variable-agnostic: the same representation serves polynomials in the
-deformation parameter lambda (rational coefficients) and polynomials in an
-evaluation variable x, whose coefficients may themselves be lambda-polynomials
-when lambda is kept symbolic.  Arithmetic freely mixes ``Fraction`` and ``int``
-scalars with ``Poly`` values, so downstream code never branches on the mode.
+``Poly`` is deliberately variable-agnostic: the same class serves
+polynomials in the deformation parameter lambda (rational coefficients) and
+polynomials in an evaluation variable x, whose coefficients may themselves
+be lambda-polynomials when lambda is kept symbolic.  Arithmetic freely mixes
+``Fraction`` and ``int`` scalars with ``Poly`` values, so downstream code
+never branches on the mode.
+
+When every coefficient is a scalar, a ``Poly`` stores integer numerators
+(lowest degree first, trailing zeros stripped) over one positive common
+denominator, reduced so that the numerators and the denominator share no
+factor; equal polynomials are therefore stored alike.  ``+``, ``-``, ``*``,
+``scale``, ``/``, ``**`` and Horner evaluation run on those integers and
+reduce once per result, and ``Poly.from_ints`` wraps integer lists without
+building any ``Fraction``.  ``coeffs``, the tuple of ``Fraction``
+coefficients, is built on first access and kept.  A polynomial with a
+``Poly`` among its coefficients (an x-polynomial at symbolic lambda) keeps
+that tuple itself, and its arithmetic runs coefficient by coefficient in
+the ring.
 
 Two multiplications exist and must not be confused when polynomials nest:
 ``p * q`` convolves p and q as polynomials in the *same* variable, while
@@ -23,6 +34,7 @@ immutable and safe to share across threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Union
 
 RingElement = Union[Fraction, "Poly"]
@@ -36,16 +48,49 @@ def _coerce(value) -> RingElement:
     raise TypeError(f"exact coefficient expected, got {type(value).__name__}")
 
 
+def _reduce(nums, den: int):
+    """``(numerators, denominator)`` of the coefficients nums[i] / den,
+    den > 0: trailing zeros stripped and the common factor divided out."""
+    end = len(nums)
+    while end and not nums[end - 1]:
+        end -= 1
+    nums = tuple(nums[:end])
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = tuple(c // g for c in nums)
+    return nums, den
+
+
+def _ratio_str(num: int, den: int) -> str:
+    """``str(Fraction(num, den))``, without building the ``Fraction``."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
 class Poly:
     """Dense univariate polynomial with exact coefficients."""
 
-    __slots__ = ("coeffs",)
+    # scalar coefficients: _nums/_den hold them and _coeffs caches their
+    # Fraction tuple; nested coefficients: _nums is None and _coeffs holds them
+    __slots__ = ("_nums", "_den", "_coeffs")
 
     def __init__(self, coeffs: Iterable = ()):
-        items = [_coerce(c) for c in coeffs]
-        while items and items[-1] == 0:
-            items.pop()
-        self.coeffs = tuple(items)
+        items = list(coeffs)
+        if not all(isinstance(c, (int, Fraction)) for c in items):
+            items = [_coerce(c) for c in items]
+            while items and items[-1] == 0:
+                items.pop()
+            if any(isinstance(c, Poly) for c in items):
+                self._nums = self._den = None
+                self._coeffs = tuple(items)
+                return
+        den = lcm(*(c.denominator for c in items))
+        self._nums, self._den = _reduce(
+            [c.numerator * (den // c.denominator) for c in items], den)
+        self._coeffs = None
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -60,71 +105,116 @@ class Poly:
         return cls([0, 1])
 
     @classmethod
-    def from_ints(cls, coeffs: list) -> "Poly":
-        """The polynomial with ``int`` coefficients ``coeffs`` (lowest degree
-        first), built without the per-coefficient type dispatch of the
-        general constructor."""
-        end = len(coeffs)
-        while end and not coeffs[end - 1]:
-            end -= 1
+    def from_ints(cls, coeffs, den: int = 1) -> "Poly":
+        """The polynomial with coefficients coeffs[i] / den (lowest degree
+        first), for ``int`` coeffs and a positive ``int`` den, built from
+        the integers directly: no type dispatch and no ``Fraction``."""
         poly = object.__new__(cls)
-        poly.coeffs = tuple(map(Fraction, coeffs[:end]))
+        poly._nums, poly._den = _reduce(coeffs, den)
+        poly._coeffs = None
         return poly
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients, lowest degree first: ``Fraction`` scalars, or
+        ``Poly`` and ``Fraction`` values when they nest.  Built on first
+        access and kept; two threads that race may both build it, and
+        either equal tuple is kept."""
+        coeffs = self._coeffs
+        if coeffs is None:
+            den = self._den
+            # Fraction(c) keeps c itself where Fraction(c, 1) would copy it
+            coeffs = self._coeffs = tuple(
+                map(Fraction, self._nums) if den == 1
+                else (Fraction(c, den) for c in self._nums))
+        return coeffs
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not (self._coeffs if self._nums is None else self._nums)
 
     @property
     def degree(self) -> int:
         # zero polynomial reports -1; callers treat it as the "minus
         # infinity" sentinel and check is_zero before relying on it
-        return len(self.coeffs) - 1
+        if self._nums is None:
+            return len(self._coeffs) - 1
+        return len(self._nums) - 1
 
     def coeff(self, i: int) -> RingElement:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if self._nums is None:
+            if 0 <= i < len(self._coeffs):
+                return self._coeffs[i]
+        elif 0 <= i < len(self._nums):
+            return Fraction(self._nums[i], self._den)
         return Fraction(0)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return not self.is_zero
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            if self._nums is None or other._nums is None:
+                return self.coeffs == other.coeffs
+            return self._nums == other._nums and self._den == other._den
         if isinstance(other, (int, Fraction)):
-            if not self.coeffs:
+            if self._nums is None:
+                return len(self._coeffs) == 1 and self._coeffs[0] == other
+            if not self._nums:
                 return other == 0
-            return len(self.coeffs) == 1 and self.coeffs[0] == other
+            return (len(self._nums) == 1 and self._nums[0] == other.numerator
+                    and self._den == other.denominator)
         return NotImplemented
 
     def __hash__(self):
         # constants, the zero polynomial included, hash like the scalar
         # they compare equal to
-        if len(self.coeffs) <= 1:
+        if self.degree <= 0:
             return hash(self.coeff(0))
         return hash(self.coeffs)
 
+    def __reduce__(self):
+        if self._nums is None:
+            return (Poly, (self._coeffs,))
+        return (Poly.from_ints, (self._nums, self._den))
+
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Poly([other])
-        if not isinstance(other, Poly):
+            other = Poly.from_ints((other.numerator,), other.denominator)
+        elif not isinstance(other, Poly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        if self._nums is None or other._nums is None:
+            a, b = self.coeffs, other.coeffs
+            if len(a) < len(b):
+                a, b = b, a
+            out = list(a)
+            for i, c in enumerate(b):
+                out[i] = out[i] + c
+            return Poly(out)
+        a, da, b, db = self._nums, self._den, other._nums, other._den
+        if da != db:
+            den = lcm(da, db)
+            a = [c * (den // da) for c in a]
+            b = [c * (den // db) for c in b]
+            da = den
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(out)
+            out[i] += c
+        return Poly.from_ints(out, da)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        if self._nums is None:
+            return Poly([-c for c in self._coeffs])
+        return Poly.from_ints([-c for c in self._nums], self._den)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Poly) else -_coerce(other))
+        if isinstance(other, (int, Fraction, Poly)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
@@ -136,11 +226,18 @@ class Poly:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(out)
+        if self._nums is None or other._nums is None:
+            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+            for i, a in enumerate(self.coeffs):
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] = out[i + j] + a * b
+            return Poly(out)
+        a, b = self._nums, other._nums
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return Poly.from_ints(out, self._den * other._den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -149,6 +246,10 @@ class Poly:
 
     def scale(self, c) -> "Poly":
         """Multiply every coefficient by the ring element c."""
+        if self._nums is not None and isinstance(c, (int, Fraction)):
+            num = c.numerator
+            return Poly.from_ints([a * num for a in self._nums],
+                                  self._den * c.denominator)
         c = _coerce(c)
         if c == 0:
             return Poly()
@@ -160,6 +261,8 @@ class Poly:
         return NotImplemented
 
     def __pow__(self, exponent: int) -> "Poly":
+        if not isinstance(exponent, int):
+            raise ValueError("polynomial power must be a nonnegative integer")
         if exponent < 0:
             raise ValueError("negative polynomial power")
         result = Poly.one()
@@ -174,6 +277,13 @@ class Poly:
 
     def __call__(self, point):
         """Horner evaluation; works for nested coefficients as well."""
+        if self._nums is not None and isinstance(point, (int, Fraction)):
+            nums = self._nums
+            if not nums:
+                return Fraction(0)
+            b = point.denominator
+            return Fraction(_horner(nums, point.numerator, b),
+                            self._den * b ** (len(nums) - 1))
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * point + c
@@ -223,7 +333,9 @@ def format_element(value: RingElement):
     if isinstance(value, Poly):
         if value.degree <= 0:
             return str(value.coeff(0))
-        return [str(c) for c in value.coeffs]
+        if value._nums is None:
+            return [str(c) for c in value.coeffs]
+        return [_ratio_str(c, value._den) for c in value._nums]
     return str(value)
 
 

@@ -192,11 +192,16 @@ def _unit_inverse(c):
     return None if c == 0 else 1 / c
 
 
+def _check_integer(value, name: str) -> None:
+    """Reject an index or size that is not an ``int`` with ``ValueError``."""
+    if not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer")
+
+
 def _check_size(value, name: str) -> None:
     """Reject a size (a truncation order, an index) that is not a
     nonnegative ``int`` with ``ValueError``."""
-    if not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer")
+    _check_integer(value, name)
     if value < 0:
         raise ValueError(f"{name} must be nonnegative")
 
@@ -330,7 +335,8 @@ def lambda_columns(m: int, r: int, lam: LambdaScalar, order: int, first: int = 0
     sum_l C(n, l) eta_{k,l} P^(l-k) (q r)^(n-l) over k! q^(n-k).  With lam
     symbolic it is one ``Poly`` whose lam^j coefficient is
     C(n, j+k) eta_{k,j+k} m^j r^(n-j-k) / k!: the same sum with P = m and
-    q = 1, kept term by term.  Column 0 holds the ``Fraction`` powers of r,
+    q = 1, kept term by term as integer numerators over k!
+    (``Poly.from_ints``).  Column 0 holds the ``Fraction`` powers of r,
     and a column past ``order`` is zero without being computed.  Symbolic
     columns with k >= 1 hold only ``Poly`` coefficients, all others only
     ``Fraction``.  A column takes O(order) memory: lists of length
@@ -368,10 +374,9 @@ def lambda_columns(m: int, r: int, lam: LambdaScalar, order: int, first: int = 0
             binomials = map(comb, repeat(n), range(k, n + 1))
             qr_tail = reversed(qr_powers[: n - k + 1])
             if symbolic:
-                coeffs.append(Poly([
-                    Fraction(c * w * t, scale)
-                    for c, w, t in zip(binomials, weights, qr_tail)
-                ]))
+                coeffs.append(Poly.from_ints(
+                    [c * w * t for c, w, t in zip(binomials, weights, qr_tail)],
+                    scale))
             else:
                 total = _dot(binomials, weights, qr_tail)
                 coeffs.append(Fraction(total, scale * q_powers[n - k]))

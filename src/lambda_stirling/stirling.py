@@ -17,7 +17,8 @@ and unsigned first kinds alpha = 1 and alpha = -1, the Whitney-type numbers
 (in ``whitney``) beta = m.  ``NumberTriangle`` tabulates it lazily over Python
 integers only (lambda-coefficient lists when lambda is symbolic, entries
 scaled by q^(n-k) when lambda = p/q).  A row is converted to the public
-``Fraction``/``Poly`` values on its first read, and its row sums against
+``Fraction``/``Poly`` values on its first read (a symbolic entry wraps its
+integer list, with no ``Fraction``), and its row sums against
 powers of x (the Dowling and Bell rows) are taken over the integers without
 converting it.  Alongside the recurrences
 the module carries the definitional basis-expansion oracle, the
@@ -37,7 +38,7 @@ from threading import Lock
 from typing import NamedTuple
 
 from .poly import LambdaScalar, Poly, RingElement, _horner, falling_factorial_poly
-from .series import TruncatedSeries, lambda_columns
+from .series import TruncatedSeries, _check_integer, lambda_columns
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -61,11 +62,17 @@ class NumberTriangle:
     Each row is held in one form at a time.  It stays in its grown integer
     form until the first ``row``/``value`` read, which replaces it by its
     public tuple: ``Fraction(U, q^(n-k))`` for fixed lam; for symbolic lam
-    ``Poly`` below the diagonal and ``Fraction(1)`` on it and in row 0.
-    ``row_sum`` works on the integer form, recovering it exactly from a row
-    that is already public, so a row that is only summed is never
-    converted.  Growth reads the newest integer row, kept apart as the
-    frontier.
+    ``Poly`` below the diagonal, each wrapping its integer coefficient list
+    (``Poly.from_ints``, no ``Fraction``), and ``Fraction(1)`` on it and in
+    row 0.  ``row_sum`` works on the integer form, recovering it exactly
+    from a row that is already public (a symbolic entry's own integers), so
+    a row that is only summed is never converted.  Growth reads the newest
+    integer row, kept apart as the frontier.
+
+    Indices must be ``int``: ``value`` gives 0 for integer indices outside
+    0 <= k <= n, and any other n or k raises ``ValueError``.  The type is
+    only checked off the cache-hit path, where the row is missing or the
+    list or tuple index fails.
 
     Rows are appended whole and a slot only ever swaps one complete form
     for an equal one, so a lookup of an existing row is a plain read; two
@@ -131,35 +138,56 @@ class NumberTriangle:
         return row
 
     def _ints(self, n: int) -> list:
-        """The integer form of row n, recovered exactly if it is public."""
-        row = self._rows[n]
+        """The integer form of row n, grown if missing and recovered
+        exactly if it is public."""
+        row = self._slot(n)
         if type(row) is not tuple:
             return row
         lam = self._params[0]
         if lam.is_symbolic:
-            return [[c.numerator for c in e.coeffs] for e in row[:-1]] + [[1]]
+            return [e._nums for e in row[:-1]] + [[1]]
         powers = _falling_powers(lam.value.denominator, n)
         return [e.numerator * (p // e.denominator) for e, p in zip(row, powers)]
 
-    def row(self, n: int) -> tuple:
+    def _slot(self, n: int):
+        """Row n as it is held (integer or public form), grown if missing."""
         if n < 0:
+            _check_integer(n, "n")
             raise ValueError("row index must be nonnegative")
-        if len(self._rows) <= n:
+        try:
+            return self._rows[n]
+        except IndexError:
             self._grow(n)
-        row = self._rows[n]
+            return self._rows[n]
+        except TypeError:
+            raise ValueError("n must be an integer") from None
+
+    def row(self, n: int) -> tuple:
+        row = self._slot(n)
         if type(row) is not tuple:
             row = self._publish(n, row)
         return row
 
     def value(self, n: int, k: int) -> RingElement:
+        # a cache hit runs no type check: a non-int n or k fails the list
+        # or tuple index and is reported from there
         if n < 0 or k < 0 or k > n:
+            _check_integer(n, "n")
+            _check_integer(k, "k")
             return _ZERO
-        if len(self._rows) <= n:
-            self._grow(n)
-        row = self._rows[n]
+        try:
+            row = self._rows[n]
+        except IndexError:
+            _check_integer(k, "k")
+            row = self._slot(n)
+        except TypeError:
+            raise ValueError("n must be an integer") from None
         if type(row) is not tuple:
             row = self._publish(n, row)
-        return row[k]
+        try:
+            return row[k]
+        except TypeError:
+            raise ValueError("k must be an integer") from None
 
     def row_sum(self, n: int, x: Fraction) -> RingElement:
         """sum_k T(n, k) x^k, summed over the integer form of row n.
@@ -170,10 +198,6 @@ class NumberTriangle:
         of lam and gives a ``Poly`` with coefficients s_j / b^n; row 0 sums
         to ``Fraction(1)``, as its only entry is.
         """
-        if n < 0:
-            raise ValueError("row index must be nonnegative")
-        if len(self._rows) <= n:
-            self._grow(n)
         ints = self._ints(n)
         a, b = x.numerator, x.denominator
         lam = self._params[0]
@@ -182,11 +206,9 @@ class NumberTriangle:
             return Fraction(_horner(ints, a * q, b), (q * b) ** n)
         if n == 0:
             return _ONE
-        bn = b ** n
-        return Poly([
-            Fraction(_horner(column, a, b), bn)
-            for column in zip_longest(*ints, fillvalue=0)
-        ])
+        return Poly.from_ints(
+            [_horner(column, a, b) for column in zip_longest(*ints, fillvalue=0)],
+            b ** n)
 
 
 def _falling_powers(q: int, n: int) -> list:

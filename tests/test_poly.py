@@ -1,5 +1,6 @@
 import pickle
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given
@@ -134,6 +135,110 @@ def test_mul_commutes_and_distributes(a, b):
     p, q = Poly(a), Poly(b)
     assert p * q == q * p
     assert p * (q + 1) == p * q + p
+
+
+def _trim(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def _ref_add(a, b):
+    n = max(len(a), len(b))
+    return _trim(
+        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
+    )
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _from_ints(a):
+    """The integer-backed polynomial of the Fraction list a, built from its
+    numerators over their common denominator."""
+    den = lcm(*(c.denominator for c in a))
+    return Poly.from_ints([c.numerator * (den // c.denominator) for c in a], den)
+
+
+def _assert_poly(p, expected):
+    assert all(type(c) is Fraction for c in p.coeffs)
+    assert list(p.coeffs) == expected
+    assert p == Poly(expected) and p.degree == len(expected) - 1
+
+
+@given(coeff_lists, coeff_lists, small_fractions, st.integers(0, 4))
+def test_integer_arithmetic_matches_fraction_reference(a, b, c, e):
+    for p, q in ((Poly(a), Poly(b)), (_from_ints(a), _from_ints(b))):
+        _assert_poly(p, _trim(a))
+        _assert_poly(p + q, _ref_add(a, b))
+        _assert_poly(p + c, _ref_add(a, [c]))
+        _assert_poly(c - p, _ref_add([c], [-x for x in a]))
+        _assert_poly(p - q, _ref_add(a, [-x for x in b]))
+        _assert_poly(-p, _trim(-x for x in a))
+        _assert_poly(p * q, _ref_mul(a, b))
+        _assert_poly(p.scale(c), _trim(x * c for x in a))
+        _assert_poly(c * p, _trim(x * c for x in a))
+        if c:
+            _assert_poly(p / c, _trim(x / c for x in a))
+        power = [Fraction(1)]
+        for _ in range(e):
+            power = _ref_mul(power, a)
+        _assert_poly(p**e, power)
+        value = sum((x * c**i for i, x in enumerate(a)), Fraction(0))
+        assert p(c) == value and type(p(c)) is Fraction
+
+
+@pytest.mark.parametrize("coeffs", [
+    [], [0], [0, 0], [5], [Fraction(-7, 3)], [1, 0, 2, 0], [0, Fraction(1, 2), Fraction(-2, 3)],
+    [Fraction(3, 4), Fraction(1, 4)],
+])
+def test_from_ints_matches_general_constructor(coeffs):
+    built = _from_ints([Fraction(c) for c in coeffs])
+    general = Poly(coeffs)
+    for p in (built, pickle.loads(pickle.dumps(built)),
+              pickle.loads(pickle.dumps(general))):
+        assert p == general and general == p
+        assert hash(p) == hash(general)
+        assert repr(p) == repr(general) and str(p) == str(general)
+        assert format_element(p) == format_element(general)
+        assert all(type(c) is Fraction for c in p.coeffs)
+    if len(general.coeffs) <= 1:
+        scalar = general.coeffs[0] if general.coeffs else Fraction(0)
+        assert built == scalar and hash(built) == hash(scalar)
+        nested = Poly([Poly([scalar])])  # a constant with a Poly coefficient
+        assert nested == built and hash(nested) == hash(built)
+
+
+def test_nested_constant_coefficients_equal_their_scalar_twin():
+    nested = Poly([Poly([3]), Fraction(1, 2)])
+    twin = Poly.from_ints([6, 1], 2)
+    assert nested == twin and twin == nested and hash(nested) == hash(twin)
+    assert repr(nested) == "Poly([Poly([Fraction(3, 1)]), Fraction(1, 2)])"
+    copy = pickle.loads(pickle.dumps(nested))
+    assert copy == nested and repr(copy) == repr(nested)
+
+
+def test_format_element_reduces_like_fraction_str():
+    p = Poly.from_ints([2, -3, 0, 4, 6], 4)
+    assert p.coeffs == (Fraction(1, 2), Fraction(-3, 4), 0, 1, Fraction(3, 2))
+    assert format_element(p) == [str(c) for c in p.coeffs]
+    assert csv_element(p) == "1/2,-3/4,0,1,3/2"
+
+
+def test_non_integer_power_rejected():
+    p = 1 + X
+    for exponent in (2.0, Fraction(2)):
+        with pytest.raises(ValueError, match="polynomial power must be a nonnegative integer"):
+            p**exponent
+    assert p**True == p
+    with pytest.raises(ValueError, match="negative polynomial power"):
+        p**-1
 
 
 def test_lambda_scalar_modes():

@@ -21,6 +21,7 @@ from lambda_stirling.stirling import (
     stirling2_lambda,
     unsigned_rstirling1_lambda,
 )
+from lambda_stirling.whitney import bell_poly_lambda, dowling_poly
 
 import oracles
 
@@ -251,6 +252,32 @@ def test_triangle_rows_immutable_and_consistent():
     assert row3 == (0, 1, 3, 1)
     with pytest.raises(ValueError):
         tri.row(-1)
+
+
+@pytest.mark.parametrize("lam", [HALF, SYMBOLIC], ids=["fixed", "symbolic"])
+def test_non_integer_triangle_index_rejected(lam):
+    rstirling2_lambda(3, 1, 0, lam)  # rows 0..3 exist, so some calls hit
+    for call, name in (
+        (lambda: rstirling2_lambda(2, 2.5, 0, lam), "k"),
+        (lambda: rstirling2_lambda(2.5, 3, 0, lam), "n"),
+        (lambda: rstirling2_lambda(2.0, 1, 0, lam), "n"),
+        (lambda: rstirling2_lambda(9.0, 1, 0, lam), "n"),
+        (lambda: rstirling2_lambda(Fraction(3), 1, 0, lam), "n"),
+        (lambda: rstirling2_lambda(3, 1.0, 0, lam), "k"),
+        (lambda: rstirling2_lambda(9, 1.0, 0, lam), "k"),
+        (lambda: rstirling2_lambda(-1.5, 0, 0, lam), "n"),
+        (lambda: _triangle(lam, 0, 1, 0).row(2.0), "n"),
+        (lambda: _triangle(lam, 0, 1, 0).row(-0.5), "n"),
+        (lambda: dowling_poly(2.0, 1, 2, lam), "n"),
+        (lambda: bell_poly_lambda(Fraction(3), 1, lam), "n"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+            call()
+    # integer indices outside 0 <= k <= n are still zero
+    assert rstirling2_lambda(2, 3, 0, lam) == 0 and rstirling2_lambda(-1, 0, 0, lam) == 0
+    assert rstirling2_lambda(True, True, 0, lam) == 1
+    with pytest.raises(ValueError, match="row index must be nonnegative"):
+        _triangle(lam, 0, 1, 0).row(-1)
 
 
 def test_triangle_parameters_must_be_integers():
