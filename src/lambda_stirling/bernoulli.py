@@ -2,13 +2,14 @@
 
 Defined through the EGF (t/(e^t - 1))^m e^{x t} = sum B_n^(m)(x) t^n / n!.
 The order-m base coefficients B_n^(m) = B_n^(m)(0) are the EGF coefficients
-of ((e^t - 1)/t)^(-m), produced by the series power recurrence
-(``series.power_coeffs``).  Its multipliers are integers, so a table keeps
-the coefficients as integer numerators N_j = D B_j^(m) over one common
-denominator D and grows them over ``int`` (``series._power_ints``),
-continuing the recurrence to exactly the index asked for.  A polynomial
-value is the binomial mix sum_j C(n,j) B_j^(m) x^(n-j); at x = a/b it is one
-integer Horner pass, sum_j C(n,j) N_j a^(n-j) b^j, divided once by D b^n.
+of ((e^t - 1)/t)^(-m), produced by J.C.P. Miller's power recurrence.  Its
+multipliers are integers, so a table keeps the coefficients as integer
+numerators N_j = D B_j^(m) over one common denominator D and grows them
+over ``int`` (``series._power_ints``), continuing the recurrence to exactly
+the index asked for; ``bernoulli_base_series`` and ``bernoulli_higher`` read
+the same cached table.  A polynomial value is the binomial mix
+sum_j C(n,j) B_j^(m) x^(n-j); at x = a/b it is one integer Horner pass,
+sum_j C(n,j) N_j a^(n-j) b^j, divided once by D b^n.
 With m = 1 this is the first-Bernoulli-number convention, B_1 = -1/2.
 """
 
@@ -30,20 +31,12 @@ def _check_order(m) -> None:
         raise ValueError("order m must be a positive integer")
 
 
-def _core(order: int) -> tuple:
-    """(e^t - 1)/t = sum t^n/(n+1)!, so its n-th EGF coefficient is
-    1/(n+1): returned for n = 0..order as integer numerators over their
-    common denominator lcm(1..order+1), with that denominator."""
+def _core(order: int) -> list:
+    """The EGF coefficients 1/(n+1), n = 0..order, of (e^t - 1)/t =
+    sum t^n/(n+1)!, as integer numerators over lcm(1..order+1), which the
+    recurrence does not need."""
     den = lcm(*range(1, order + 2))
-    return [den // n for n in range(1, order + 2)], den
-
-
-def bernoulli_base_series(m: int, order: int) -> TruncatedSeries:
-    """(t/(e^t - 1))^m as a truncated EGF."""
-    _check_order(m)
-    _check_size(order, "truncation order")
-    core, den = _core(order)
-    return TruncatedSeries([Fraction(c, den) for c in core]) ** -m
+    return [den // n for n in range(1, order + 2)]
 
 
 class BernoulliTable:
@@ -76,7 +69,7 @@ class BernoulliTable:
             with self._lock:
                 den, nums = self._state
                 if n >= len(nums):
-                    nums, den = _power_ints(_core(n)[0], -self.m, n, nums, den)
+                    nums, den = _power_ints(_core(n), -self.m, n, nums, den)
                     self._state = (den, nums)
                 state = self._state
         return state
@@ -97,6 +90,15 @@ class BernoulliTable:
 
 
 _table = cache(BernoulliTable)
+
+
+def bernoulli_base_series(m: int, order: int) -> TruncatedSeries:
+    """(t/(e^t - 1))^m as a truncated EGF: the coefficients B_0..B_order
+    of the order-m table, grown if needed."""
+    _check_order(m)  # before the cache, as in ``bernoulli_higher``
+    _check_size(order, "truncation order")
+    den, nums = _table(m)._snapshot(order)
+    return TruncatedSeries([Fraction(c, den) for c in nums[: order + 1]])
 
 
 def bernoulli_higher(n: int, m: int, x) -> Fraction:

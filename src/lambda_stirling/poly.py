@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Union
 
 RingElement = Union[Fraction, "Poly"]
@@ -63,6 +64,26 @@ def _reduce(nums, den: int):
     return nums, den
 
 
+def _common_denominator(values):
+    """``(numerators, denominator)`` of the rationals ``values`` over their
+    least common denominator: values[i] = numerators[i] / denominator."""
+    den = lcm(*(c.denominator for c in values))
+    return [c.numerator * (den // c.denominator) for c in values], den
+
+
+def _binary_power(base, k: int, product, result=None):
+    """base^k for an integer k >= 0 by square-and-multiply with
+    ``product(x, y)``, multiplying the factors into ``result`` (the unit for
+    k = 0); with ``result`` None the first factor starts it, so k >= 1."""
+    while True:
+        if k & 1:
+            result = base if result is None else product(result, base)
+        k >>= 1
+        if not k:
+            return result
+        base = product(base, base)
+
+
 def _ratio_str(num: int, den: int) -> str:
     """``str(Fraction(num, den))``, without building the ``Fraction``."""
     g = gcd(num, den)
@@ -87,9 +108,7 @@ class Poly:
                 self._nums = self._den = None
                 self._coeffs = tuple(items)
                 return
-        den = lcm(*(c.denominator for c in items))
-        self._nums, self._den = _reduce(
-            [c.numerator * (den // c.denominator) for c in items], den)
+        self._nums, self._den = _reduce(*_common_denominator(items))
         self._coeffs = None
 
     @classmethod
@@ -265,15 +284,7 @@ class Poly:
             raise ValueError("polynomial power must be a nonnegative integer")
         if exponent < 0:
             raise ValueError("negative polynomial power")
-        result = Poly.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _binary_power(self, exponent, mul, Poly.one())
 
     def __call__(self, point):
         """Horner evaluation; works for nested coefficients as well."""

@@ -26,16 +26,18 @@ rationals it runs on integer numerators that share one denominator
 (``_power_ints``) and reduces once per coefficient, to one ``Fraction``; the
 Bernoulli tables keep that integer form and grow it in place.  Series with
 lam-polynomial coefficients take the same recurrence in ring arithmetic.
+Powers the recurrence cannot take go through ``poly._binary_power``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, count, repeat
-from math import comb, factorial, gcd, lcm, perm
+from itertools import count, repeat
+from math import comb, factorial, gcd, perm
 from operator import mul, sub
 
-from .poly import LambdaScalar, Poly, RingElement, _coerce, format_element
+from .poly import (LambdaScalar, Poly, RingElement, _binary_power, _coerce,
+                   _common_denominator, format_element)
 
 
 class TruncatedSeries:
@@ -88,6 +90,8 @@ class TruncatedSeries:
             coeffs = list(self.coeffs)
             coeffs[0] = coeffs[0] + other
             return TruncatedSeries(coeffs)
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         a, b = self._align(other)
         return TruncatedSeries([x + y for x, y in zip(a, b)])
 
@@ -97,13 +101,15 @@ class TruncatedSeries:
         return TruncatedSeries([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            return self + (-_coerce(other))
-        return self + (-other)
+        if isinstance(other, (int, Fraction, Poly, TruncatedSeries)):
+            return self + (-other)
+        return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
             return TruncatedSeries([c * other for c in self.coeffs])
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         a, b = self._align(other)
         out = []
         for n in range(len(a)):
@@ -137,7 +143,7 @@ class TruncatedSeries:
         if shift > order:
             return TruncatedSeries([zero] * (order + 1))
         if exponent > 0 and _unit_inverse(a[v]) is None:
-            return self._power_by_squaring(exponent)
+            return _binary_power(self, exponent, mul, TruncatedSeries.one(order))
         if v == 0:
             return TruncatedSeries(power_coeffs(a, exponent, order))
         g = [a[n + v] * Fraction(1, perm(n + v, v)) for n in range(order - shift + 1)]
@@ -146,16 +152,6 @@ class TruncatedSeries:
             [zero] * shift
             + [perm(n, shift) * h[n - shift] for n in range(shift, order + 1)]
         )
-
-    def _power_by_squaring(self, exponent: int) -> "TruncatedSeries":
-        result, square = TruncatedSeries.one(self.order), self
-        while True:
-            if exponent & 1:
-                result = result * square
-            exponent >>= 1
-            if not exponent:
-                return result
-            square = square * square
 
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse; the constant term must be invertible
@@ -213,7 +209,7 @@ def _miller_multipliers(k: int, n: int) -> list:
     return list(map(sub, map(mul, repeat(k), binomials), binomials[1:]))
 
 
-def power_coeffs(a, k: int, order: int, b: list | None = None) -> list:
+def power_coeffs(a, k: int, order: int) -> list:
     """EGF coefficients b_0..b_order of A^k for an integer k, by J.C.P.
     Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), which B' A = k A' B
     gives for B = A^k:
@@ -221,36 +217,27 @@ def power_coeffs(a, k: int, order: int, b: list | None = None) -> list:
         a_0 b_{n+1} = sum_{i=1..n+1} (k C(n, i-1) - C(n, i)) a_i b_{n+1-i}.
 
     ``a`` holds a_0..a_order and a_0 must be invertible: a nonzero rational
-    or a nonzero constant polynomial.  A list ``b`` of leading coefficients
-    of A^k is extended in place, so a table grows by continuing the
-    recurrence.
+    or a nonzero constant polynomial.
 
-    When every a_i and b_j is rational (``int`` or ``Fraction``), the
-    recurrence runs over ``int`` (``_power_ints``) and each new coefficient
-    is one ``Fraction``, reduced once; b_0 = a_0^k is a ``Fraction`` too.
-    Otherwise (lam-polynomial coefficients) it runs in ring arithmetic with
-    the same multipliers; with a_0 = 1 no step divides."""
+    When every a_i is rational (``int`` or ``Fraction``), the recurrence
+    runs over ``int`` (``_power_ints``) and each coefficient is one
+    ``Fraction``, reduced once.  Otherwise (lam-polynomial coefficients) it
+    runs in ring arithmetic with the same multipliers; with a_0 = 1 no step
+    divides."""
     inv0 = _unit_inverse(a[0])
     if inv0 is None:
         raise ValueError("constant term is not invertible in the ring")
     a = a[: order + 1]
-    if any(isinstance(c, Poly) for c in chain(a, b or ())):
-        if b is None:
-            b = [a[0] ** k if k > 0 else inv0 ** -k]
+    if any(isinstance(c, Poly) for c in a):
+        b = [a[0] ** k if k > 0 else inv0 ** -k]
         tail = a[1:]
-        for n in range(len(b) - 1, order):
+        for n in range(order):
             acc = _dot(_miller_multipliers(k, n), tail, reversed(b))
             b.append(acc if inv0 == 1 else acc * inv0)
         return b
-    if b is None:
-        b = [Fraction(a[0]) ** k]
-    a_den = lcm(*(c.denominator for c in a))
-    alpha = [c.numerator * (a_den // c.denominator) for c in a]
-    den = lcm(*(c.denominator for c in b))
-    nums = [c.numerator * (den // c.denominator) for c in b]
-    nums, den = _power_ints(alpha, k, order, nums, den)
-    b.extend(Fraction(c, den) for c in nums[len(b):])
-    return b
+    nums, den = _power_ints(_common_denominator(a)[0], k, order,
+                            *_common_denominator([Fraction(a[0]) ** k]))
+    return [Fraction(c, den) for c in nums]
 
 
 def _power_ints(alpha: list, k: int, order: int, nums: list, den: int):
@@ -298,20 +285,6 @@ def _binomial_product(a: list, b: list, order: int) -> list:
              reversed(b[vb : n - va + 1]))
         for n in range(order + 1)
     ]
-
-
-def _int_power(a: list, k: int) -> list:
-    """a^k for k >= 1, by repeated squaring with ``_binomial_product``."""
-    order = len(a) - 1
-    result, square = None, a
-    while True:
-        if k & 1:
-            result = (square if result is None
-                      else _binomial_product(result, square, order))
-        k >>= 1
-        if not k:
-            return result
-        square = _binomial_product(square, square, order)
 
 
 def lambda_columns(m: int, r: int, lam: LambdaScalar, order: int, first: int = 0):
@@ -362,7 +335,8 @@ def lambda_columns(m: int, r: int, lam: LambdaScalar, order: int, first: int = 0
             yield TruncatedSeries([Fraction(r) ** n for n in range(order + 1)])
             continue
         if eta is None:
-            eta = _int_power(e_t_minus_1, k)
+            eta = _binary_power(
+                e_t_minus_1, k, lambda x, y: _binomial_product(x, y, order))
         else:
             eta = _binomial_product(eta, e_t_minus_1, order)
         # weights[j] = eta_{k,k+j} P^j

@@ -274,6 +274,8 @@ def rstirling2_by_difference(n: int, k: int, r: int, lam_value) -> Fraction:
     Equals the triangle entry for n >= k and vanishes for 0 <= n < k.
     """
     _check_shift(r)
+    _check_integer(n, "n")
+    _check_integer(k, "k")
     if n < 0 or k < 0:
         raise ValueError("indices must be nonnegative")
     lam_value = Fraction(lam_value)
@@ -336,6 +338,9 @@ def rstirling2_by_expansion(n: int, k: int, r: int, lam: LambdaScalar) -> RingEl
     """Definitional route for the r-shifted second kind: expand (x+r)^n in
     the falling-factorial basis and read off coefficient k."""
     _check_shift(r)
+    # checked before the cache, where n = 3.0 would find the key 3
+    _check_integer(n, "n")
+    _check_integer(k, "k")
     if n < 0:
         raise ValueError("n must be nonnegative")
     coefficients = _expansion(n, 1, r, lam)
@@ -358,6 +363,8 @@ def classical_rstirling2(n: int, k: int, r: int) -> int:
     finite-difference closed form at lam = 1.  Serves as the independent
     reference for the lam -> 1 specialization."""
     _check_shift(r)
+    _check_integer(n, "n")
+    _check_integer(k, "k")
     if n < 0 or k < 0:
         return 0
     value = rstirling2_by_difference(n, k, r, 1)

@@ -12,7 +12,8 @@ which is what the tabulation uses; the basis-expansion oracle below is the
 independent check.  Dowling polynomials are the row sums d(n, x) =
 sum_k W(n, k) x^k with r = 1, and the Bell polynomials are the same row sums
 for the plain second-kind triangle; both are summed over the triangle's
-integer rows by ``NumberTriangle.row_sum``.
+integer rows by ``NumberTriangle.row_sum``.  The closed Dowling EGF
+(``dowling_series``) is one exponential, exp(t + x (e^{lam m t} - 1)/(lam m)).
 
 ``dobinski_eval`` sums the infinite-series representation
 
@@ -29,7 +30,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .poly import LambdaScalar, RingElement
-from .series import TruncatedSeries, lambda_columns
+from .series import TruncatedSeries, _check_integer, _check_size, lambda_columns
 from .stirling import _check_shift, _expansion, _triangle
 
 _ZERO = Fraction(0)
@@ -62,6 +63,9 @@ def whitney_r_by_expansion(n: int, k: int, m: int, r: int, lam: LambdaScalar) ->
     """Definitional oracle: expand (m x + r)^n in the falling-factorial
     basis and divide coefficient k by m^k (the division is exact)."""
     _check_params(m, r)
+    # checked before the cache, where n = 4.0 would find the key 4
+    _check_integer(n, "n")
+    _check_integer(k, "k")
     if n < 0:
         raise ValueError("n must be nonnegative")
     if k < 0 or k > n:
@@ -98,17 +102,18 @@ def bell_poly_lambda(n: int, x, lam: LambdaScalar) -> RingElement:
 
 
 def dowling_series(x, m: int, lam: LambdaScalar, order: int) -> TruncatedSeries:
-    """Closed Dowling EGF e^t * exp(x (e^{lam m t} - 1)/(lam m)), truncated.
-    Needs a fixed rational lambda (the exponential has lambda in a
-    denominator)."""
+    """Closed Dowling EGF e^t * exp(x (e^{lam m t} - 1)/(lam m)), truncated,
+    as the one exponential exp(t + x (e^{lam m t} - 1)/(lam m)).  Needs a
+    fixed rational lambda (the exponent has lambda in a denominator)."""
     if lam.is_symbolic:
         raise ValueError("the closed Dowling EGF needs a fixed rational lambda")
-    e_t = TruncatedSeries.exp_linear(Fraction(1), order)  # rejects a negative order
+    _check_size(order, "order")
     _check_params(m, 1)
     x = Fraction(x)
     lm = lam.value * m
-    inner = (TruncatedSeries.exp_linear(lm, order) - 1) * (x / lm)
-    return inner.exp() * e_t
+    # the exponent has EGF coefficients 0, 1 + x, x lm, x lm^2, ...
+    exponent = [_ZERO, 1 + x] + [x * lm**j for j in range(1, order)]
+    return TruncatedSeries(exponent[: order + 1]).exp()
 
 
 class DowlingValue(NamedTuple):

@@ -14,6 +14,7 @@ inversion partner, sum_k T(n,k) (-1)^(k-m) U(k,m) = [n = m] with U the
 unsigned first-kind numbers.
 """
 
+import hashlib
 from dataclasses import replace
 from fractions import Fraction
 from math import comb
@@ -344,24 +345,27 @@ def test_criterion_11_classical_limits():
     )
 
 
+# the small grid the mutant negative controls run on
+MUTANT_GRID = SuiteConfig(
+    n_max=5,
+    bernoulli_n_max=4,
+    r_values=(0, 1, 2),
+    m_values=(1, 2),
+    alpha_values=(1, 2),
+    fixed_lambdas=(Fraction(1, 2), Fraction(2)),
+    bernoulli_shift_lambdas=(Fraction(1, 2),),
+    egf_x_values=(Fraction(1, 2),),
+    egf_lambdas=(Fraction(1, 2),),
+    dobinski_x_values=(Fraction(1),),
+    dobinski_m_values=(1,),
+    dobinski_lambdas=(Fraction(1, 2),),
+)
+
+
 def test_criterion_12_negative_controls():
-    small = SuiteConfig(
-        n_max=5,
-        bernoulli_n_max=4,
-        r_values=(0, 1, 2),
-        m_values=(1, 2),
-        alpha_values=(1, 2),
-        fixed_lambdas=(Fraction(1, 2), Fraction(2)),
-        bernoulli_shift_lambdas=(Fraction(1, 2),),
-        egf_x_values=(Fraction(1, 2),),
-        egf_lambdas=(Fraction(1, 2),),
-        dobinski_x_values=(Fraction(1),),
-        dobinski_m_values=(1,),
-        dobinski_lambdas=(Fraction(1, 2),),
-    )
     undetected = []
     for name, providers in sorted(MUTANT_PROVIDERS.items()):
-        cfg = replace(small, providers=providers)
+        cfg = replace(MUTANT_GRID, providers=providers)
         result = run_suite(cfg)
         caught = any(
             r.status == "fail" and r.witness is not None for r in result.reports
@@ -377,3 +381,19 @@ def test_criterion_12_negative_controls():
         if ok
         else f"undetected: {', '.join(undetected)}",
     )
+
+
+def test_golden_report_hashes():
+    # the default suite's JSON lines and the mutant reports on the
+    # criterion-12 grid (concatenated in sorted mutant order) are pinned
+    # byte for byte: a change to any exact value or verdict shows here
+    def sha256(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    assert sha256(run_suite().to_json_lines()) == (
+        "edc220924ad22c07ddc2ad5fbdea0b3e67b5c27e0053720d59470b0292fd0506")
+    mutant_lines = "".join(
+        run_suite(replace(MUTANT_GRID, providers=providers)).to_json_lines()
+        for _, providers in sorted(MUTANT_PROVIDERS.items()))
+    assert sha256(mutant_lines) == (
+        "20028d8589b362241a66e8a4655420976c0235e4304c55aa1143aab75095f79b")

@@ -21,7 +21,7 @@ from lambda_stirling.stirling import (
     stirling2_lambda,
     unsigned_rstirling1_lambda,
 )
-from lambda_stirling.whitney import bell_poly_lambda, dowling_poly
+from lambda_stirling.whitney import bell_poly_lambda, dowling_poly, whitney_r_by_expansion
 
 import oracles
 
@@ -278,6 +278,26 @@ def test_non_integer_triangle_index_rejected(lam):
     assert rstirling2_lambda(True, True, 0, lam) == 1
     with pytest.raises(ValueError, match="row index must be nonnegative"):
         _triangle(lam, 0, 1, 0).row(-1)
+
+
+def test_non_integer_oracle_index_rejected():
+    # the int calls run first, so a float index that reached the
+    # expansion cache would find the entry of the equal int
+    assert rstirling2_by_expansion(3, 1, 0, HALF) == Fraction(1, 4)
+    assert whitney_r_by_expansion(4, 1, 2, 1, HALF) == 15
+    for call, name in (
+        (lambda: rstirling2_by_expansion(3.0, 1, 0, HALF), "n"),
+        (lambda: rstirling2_by_expansion(3, 1.0, 0, HALF), "k"),
+        (lambda: whitney_r_by_expansion(4.0, 1, 2, 1, HALF), "n"),
+        (lambda: whitney_r_by_expansion(4, 1.0, 2, 1, HALF), "k"),
+        (lambda: rstirling2_by_difference(3.0, 1, 0, Fraction(1, 2)), "n"),
+        (lambda: rstirling2_by_difference(3, 1.0, 0, Fraction(1, 2)), "k"),
+        (lambda: classical_rstirling2(3.0, 1, 0), "n"),
+        (lambda: classical_rstirling2(3, 1.0, 0), "k"),
+        (lambda: classical_rstirling2(-1.0, 1, 0), "n"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+            call()
 
 
 def test_triangle_parameters_must_be_integers():
