@@ -194,7 +194,7 @@ def _cmd_eval(args) -> int:
 def _cmd_dobinski(args) -> int:
     if args.digits < 1:
         raise ValueError("--digits must be positive")
-    if args.digits > DOBINSKI_DIGITS:  # the sum carries no more digits
+    if args.digits > DOBINSKI_DIGITS:  # the sum is carried to at least this many
         raise ValueError(f"--digits must be at most {DOBINSKI_DIGITS}")
     import mpmath  # deferred: the other commands never load it
 

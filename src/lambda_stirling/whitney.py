@@ -17,24 +17,36 @@ integer rows by ``NumberTriangle.row_sum``.  The closed Dowling EGF
 
 ``dobinski_eval`` sums the infinite-series representation
 
-    d(n, x) = e^{-x/(lam m)} sum_{k>=0} x^k / (k! m^k lam^k) * (lam m k + 1)^n
+    d(n, x) = e^{-c} sum_{k>=0} c^k / k! * (lam m k + 1)^n,   c = x/(lam m),
 
-in high-precision floating point (lam > 0, x >= 0) with a rigorous
-geometric-ratio tail bound, and records the exact rational reference value
-next to the numeric one.
+at fixed lam > 0 and x >= 0, exactly over ``int``: with c = u/v and
+lam m = p/q the partial sums are one integer numerator over v^k k! q^n,
+and both parts of the stopping rule are integer comparisons.  Only e^{-c}
+is transcendental; mpmath encloses it between two dyadic rationals at a
+working precision chosen per call, at least ``DOBINSKI_DIGITS`` digits
+and enough for log2(value) + log2(1/tol) + guard bits.  The result
+carries two exact error bounds: ``truncation_bound`` for the tail left
+out, and ``rounding_bound`` for the width of the e^{-c} enclosure and
+the one rounding of the numeric value.  Their sum bounds
+|numeric - exact|, after the style of midpoint-radius arithmetic
+(Johansson, "Arb", IEEE Trans. Computers 66, 2017).  The exact rational
+reference value is recorded next to the numeric one; the numeric route
+never reads a triangle to compute its sum.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
+from math import comb, inf
 from typing import NamedTuple
 
 from .poly import LambdaScalar, RingElement
-from .series import TruncatedSeries, _check_integer, _check_size, lambda_columns
+from .series import TruncatedSeries, _check_integer, _check_size, _dot, lambda_columns
 from .stirling import _check_shift, _expansion, _triangle
 
 _ZERO = Fraction(0)
-DOBINSKI_DIGITS = 40  # decimal working precision of dobinski_eval
+DOBINSKI_DIGITS = 40  # least decimal working precision of dobinski_eval
 
 
 class UnsupportedDomainError(ValueError):
@@ -104,27 +116,41 @@ def bell_poly_lambda(n: int, x, lam: LambdaScalar) -> RingElement:
 def dowling_series(x, m: int, lam: LambdaScalar, order: int) -> TruncatedSeries:
     """Closed Dowling EGF e^t * exp(x (e^{lam m t} - 1)/(lam m)), truncated,
     as the one exponential exp(t + x (e^{lam m t} - 1)/(lam m)).  Needs a
-    fixed rational lambda (the exponent has lambda in a denominator)."""
+    fixed rational lambda (the exponent has lambda in a denominator).
+
+    The exponent has EGF coefficients A = 0, 1 + x, x lm, x lm^2, ... with
+    lm = lam m, and exp runs the recurrence B_n = sum_{j=1..n} C(n-1, j-1)
+    A_j B_{n-j} over ``int``: with x = a/b and lm = p/q, every coefficient
+    is scaled by (b q)^n, so A_1 becomes (a + b) q and A_j becomes
+    a q (p b)^(j-1), and B_n is published as one ``Fraction`` over (b q)^n."""
     if lam.is_symbolic:
         raise ValueError("the closed Dowling EGF needs a fixed rational lambda")
     _check_size(order, "order")
     _check_params(m, 1)
     x = Fraction(x)
     lm = lam.value * m
-    # the exponent has EGF coefficients 0, 1 + x, x lm, x lm^2, ...
-    exponent = [_ZERO, 1 + x] + [x * lm**j for j in range(1, order)]
-    return TruncatedSeries(exponent[: order + 1]).exp()
+    a, b, q = x.numerator, x.denominator, lm.denominator
+    alpha = [(a + b) * q] + [a * q * (lm.numerator * b) ** j for j in range(1, order)]
+    beta = [1]
+    for n in range(1, order + 1):
+        beta.append(_dot(map(comb, repeat(n - 1), range(n)), alpha, reversed(beta)))
+    bq = b * q
+    return TruncatedSeries([Fraction(c, bq**n) for n, c in enumerate(beta)])
 
 
 class DowlingValue(NamedTuple):
     """Numeric Dowling value with its exact reference and error accounting.
 
-    ``numeric`` is an ``mpmath.mpf`` summed at a fixed ``DOBINSKI_DIGITS``
-    (40) decimal digits;
-    ``tail_bound`` bounds only the truncation of the series, as a float.
-    The rounding error of the summation is not in it and can exceed it by
-    far once the terms outgrow the working precision (at m = 2, lam = 1/2,
-    x = 2 and n = 60 the numeric value is off by about 2.2e26).
+    ``numeric`` is an ``mpmath.mpf`` with ``working_dps`` decimal digits
+    (at least ``DOBINSKI_DIGITS``).  ``truncation_terms`` terms were
+    summed.  Two exact ``Fraction`` bounds add up to a bound on
+    |numeric - exact|: ``truncation_bound`` on the tail of the series
+    left out, and ``rounding_bound`` on the rest, which is the width of
+    the enclosure of e^{-x/(lam m)} times the partial sum, plus the one
+    rounding of ``numeric``.  ``tail_bound`` is twice the first omitted
+    term times e^{-x/(lam m)}, rounded to a float as the CLI prints it; it
+    is not a rigorous bound, since the float may round down or underflow
+    to 0.0.
     """
 
     n: int
@@ -135,21 +161,21 @@ class DowlingValue(NamedTuple):
     numeric: object
     truncation_terms: int
     tail_bound: float
-
-
-def _to_mpf(q: Fraction):
-    import mpmath
-
-    return mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
+    truncation_bound: Fraction
+    rounding_bound: Fraction
+    working_dps: int
 
 
 def dobinski_eval(n: int, x, m: int, lam, tol: float = 1e-12) -> DowlingValue:
     """Sum the Dobinski-style series for d(n, x) at fixed lam > 0, x >= 0.
 
-    Terms t_k = x^k / (k! m^k lam^k) * (lam m k + 1)^n are positive and
-    eventually decay super-geometrically; once t_{k+1}/t_k < 1/2 the
-    remaining tail is below 2 t_{k+1}.  Summation stops when that bound,
-    scaled by the e^{-x/(lam m)} prefactor twice over, falls below tol.
+    Terms t_k = c^k / k! * (lam m k + 1)^n with c = x/(lam m) are positive
+    and their ratio t_k/t_{k-1} decreases in k, so once it is below 1/2
+    the remaining tail is below 2 t_k.  Summation stops at the first such
+    k where 2 t_k is also below tol times a lower bound on e^{-c}, so the
+    truncation error is below tol e^{-c} e^{-c}.  The sum is exact over
+    ``int`` and only e^{-c} is enclosed (``_dobinski.dobinski_sum``, which
+    is imported on the first call).  ``tol`` must be positive and finite.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -160,37 +186,11 @@ def dobinski_eval(n: int, x, m: int, lam, tol: float = 1e-12) -> DowlingValue:
         raise UnsupportedDomainError("the numeric series needs lambda > 0")
     if x < 0:
         raise UnsupportedDomainError("the numeric series needs x >= 0")
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < inf:
+        raise ValueError("tolerance must be positive and finite")
+    tol = Fraction(tol)
 
-    import mpmath  # deferred: only the numeric evaluator needs it
+    from ._dobinski import dobinski_sum  # deferred: only this needs it and mpmath
 
     exact = dowling_poly(n, x, m, LambdaScalar.fixed(lam))
-    with mpmath.workdps(DOBINSKI_DIGITS):
-        c = _to_mpf(x / (lam * m))
-        prefactor = mpmath.exp(-c)
-        tol_scaled = mpmath.mpf(tol) * prefactor
-        base = mpmath.mpf(1)  # x^k / (k! m^k lam^k)
-        lam_m = _to_mpf(Fraction(lam * m))
-        xf = _to_mpf(x)
-
-        def term(k: int, base_k):
-            return base_k * (lam_m * k + 1) ** n
-
-        total = term(0, base)
-        terms = 1
-        previous = total
-        for k in range(1, 100000):
-            base = base * xf / (lam_m * k)
-            t_k = term(k, base)
-            if previous > 0 and t_k < previous / 2 and 2 * t_k < tol_scaled:
-                tail = float(prefactor * 2 * t_k)
-                return DowlingValue(
-                    n=n, x=x, m=m, lam=lam, exact=exact,
-                    numeric=prefactor * total,
-                    truncation_terms=terms, tail_bound=tail,
-                )
-            total += t_k
-            terms += 1
-            previous = t_k
-        raise ArithmeticError("series failed to reach the tail bound")
+    return DowlingValue(n, x, m, lam, exact, *dobinski_sum(n, x / (lam * m), lam * m, tol))

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -361,6 +362,36 @@ def test_dobinski_prints_the_full_working_precision(capsys):
     numeric = json.loads(out)["numeric"]
     assert numeric.startswith("6.124999999")
     assert len(numeric.replace(".", "")) == 40
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-inf", "0"])
+def test_dobinski_rejects_non_finite_tolerance(capsys, tol):
+    code, out, err = run_cli(
+        capsys,
+        "dobinski", "--n", "3", "--x", "1/2", "--lambda", "1/2", f"--tol={tol}",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: tolerance must be positive and finite\n"
+
+
+# the benchmark's 24 dobinski calls (n in {5, 9}) and the README example
+DOBINSKI_ARGVS = [
+    ["dobinski", "--n", str(n), "--x", x, "--m", str(m), "--lambda", lam,
+     "--digits", "20"]
+    for n in (5, 9) for x in ("1/2", "3/2", "2") for m in (1, 2) for lam in ("1/2", "1")
+] + [["dobinski", "--n", "4", "--x", "3/2", "--m", "2", "--lambda", "1/2", "--digits", "20"]]
+
+
+def test_dobinski_output_pinned(capsys):
+    # stdout recorded when the series was summed at a fixed 40 digits
+    outputs = []
+    for argv in DOBINSKI_ARGVS:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    digest = hashlib.sha256("".join(outputs).encode()).hexdigest()
+    assert digest == "dbe6c20df35296a7e58f037b587677ee87ca166713d8f219d3fd60e153dd0769"
 
 
 def test_dobinski_rejects_symbolic(capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from lambda_stirling import _suite
 from lambda_stirling.identities import (
     CHECKS,
     IdentityReport,
@@ -103,6 +104,24 @@ def test_config_rejects_a_bad_grid_when_built():
     # replace builds a new config through __init__, so it validates too
     with pytest.raises(ValueError):
         replace(SuiteConfig(), r_values=())
+    for tol in (0.0, -1e-12, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            SuiteConfig(dobinski_tol=tol)
+
+
+def test_dobinski_check_holds_the_error_to_the_reported_bounds(monkeypatch):
+    # an evaluator that reports zero bounds is caught even though its
+    # error is within tolerance, and the witness names the bound
+    real = _suite._whitney.dobinski_eval
+
+    def zero_bounds(*args):
+        return real(*args)._replace(truncation_bound=Fraction(0), rounding_bound=Fraction(0))
+
+    monkeypatch.setattr(_suite._whitney, "dobinski_eval", zero_bounds)
+    report = check_identity("DOBINSKI_T11", small_config(theorems=("DOBINSKI_T11",)))
+    assert report.status == "fail"
+    assert report.witness["rhs"].startswith("bound ")
+    assert report.witness["lhs"].startswith("|error| = ")
 
 
 def test_empty_check_selection_rejected():

@@ -1,14 +1,18 @@
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lambda_stirling import stirling
+from lambda_stirling._dobinski import exp_neg_enclosure
 from lambda_stirling.poly import LambdaScalar, Poly, SYMBOLIC
+from lambda_stirling.series import TruncatedSeries
 from lambda_stirling.stirling import rstirling2_lambda, stirling2_lambda
 from lambda_stirling.whitney import (
+    DOBINSKI_DIGITS,
     UnsupportedDomainError,
     bell_poly_lambda,
     dobinski_eval,
@@ -206,6 +210,18 @@ def test_row_functions_reject_bad_input(call, error):
     assert type(caught.value) is error
 
 
+@pytest.mark.parametrize("lam", ROW_LAMBDAS[1:], ids=str)
+def test_dowling_series_is_the_exp_of_its_exponent(lam):
+    # the integer recurrence against TruncatedSeries.exp over Fraction
+    for x in (Fraction(0), Fraction(1, 2), Fraction(-7, 3)):
+        for m in (1, 2, 3):
+            lm = lam.value * m
+            exponent = [0, 1 + x] + [x * lm**j for j in range(1, 24)]
+            for order in (0, 1, 2, 24):
+                expected = TruncatedSeries(exponent[: order + 1]).exp()
+                assert dowling_series(x, m, lam, order).coeffs == expected.coeffs
+
+
 def test_dowling_series_rejects_symbolic():
     with pytest.raises(ValueError):
         dowling_series(Fraction(1), 1, SYMBOLIC, 5)
@@ -257,3 +273,106 @@ def test_dobinski_x_zero():
     result = dobinski_eval(4, Fraction(0), 2, Fraction(1, 2), 1e-12)
     assert result.exact == 1  # only the k=0 block survives
     assert abs(result.numeric - 1) <= 1e-10
+
+
+def dyadic(value):
+    # an mpf is a dyadic rational, so it converts exactly
+    return Fraction(value.man) * Fraction(2) ** value.exp
+
+
+def exact_error(result):
+    return abs(dyadic(result.numeric) - result.exact)
+
+
+def test_dobinski_large_terms_stay_within_the_bounds():
+    # the terms reach about 1e86; at a fixed 40 digits the sum was off by
+    # about 2.2e26 against a tail bound of 1e-14
+    result = dobinski_eval(60, Fraction(2), 2, Fraction(1, 2), 1e-12)
+    assert exact_error(result) <= Fraction(1e-12)
+    bound = result.truncation_bound + result.rounding_bound
+    assert exact_error(result) <= bound <= Fraction(1e-12)
+    assert result.working_dps > DOBINSKI_DIGITS
+    assert result.truncation_terms == 104
+
+
+def test_dobinski_bounds_are_exact_fractions():
+    result = dobinski_eval(5, Fraction(3, 2), 2, Fraction(1, 2), 1e-12)
+    assert type(result.truncation_bound) is Fraction
+    assert type(result.rounding_bound) is Fraction
+    assert result.working_dps == DOBINSKI_DIGITS
+    # the CLI's float tail bound is the truncation bound up to rounding
+    assert result.tail_bound == pytest.approx(float(result.truncation_bound))
+
+
+@pytest.mark.parametrize("n, x, m, lam", [
+    (5, Fraction(3, 2), 2, Fraction(1, 2)),
+    (60, Fraction(2), 2, Fraction(1, 2)),
+    (20, Fraction(10), 1, Fraction(1, 10)),
+    (9, Fraction(0), 1, Fraction(1)),
+])
+def test_dobinski_bounds_split_truncation_from_rounding(n, x, m, lam):
+    # against e^{-c} times the partial sum, enclosed at 3000 bits: the
+    # rounding bound covers numeric's distance from it, the truncation
+    # bound the exact value's
+    result = dobinski_eval(n, x, m, lam, 1e-12)
+    c, lm = x / (lam * m), lam * m
+    partial = sum(c**k / factorial(k) * (lm * k + 1) ** n
+                  for k in range(result.truncation_terms))
+    iv, numeric = mpmath.iv, dyadic(result.numeric)
+    prec, iv.prec = iv.prec, 3000
+    try:
+        def enclose(q):
+            return iv.mpf(q.numerator) / q.denominator
+
+        centre = iv.exp(-enclose(c)) * enclose(partial)
+        for value, bound in ((numeric, result.rounding_bound),
+                             (result.exact, result.truncation_bound)):
+            gap = enclose(value) - centre
+            assert -enclose(bound) <= gap <= enclose(bound)
+    finally:
+        iv.prec = prec
+    # the rounding bound is a few units in the last place of the value
+    assert result.rounding_bound <= Fraction(2) ** (10 - result.working_dps * 3) * result.exact
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=80),
+    x=st.fractions(min_value=0, max_value=50, max_denominator=7),
+    m=st.integers(min_value=1, max_value=3),
+    lam=st.sampled_from([Fraction(1, 10), Fraction(1, 2), Fraction(1), Fraction(2)]),
+    tol=st.sampled_from([1e-12, 1e-30, 0.5]),
+)
+@example(n=80, x=Fraction(50), m=1, lam=Fraction(1, 10), tol=1e-12)
+@example(n=80, x=Fraction(50), m=3, lam=Fraction(2), tol=1e-12)
+@example(n=20, x=Fraction(50), m=1, lam=Fraction(1, 10), tol=1e-12)
+@example(n=7, x=Fraction(0), m=2, lam=Fraction(1, 2), tol=1e-12)
+def test_dobinski_error_within_truncation_plus_rounding(n, x, m, lam, tol):
+    result = dobinski_eval(n, x, m, lam, tol)
+    bound = result.truncation_bound + result.rounding_bound
+    assert exact_error(result) <= bound <= Fraction(tol)
+
+
+@pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(1), Fraction(7, 3)])
+def test_dobinski_stops_at_the_first_term_both_tests_pass(lam):
+    # the stopping k found by bisection (and float logarithms) is the one
+    # a term-by-term scan over Fractions finds
+    for m in (1, 2):
+        for x in (Fraction(0), Fraction(1, 3), Fraction(2), Fraction(19, 2)):
+            c = x / (lam * m)
+            lo, _ = exp_neg_enclosure(
+                c.numerator, c.denominator, mpmath.libmp.dps_to_prec(DOBINSKI_DIGITS))
+            for n in (0, 1, 7, 30):
+                def term(k):
+                    return c**k / factorial(k) * (lam * m * k + 1) ** n
+
+                k = 1
+                while not (term(k) < term(k - 1) / 2 and 2 * term(k) < Fraction(1e-12) * lo):
+                    k += 1
+                assert dobinski_eval(n, x, m, lam, 1e-12).truncation_terms == k
+
+
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), -float("inf"), -1e-12])
+def test_dobinski_rejects_non_finite_tolerance(tol):
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        dobinski_eval(3, Fraction(1), 1, Fraction(1, 2), tol)
