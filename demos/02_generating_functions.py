@@ -2,11 +2,11 @@
 """Exact truncated exponential generating functions.
 
 A TruncatedSeries stores the coefficients a_n of sum a_n t^n / n! up to a
-chosen order; products are binomial convolutions and everything stays in
-exact rational (or polynomial-in-lam) arithmetic.  This script rebuilds the
-column generating functions of each triangle from first principles and
-checks them against the recurrence triangles, then assembles the Dowling
-polynomial EGF and the higher-order Bernoulli series.
+chosen order; everything stays in exact rational (or polynomial-in-lam)
+arithmetic.  This script builds the column generating functions of each
+triangle in closed form and checks them against the recurrence triangles,
+then the Dowling polynomial EGF and the higher-order Bernoulli series, and
+combines them with the series product, inverse and exponential.
 """
 
 from fractions import Fraction
@@ -32,7 +32,8 @@ def main():
     lam = LambdaScalar.fixed(Fraction(1, 2))
 
     print("Warm-up: exp(e^t - 1) generates the Bell numbers.")
-    e_t_minus_1 = TruncatedSeries.exp_linear(1, order) - TruncatedSeries.one(order)
+    # column k = 1 of the second kind at lam = 1 is e^t - 1 itself
+    e_t_minus_1 = second_kind_series(1, 0, LambdaScalar.fixed(1), order)
     bell = e_t_minus_1.exp()
     print("  coefficients:", [str(bell.coeff(n)) for n in range(order + 1)])
 
@@ -78,7 +79,7 @@ def main():
 
     print("\nBernoulli polynomials by multiplying in e^{x t}:")
     xval = Fraction(1, 3)
-    poly_series = base2 * TruncatedSeries.exp_linear(xval, 6)
+    poly_series = base2 * TruncatedSeries([xval**n for n in range(7)])
     for n in range(5):
         direct = bernoulli_higher(n, 2, xval)
         assert poly_series.coeff(n) == direct
@@ -87,7 +88,7 @@ def main():
 
     print("\nSeries inverses are exact too: (t/(e^t - 1)) * ((e^t - 1)/t) = 1.")
     inv = base1.inverse()
-    assert base1 * inv == TruncatedSeries.one(6)
+    assert base1 * inv == TruncatedSeries([1, 0, 0, 0, 0, 0, 0])
     print("  verified up to order 6.")
 
     print("\nAll coefficients above are exact rationals; nothing was rounded.")

@@ -5,7 +5,8 @@ The deformation replaces ordinary powers by generalized falling factorials
 (x)_{n,lambda} = x (x - lambda) ... (x - (n-1) lambda).  Everything is
 computed over the rationals (or over polynomials in lambda when the
 parameter is kept symbolic); no floating point enters except in the explicit
-numeric series evaluator, which reports a rigorous truncation bound.
+numeric series evaluator, which reports exact truncation and rounding bounds
+with each value.
 
 Public surface:
 

@@ -6,8 +6,8 @@ accept ``p/q`` strings, negative ones too (``--lambda -2/3``); ``--lambda``
 additionally accepts the word ``symbolic`` to keep the deformation
 parameter as a polynomial variable.
 Domain errors (zero lambda, unsupported parameter ranges, unknown check ids)
-exit with status 2; the ``verify`` command exits 0 when every check passes
-and 1 otherwise.
+and an ``--output`` path that cannot be written exit with status 2; the
+``verify`` command exits 0 when every check passes and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -405,7 +405,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(_attach_negative_fractions(argv))
     try:
         return args.fn(args)
-    except (ValueError, ZeroDivisionError, UnsupportedDomainError, ArithmeticError) as exc:
+    except (ValueError, ZeroDivisionError, UnsupportedDomainError, ArithmeticError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

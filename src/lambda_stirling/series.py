@@ -1,11 +1,13 @@
 """Truncated exponential generating functions over the exact rings.
 
 A ``TruncatedSeries`` of order N stores coefficients a_0..a_N under the EGF
-convention: the series represents sum a_n t^n / n!.  Products are therefore
-binomial convolutions and coefficients are read off without factorial
-bookkeeping.  Binary operations between series of different orders truncate
-to the smaller order.  Coefficients are rationals, or lambda-polynomials in
-symbolic mode; instances are immutable.
+convention: the series represents sum a_n t^n / n!.  It is the immutable
+value the column, Dowling and Bernoulli functions return, with rational
+coefficients, or lambda-polynomials in symbolic mode.  Besides reading
+coefficients it has three operations: the product of two series (a binomial
+convolution, truncated to the smaller order), ``exp`` of a series with zero
+constant term, and any integer power of a rational series with a nonzero
+constant term, the inverse included.
 
 The column EGFs of the paper are one family: column k of the Whitney-type
 r-Stirling numbers of parameter m is ((e^{lam m t} - 1)/(lam m))^k e^{r t} / k!,
@@ -19,21 +21,17 @@ to a ``Fraction`` (fixed lam) or a ``Poly`` (symbolic lam).  No step divides
 by lam.  eta_k is never taken from its derivative recurrence, which is the
 triangles' own: the EGF route stays independent of the triangles it checks.
 
-Every integer power of a ``TruncatedSeries`` whose first nonzero coefficient
-is a unit, the inverse included, is one O(N^2) pass of J.C.P. Miller's
-recurrence (``power_coeffs``).  Its multipliers are integers, so over the
-rationals it runs on integer numerators that share one denominator
+A power is one O(N^2) pass of J.C.P. Miller's recurrence, whose multipliers
+are integers, so it runs on integer numerators that share one denominator
 (``_power_ints``) and reduces once per coefficient, to one ``Fraction``; the
-Bernoulli tables keep that integer form and grow it in place.  Series with
-lam-polynomial coefficients take the same recurrence in ring arithmetic.
-Powers the recurrence cannot take go through ``poly._binary_power``.
+Bernoulli tables keep that integer form and grow it in place.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count, repeat
-from math import comb, factorial, gcd, perm
+from math import comb, factorial, gcd
 from operator import mul, sub
 
 from .poly import (LambdaScalar, Poly, RingElement, _binary_power, _coerce,
@@ -53,25 +51,18 @@ class TruncatedSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        """The constant series 1 = e^{0 t}."""
-        return cls.exp_linear(Fraction(0), order)
-
-    @classmethod
-    def exp_linear(cls, c, order: int) -> "TruncatedSeries":
-        """e^{c t}: EGF coefficients are the powers c^n."""
-        _check_size(order, "order")
-        c = _coerce(c)
-        coeffs = [Fraction(1)]
-        for _ in range(order):
-            coeffs.append(coeffs[-1] * c)
-        return cls(coeffs)
-
     def coeff(self, n: int) -> RingElement:
-        if not 0 <= n <= self.order:
-            raise IndexError(f"coefficient {n} outside truncation order {self.order}")
-        return self.coeffs[n]
+        # a hit runs no type check: a non-int n fails the tuple index and
+        # is reported from there
+        try:
+            if n >= 0:
+                return self.coeffs[n]
+        except IndexError:
+            pass
+        except TypeError:
+            raise ValueError("n must be an integer") from None
+        _check_integer(n, "n")
+        raise IndexError(f"coefficient {n} outside truncation order {self.order}")
 
     def __eq__(self, other) -> bool:
         if isinstance(other, TruncatedSeries):
@@ -81,81 +72,36 @@ class TruncatedSeries:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def _align(self, other: "TruncatedSeries"):
-        n = min(self.order, other.order)
-        return self.coeffs[: n + 1], other.coeffs[: n + 1]
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            coeffs = list(self.coeffs)
-            coeffs[0] = coeffs[0] + other
-            return TruncatedSeries(coeffs)
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        a, b = self._align(other)
-        return TruncatedSeries([x + y for x, y in zip(a, b)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedSeries([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Poly, TruncatedSeries)):
-            return self + (-other)
-        return NotImplemented
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            return TruncatedSeries([c * other for c in self.coeffs])
+        """The series product: the binomial convolution, truncated to the
+        smaller order.  The other factor must be a series too."""
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        a, b = self._align(other)
+        size = min(len(self.coeffs), len(other.coeffs))
+        a, b = self.coeffs[:size], other.coeffs[:size]
         out = []
-        for n in range(len(a)):
+        for n in range(size):
             out.append(sum((comb(n, l) * a[l]) * b[n - l] for l in range(n + 1)))
         return TruncatedSeries(out)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            return self * other
-        return NotImplemented
-
     def __pow__(self, exponent: int) -> "TruncatedSeries":
-        """A^k for any integer k, in one O(N^2) pass of ``power_coeffs``.
-
-        A series with valuation v >= 1 is written t^v g; g has an invertible
-        constant term and g^k is shifted back by t^(v k), so every
-        coefficient below t^(v k) is zero, and all are once v k > N.  The
-        series' own leading zero is the padding, so a symbolic zero stays a
-        ``Poly``.  A positive power of a series whose first nonzero
-        coefficient is a non-constant polynomial, which the recurrence
-        cannot divide by, is taken by repeated squaring."""
+        """A^k for any integer k, in one O(N^2) pass of Miller's recurrence
+        over ``int`` (``_power_ints``).  Every coefficient must be rational
+        and the constant term nonzero."""
         if not isinstance(exponent, int):
             raise ValueError("series exponent must be an integer")
-        if exponent == 0:
-            return TruncatedSeries.one(self.order)
         a = self.coeffs
-        v = next((i for i, c in enumerate(a) if not c == 0), len(a))
-        if exponent < 0 and v:
-            raise ValueError("constant term is not invertible in the ring")
-        zero, shift, order = a[0], v * exponent, self.order
-        if shift > order:
-            return TruncatedSeries([zero] * (order + 1))
-        if exponent > 0 and _unit_inverse(a[v]) is None:
-            return _binary_power(self, exponent, mul, TruncatedSeries.one(order))
-        if v == 0:
-            return TruncatedSeries(power_coeffs(a, exponent, order))
-        g = [a[n + v] * Fraction(1, perm(n + v, v)) for n in range(order - shift + 1)]
-        h = power_coeffs(g, exponent, order - shift)
-        return TruncatedSeries(
-            [zero] * shift
-            + [perm(n, shift) * h[n - shift] for n in range(shift, order + 1)]
-        )
+        if any(isinstance(c, Poly) for c in a):
+            raise ValueError("series powers need rational coefficients")
+        if a[0] == 0:
+            raise ValueError("series powers need a nonzero constant term")
+        b0 = a[0] ** exponent
+        nums, den = _power_ints(_common_denominator(a)[0], exponent, self.order,
+                                [b0.numerator], b0.denominator)
+        return TruncatedSeries([Fraction(c, den) for c in nums])
 
     def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse; the constant term must be invertible
-        (nonzero rational, or a nonzero constant polynomial)."""
+        """Multiplicative inverse; the constant term must be nonzero."""
         return self ** -1
 
     def exp(self) -> "TruncatedSeries":
@@ -180,14 +126,6 @@ class TruncatedSeries:
         return f"TruncatedSeries({list(self.coeffs)!r})"
 
 
-def _unit_inverse(c):
-    """1/c for a unit of the ring (a nonzero rational or a nonzero constant
-    polynomial), else None."""
-    if isinstance(c, Poly):
-        c = c.coeffs[0] if c.degree == 0 else Fraction(0)
-    return None if c == 0 else 1 / c
-
-
 def _check_integer(value, name: str) -> None:
     """Reject an index or size that is not an ``int`` with ``ValueError``."""
     if not isinstance(value, int):
@@ -207,37 +145,6 @@ def _miller_multipliers(k: int, n: int) -> list:
     step n of Miller's recurrence (C(n, n+1) = 0)."""
     binomials = list(map(comb, repeat(n), range(n + 2)))
     return list(map(sub, map(mul, repeat(k), binomials), binomials[1:]))
-
-
-def power_coeffs(a, k: int, order: int) -> list:
-    """EGF coefficients b_0..b_order of A^k for an integer k, by J.C.P.
-    Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), which B' A = k A' B
-    gives for B = A^k:
-
-        a_0 b_{n+1} = sum_{i=1..n+1} (k C(n, i-1) - C(n, i)) a_i b_{n+1-i}.
-
-    ``a`` holds a_0..a_order and a_0 must be invertible: a nonzero rational
-    or a nonzero constant polynomial.
-
-    When every a_i is rational (``int`` or ``Fraction``), the recurrence
-    runs over ``int`` (``_power_ints``) and each coefficient is one
-    ``Fraction``, reduced once.  Otherwise (lam-polynomial coefficients) it
-    runs in ring arithmetic with the same multipliers; with a_0 = 1 no step
-    divides."""
-    inv0 = _unit_inverse(a[0])
-    if inv0 is None:
-        raise ValueError("constant term is not invertible in the ring")
-    a = a[: order + 1]
-    if any(isinstance(c, Poly) for c in a):
-        b = [a[0] ** k if k > 0 else inv0 ** -k]
-        tail = a[1:]
-        for n in range(order):
-            acc = _dot(_miller_multipliers(k, n), tail, reversed(b))
-            b.append(acc if inv0 == 1 else acc * inv0)
-        return b
-    nums, den = _power_ints(_common_denominator(a)[0], k, order,
-                            *_common_denominator([Fraction(a[0]) ** k]))
-    return [Fraction(c, den) for c in nums]
 
 
 def _power_ints(alpha: list, k: int, order: int, nums: list, den: int):

@@ -3,16 +3,15 @@
 Everything in this module is deliberately naive and self-contained:
 list-based polynomial arithmetic over ``Fraction``, brute-force
 set-partition enumeration, and the textbook alternating-sum/recurrence
-formulas.  Nothing here imports from the package under test, so agreement
-between these values and the library is evidence, not circularity.  The one
-exception is ``series_column``, which builds an EGF column by the package's
-generic ``TruncatedSeries`` arithmetic, a code path the column engine
-``lambda_columns`` does not use.
+formulas, and truncated EGFs as coefficient lists.  Nothing here imports
+from the package under test, so agreement between these values and the
+library is evidence, not circularity.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from math import comb, factorial
 
 
@@ -22,8 +21,9 @@ from math import comb, factorial
 def poly_mul(a: list, b: list) -> list:
     out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
     return out
 
 
@@ -220,16 +220,13 @@ def classical_bernoulli(n_max: int) -> list:
 
 def higher_bernoulli(m: int, n_max: int) -> list:
     """B_0^(m)..B_{n_max}^(m) for a small order m as the m-fold EGF product
-    of the classical numbers, (t/(e^t - 1))^m = (sum B_n t^n/n!)^m, in
-    generic ``TruncatedSeries`` products: no series power and no power
-    recurrence."""
-    from lambda_stirling.series import TruncatedSeries
-
-    base = TruncatedSeries(classical_bernoulli(n_max))
+    of the classical numbers, (t/(e^t - 1))^m = (sum B_n t^n/n!)^m: no
+    series power and no power recurrence."""
+    base = classical_bernoulli(n_max)
     product = base
     for _ in range(m - 1):
-        product = product * base
-    return list(product.coeffs)
+        product = egf_mul(product, base)
+    return product
 
 
 def alternating_sum_stirling2(n: int, k: int) -> Fraction:
@@ -258,17 +255,30 @@ def egf_exp(a: list) -> list:
     return total
 
 
-def series_column(m: int, r: int, lam, order: int, k: int):
-    """Column k of ((e^{lam m t} - 1)/(lam m))^k e^{r t} / k! as E**k e^{r t}
-    / k! in generic ``TruncatedSeries`` arithmetic (series power, product
-    and scalar product), E written out from its EGF coefficients 0 and
-    (lam m)^(n-1).  A zero ``Poly`` as E_0 makes every symbolic coefficient
-    with k >= 1 a ``Poly``, so the coefficient types are a reference too."""
-    from lambda_stirling.poly import Poly
-    from lambda_stirling.series import TruncatedSeries
+def egf_mul_symbolic(a: list, b: list) -> list:
+    """``egf_mul`` for coefficients that are lambda-coefficient lists."""
+    out = []
+    for n in range(min(len(a), len(b))):
+        total = []
+        for l in range(n + 1):
+            if a[l] and b[n - l]:
+                # b's term leads: poly_mul skips the zeros of its first factor
+                term = poly_scale(poly_mul(b[n - l], a[l]), comb(n, l))
+                total = poly_add(total, term)
+        out.append(strip(total))
+    return out
 
-    zero = Poly() if lam.is_symbolic else Fraction(0)
-    powers = TruncatedSeries.exp_linear(lam.element * m, order).coeffs
-    base = TruncatedSeries((zero,) + powers[:-1])
-    shift = TruncatedSeries.exp_linear(Fraction(r), order)
-    return base**k * shift * Fraction(1, factorial(k))
+
+def series_columns(m: int, r: int, lam, order: int):
+    """Yield the columns k = 0, 1, ... of ((e^{lam m t} - 1)/(lam m))^k
+    e^{r t} / k!, truncated at ``order``: C_0 = e^{r t} and C_k = C_{k-1}
+    E / k by one EGF product, E written out from its EGF coefficients 0 and
+    (lam m)^(n-1).  Every coefficient is its list of lambda coefficients,
+    trailing zeros stripped; lam=None keeps lambda symbolic, and a fixed
+    lam gives constant lists."""
+    lm = [Fraction(0), Fraction(m)] if lam is None else [lam * m]
+    base = [[]] + [strip(poly_pow(lm, n - 1)) for n in range(1, order + 1)]
+    column = [strip([Fraction(r) ** n]) for n in range(order + 1)]
+    for k in count(1):
+        yield column
+        column = [poly_scale(c, Fraction(1, k)) for c in egf_mul_symbolic(column, base)]

@@ -497,6 +497,28 @@ def test_negative_sizes_exit_2(capsys):
         assert err.startswith("error: ") and "nonnegative" in err
 
 
+# one cheap call of every command that takes --output
+OUTPUT_COMMANDS = [
+    ["triangle", "--family", "s2lambda", "--n-max", "3", "--lambda", "1/2"],
+    ["eval", "--poly", "bell", "--n", "3", "--x", "1/2", "--lambda", "1/2"],
+    ["dobinski", "--n", "3", "--x", "1/2", "--lambda", "1/2"],
+    ["bernoulli", "--n-max", "3", "--m", "1", "--x", "1/2"],
+    ["verify", "--theorem", "T9", "--n-max", "3"],
+    ["dump-series", "--kind", "stirling2", "--k", "1", "--order", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", OUTPUT_COMMANDS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("target", ["missing-dir/out.txt", "."], ids=["missing", "dir"])
+def test_unwritable_output_exits_2(capsys, tmp_path, argv, target):
+    # an --output path that cannot be opened is an input error, not a
+    # failed check (verify's exit 1) and not a traceback
+    code, out, err = run_cli(capsys, *argv, "--output", str(tmp_path / target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def run_cli_process(*argv, timeout=60):
     """Run the CLI in a fresh interpreter against this checkout's sources."""
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -1,0 +1,119 @@
+"""Golden hashes of exact outputs, one sha256 per group.
+
+Each group's inputs are literals written here, never library output.  A
+change that alters any value, coefficient type, repr or CLI byte in a group
+shows as a changed hash.  A change that alters output on purpose re-records
+only the groups it names.
+"""
+
+import contextlib
+import hashlib
+import io
+from fractions import Fraction
+from itertools import islice
+
+from lambda_stirling.bernoulli import bernoulli_base_series
+from lambda_stirling.cli import main
+from lambda_stirling.poly import SYMBOLIC, LambdaScalar
+from lambda_stirling.series import TruncatedSeries, lambda_columns
+from lambda_stirling.whitney import dowling_series
+
+
+def sha256(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def cli_record(argv) -> str:
+    """argv, exit status, stdout and stderr of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main(list(argv))
+        except SystemExit as exc:
+            status = exc.code
+    return repr((argv, status, out.getvalue(), err.getvalue()))
+
+
+DUMP_LAMBDAS = ("1/2", "-2/3", "symbolic")
+DUMP_ORDERS = (0, 1, 8)
+# every dump-series kind, with the options it takes besides --order/--lambda
+DUMP_CALLS = (
+    ("stirling2", ("--k", "0")),
+    ("stirling2", ("--k", "3")),
+    ("stirling2", ("--k", "9")),
+    ("rstirling2", ("--k", "2", "--r", "0")),
+    ("rstirling2", ("--k", "1", "--r", "3")),
+    ("whitney", ("--k", "2", "--m", "1")),
+    ("whitney", ("--k", "3", "--m", "4")),
+    ("whitney-r", ("--k", "2", "--m", "2", "--r", "1")),
+    ("dowling", ("--m", "1", "--x", "1")),
+    ("dowling", ("--m", "2", "--x", "-3/2")),
+)
+BERNOULLI_ORDERS = (1, 2, 5)
+
+SERIES_LAMBDAS = (SYMBOLIC,) + tuple(
+    LambdaScalar.fixed(Fraction(v)) for v in ("1/3", "-2", "5/7"))
+DOWLING_LAMBDAS = tuple(
+    LambdaScalar.fixed(Fraction(v)) for v in ("1/3", "-2", "5/7", "1/2"))
+ORDERS = (0, 1, 2, 3, 8, 17)
+
+
+def series_group_lines():
+    lines = []
+    for kind, options in DUMP_CALLS:
+        for lam in DUMP_LAMBDAS:
+            for order in DUMP_ORDERS:
+                lines.append(cli_record(("dump-series", "--kind", kind, "--order",
+                                         str(order), *options, "--lambda", lam)))
+    for m in BERNOULLI_ORDERS:
+        for order in DUMP_ORDERS:
+            lines.append(cli_record(("dump-series", "--kind", "bernoulli-base",
+                                     "--order", str(order), "--m", str(m))))
+    for lam in SERIES_LAMBDAS:
+        for m in (1, 2, 4):
+            for r in (0, 1, 3):
+                for order in ORDERS:
+                    for first in (0, 1, 3, 9):
+                        walk = lambda_columns(m, r, lam, order, first)
+                        lines.extend(map(repr, islice(walk, 3)))
+    for lam in DOWLING_LAMBDAS:
+        for x in ("1/2", "0", "-3", "7/5"):
+            for m in (1, 2, 4):
+                for order in ORDERS + (40,):
+                    lines.append(repr(dowling_series(Fraction(x), m, lam, order)))
+    for m in (1, 2, 3, 4, 8):
+        for order in ORDERS + (40,):
+            lines.append(repr(bernoulli_base_series(m, order)))
+    return lines
+
+
+def test_series_group_hash():
+    # dump-series calls for every kind, column walks, Dowling EGFs and
+    # Bernoulli bases: values, coefficient types and CLI bytes
+    assert sha256(series_group_lines()) == (
+        "c7cfec59b0834e5e7cacb911576188bc8147706fdba6e9cf3733053286e49236")
+
+
+# rational series with a unit constant term, as literal EGF coefficients
+ARITHMETIC_SERIES = (
+    (1,),
+    (1, 2),
+    (-3, 0, 5, Fraction(1, 2)),
+    (Fraction(2, 3), Fraction(-1, 4), 0, 0, 7, Fraction(5, 6), -1, 2, Fraction(1, 9)),
+    (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
+)
+EXPONENTS = (-7, -3, -2, -1, 0, 1, 2, 3, 7)
+
+
+def test_series_arithmetic_group_hash():
+    # the series product, integer powers, inverse and exp on literal
+    # rational series
+    lines = []
+    series = [TruncatedSeries(coeffs) for coeffs in ARITHMETIC_SERIES]
+    for a in series:
+        lines.append(repr(a.inverse()))
+        lines.extend(repr(a**k) for k in EXPONENTS)
+        lines.extend(repr(a * b) for b in series)
+        lines.append(repr(TruncatedSeries((0,) + a.coeffs[1:]).exp()))
+    assert sha256(lines) == (
+        "0d8dbb475100c459310ad12d06400a54108bc4975b9a64a4e9039948263d64b2")

@@ -14,43 +14,36 @@ from lambda_stirling.bernoulli import (
     bernoulli_higher,
 )
 from lambda_stirling.poly import SYMBOLIC, LambdaScalar, Poly
-from lambda_stirling.series import TruncatedSeries, lambda_columns, power_coeffs
+from lambda_stirling.series import TruncatedSeries, lambda_columns
 from lambda_stirling.stirling import second_kind_series
 from lambda_stirling.whitney import dowling_series, whitney_series
 
-from oracles import alternating_sum_stirling2, egf_exp, egf_mul, series_column
+from oracles import alternating_sum_stirling2, egf_exp, egf_mul, series_columns
 
 LAM = Poly([0, 1])
+HALF = LambdaScalar.fixed(Fraction(1, 2))
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 
 
-def test_exp_linear_coeffs_are_powers():
-    s = TruncatedSeries.exp_linear(Fraction(3), 5)
-    assert [s.coeff(n) for n in range(6)] == [3**n for n in range(6)]
-
-
-def test_exp_linear_symbolic():
-    s = TruncatedSeries.exp_linear(LAM, 4)
-    assert s.coeff(3) == LAM**3
-
-
 def test_coeff_out_of_range_raises():
-    s = TruncatedSeries.one(3)
+    s = TruncatedSeries([1, 1, 1, 1])
     with pytest.raises(IndexError):
         s.coeff(4)
+    with pytest.raises(IndexError):
+        s.coeff(-1)
 
 
 def test_mul_is_binomial_convolution():
     # e^t * e^t = e^{2t}
-    e = TruncatedSeries.exp_linear(Fraction(1), 6)
+    e = TruncatedSeries([1] * 7)
     prod = e * e
     assert [prod.coeff(n) for n in range(7)] == [2**n for n in range(7)]
 
 
 def test_squared_difference_symbolic():
     # (e^{lam t} - 1)^2 has second EGF coefficient 2 lam^2
-    s = TruncatedSeries.exp_linear(LAM, 4) - 1
+    s = TruncatedSeries([Poly()] + [LAM**n for n in range(1, 5)])
     sq = s * s
     assert sq.coeff(0) == 0
     assert sq.coeff(1) == 0
@@ -59,25 +52,35 @@ def test_squared_difference_symbolic():
 
 
 def test_scalar_ops():
-    s = TruncatedSeries.exp_linear(Fraction(1), 3)
-    assert (s - 1).coeff(0) == 0
-    assert (s * Fraction(2)).coeff(2) == 2
-    assert (1 + (s - 1)).coeff(0) == 1
+    # a series is no ring element of its own: an exact scalar is not an
+    # operand of +, - or *, on either side
+    s = TruncatedSeries([1, 1, 1, 1])
+    for op in (operator.add, operator.sub, operator.mul):
+        for scalar in (1, Fraction(1, 2), LAM):
+            with pytest.raises(TypeError):
+                op(s, scalar)
+            with pytest.raises(TypeError):
+                op(scalar, s)
 
 
 def test_negative_order_rejected():
+    # a series of order -1 would hold no coefficient
     with pytest.raises(ValueError):
-        TruncatedSeries.one(-1)
+        TruncatedSeries([])
     with pytest.raises(ValueError):
-        TruncatedSeries.exp_linear(Fraction(2), -3)
+        next(lambda_columns(1, 0, HALF, -1))
+    with pytest.raises(ValueError):
+        dowling_series(Fraction(2), 1, HALF, -3)
+    with pytest.raises(ValueError):
+        bernoulli_base_series(2, -1)
 
 
 def test_inverse_roundtrip():
     # e^{2t} + t^2; the EGF coefficient of t^2 is 2!
-    s = TruncatedSeries.exp_linear(Fraction(2), 6) + TruncatedSeries([0, 0, 2, 0, 0, 0, 0])
+    s = TruncatedSeries([2**n + (2 if n == 2 else 0) for n in range(7)])
     inv = s.inverse()
     prod = s * inv
-    assert prod == TruncatedSeries.one(6)
+    assert prod == TruncatedSeries([1, 0, 0, 0, 0, 0, 0])
 
 
 def test_inverse_needs_nonzero_constant():
@@ -87,21 +90,21 @@ def test_inverse_needs_nonzero_constant():
 
 
 def test_exp_gives_bell_numbers():
-    inner = TruncatedSeries.exp_linear(Fraction(1), 8) - 1
+    inner = TruncatedSeries([0] + [1] * 8)  # e^t - 1
     bell = inner.exp()
     assert [bell.coeff(n) for n in range(9)] == BELL
 
 
 def test_exp_requires_zero_constant():
     with pytest.raises(ValueError):
-        TruncatedSeries.one(3).exp()
+        TruncatedSeries([1, 0, 0, 0]).exp()
 
 
 def test_exp_of_sum_is_product():
-    a = TruncatedSeries([0, 1, 0, 0, 0, 0, 0])  # the series t
-    b = (TruncatedSeries.exp_linear(Fraction(2), 6) - 1) * Fraction(1, 3)
-    lhs = (a + b).exp()
-    rhs = a.exp() * b.exp()
+    a = [0, 1, 0, 0, 0, 0, 0]  # the series t
+    b = [0] + [Fraction(2**n, 3) for n in range(1, 7)]  # (e^{2t} - 1)/3
+    lhs = TruncatedSeries([x + y for x, y in zip(a, b)]).exp()
+    rhs = TruncatedSeries(a).exp() * TruncatedSeries(b).exp()
     assert lhs == rhs
 
 
@@ -146,6 +149,14 @@ def test_column_coefficient_types(order):
                         assert all(type(c) is kind for c in series.coeffs), (lam, m, r, k)
 
 
+def lambda_coeffs(c) -> list:
+    """A coefficient as its list of lambda coefficients, trailing zeros
+    stripped, as the list oracles give it."""
+    if isinstance(c, Poly):
+        return list(c.coeffs)
+    return [c] if c else []
+
+
 @st.composite
 def order_and_first(draw):
     order = draw(st.integers(min_value=0, max_value=20))
@@ -168,10 +179,12 @@ def order_and_first(draw):
 def test_columns_match_generic_series_oracle(lam, m, r, order_first):
     order, first = order_first
     walk = lambda_columns(m, r, lam, order, first)
-    for k, column in zip(range(first, first + 3), walk):
-        expected = series_column(m, r, lam, order, k)
-        assert column == expected, (k, order)
-        assert [type(c) for c in column.coeffs] == [type(c) for c in expected.coeffs]
+    oracle = series_columns(m, r, None if lam.is_symbolic else lam.value, order)
+    kind = Poly if lam.is_symbolic else Fraction
+    expected_columns = islice(oracle, first, None)
+    for k, column, expected in zip(range(first, first + 3), walk, expected_columns):
+        assert [lambda_coeffs(c) for c in column.coeffs] == expected, (k, order)
+        assert all(type(c) is (kind if k else Fraction) for c in column.coeffs)
 
 
 @pytest.mark.parametrize("lam", [SYMBOLIC, LambdaScalar.fixed(Fraction(-2, 3))])
@@ -197,12 +210,8 @@ def test_non_integer_column_index_rejected():
         whitney_series(2.0, 2, 1, lam, 5)
 
 
-HALF = LambdaScalar.fixed(Fraction(1, 2))
-
-
 @pytest.mark.parametrize("call", [
-    lambda: TruncatedSeries.exp_linear(Fraction(1), 2.5),
-    lambda: TruncatedSeries.one(2.0),
+    lambda: TruncatedSeries([1, 2, 3]).coeff(1.0),
     lambda: next(lambda_columns(1, 0, HALF, 2.5)),
     lambda: second_kind_series(1, 0, HALF, 2.5),
     lambda: whitney_series(1, 2, 1, HALF, 2.5),
@@ -212,7 +221,7 @@ HALF = LambdaScalar.fixed(Fraction(1, 2))
     lambda: BernoulliTable(1).value(2.5, Fraction(1, 3)),
     lambda: bernoulli_higher(2.5, 1, 0),
 ], ids=[
-    "exp_linear", "one", "lambda_columns", "second_kind_series",
+    "coeff", "lambda_columns", "second_kind_series",
     "whitney_series", "dowling_series", "bernoulli_base_series",
     "base_coeff", "table_value", "bernoulli_higher",
 ])
@@ -224,31 +233,26 @@ def test_non_integer_size_rejected(call):
 
 
 def test_second_kind_gf_matches_alternating_sum():
-    # coefficient n of (e^t - 1)^k / k! is the ordinary second-kind number
+    # coefficient n of (e^t - 1)^k / k! is the ordinary second-kind number;
+    # the product of k factors e^t - 1 has no constant term to raise
     k = 3
-    s = ((TruncatedSeries.exp_linear(Fraction(1), 8) - 1) ** k) * Fraction(
-        1, factorial(k)
-    )
+    factor = TruncatedSeries([0] + [1] * 8)
+    s = factor * factor * factor
     for n in range(9):
-        assert s.coeff(n) == alternating_sum_stirling2(n, k)
+        assert s.coeff(n) / factorial(k) == alternating_sum_stirling2(n, k)
 
 
 def test_pow_zero_is_one():
-    s = TruncatedSeries.exp_linear(Fraction(5), 4)
-    assert s**0 == TruncatedSeries.one(4)
+    s = TruncatedSeries([5**n for n in range(5)])
+    assert s**0 == TruncatedSeries([1, 0, 0, 0, 0])
 
 
 def test_pow_rejects_non_integer_exponent():
-    s = TruncatedSeries.exp_linear(Fraction(5), 4)
+    s = TruncatedSeries([5**n for n in range(5)])
     with pytest.raises(ValueError):
         s**2.0
     with pytest.raises(ValueError):
         s ** Fraction(1, 2)
-
-
-small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-# a coefficient polynomial in a symbolic lambda
-lam_poly = st.lists(small, min_size=1, max_size=3).map(Poly)
 
 
 def oracle_power(a: list, k: int) -> list:
@@ -258,34 +262,48 @@ def oracle_power(a: list, k: int) -> list:
     return out
 
 
+rational = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
-    st.lists(st.sampled_from([Fraction(0), Poly()]), max_size=2),
-    st.one_of(small, lam_poly).filter(lambda c: c != 0),
-    st.lists(st.one_of(small, lam_poly), max_size=6),
-    st.integers(min_value=-4, max_value=12),
+    rational.filter(lambda c: c != 0),
+    st.lists(rational, max_size=24),
+    st.integers(min_value=-6, max_value=12),
 )
-# lam + t: the recurrence cannot divide by lam, the ring product can
-@example([], LAM, [1, 0, 0], 5)
-@example([], LAM, [1, 0, 0], -1)
-def test_pow_matches_repeated_products(zeros, lead, tail, k):
-    a = zeros + [lead] + tail
-    series = TruncatedSeries(a)
-    unit = not isinstance(lead, Poly) or lead.degree == 0
+@example(Fraction(1), [], 0)
+@example(Fraction(-2, 3), [Fraction(1, 2), 0, 3], -5)
+def test_pow_matches_repeated_products(lead, tail, k):
+    # a nonnegative power against k products; a negative one against the
+    # identity A^k A^(-k) = 1
+    a = [lead] + tail
+    power = TruncatedSeries(a) ** k
+    assert power.order == len(tail)
+    assert all(type(c) is Fraction for c in power.coeffs)
     if k >= 0:
-        assert list((series**k).coeffs) == oracle_power(a, k)
-    elif zeros or not unit:
-        with pytest.raises(ValueError):
-            series**k
+        assert list(power.coeffs) == oracle_power(a, k)
     else:
-        product = series**k * TruncatedSeries(oracle_power(a, -k))
-        assert product == TruncatedSeries.one(series.order)
+        assert egf_mul(list(power.coeffs), oracle_power(a, -k)) == oracle_power(a, 0)
+
+
+@pytest.mark.parametrize("coeffs", [
+    [0, 1, 2],  # the constant term is not invertible
+    [Poly(), 1],  # the same, at symbolic lambda
+    [LAM, 1, 0],  # lam + t: a polynomial coefficient
+    [1, LAM],
+    [Poly([2]), 1],  # a constant polynomial is still a polynomial
+])
+@pytest.mark.parametrize("k", [-2, 0, 3])
+def test_pow_domain(coeffs, k):
+    # powers are taken over the rationals only, with a nonzero constant term
+    with pytest.raises(ValueError):
+        TruncatedSeries(coeffs) ** k
 
 
 @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
 def test_foreign_operand_raises_type_error(op):
-    # neither a series nor an exact scalar: the operators return
-    # NotImplemented and Python raises TypeError, as for Poly
+    # neither a series nor an exact scalar: Python raises TypeError, as
+    # for Poly
     s = TruncatedSeries([1, 2])
     for other in (0.5, "1", None, [1, 2]):
         with pytest.raises(TypeError):
@@ -295,32 +313,12 @@ def test_foreign_operand_raises_type_error(op):
 
 
 def test_alignment_truncates_to_smaller_order():
-    a = TruncatedSeries.exp_linear(Fraction(1), 6)
-    b = TruncatedSeries.exp_linear(Fraction(1), 3)
-    assert (a + b).order == 3
-    assert (a * b).order == 3
+    a = TruncatedSeries([1] * 7)
+    b = TruncatedSeries([1] * 4)
+    assert (a * b).order == (b * a).order == 3
+    assert a * b == TruncatedSeries([2**n for n in range(4)])
 
 
 def test_to_json():
-    s = TruncatedSeries.exp_linear(LAM, 2)
+    s = TruncatedSeries([1, LAM, LAM**2])
     assert s.to_json() == {"order": 2, "egf_coeffs": ["1", ["0", "1"], ["0", "0", "1"]]}
-
-
-rational = st.fractions(min_value=-3, max_value=3, max_denominator=6)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    rational.filter(lambda c: c not in (0, 1)),
-    st.lists(rational, max_size=24),
-    st.integers(min_value=-6, max_value=6),
-)
-def test_rational_power_matches_ring_path(lead, tail, k):
-    # the same series with every coefficient a constant Poly takes the
-    # ring-generic loop; the integer path must agree with it exactly
-    a, order = [lead] + tail, len(tail)
-    got = power_coeffs(a, k, order)
-    assert len(got) == order + 1
-    assert all(type(c) is Fraction for c in got)
-    wrapped = [Poly([c]) for c in a]
-    assert power_coeffs(wrapped, k, order) == got
