@@ -244,6 +244,19 @@ def egf_mul(a: list, b: list) -> list:
     ]
 
 
+def egf_power_ring(a: list, k: int) -> list:
+    """A^k for an integer k and an EGF coefficient list with a[0] != 0, by
+    Miller's recurrence a_0 b_(n+1) = sum_i (k C(n, i-1) - C(n, i)) a_i
+    b_(n+1-i), run step by step in plain ``Fraction`` arithmetic."""
+    a = [Fraction(c) for c in a]
+    b = [a[0] ** k]
+    for n in range(len(a) - 1):
+        acc = sum((k * comb(n, i - 1) - comb(n, i)) * a[i] * b[n + 1 - i]
+                  for i in range(1, n + 2))
+        b.append(acc / a[0])
+    return b
+
+
 def egf_exp(a: list) -> list:
     """e^a for an EGF coefficient list with a[0] = 0, as the finite power
     sum 1 + a + a^2/2! + ... (a^k has no term below t^k)."""

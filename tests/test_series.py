@@ -18,7 +18,13 @@ from lambda_stirling.series import TruncatedSeries, lambda_columns
 from lambda_stirling.stirling import second_kind_series
 from lambda_stirling.whitney import dowling_series, whitney_series
 
-from oracles import alternating_sum_stirling2, egf_exp, egf_mul, series_columns
+from oracles import (
+    alternating_sum_stirling2,
+    egf_exp,
+    egf_mul,
+    egf_power_ring,
+    series_columns,
+)
 
 LAM = Poly([0, 1])
 HALF = LambdaScalar.fixed(Fraction(1, 2))
@@ -284,6 +290,22 @@ def test_pow_matches_repeated_products(lead, tail, k):
         assert list(power.coeffs) == oracle_power(a, k)
     else:
         assert egf_mul(list(power.coeffs), oracle_power(a, -k)) == oracle_power(a, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rational.filter(lambda c: c not in (0, 1)),
+    st.lists(rational, max_size=24),
+    st.integers(min_value=-6, max_value=6),
+)
+def test_rational_power_matches_ring_path(lead, tail, k):
+    # the integer recurrence against the same recurrence run step by step
+    # in Fraction ring arithmetic; they must agree exactly
+    a, order = [lead] + tail, len(tail)
+    got = TruncatedSeries(a) ** k
+    assert got.order == order
+    assert all(type(c) is Fraction for c in got.coeffs)
+    assert list(got.coeffs) == egf_power_ring(a, k)
 
 
 @pytest.mark.parametrize("coeffs", [
