@@ -22,8 +22,8 @@ from math import comb, lcm
 from operator import mul
 from threading import Lock
 
-from .poly import _horner
-from .series import TruncatedSeries, _check_size, _power_ints
+from .poly import _check_size, _horner
+from .series import TruncatedSeries, _power_ints
 
 
 def _check_order(m) -> None:

@@ -403,12 +403,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
     args = parser.parse_args(_attach_negative_fractions(argv))
+    # an exact value may have more digits than the interpreter's limit on
+    # int/str conversion (4,300 from Python 3.10.7 on): lifted for the call
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
     except (ValueError, ZeroDivisionError, UnsupportedDomainError, ArithmeticError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -13,11 +13,11 @@ denominator, reduced so that the numerators and the denominator share no
 factor; equal polynomials are therefore stored alike.  ``+``, ``-``, ``*``,
 ``scale``, ``/``, ``**`` and Horner evaluation run on those integers and
 reduce once per result, and ``Poly.from_ints`` wraps integer lists without
-building any ``Fraction``.  ``coeffs``, the tuple of ``Fraction``
-coefficients, is built on first access and kept.  A polynomial with a
-``Poly`` among its coefficients (an x-polynomial at symbolic lambda) keeps
-that tuple itself, and its arithmetic runs coefficient by coefficient in
-the ring.
+building any ``Fraction``.  Those integers are its only form: ``coeffs``,
+the tuple of ``Fraction`` coefficients, is built afresh on each read and
+kept nowhere.  A polynomial with a ``Poly`` among its coefficients (an
+x-polynomial at symbolic lambda) keeps that tuple itself, and its
+arithmetic runs coefficient by coefficient in the ring.
 
 Two multiplications exist and must not be confused when polynomials nest:
 ``p * q`` convolves p and q as polynomials in the *same* variable, while
@@ -84,6 +84,19 @@ def _binary_power(base, k: int, product, result=None):
         base = product(base, base)
 
 
+def _check_integer(value, name: str) -> None:
+    """Reject an index or size that is not an ``int`` with ``ValueError``."""
+    if not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer")
+
+
+def _check_size(value, name: str) -> None:
+    """Reject a size or an index that is not a nonnegative ``int`` with ``ValueError``."""
+    _check_integer(value, name)
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative")
+
+
 def _ratio_str(num: int, den: int) -> str:
     """``str(Fraction(num, den))``, without building the ``Fraction``."""
     g = gcd(num, den)
@@ -94,8 +107,8 @@ def _ratio_str(num: int, den: int) -> str:
 class Poly:
     """Dense univariate polynomial with exact coefficients."""
 
-    # scalar coefficients: _nums/_den hold them and _coeffs caches their
-    # Fraction tuple; nested coefficients: _nums is None and _coeffs holds them
+    # scalar coefficients: _nums/_den hold them and _coeffs is left unset;
+    # nested coefficients: _nums is None and _coeffs holds them
     __slots__ = ("_nums", "_den", "_coeffs")
 
     def __init__(self, coeffs: Iterable = ()):
@@ -109,7 +122,6 @@ class Poly:
                 self._coeffs = tuple(items)
                 return
         self._nums, self._den = _reduce(*_common_denominator(items))
-        self._coeffs = None
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -130,23 +142,19 @@ class Poly:
         the integers directly: no type dispatch and no ``Fraction``."""
         poly = object.__new__(cls)
         poly._nums, poly._den = _reduce(coeffs, den)
-        poly._coeffs = None
         return poly
 
     @property
     def coeffs(self) -> tuple:
         """The coefficients, lowest degree first: ``Fraction`` scalars, or
-        ``Poly`` and ``Fraction`` values when they nest.  Built on first
-        access and kept; two threads that race may both build it, and
-        either equal tuple is kept."""
-        coeffs = self._coeffs
-        if coeffs is None:
-            den = self._den
-            # Fraction(c) keeps c itself where Fraction(c, 1) would copy it
-            coeffs = self._coeffs = tuple(
-                map(Fraction, self._nums) if den == 1
-                else (Fraction(c, den) for c in self._nums))
-        return coeffs
+        ``Poly`` and ``Fraction`` values when they nest.  Scalar ones are
+        built from the integers on each read and kept nowhere."""
+        if self._nums is None:
+            return self._coeffs
+        den = self._den
+        # Fraction(c) keeps c itself where Fraction(c, 1) would copy it
+        return tuple(map(Fraction, self._nums) if den == 1
+                     else (Fraction(c, den) for c in self._nums))
 
     @property
     def is_zero(self) -> bool:
@@ -246,10 +254,11 @@ class Poly:
         if self.is_zero or other.is_zero:
             return Poly()
         if self._nums is None or other._nums is None:
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
+            a, b = self.coeffs, other.coeffs
+            out = [Fraction(0)] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    out[i + j] = out[i + j] + x * y
             return Poly(out)
         a, b = self._nums, other._nums
         out = [0] * (len(a) + len(b) - 1)
@@ -428,8 +437,7 @@ SYMBOLIC = LambdaScalar.symbolic()
 def falling_factorial_poly(n: int, lam: LambdaScalar) -> Poly:
     """Generalized falling factorial x(x-lam)(x-2*lam)...(x-(n-1)*lam) as a
     polynomial in x; the empty product (n=0) is 1."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
+    _check_size(n, "degree")
     result = Poly.one()
     lam_elem = lam.element
     for i in range(n):

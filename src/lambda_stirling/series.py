@@ -34,8 +34,8 @@ from itertools import count, repeat
 from math import comb, factorial, gcd
 from operator import mul, sub
 
-from .poly import (LambdaScalar, Poly, RingElement, _binary_power, _coerce,
-                   _common_denominator, format_element)
+from .poly import (LambdaScalar, Poly, RingElement, _binary_power, _check_integer,
+                   _check_size, _coerce, _common_denominator, format_element)
 
 
 class TruncatedSeries:
@@ -105,16 +105,11 @@ class TruncatedSeries:
         return self ** -1
 
     def exp(self) -> "TruncatedSeries":
-        """Exponential of a series with zero constant term, by the EGF
-        recurrence b_n = sum_{j=1..n} C(n-1, j-1) a_j b_{n-j} that b' = a' b
-        gives for b = e^a."""
+        """Exponential of a series with zero constant term (``_exp_coeffs``)."""
         a = self.coeffs
         if not a[0] == 0:
             raise ValueError("exp needs a zero constant term")
-        b = [Fraction(1)]
-        for n in range(1, len(a)):
-            b.append(sum(comb(n - 1, j - 1) * a[j] * b[n - j] for j in range(1, n + 1)))
-        return TruncatedSeries(b)
+        return TruncatedSeries(_exp_coeffs(a[1:], self.order))
 
     def to_json(self) -> dict:
         return {
@@ -124,20 +119,6 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({list(self.coeffs)!r})"
-
-
-def _check_integer(value, name: str) -> None:
-    """Reject an index or size that is not an ``int`` with ``ValueError``."""
-    if not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer")
-
-
-def _check_size(value, name: str) -> None:
-    """Reject a size (a truncation order, an index) that is not a
-    nonnegative ``int`` with ``ValueError``."""
-    _check_integer(value, name)
-    if value < 0:
-        raise ValueError(f"{name} must be nonnegative")
 
 
 def _miller_multipliers(k: int, n: int) -> list:
@@ -178,6 +159,17 @@ def _power_ints(alpha: list, k: int, order: int, nums: list, den: int):
 def _dot(x, y, z):
     """sum_i x_i y_i z_i, as long as the shortest input."""
     return sum(map(mul, map(mul, x, y), z))
+
+
+def _exp_coeffs(alpha, order: int) -> list:
+    """EGF coefficients b_0..b_order of e^A, where A has a_0 = 0 and
+    a_j = alpha[j-1]: the recurrence b_n = sum_{j=1..n} C(n-1, j-1) a_j
+    b_{n-j} that b' = a' b gives, from b_0 = 1, in the ring of alpha
+    (``int`` included)."""
+    b = [1]
+    for n in range(1, order + 1):
+        b.append(_dot(map(comb, repeat(n - 1), range(n)), alpha, reversed(b)))
+    return b
 
 
 def _binomial_product(a: list, b: list, order: int) -> list:

@@ -37,8 +37,9 @@ from operator import mul
 from threading import Lock
 from typing import NamedTuple
 
-from .poly import LambdaScalar, Poly, RingElement, _horner, falling_factorial_poly
-from .series import TruncatedSeries, _check_integer, lambda_columns
+from .poly import (LambdaScalar, Poly, RingElement, _check_integer, _check_size, _horner,
+                   falling_factorial_poly)
+from .series import TruncatedSeries, lambda_columns
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -339,10 +340,8 @@ def rstirling2_by_expansion(n: int, k: int, r: int, lam: LambdaScalar) -> RingEl
     the falling-factorial basis and read off coefficient k."""
     _check_shift(r)
     # checked before the cache, where n = 3.0 would find the key 3
-    _check_integer(n, "n")
+    _check_size(n, "n")
     _check_integer(k, "k")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     coefficients = _expansion(n, 1, r, lam)
     if 0 <= k < len(coefficients):
         return coefficients[k]

@@ -37,12 +37,11 @@ never reads a triangle to compute its sum.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
-from math import comb, inf
+from math import inf
 from typing import NamedTuple
 
-from .poly import LambdaScalar, RingElement
-from .series import TruncatedSeries, _check_integer, _check_size, _dot, lambda_columns
+from .poly import LambdaScalar, RingElement, _check_integer, _check_size
+from .series import TruncatedSeries, _exp_coeffs, lambda_columns
 from .stirling import _check_shift, _expansion, _triangle
 
 _ZERO = Fraction(0)
@@ -76,10 +75,8 @@ def whitney_r_by_expansion(n: int, k: int, m: int, r: int, lam: LambdaScalar) ->
     basis and divide coefficient k by m^k (the division is exact)."""
     _check_params(m, r)
     # checked before the cache, where n = 4.0 would find the key 4
-    _check_integer(n, "n")
+    _check_size(n, "n")
     _check_integer(k, "k")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     if k < 0 or k > n:
         return _ZERO
     return _expansion(n, m, r, lam)[k] / Fraction(m) ** k
@@ -97,8 +94,7 @@ def whitney_series(k: int, m: int, r: int, lam: LambdaScalar, order: int) -> Tru
 def dowling_poly(n: int, x, m: int, lam: LambdaScalar) -> RingElement:
     """Dowling polynomial d(n, x) = sum_k W(n, k) x^k, summed over the
     integer form of the Whitney row (``NumberTriangle.row_sum``)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_size(n, "n")
     x = Fraction(x)
     _check_params(m, 1)
     return _triangle(lam, 0, m, 1).row_sum(n, x)
@@ -107,8 +103,7 @@ def dowling_poly(n: int, x, m: int, lam: LambdaScalar) -> RingElement:
 def bell_poly_lambda(n: int, x, lam: LambdaScalar) -> RingElement:
     """Deformed Bell polynomial: row sum of the plain second-kind triangle
     against powers of x."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_size(n, "n")
     x = Fraction(x)
     return _triangle(lam, 0, 1, 0).row_sum(n, x)
 
@@ -119,10 +114,10 @@ def dowling_series(x, m: int, lam: LambdaScalar, order: int) -> TruncatedSeries:
     fixed rational lambda (the exponent has lambda in a denominator).
 
     The exponent has EGF coefficients A = 0, 1 + x, x lm, x lm^2, ... with
-    lm = lam m, and exp runs the recurrence B_n = sum_{j=1..n} C(n-1, j-1)
-    A_j B_{n-j} over ``int``: with x = a/b and lm = p/q, every coefficient
-    is scaled by (b q)^n, so A_1 becomes (a + b) q and A_j becomes
-    a q (p b)^(j-1), and B_n is published as one ``Fraction`` over (b q)^n."""
+    lm = lam m, and ``series._exp_coeffs`` runs the exp recurrence over
+    ``int``: with x = a/b and lm = p/q, every coefficient is scaled by
+    (b q)^n, so A_1 becomes (a + b) q and A_j becomes a q (p b)^(j-1), and
+    B_n is published as one ``Fraction`` over (b q)^n."""
     if lam.is_symbolic:
         raise ValueError("the closed Dowling EGF needs a fixed rational lambda")
     _check_size(order, "order")
@@ -131,11 +126,9 @@ def dowling_series(x, m: int, lam: LambdaScalar, order: int) -> TruncatedSeries:
     lm = lam.value * m
     a, b, q = x.numerator, x.denominator, lm.denominator
     alpha = [(a + b) * q] + [a * q * (lm.numerator * b) ** j for j in range(1, order)]
-    beta = [1]
-    for n in range(1, order + 1):
-        beta.append(_dot(map(comb, repeat(n - 1), range(n)), alpha, reversed(beta)))
     bq = b * q
-    return TruncatedSeries([Fraction(c, bq**n) for n, c in enumerate(beta)])
+    return TruncatedSeries(
+        [Fraction(c, bq**n) for n, c in enumerate(_exp_coeffs(alpha, order))])
 
 
 class DowlingValue(NamedTuple):
@@ -177,8 +170,7 @@ def dobinski_eval(n: int, x, m: int, lam, tol: float = 1e-12) -> DowlingValue:
     ``int`` and only e^{-c} is enclosed (``_dobinski.dobinski_sum``, which
     is imported on the first call).  ``tol`` must be positive and finite.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_size(n, "n")
     _check_params(m, 1)
     x = Fraction(x)
     lam = Fraction(lam)

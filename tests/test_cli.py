@@ -313,6 +313,31 @@ def test_eval_bell_text(capsys):
     assert out.strip() == csv_element(expected)
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval", "--poly", "bell", "--n", "50", "--x", "1e100", "--lambda", "1"),
+    ("bernoulli", "--n-max", "2", "--m", "1", "--x", "1e2500"),
+], ids=["eval", "bernoulli"])
+def test_values_past_the_int_digit_limit_print(capsys, argv):
+    # both values have more than the 4,300 digits Python prints by default
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = get_limit()
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert get_limit() == before
+    if argv[0] == "eval":
+        cells, expected = [out.strip()], [bell_poly_lambda(50, 10**100, LambdaScalar(1))]
+    else:
+        cells = [row[1] for row in parse_csv(out)[1:]]
+        expected = [bernoulli_higher(n, 1, 10**2500) for n in range(3)]
+    if before is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert [Fraction(c) for c in cells] == expected
+    finally:
+        if before is not None:
+            sys.set_int_max_str_digits(before)
+
+
 def test_dobinski_json(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -12,11 +12,25 @@ import io
 from fractions import Fraction
 from itertools import islice
 
-from lambda_stirling.bernoulli import bernoulli_base_series
+from lambda_stirling.bernoulli import bernoulli_base_series, bernoulli_higher
 from lambda_stirling.cli import main
-from lambda_stirling.poly import SYMBOLIC, LambdaScalar
+from lambda_stirling.poly import SYMBOLIC, LambdaScalar, Poly, falling_factorial_poly
 from lambda_stirling.series import TruncatedSeries, lambda_columns
-from lambda_stirling.whitney import dowling_series
+from lambda_stirling.stirling import (
+    expand_in_falling_basis,
+    rstirling1_lambda,
+    rstirling2_lambda,
+    stirling1_lambda,
+    stirling2_lambda,
+    unsigned_rstirling1_lambda,
+)
+from lambda_stirling.whitney import (
+    bell_poly_lambda,
+    dowling_poly,
+    dowling_series,
+    whitney,
+    whitney_r,
+)
 
 
 def sha256(lines) -> str:
@@ -117,3 +131,51 @@ def test_series_arithmetic_group_hash():
         lines.append(repr(TruncatedSeries((0,) + a.coeffs[1:]).exp()))
     assert sha256(lines) == (
         "0d8dbb475100c459310ad12d06400a54108bc4975b9a64a4e9039948263d64b2")
+
+
+LIBRARY_LAMBDAS = (
+    LambdaScalar.fixed(Fraction(1, 3)), LambdaScalar.fixed(Fraction(-2, 3)), SYMBOLIC)
+# each triangle family's value function, with the (r, m) grid it takes
+TRIANGLE_FAMILIES = (
+    (lambda n, k, r, m, lam: stirling2_lambda(n, k, lam), (0,), (1,)),
+    (lambda n, k, r, m, lam: rstirling2_lambda(n, k, r, lam), (0, 2), (1,)),
+    (lambda n, k, r, m, lam: stirling1_lambda(n, k, lam), (0,), (1,)),
+    (lambda n, k, r, m, lam: rstirling1_lambda(n, k, r, lam), (0, 2), (1,)),
+    (lambda n, k, r, m, lam: unsigned_rstirling1_lambda(n, k, r, lam), (0, 2), (1,)),
+    (lambda n, k, r, m, lam: whitney(n, k, m, lam), (0,), (1, 3)),
+    (lambda n, k, r, m, lam: whitney_r(n, k, m, r, lam), (0, 2), (1, 3)),
+)
+
+
+def record(value) -> str:
+    return f"{value!r} {value}"
+
+
+def library_group_lines():
+    lines = []
+    for lam in LIBRARY_LAMBDAS:
+        for family, shifts, ms in TRIANGLE_FAMILIES:
+            for r in shifts:
+                for m in ms:
+                    for n in range(13):
+                        lines.extend(record(family(n, k, r, m, lam)) for k in range(n + 1))
+        for x in (Fraction(1, 2), Fraction(-3)):
+            for n in range(13):
+                lines.extend(record(dowling_poly(n, x, m, lam)) for m in (1, 3))
+                lines.append(record(bell_poly_lambda(n, x, lam)))
+        lines.extend(record(falling_factorial_poly(k, lam)) for k in range(7))
+        expansion = expand_in_falling_basis(Poly([3, 2]) ** 6, lam)
+        lines.append(record(expansion.coefficients))
+        lines.append(record(expansion.reconstruct()))
+    for m in (1, 2, 3):
+        for x in (Fraction(0), Fraction(1, 2), Fraction(-3)):
+            lines.extend(record(bernoulli_higher(n, m, x)) for n in range(11))
+    return lines
+
+
+def test_library_group_hash():
+    # triangle rows of all seven families, Dowling and Bell rows,
+    # Bernoulli values, falling factorials and a basis expansion: the
+    # reprs and strs of the library's values, nested Poly ones included
+    assert sha256(library_group_lines()) == (
+        "8b6070c93b3b99327d1760d2e88a9e9c51aa0e33f79e31183b1ecd7fa0f2eb57")

@@ -1,4 +1,6 @@
+import gc
 import pickle
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 
@@ -15,7 +17,7 @@ from lambda_stirling.poly import (
     format_element,
     csv_element,
 )
-from lambda_stirling.stirling import BasisExpansion, expand_in_falling_basis
+from lambda_stirling.stirling import BasisExpansion, NumberTriangle, expand_in_falling_basis
 from lambda_stirling.whitney import dobinski_eval
 
 X = Poly.x()
@@ -229,6 +231,24 @@ def test_format_element_reduces_like_fraction_str():
     assert p.coeffs == (Fraction(1, 2), Fraction(-3, 4), 0, 1, Fraction(3, 2))
     assert format_element(p) == [str(c) for c in p.coeffs]
     assert csv_element(p) == "1/2,-3/4,0,1,3/2"
+
+
+def test_reading_coeffs_keeps_nothing():
+    # the entries rstirling2_lambda(n, k, 2, SYMBOLIC) for n <= 60, from a
+    # triangle of their own, so that no earlier read has touched them
+    triangle = NumberTriangle(SYMBOLIC, beta=1, r=2)
+    entries = [e for n in range(61) for e in triangle.row(n) if isinstance(e, Poly)]
+    assert len(entries) == 61 * 60 // 2
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for entry in entries:
+            entry.coeffs
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 100_000, grown
 
 
 def test_non_integer_power_rejected():

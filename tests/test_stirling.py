@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lambda_stirling.poly import LambdaScalar, Poly, SYMBOLIC, eval_element
+from lambda_stirling.poly import LambdaScalar, Poly, SYMBOLIC, eval_element, falling_factorial_poly
 from lambda_stirling.stirling import (
     NumberTriangle,
     _triangle,
@@ -270,6 +270,7 @@ def test_non_integer_triangle_index_rejected(lam):
         (lambda: _triangle(lam, 0, 1, 0).row(-0.5), "n"),
         (lambda: dowling_poly(2.0, 1, 2, lam), "n"),
         (lambda: bell_poly_lambda(Fraction(3), 1, lam), "n"),
+        (lambda: falling_factorial_poly(2.0, lam), "degree"),
     ):
         with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
             call()
