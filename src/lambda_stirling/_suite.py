@@ -15,6 +15,13 @@ checked, and on failure the first offending parameter tuple with both side
 values serialized exactly.  Reports are deterministic, so a run with a fixed
 configuration is byte-identical across processes.
 
+A grid check is declared once, as a generator ``(cfg, providers)`` of
+(params, lhs, rhs) triples under ``@_grid(check_id, template)``.  The
+``str.format`` template is its grid text, filled from the config fields
+that ``_grid_text`` names.  ``CHECKS`` maps each id to the resulting
+``cfg -> IdentityReport`` callable; ``run_suite`` and ``check_identity``
+look an entry up at call time, so a callable put in its place runs instead.
+
 Value lookups go through an injectable ``Providers`` bundle.  The default
 bundle is the real library; tests inject deliberately corrupted recurrences
 to demonstrate that every check actually bites (negative controls).
@@ -49,7 +56,7 @@ from . import stirling as _stirling
 # the package binds the function ``whitney`` over the submodule's name, so
 # ``from . import whitney`` would return the function
 _whitney = import_module(".whitney", __package__)
-from .poly import LambdaScalar, SYMBOLIC, eval_element, format_element
+from .poly import LambdaScalar, SYMBOLIC, _check_integer, eval_element, format_element
 from .series import lambda_columns
 
 
@@ -93,6 +100,8 @@ class SuiteConfig:
         self.validate()
 
     def validate(self) -> None:
+        _check_integer(self.n_max, "n_max")
+        _check_integer(self.bernoulli_n_max, "bernoulli_n_max")
         if self.n_max < 0 or self.bernoulli_n_max < 0:
             raise ValueError("grid bounds must be nonnegative")
         for name in (
@@ -148,28 +157,60 @@ class IdentityReport:
 def _witness(params: dict, lhs, rhs) -> dict:
     return {
         "params": {key: str(value) for key, value in params.items()},
-        "lhs": format_element(lhs) if not isinstance(lhs, str) else lhs,
-        "rhs": format_element(rhs) if not isinstance(rhs, str) else rhs,
+        "lhs": format_element(lhs),
+        "rhs": format_element(rhs),
     }
 
 
-def _run_grid(theorem_id: str, grid_desc: str, instances) -> IdentityReport:
-    """Walk (params, lhs, rhs) triples; record the first mismatch."""
-    checked = 0
-    witness = None
-    for params, lhs, rhs in instances:
-        checked += 1
-        if witness is None and lhs != rhs:
-            witness = _witness(params, lhs, rhs)
-    if checked == 0:
-        raise ValueError(f"{theorem_id}: empty parameter grid")
-    return IdentityReport(
-        theorem_id=theorem_id,
-        parameter_grid=grid_desc,
-        checked_instances=checked,
-        status="pass" if witness is None else "fail",
-        witness=witness,
+def _grid_text(template: str, cfg: SuiteConfig) -> str:
+    """A check's grid description: ``template`` filled from the config."""
+    return template.format(
+        n_max=cfg.n_max,
+        b_max=cfg.bernoulli_n_max,
+        r=list(cfg.r_values),
+        r_pos=[r for r in cfg.r_values if r >= 1],
+        m=list(cfg.m_values),
+        alpha=list(cfg.alpha_values),
+        fixed=[str(v) for v in cfg.fixed_lambdas],
+        shift=[str(v) for v in cfg.bernoulli_shift_lambdas],
+        egf_x=[str(v) for v in cfg.egf_x_values],
+        egf_lam=[str(v) for v in cfg.egf_lambdas],
+        dob_x=[str(v) for v in cfg.dobinski_x_values],
+        dob_m=list(cfg.dobinski_m_values),
+        dob_lam=[str(v) for v in cfg.dobinski_lambdas],
+        tol=cfg.dobinski_tol,
     )
+
+
+def _grid(theorem_id: str, template: str):
+    """Declare a grid check: the decorated ``generate(cfg, providers)``
+    yields (params, lhs, rhs) triples over the grid ``template`` describes,
+    and becomes the ``cfg -> IdentityReport`` callable that ``CHECKS`` holds.
+    The report counts the triples and keeps the first mismatch."""
+
+    def declare(generate):
+        def check(cfg: SuiteConfig) -> IdentityReport:
+            grid_desc = _grid_text(template, cfg)
+            checked = 0
+            witness = None
+            for params, lhs, rhs in generate(cfg, cfg.providers):
+                checked += 1
+                if witness is None and lhs != rhs:
+                    witness = _witness(params, lhs, rhs)
+            if checked == 0:
+                raise ValueError(f"{theorem_id}: empty parameter grid")
+            return IdentityReport(
+                theorem_id=theorem_id,
+                parameter_grid=grid_desc,
+                checked_instances=checked,
+                status="pass" if witness is None else "fail",
+                witness=witness,
+            )
+
+        check.__doc__ = generate.__doc__
+        return check
+
+    return declare
 
 
 def _cells(n_max: int):
@@ -181,194 +222,145 @@ def _cells(n_max: int):
 # --- individual checks ------------------------------------------------------
 
 
-def _check_t2(cfg: SuiteConfig) -> IdentityReport:
+@_grid("T2", "n,k <= {n_max} (full rectangle), r in {r}, lambda in {fixed}")
+def _check_t2(cfg: SuiteConfig, p: Providers):
     """Finite-difference closed form against the tabulated triangle,
     including the vanishing rectangle 0 <= n < k."""
-    p = cfg.providers
-
-    def instances():
-        for lam_value in cfg.fixed_lambdas:
-            lam = LambdaScalar.fixed(lam_value)
-            for r in cfg.r_values:
-                for n in range(cfg.n_max + 1):
-                    for k in range(cfg.n_max + 1):
-                        lhs = _stirling.rstirling2_by_difference(n, k, r, lam_value)
-                        rhs = p.rstirling2(n, k, r, lam)
-                        yield {"n": n, "k": k, "r": r, "lambda": lam_value}, lhs, rhs
-
-    desc = (
-        f"n,k <= {cfg.n_max} (full rectangle), r in {list(cfg.r_values)}, "
-        f"lambda in {[str(v) for v in cfg.fixed_lambdas]}"
-    )
-    return _run_grid("T2", desc, instances())
+    for lam_value in cfg.fixed_lambdas:
+        lam = LambdaScalar.fixed(lam_value)
+        for r in cfg.r_values:
+            for n in range(cfg.n_max + 1):
+                for k in range(cfg.n_max + 1):
+                    lhs = _stirling.rstirling2_by_difference(n, k, r, lam_value)
+                    rhs = p.rstirling2(n, k, r, lam)
+                    yield {"n": n, "k": k, "r": r, "lambda": lam_value}, lhs, rhs
 
 
-def _check_t3(cfg: SuiteConfig) -> IdentityReport:
+@_grid("T3", "n <= {n_max}, k <= n, r in {r}, all lambda modes")
+def _check_t3(cfg: SuiteConfig, p: Providers):
     """Shifted triangle from the plain one: T(n,k) = sum_l C(n,l) S2(l,k) r^(n-l)."""
-    p = cfg.providers
-
-    def instances():
-        for lam in cfg.lambdas():
-            for r in cfg.r_values:
-                for n, k in _cells(cfg.n_max):
-                    lhs = p.rstirling2(n, k, r, lam)
-                    rhs = sum(
-                        (comb(n, l) * Fraction(r) ** (n - l)) * p.stirling2(l, k, lam)
-                        for l in range(k, n + 1)
-                    )
-                    yield {"n": n, "k": k, "r": r, "lambda": lam}, lhs, rhs
-
-    desc = f"n <= {cfg.n_max}, k <= n, r in {list(cfg.r_values)}, all lambda modes"
-    return _run_grid("T3", desc, instances())
+    for lam in cfg.lambdas():
+        for r in cfg.r_values:
+            for n, k in _cells(cfg.n_max):
+                lhs = p.rstirling2(n, k, r, lam)
+                rhs = sum(
+                    (comb(n, l) * Fraction(r) ** (n - l)) * p.stirling2(l, k, lam)
+                    for l in range(k, n + 1)
+                )
+                yield {"n": n, "k": k, "r": r, "lambda": lam}, lhs, rhs
 
 
-def _check_t4(cfg: SuiteConfig) -> IdentityReport:
+@_grid("T4", "1 <= k <= n < {n_max}, r in {r}, all lambda modes; "
+             "both sides via basis expansion")
+def _check_t4(cfg: SuiteConfig, p: Providers):
     """The defining recurrence, with *both* sides produced by the
     basis-expansion oracle rather than the recurrence itself."""
-
-    def instances():
-        for lam in cfg.lambdas():
-            lam_elem = lam.element
-            for r in cfg.r_values:
-                for n in range(cfg.n_max):
-                    for k in range(1, n + 1):
-                        lhs = _stirling.rstirling2_by_expansion(n + 1, k, r, lam)
-                        rhs = _stirling.rstirling2_by_expansion(n, k - 1, r, lam) + (
-                            lam_elem * k + r
-                        ) * _stirling.rstirling2_by_expansion(n, k, r, lam)
-                        yield {"n": n, "k": k, "r": r, "lambda": lam}, lhs, rhs
-
-    desc = (
-        f"1 <= k <= n < {cfg.n_max}, r in {list(cfg.r_values)}, all lambda modes; "
-        "both sides via basis expansion"
-    )
-    return _run_grid("T4", desc, instances())
-
-
-def _check_t5(cfg: SuiteConfig) -> IdentityReport:
-    """Cross-convolution splitting the shifted triangle at an inner index:
-    C(j+k,k) T(n,k+j) = sum_l C(n,l) S2(l,k) T(n-l,j) for j+k <= n."""
-    p = cfg.providers
-
-    def instances():
-        for lam in cfg.lambdas():
-            for r in cfg.r_values:
-                for n in range(cfg.n_max + 1):
-                    for j in range(n + 1):
-                        for k in range(n - j + 1):
-                            lhs = comb(j + k, k) * p.rstirling2(n, k + j, r, lam)
-                            rhs = sum(
-                                comb(n, l)
-                                * p.stirling2(l, k, lam)
-                                * p.rstirling2(n - l, j, r, lam)
-                                for l in range(k, n - j + 1)
-                            )
-                            yield (
-                                {"n": n, "k": k, "j": j, "r": r, "lambda": lam},
-                                lhs,
-                                rhs,
-                            )
-
-    desc = f"n <= {cfg.n_max}, j+k <= n, r in {list(cfg.r_values)}, all lambda modes"
-    return _run_grid("T5", desc, instances())
-
-
-def _check_t6(cfg: SuiteConfig) -> IdentityReport:
-    """Plain triangle back from the shifted one by the alternating mix:
-    S2(n,k) = sum_l C(n,l) T(l,k) (-r)^(n-l)."""
-    p = cfg.providers
-
-    def instances():
-        for lam in cfg.lambdas():
-            for r in cfg.r_values:
-                for n, k in _cells(cfg.n_max):
-                    lhs = p.stirling2(n, k, lam)
-                    rhs = sum(
-                        (comb(n, l) * Fraction(-r) ** (n - l))
-                        * p.rstirling2(l, k, r, lam)
-                        for l in range(k, n + 1)
-                    )
+    for lam in cfg.lambdas():
+        lam_elem = lam.element
+        for r in cfg.r_values:
+            for n in range(cfg.n_max):
+                for k in range(1, n + 1):
+                    lhs = _stirling.rstirling2_by_expansion(n + 1, k, r, lam)
+                    rhs = _stirling.rstirling2_by_expansion(n, k - 1, r, lam) + (
+                        lam_elem * k + r
+                    ) * _stirling.rstirling2_by_expansion(n, k, r, lam)
                     yield {"n": n, "k": k, "r": r, "lambda": lam}, lhs, rhs
 
-    desc = f"n <= {cfg.n_max}, k <= n, r in {list(cfg.r_values)}, all lambda modes"
-    return _run_grid("T6", desc, instances())
+
+@_grid("T5", "n <= {n_max}, j+k <= n, r in {r}, all lambda modes")
+def _check_t5(cfg: SuiteConfig, p: Providers):
+    """Cross-convolution splitting the shifted triangle at an inner index:
+    C(j+k,k) T(n,k+j) = sum_l C(n,l) S2(l,k) T(n-l,j) for j+k <= n."""
+    for lam in cfg.lambdas():
+        for r in cfg.r_values:
+            for n in range(cfg.n_max + 1):
+                for j in range(n + 1):
+                    for k in range(n - j + 1):
+                        lhs = comb(j + k, k) * p.rstirling2(n, k + j, r, lam)
+                        rhs = sum(
+                            comb(n, l)
+                            * p.stirling2(l, k, lam)
+                            * p.rstirling2(n - l, j, r, lam)
+                            for l in range(k, n - j + 1)
+                        )
+                        params = {"n": n, "k": k, "j": j, "r": r, "lambda": lam}
+                        yield params, lhs, rhs
 
 
-def _check_t7(cfg: SuiteConfig) -> IdentityReport:
+@_grid("T6", "n <= {n_max}, k <= n, r in {r}, all lambda modes")
+def _check_t6(cfg: SuiteConfig, p: Providers):
+    """Plain triangle back from the shifted one by the alternating mix:
+    S2(n,k) = sum_l C(n,l) T(l,k) (-r)^(n-l)."""
+    for lam in cfg.lambdas():
+        for r in cfg.r_values:
+            for n, k in _cells(cfg.n_max):
+                lhs = p.stirling2(n, k, lam)
+                rhs = sum(
+                    (comb(n, l) * Fraction(-r) ** (n - l))
+                    * p.rstirling2(l, k, r, lam)
+                    for l in range(k, n + 1)
+                )
+                yield {"n": n, "k": k, "r": r, "lambda": lam}, lhs, rhs
+
+
+@_grid("T7", "n <= {b_max}, k <= n, m in {m}, r in {r}, lambda in {fixed}")
+def _check_t7(cfg: SuiteConfig, p: Providers):
     """Bernoulli connection: T(n,k)/C(k+m,k) equals the binomial mix of the
     plain triangle against higher-order Bernoulli values at r/lam."""
-    p = cfg.providers
-
-    def instances():
-        for lam_value in cfg.fixed_lambdas:
-            lam = LambdaScalar.fixed(lam_value)
-            for r in cfg.r_values:
-                shift = Fraction(r) / lam_value
-                for m in cfg.m_values:
-                    for n, k in _cells(cfg.bernoulli_n_max):
-                        lhs = p.rstirling2(n, k, r, lam) / comb(k + m, k)
-                        rhs = sum(
-                            Fraction(comb(n, l), comb(l + m, l))
-                            * p.stirling2(l + m, k + m, lam)
-                            * p.bernoulli(n - l, m, shift)
-                            * lam_value ** (n - l)
-                            for l in range(k, n + 1)
-                        )
-                        yield (
-                            {"n": n, "k": k, "m": m, "r": r, "lambda": lam_value},
-                            lhs,
-                            rhs,
-                        )
-
-    desc = (
-        f"n <= {cfg.bernoulli_n_max}, k <= n, m in {list(cfg.m_values)}, "
-        f"r in {list(cfg.r_values)}, lambda in {[str(v) for v in cfg.fixed_lambdas]}"
-    )
-    return _run_grid("T7", desc, instances())
+    for lam_value in cfg.fixed_lambdas:
+        lam = LambdaScalar.fixed(lam_value)
+        for r in cfg.r_values:
+            shift = Fraction(r) / lam_value
+            for m in cfg.m_values:
+                for n, k in _cells(cfg.bernoulli_n_max):
+                    lhs = p.rstirling2(n, k, r, lam) / comb(k + m, k)
+                    rhs = sum(
+                        Fraction(comb(n, l), comb(l + m, l))
+                        * p.stirling2(l + m, k + m, lam)
+                        * p.bernoulli(n - l, m, shift)
+                        * lam_value ** (n - l)
+                        for l in range(k, n + 1)
+                    )
+                    params = {"n": n, "k": k, "m": m, "r": r, "lambda": lam_value}
+                    yield params, lhs, rhs
 
 
-def _check_t9(cfg: SuiteConfig) -> IdentityReport:
+@_grid("T9", "n <= {n_max}, k <= n, symbolic lambda")
+def _check_t9(cfg: SuiteConfig, p: Providers):
     """Whitney-to-second-kind shear: sum_l C(n,l) W_1(l,k) (lam-1)^(n-l)
     = S2(n+1, k+1), over symbolic lambda."""
-    p = cfg.providers
     lam = SYMBOLIC
     lam_minus_one = lam.element - 1
-
-    def instances():
-        for n, k in _cells(cfg.n_max):
-            lhs = sum(
-                comb(n, l) * p.whitney(l, k, 1, lam) * lam_minus_one ** (n - l)
-                for l in range(k, n + 1)
-            )
-            rhs = p.stirling2(n + 1, k + 1, lam)
-            yield {"n": n, "k": k, "lambda": lam}, lhs, rhs
-
-    return _run_grid("T9", f"n <= {cfg.n_max}, k <= n, symbolic lambda", instances())
+    for n, k in _cells(cfg.n_max):
+        lhs = sum(
+            comb(n, l) * p.whitney(l, k, 1, lam) * lam_minus_one ** (n - l)
+            for l in range(k, n + 1)
+        )
+        rhs = p.stirling2(n + 1, k + 1, lam)
+        yield {"n": n, "k": k, "lambda": lam}, lhs, rhs
 
 
 T13_VARIANTS = {
     "const": "(r-1)/(m*lambda)",
     "shifted": "(r-n+l)/(m*lambda)",
 }
+# the grid shared by the T13 variant checks and the T13 report
+_T13_GRID = "n <= {b_max}, alpha in {alpha}, m in {m}, r in {r_pos}, lambda in {shift}"
+_T13_REPORT_GRID = (
+    f"adjudication between argument conventions {' vs '.join(T13_VARIANTS.values())}; "
+    + _T13_GRID
+)
 
 
-def _t13_grid(cfg: SuiteConfig) -> str:
-    """The grid shared by the T13 variant reports and the T13 report."""
-    return (
-        f"n <= {cfg.bernoulli_n_max}, "
-        f"alpha in {list(cfg.alpha_values)}, m in {list(cfg.m_values)}, "
-        f"r in {[r for r in cfg.r_values if r >= 1]}, "
-        f"lambda in {[str(v) for v in cfg.bernoulli_shift_lambdas]}"
-    )
+def _t13_variant(variant: str, numerator):
+    """The grid check of one candidate argument convention for T13, whose
+    Bernoulli argument is ``numerator(r, n - l) / (m * lam)``."""
 
-
-def _check_t13_variant(cfg: SuiteConfig, variant: str) -> IdentityReport:
-    """One candidate argument convention for the Whitney/Bernoulli
-    convolution: W_r(n,k)/C(k+a,k) = sum_l C(n,l)/C(l+a,l) W(l+a,k+a)
-    B_(n-l)^(a)(ARG) (lam m)^(n-l)."""
-    p = cfg.providers
-
-    def instances():
+    @_grid(f"T13[{variant}]", f"B-argument {T13_VARIANTS[variant]}; {_T13_GRID}")
+    def generate(cfg: SuiteConfig, p: Providers):
+        """One candidate argument convention for the Whitney/Bernoulli
+        convolution: W_r(n,k)/C(k+a,k) = sum_l C(n,l)/C(l+a,l) W(l+a,k+a)
+        B_(n-l)^(a)(ARG) (lam m)^(n-l)."""
         for lam_value in cfg.bernoulli_shift_lambdas:
             lam = LambdaScalar.fixed(lam_value)
             for m in cfg.m_values:
@@ -378,27 +370,26 @@ def _check_t13_variant(cfg: SuiteConfig, variant: str) -> IdentityReport:
                             lhs = p.whitney_r(n, k, m, r, lam) / comb(k + alpha, k)
                             rhs = Fraction(0)
                             for l in range(k, n + 1):
-                                if variant == "const":
-                                    arg = Fraction(r - 1) / (m * lam_value)
-                                else:
-                                    arg = Fraction(r - (n - l)) / (m * lam_value)
+                                arg = Fraction(numerator(r, n - l)) / (m * lam_value)
                                 rhs += (
                                     Fraction(comb(n, l), comb(l + alpha, l))
                                     * p.whitney(l + alpha, k + alpha, m, lam)
                                     * p.bernoulli(n - l, alpha, arg)
                                     * (lam_value * m) ** (n - l)
                                 )
-                            yield (
-                                {
-                                    "n": n, "k": k, "m": m, "r": r,
-                                    "alpha": alpha, "lambda": lam_value,
-                                },
-                                lhs,
-                                rhs,
-                            )
+                            params = {
+                                "n": n, "k": k, "m": m, "r": r,
+                                "alpha": alpha, "lambda": lam_value,
+                            }
+                            yield params, lhs, rhs
 
-    desc = f"B-argument {T13_VARIANTS[variant]}; {_t13_grid(cfg)}"
-    return _run_grid(f"T13[{variant}]", desc, instances())
+    return generate
+
+
+_T13_CHECKS = {
+    "const": _t13_variant("const", lambda r, j: r - 1),
+    "shifted": _t13_variant("shifted", lambda r, j: r - j),
+}
 
 
 @dataclass(frozen=True)
@@ -417,7 +408,7 @@ def resolve_theorem13_variant(cfg: SuiteConfig | None = None) -> Theorem13Resolu
     """Evaluate each inequivalent candidate on the full grid and demand that
     exactly one family survives."""
     cfg = cfg or SuiteConfig()
-    reports = {name: _check_t13_variant(cfg, name) for name in T13_VARIANTS}
+    reports = {name: check(cfg) for name, check in _T13_CHECKS.items()}
     passing = [name for name, report in reports.items() if report.status == "pass"]
     verified = passing[0] if len(passing) == 1 else None
     return Theorem13Resolution(variant_reports=reports, verified=verified)
@@ -425,35 +416,23 @@ def resolve_theorem13_variant(cfg: SuiteConfig | None = None) -> Theorem13Resolu
 
 def _check_t13(cfg: SuiteConfig) -> IdentityReport:
     resolution = resolve_theorem13_variant(cfg)
-    losing = {
-        name: report.witness
-        for name, report in resolution.variant_reports.items()
-        if report.status == "fail"
-    }
+    reports = resolution.variant_reports
+    passing = ",".join(name for name, r in reports.items() if r.status == "pass")
     details = {
-        "variants": {
-            name: report.status for name, report in resolution.variant_reports.items()
+        "variants": {name: report.status for name, report in reports.items()},
+        "verified_variant": T13_VARIANTS[resolution.verified] if resolution.ok else None,
+        "failing_witnesses": {
+            name: report.witness for name, report in reports.items()
+            if report.status == "fail"
         },
-        "verified_variant": (
-            T13_VARIANTS[resolution.verified] if resolution.verified else None
-        ),
-        "failing_witnesses": losing,
     }
-    checked = sum(r.checked_instances for r in resolution.variant_reports.values())
     return IdentityReport(
         theorem_id="T13",
-        parameter_grid=(
-            "adjudication between argument conventions "
-            + " vs ".join(T13_VARIANTS.values())
-            + "; "
-            + _t13_grid(cfg)
-        ),
-        checked_instances=checked,
+        parameter_grid=_grid_text(_T13_REPORT_GRID, cfg),
+        checked_instances=sum(r.checked_instances for r in reports.values()),
         status="pass" if resolution.ok else "fail",
         witness=None if resolution.ok else _witness(
-            {"passing_variants": ",".join(
-                n for n, r in resolution.variant_reports.items() if r.status == "pass"
-            ) or "none"},
+            {"passing_variants": passing or "none"},
             "exactly one passing variant family",
             "see details",
         ),
@@ -461,121 +440,91 @@ def _check_t13(cfg: SuiteConfig) -> IdentityReport:
     )
 
 
-def _check_ortho_plain(cfg: SuiteConfig) -> IdentityReport:
+@_grid("ORTHO_PLAIN", "n, m <= {n_max}, symbolic lambda")
+def _check_ortho_plain(cfg: SuiteConfig, p: Providers):
     """Mutual inversion of the plain matrices:
     sum_k S2(n,k) S1(k,m) = [n = m]."""
-    p = cfg.providers
     lam = SYMBOLIC
-
-    def instances():
-        for n in range(cfg.n_max + 1):
-            for m in range(cfg.n_max + 1):
-                total = sum(
-                    p.stirling2(n, k, lam) * p.stirling1(k, m, lam)
-                    for k in range(m, n + 1)
-                )
-                expected = Fraction(1 if n == m else 0)
-                yield {"n": n, "m": m, "lambda": lam}, total, expected
-
-    return _run_grid(
-        "ORTHO_PLAIN", f"n, m <= {cfg.n_max}, symbolic lambda", instances()
-    )
+    for n in range(cfg.n_max + 1):
+        for m in range(cfg.n_max + 1):
+            total = sum(
+                p.stirling2(n, k, lam) * p.stirling1(k, m, lam)
+                for k in range(m, n + 1)
+            )
+            expected = Fraction(1 if n == m else 0)
+            yield {"n": n, "m": m, "lambda": lam}, total, expected
 
 
-def _check_ortho_r(cfg: SuiteConfig) -> IdentityReport:
+@_grid("ORTHO_R", "n, m <= {n_max}, r in {r}, all lambda modes; "
+                  "sign-alternating pairing with the unsigned first kind")
+def _check_ortho_r(cfg: SuiteConfig, p: Providers):
     """True inversion partner of the shifted second-kind matrix:
     sum_k T(n,k) (-1)^(k-m) U(k,m) = [n = m], with U the unsigned shifted
     first-kind numbers.  (The same-shift signed pairing composes to
     C(n,m)(2r)^(n-m) instead and is not an inversion; see the module
     docstring.)"""
-    p = cfg.providers
-
-    def instances():
-        for lam in cfg.lambdas():
-            for r in cfg.r_values:
-                for n in range(cfg.n_max + 1):
-                    for m in range(cfg.n_max + 1):
-                        total = sum(
-                            (-1) ** (k - m)
-                            * p.rstirling2(n, k, r, lam)
-                            * p.unsigned_rstirling1(k, m, r, lam)
-                            for k in range(m, n + 1)
-                        )
-                        expected = Fraction(1 if n == m else 0)
-                        yield {"n": n, "m": m, "r": r, "lambda": lam}, total, expected
-
-    desc = (
-        f"n, m <= {cfg.n_max}, r in {list(cfg.r_values)}, all lambda modes; "
-        "sign-alternating pairing with the unsigned first kind"
-    )
-    return _run_grid("ORTHO_R", desc, instances())
+    for lam in cfg.lambdas():
+        for r in cfg.r_values:
+            for n in range(cfg.n_max + 1):
+                for m in range(cfg.n_max + 1):
+                    total = sum(
+                        (-1) ** (k - m)
+                        * p.rstirling2(n, k, r, lam)
+                        * p.unsigned_rstirling1(k, m, r, lam)
+                        for k in range(m, n + 1)
+                    )
+                    expected = Fraction(1 if n == m else 0)
+                    yield {"n": n, "m": m, "r": r, "lambda": lam}, total, expected
 
 
-def _check_limit_lambda1(cfg: SuiteConfig) -> IdentityReport:
+@_grid("LIMIT_LAMBDA1", "n <= {n_max}, k <= n: lambda=1 against the classical integer "
+                        "formula for r in {r}; lambda=0 against [n = k]")
+def _check_limit_lambda1(cfg: SuiteConfig, p: Providers):
     """Specializations of the symbolic triangle: at lambda = 1 the ordinary
     r-shifted numbers (independent integer route), at lambda = 0 the plain
     triangle collapses to the identity matrix."""
-    p = cfg.providers
-
-    def instances():
-        for r in cfg.r_values:
-            for n, k in _cells(cfg.n_max):
-                symbolic_value = p.rstirling2(n, k, r, SYMBOLIC)
-                lhs = eval_element(symbolic_value, Fraction(1))
-                rhs = Fraction(_stirling.classical_rstirling2(n, k, r))
-                yield {"n": n, "k": k, "r": r, "limit": "lambda=1"}, lhs, rhs
+    for r in cfg.r_values:
         for n, k in _cells(cfg.n_max):
-            lhs = eval_element(p.stirling2(n, k, SYMBOLIC), Fraction(0))
-            rhs = Fraction(1 if n == k else 0)
-            yield {"n": n, "k": k, "limit": "lambda=0"}, lhs, rhs
+            symbolic_value = p.rstirling2(n, k, r, SYMBOLIC)
+            lhs = eval_element(symbolic_value, Fraction(1))
+            rhs = Fraction(_stirling.classical_rstirling2(n, k, r))
+            yield {"n": n, "k": k, "r": r, "limit": "lambda=1"}, lhs, rhs
+    for n, k in _cells(cfg.n_max):
+        lhs = eval_element(p.stirling2(n, k, SYMBOLIC), Fraction(0))
+        rhs = Fraction(1 if n == k else 0)
+        yield {"n": n, "k": k, "limit": "lambda=0"}, lhs, rhs
 
-    desc = (
-        f"n <= {cfg.n_max}, k <= n: lambda=1 against the classical integer "
-        f"formula for r in {list(cfg.r_values)}; lambda=0 against [n = k]"
-    )
-    return _run_grid("LIMIT_LAMBDA1", desc, instances())
+
+def _columns_against(n_max: int, m: int, r: int, lam: LambdaScalar, lookup):
+    """(n, k, EGF coefficient, ``lookup(n, k)``) for n, k <= n_max, walking
+    the columns ((e^{lam m t}-1)/m)^k e^{rt}/(lam^k k!) one at a time."""
+    columns = lambda_columns(m, r, lam, n_max)
+    for k, series in zip(range(n_max + 1), columns):
+        for n in range(n_max + 1):
+            yield n, k, series.coeff(n), lookup(n, k)
 
 
-def _check_gf_t1(cfg: SuiteConfig) -> IdentityReport:
+@_grid("GF_T1", "n, k <= {n_max}, r in {r}, all lambda modes")
+def _check_gf_t1(cfg: SuiteConfig, p: Providers):
     """EGF coefficients of (e^{lam t}-1)^k e^{rt}/(lam^k k!) against the
     tabulated shifted triangle."""
-    p = cfg.providers
-
-    def instances():
-        for lam in cfg.lambdas():
-            for r in cfg.r_values:
-                columns = lambda_columns(1, r, lam, cfg.n_max)
-                for k, series in zip(range(cfg.n_max + 1), columns):
-                    for n in range(cfg.n_max + 1):
-                        lhs = series.coeff(n)
-                        rhs = p.rstirling2(n, k, r, lam)
-                        yield {"n": n, "k": k, "r": r, "lambda": lam}, lhs, rhs
-
-    desc = f"n, k <= {cfg.n_max}, r in {list(cfg.r_values)}, all lambda modes"
-    return _run_grid("GF_T1", desc, instances())
+    for lam in cfg.lambdas():
+        for r in cfg.r_values:
+            lookup = lambda n, k: p.rstirling2(n, k, r, lam)
+            for n, k, lhs, rhs in _columns_against(cfg.n_max, 1, r, lam, lookup):
+                yield {"n": n, "k": k, "r": r, "lambda": lam}, lhs, rhs
 
 
-def _check_gf_t8(cfg: SuiteConfig) -> IdentityReport:
+@_grid("GF_T8", "n, k <= {n_max}, m in {m}, lambda in {fixed}")
+def _check_gf_t8(cfg: SuiteConfig, p: Providers):
     """EGF coefficients of ((e^{lam m t}-1)/m)^k e^t/(lam^k k!) against the
     Whitney-type triangle."""
-    p = cfg.providers
-
-    def instances():
-        for lam_value in cfg.fixed_lambdas:
-            lam = LambdaScalar.fixed(lam_value)
-            for m in cfg.m_values:
-                columns = lambda_columns(m, 1, lam, cfg.n_max)
-                for k, series in zip(range(cfg.n_max + 1), columns):
-                    for n in range(cfg.n_max + 1):
-                        lhs = series.coeff(n)
-                        rhs = p.whitney(n, k, m, lam)
-                        yield {"n": n, "k": k, "m": m, "lambda": lam_value}, lhs, rhs
-
-    desc = (
-        f"n, k <= {cfg.n_max}, m in {list(cfg.m_values)}, "
-        f"lambda in {[str(v) for v in cfg.fixed_lambdas]}"
-    )
-    return _run_grid("GF_T8", desc, instances())
+    for lam_value in cfg.fixed_lambdas:
+        lam = LambdaScalar.fixed(lam_value)
+        for m in cfg.m_values:
+            lookup = lambda n, k: p.whitney(n, k, m, lam)
+            for n, k, lhs, rhs in _columns_against(cfg.n_max, m, 1, lam, lookup):
+                yield {"n": n, "k": k, "m": m, "lambda": lam_value}, lhs, rhs
 
 
 def _dowling_row(p: Providers, n: int, x, m: int, lam: LambdaScalar):
@@ -584,56 +533,34 @@ def _dowling_row(p: Providers, n: int, x, m: int, lam: LambdaScalar):
     return sum(p.whitney(n, k, m, lam) * Fraction(x) ** k for k in range(n + 1))
 
 
-def _check_gf_t10(cfg: SuiteConfig) -> IdentityReport:
+@_grid("GF_T10", "n <= {b_max}, x in {egf_x}, m in {m}, lambda in {egf_lam}")
+def _check_gf_t10(cfg: SuiteConfig, p: Providers):
     """Dowling EGF e^t exp(x (e^{lam m t}-1)/(lam m)) against the polynomial
     rows built from the Whitney triangle."""
-    p = cfg.providers
     n_max = cfg.bernoulli_n_max
-
-    def instances():
-        for lam_value in cfg.egf_lambdas:
-            lam = LambdaScalar.fixed(lam_value)
-            for m in cfg.m_values:
-                for x in cfg.egf_x_values:
-                    series = _whitney.dowling_series(x, m, lam, n_max)
-                    for n in range(n_max + 1):
-                        lhs = series.coeff(n)
-                        rhs = _dowling_row(p, n, x, m, lam)
-                        yield {"n": n, "x": x, "m": m, "lambda": lam_value}, lhs, rhs
-
-    desc = (
-        f"n <= {n_max}, x in {[str(v) for v in cfg.egf_x_values]}, "
-        f"m in {list(cfg.m_values)}, lambda in {[str(v) for v in cfg.egf_lambdas]}"
-    )
-    return _run_grid("GF_T10", desc, instances())
+    for lam_value in cfg.egf_lambdas:
+        lam = LambdaScalar.fixed(lam_value)
+        for m in cfg.m_values:
+            for x in cfg.egf_x_values:
+                series = _whitney.dowling_series(x, m, lam, n_max)
+                for n in range(n_max + 1):
+                    lhs = series.coeff(n)
+                    rhs = _dowling_row(p, n, x, m, lam)
+                    yield {"n": n, "x": x, "m": m, "lambda": lam_value}, lhs, rhs
 
 
-def _check_gf_t12(cfg: SuiteConfig) -> IdentityReport:
+@_grid("GF_T12", "n, k <= {n_max}, m in {m}, r in {r}, lambda in {fixed}")
+def _check_gf_t12(cfg: SuiteConfig, p: Providers):
     """EGF coefficients of ((e^{lam m t}-1)/m)^k e^{rt}/(lam^k k!) against
     the shifted Whitney-type triangle."""
-    p = cfg.providers
-
-    def instances():
-        for lam_value in cfg.fixed_lambdas:
-            lam = LambdaScalar.fixed(lam_value)
-            for m in cfg.m_values:
-                for r in cfg.r_values:
-                    columns = lambda_columns(m, r, lam, cfg.n_max)
-                    for k, series in zip(range(cfg.n_max + 1), columns):
-                        for n in range(cfg.n_max + 1):
-                            lhs = series.coeff(n)
-                            rhs = p.whitney_r(n, k, m, r, lam)
-                            yield (
-                                {"n": n, "k": k, "m": m, "r": r, "lambda": lam_value},
-                                lhs,
-                                rhs,
-                            )
-
-    desc = (
-        f"n, k <= {cfg.n_max}, m in {list(cfg.m_values)}, r in {list(cfg.r_values)}, "
-        f"lambda in {[str(v) for v in cfg.fixed_lambdas]}"
-    )
-    return _run_grid("GF_T12", desc, instances())
+    for lam_value in cfg.fixed_lambdas:
+        lam = LambdaScalar.fixed(lam_value)
+        for m in cfg.m_values:
+            for r in cfg.r_values:
+                lookup = lambda n, k: p.whitney_r(n, k, m, r, lam)
+                for n, k, lhs, rhs in _columns_against(cfg.n_max, m, r, lam, lookup):
+                    params = {"n": n, "k": k, "m": m, "r": r, "lambda": lam_value}
+                    yield params, lhs, rhs
 
 
 def _mpf(q: Fraction):
@@ -643,87 +570,57 @@ def _mpf(q: Fraction):
     return mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
 
 
-def _check_dobinski(cfg: SuiteConfig) -> IdentityReport:
+@_grid("DOBINSKI_T11",
+       "n <= {b_max}, x in {dob_x}, m in {dob_m}, lambda in {dob_lam}, tol {tol}")
+def _check_dobinski(cfg: SuiteConfig, p: Providers):
     """Numeric series evaluation against the exact polynomial rows: the
     error is within the sum of the reported truncation and rounding
     bounds, and that sum is within the configured tolerance."""
-    p = cfg.providers
     tol = cfg.dobinski_tol
-
-    def instances():
-        for lam_value in cfg.dobinski_lambdas:
-            lam = LambdaScalar.fixed(lam_value)
-            for m in cfg.dobinski_m_values:
-                for x in cfg.dobinski_x_values:
-                    for n in range(cfg.bernoulli_n_max + 1):
-                        value = _whitney.dobinski_eval(n, x, m, lam_value, tol)
-                        exact = _dowling_row(p, n, x, m, lam)
-                        # the mpf is a dyadic rational, so the difference
-                        # is taken exactly; no working precision hides it
-                        man, exp = value.numeric.man, value.numeric.exp
-                        error = abs(Fraction(man) * Fraction(2) ** exp - exact)
-                        bound = value.truncation_bound + value.rounding_bound
-                        params = {
-                            "n": n, "x": x, "m": m, "lambda": lam_value,
-                            "tol": tol,
-                        }
-                        if error <= bound <= tol:
-                            yield params, Fraction(0), Fraction(0)
-                        else:
-                            # an error past tol is named against tol, any
-                            # other failure against the bound
-                            yield (
-                                params,
-                                f"|error| = {_mpf(error)}",
-                                f"tolerance {tol}" if error > tol else f"bound {_mpf(bound)}",
-                            )
-
-    desc = (
-        f"n <= {cfg.bernoulli_n_max}, x in {[str(v) for v in cfg.dobinski_x_values]}, "
-        f"m in {list(cfg.dobinski_m_values)}, "
-        f"lambda in {[str(v) for v in cfg.dobinski_lambdas]}, tol {cfg.dobinski_tol}"
-    )
-    return _run_grid("DOBINSKI_T11", desc, instances())
+    for lam_value in cfg.dobinski_lambdas:
+        lam = LambdaScalar.fixed(lam_value)
+        for m in cfg.dobinski_m_values:
+            for x in cfg.dobinski_x_values:
+                for n in range(cfg.bernoulli_n_max + 1):
+                    value = _whitney.dobinski_eval(n, x, m, lam_value, tol)
+                    exact = _dowling_row(p, n, x, m, lam)
+                    # the mpf is a dyadic rational, so the difference is
+                    # taken exactly; no working precision hides it
+                    man, exp = value.numeric.man, value.numeric.exp
+                    error = abs(Fraction(man) * Fraction(2) ** exp - exact)
+                    bound = value.truncation_bound + value.rounding_bound
+                    params = {"n": n, "x": x, "m": m, "lambda": lam_value, "tol": tol}
+                    if error <= bound <= tol:
+                        yield params, Fraction(0), Fraction(0)
+                    else:
+                        # an error past tol is named against tol, any other
+                        # failure against the bound
+                        yield (
+                            params,
+                            f"|error| = {_mpf(error)}",
+                            f"tolerance {tol}" if error > tol else f"bound {_mpf(bound)}",
+                        )
 
 
-def _check_reductions(cfg: SuiteConfig) -> IdentityReport:
+@_grid("REDUCTIONS", "n <= {n_max}, k <= n, r in {r}, m in {m}, all lambda modes")
+def _check_reductions(cfg: SuiteConfig, p: Providers):
     """Specialization chain: the shifted Whitney family at m=1 is the shifted
     second-kind triangle, at r=1 the plain Whitney family, and at m=1, r=0
     the plain second-kind triangle."""
-    p = cfg.providers
-
-    def instances():
-        for lam in cfg.lambdas():
-            for n, k in _cells(cfg.n_max):
-                for r in cfg.r_values:
-                    lhs = p.whitney_r(n, k, 1, r, lam)
-                    rhs = p.rstirling2(n, k, r, lam)
-                    yield (
-                        {"n": n, "k": k, "lambda": lam, "reduction": f"m=1,r={r}"},
-                        lhs,
-                        rhs,
-                    )
-                for m in cfg.m_values:
-                    lhs = p.whitney_r(n, k, m, 1, lam)
-                    rhs = p.whitney(n, k, m, lam)
-                    yield (
-                        {"n": n, "k": k, "lambda": lam, "reduction": f"m={m},r=1"},
-                        lhs,
-                        rhs,
-                    )
-                lhs = p.whitney_r(n, k, 1, 0, lam)
-                rhs = p.stirling2(n, k, lam)
-                yield (
-                    {"n": n, "k": k, "lambda": lam, "reduction": "m=1,r=0"},
-                    lhs,
-                    rhs,
-                )
-
-    desc = (
-        f"n <= {cfg.n_max}, k <= n, r in {list(cfg.r_values)}, "
-        f"m in {list(cfg.m_values)}, all lambda modes"
-    )
-    return _run_grid("REDUCTIONS", desc, instances())
+    for lam in cfg.lambdas():
+        for n, k in _cells(cfg.n_max):
+            params = {"n": n, "k": k, "lambda": lam}
+            for r in cfg.r_values:
+                lhs = p.whitney_r(n, k, 1, r, lam)
+                rhs = p.rstirling2(n, k, r, lam)
+                yield {**params, "reduction": f"m=1,r={r}"}, lhs, rhs
+            for m in cfg.m_values:
+                lhs = p.whitney_r(n, k, m, 1, lam)
+                rhs = p.whitney(n, k, m, lam)
+                yield {**params, "reduction": f"m={m},r=1"}, lhs, rhs
+            lhs = p.whitney_r(n, k, 1, 0, lam)
+            rhs = p.stirling2(n, k, lam)
+            yield {**params, "reduction": "m=1,r=0"}, lhs, rhs
 
 
 CHECKS: dict[str, Callable[[SuiteConfig], IdentityReport]] = {

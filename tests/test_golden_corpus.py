@@ -179,3 +179,73 @@ def test_library_group_hash():
     # reprs and strs of the library's values, nested Poly ones included
     assert sha256(library_group_lines()) == (
         "8b6070c93b3b99327d1760d2e88a9e9c51aa0e33f79e31183b1ecd7fa0f2eb57")
+
+
+# each triangle family with the shift and block-size options it needs
+CLI_FAMILIES = (
+    ("s2lambda", ()),
+    ("rstirling2", ("--r", "2")),
+    ("s1lambda", ()),
+    ("rstirling1", ("--r", "2")),
+    ("rstirling1-unsigned", ("--r", "3")),
+    ("whitney", ("--m", "3")),
+    ("whitney-r", ("--m", "2", "--r", "1")),
+)
+CLI_LAMBDAS = ("1/3", "-2/3", "symbolic")
+CLI_CHECK_IDS = (
+    "T2", "T3", "T4", "T5", "T6", "T7", "T9", "T13",
+    "ORTHO_PLAIN", "ORTHO_R", "LIMIT_LAMBDA1",
+    "GF_T1", "GF_T8", "GF_T10", "GF_T12", "DOBINSKI_T11", "REDUCTIONS",
+)
+# the documented error paths, each exiting with status 2
+CLI_ERRORS = (
+    ("triangle", "--family", "s2lambda", "--n-max", "3", "--r", "1", "--lambda", "1/2"),
+    ("eval", "--poly", "bell", "--n", "3", "--x", "1", "--m", "2", "--lambda", "1/2"),
+    ("triangle", "--family", "rstirling2", "--n-max", "3", "--lambda", "1/2"),
+    ("triangle", "--family", "whitney", "--n-max", "3", "--lambda", "1/2"),
+    ("triangle", "--family", "s2lambda", "--n-max", "3", "--lambda", "1/0"),
+    ("eval", "--poly", "bell", "--n", "3", "--x", "1/0", "--lambda", "1/2"),
+    ("triangle", "--family", "s2lambda", "--n-max", "-1", "--lambda", "1/2"),
+    ("bernoulli", "--n-max", "-1", "--m", "1", "--x", "1/2"),
+    ("dobinski", "--n", "3", "--x", "1/2", "--lambda", "1/2", "--digits", "0"),
+    ("dobinski", "--n", "3", "--x", "1/2", "--lambda", "1/2", "--digits", "41"),
+    ("verify", "--theorem", "T99"),
+)
+
+
+def cli_group_lines():
+    lines = []
+    for family, options in CLI_FAMILIES:
+        for lam in CLI_LAMBDAS:
+            for fmt in ("csv", "json"):
+                lines.append(cli_record(("triangle", "--family", family, "--n-max", "4",
+                                         *options, "--lambda", lam, "--format", fmt)))
+    for lam in CLI_LAMBDAS:
+        for fmt in ("text", "json"):
+            lines.append(cli_record(("eval", "--poly", "dowling", "--n", "6", "--x", "1/2",
+                                     "--m", "2", "--lambda", lam, "--format", fmt)))
+            lines.append(cli_record(("eval", "--poly", "bell", "--n", "7", "--x", "-3/2",
+                                     "--lambda", lam, "--format", fmt)))
+    for m in (1, 2, 3):
+        for fmt in ("csv", "json"):
+            lines.append(cli_record(("bernoulli", "--n-max", "6", "--m", str(m),
+                                     "--x", "1/3", "--format", fmt)))
+    # the points of the benchmark's cli workload
+    for n in (5, 9):
+        for x in ("1/2", "3/2", "2"):
+            for m in (1, 2):
+                for lam in ("1/2", "1"):
+                    lines.append(cli_record(("dobinski", "--n", str(n), "--x", x, "--m",
+                                             str(m), "--lambda", lam, "--digits", "20")))
+    for check_id in CLI_CHECK_IDS:
+        lines.append(cli_record(("verify", "--theorem", check_id, "--n-max", "3",
+                                 "--bernoulli-n-max", "2")))
+    lines.extend(map(cli_record, CLI_ERRORS))
+    return lines
+
+
+def test_cli_group_hash():
+    # triangle, eval, bernoulli, dobinski and per-check verify calls and
+    # the documented error paths: argv, exit status, stdout and stderr
+    assert sha256(cli_group_lines()) == (
+        "6d04c3dde853f4b65ea52dcabd00ce12d605aa5c07b5614459c4e21247668369")

@@ -89,6 +89,22 @@ def test_unknown_check_id_rejected():
         small_config(theorems=("T99",)).validate()
 
 
+def test_replaced_check_is_called(monkeypatch):
+    # the benchmark times the suite by replacing CHECKS entries in place,
+    # so run_suite and check_identity must look each entry up per call
+    calls = []
+    original = CHECKS["T2"]
+
+    def counting(cfg):
+        calls.append(cfg)
+        return original(cfg)
+
+    monkeypatch.setitem(CHECKS, "T2", counting)
+    run_suite(small_config(theorems=("T2",)))
+    check_identity("T2", small_config())
+    assert len(calls) == 2
+
+
 def test_empty_grid_rejected():
     with pytest.raises(ValueError):
         small_config(r_values=()).validate()
@@ -99,6 +115,11 @@ def test_empty_grid_rejected():
 def test_config_rejects_a_bad_grid_when_built():
     with pytest.raises(ValueError):
         SuiteConfig(n_max=-1)
+    # a non-integer bound fails here, not later inside range()
+    with pytest.raises(ValueError, match="n_max must be an integer"):
+        SuiteConfig(n_max=2.5)
+    with pytest.raises(ValueError, match="bernoulli_n_max must be an integer"):
+        SuiteConfig(bernoulli_n_max=2.5)
     with pytest.raises(ValueError):
         SuiteConfig(theorems=("T99",))
     # replace builds a new config through __init__, so it validates too
