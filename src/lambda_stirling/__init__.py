@@ -18,7 +18,8 @@ Public surface:
 * generating functions: :class:`TruncatedSeries`,
   :func:`second_kind_series`, :func:`whitney_series`, :func:`dowling_series`,
   :func:`bernoulli_base_series`
-* numeric evaluation: :func:`dobinski_eval`
+* numeric evaluation: :func:`dobinski_eval`, whose default tolerance is
+  ``lambda_stirling.whitney.DOBINSKI_TOL``
 * verification: :func:`run_suite`, :func:`check_identity`,
   :func:`resolve_theorem13_variant`, :class:`SuiteConfig`
 * exact scalars: :class:`LambdaScalar`, :data:`SYMBOLIC`, :class:`Poly`;
@@ -29,14 +30,15 @@ Triangles, basis expansions and Bernoulli tables are cached with
 and each triangle or table grows on demand under its own lock.
 
 The verification names load on first use.  ``lambda_stirling.identities``
-is a stub that only lists them; the first lookup of one (``CHECKS``,
+is a stub that only lists them, in the ``__all__`` that this package's
+``__all__`` extends; the first lookup of one (``CHECKS``,
 ``run_suite``, ...), through this package or through the stub, imports the
 suite from ``lambda_stirling._suite``, so code that never verifies never
 pays for it.
 """
 
 from . import identities
-from .bernoulli import BernoulliTable, bernoulli_base_series, bernoulli_higher
+from .bernoulli import bernoulli_base_series, bernoulli_higher
 from .poly import (
     LambdaScalar,
     Poly,
@@ -82,23 +84,15 @@ def __getattr__(name):
 
 __all__ = [
     "BasisExpansion",
-    "BernoulliTable",
-    "CHECKS",
     "DowlingValue",
-    "IdentityReport",
     "LambdaScalar",
     "Poly",
-    "Providers",
     "SYMBOLIC",
-    "SuiteConfig",
-    "SuiteResult",
-    "Theorem13Resolution",
     "TruncatedSeries",
     "UnsupportedDomainError",
     "bell_poly_lambda",
     "bernoulli_base_series",
     "bernoulli_higher",
-    "check_identity",
     "classical_rstirling2",
     "dobinski_eval",
     "dowling_poly",
@@ -107,12 +101,10 @@ __all__ = [
     "expand_in_falling_basis",
     "falling_factorial_poly",
     "format_element",
-    "resolve_theorem13_variant",
     "rstirling1_lambda",
     "rstirling2_by_difference",
     "rstirling2_by_expansion",
     "rstirling2_lambda",
-    "run_suite",
     "second_kind_series",
     "stirling1_lambda",
     "stirling2_lambda",
@@ -122,4 +114,4 @@ __all__ = [
     "whitney_r_by_expansion",
     "whitney_series",
     "__version__",
-]
+] + identities.__all__

@@ -48,7 +48,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import import_module
-from math import comb, inf
+from math import comb
 from typing import Callable
 
 from . import bernoulli as _bernoulli
@@ -56,7 +56,8 @@ from . import stirling as _stirling
 # the package binds the function ``whitney`` over the submodule's name, so
 # ``from . import whitney`` would return the function
 _whitney = import_module(".whitney", __package__)
-from .poly import LambdaScalar, SYMBOLIC, _check_integer, eval_element, format_element
+from .poly import (LambdaScalar, SYMBOLIC, _check_integer, _check_positive,
+                   eval_element, format_element)
 from .series import lambda_columns
 
 
@@ -77,7 +78,9 @@ class Providers:
 class SuiteConfig:
     """Parameter grids for a suite run.  The defaults match the documented
     verification grid; Bernoulli-heavy checks use the smaller ``bernoulli_n_max``.
-    A config is validated when it is built, ``dataclasses.replace`` included."""
+    A config is validated when it is built, ``dataclasses.replace`` included:
+    its bounds, its check ids, and each grid value by the rule of the
+    function that consumes it, so a bad grid fails before any check runs."""
 
     n_max: int = 10
     bernoulli_n_max: int = 8
@@ -85,14 +88,12 @@ class SuiteConfig:
     m_values: tuple = (1, 2, 3)
     alpha_values: tuple = (1, 2, 3)
     fixed_lambdas: tuple = (Fraction(1, 2), Fraction(2), Fraction(-1, 3))
-    include_symbolic: bool = True
     bernoulli_shift_lambdas: tuple = (Fraction(1, 2), Fraction(2))
     egf_x_values: tuple = (Fraction(1, 2), Fraction(1), Fraction(2, 3))
     egf_lambdas: tuple = (Fraction(1, 2), Fraction(-1, 3))
     dobinski_x_values: tuple = (Fraction(1, 2), Fraction(1), Fraction(2))
     dobinski_m_values: tuple = (1, 2)
     dobinski_lambdas: tuple = (Fraction(1, 2), Fraction(1))
-    dobinski_tol: float = 1e-12
     theorems: tuple | None = None
     providers: Providers = field(default_factory=Providers)
 
@@ -111,8 +112,19 @@ class SuiteConfig:
         ):
             if not getattr(self, name):
                 raise ValueError(f"empty parameter grid: {name}")
-        if not 0 < self.dobinski_tol < inf:
-            raise ValueError("tolerance must be positive and finite")
+        for r in self.r_values:
+            _stirling._check_shift(r)
+        for name in ("m_values", "alpha_values", "dobinski_m_values"):
+            for v in getattr(self, name):
+                _check_positive(v, f"{name} entry {v!r}")
+        for name in ("fixed_lambdas", "bernoulli_shift_lambdas", "egf_lambdas"):
+            for v in getattr(self, name):
+                LambdaScalar(v)
+        for x in self.egf_x_values:
+            Fraction(x)
+        for x in self.dobinski_x_values:
+            for lam in self.dobinski_lambdas:
+                _whitney._dobinski_domain(x, lam)
         if self.theorems is not None:
             if not self.theorems:
                 raise ValueError("no check ids selected")
@@ -121,11 +133,8 @@ class SuiteConfig:
                 raise ValueError(f"unknown check ids: {', '.join(unknown)}")
 
     def lambdas(self) -> tuple:
-        """Fixed-lambda scalars plus the symbolic one when enabled."""
-        modes = [LambdaScalar.fixed(v) for v in self.fixed_lambdas]
-        if self.include_symbolic:
-            modes.append(SYMBOLIC)
-        return tuple(modes)
+        """The fixed-lambda scalars, then the symbolic one."""
+        return tuple(LambdaScalar.fixed(v) for v in self.fixed_lambdas) + (SYMBOLIC,)
 
 
 @dataclass(frozen=True)
@@ -178,7 +187,7 @@ def _grid_text(template: str, cfg: SuiteConfig) -> str:
         dob_x=[str(v) for v in cfg.dobinski_x_values],
         dob_m=list(cfg.dobinski_m_values),
         dob_lam=[str(v) for v in cfg.dobinski_lambdas],
-        tol=cfg.dobinski_tol,
+        tol=_whitney.DOBINSKI_TOL,
     )
 
 
@@ -575,8 +584,8 @@ def _mpf(q: Fraction):
 def _check_dobinski(cfg: SuiteConfig, p: Providers):
     """Numeric series evaluation against the exact polynomial rows: the
     error is within the sum of the reported truncation and rounding
-    bounds, and that sum is within the configured tolerance."""
-    tol = cfg.dobinski_tol
+    bounds, and that sum is within ``whitney.DOBINSKI_TOL``."""
+    tol = _whitney.DOBINSKI_TOL
     for lam_value in cfg.dobinski_lambdas:
         lam = LambdaScalar.fixed(lam_value)
         for m in cfg.dobinski_m_values:

@@ -22,13 +22,8 @@ from math import comb, lcm
 from operator import mul
 from threading import Lock
 
-from .poly import _check_size, _horner
+from .poly import _check_positive, _check_size, _horner
 from .series import TruncatedSeries, _power_ints
-
-
-def _check_order(m) -> None:
-    if not isinstance(m, int) or m < 1:
-        raise ValueError("order m must be a positive integer")
 
 
 def _core(order: int) -> list:
@@ -56,7 +51,7 @@ class BernoulliTable:
     __slots__ = ("m", "_state", "_lock")
 
     def __init__(self, m: int):
-        _check_order(m)
+        _check_positive(m, "order m")
         self.m = m
         self._state = (1, [1])
         self._lock = Lock()
@@ -73,10 +68,6 @@ class BernoulliTable:
                     self._state = (den, nums)
                 state = self._state
         return state
-
-    def base_coeff(self, n: int) -> Fraction:
-        den, nums = self._snapshot(n)
-        return Fraction(nums[n], den)
 
     def value(self, n: int, x) -> Fraction:
         if not isinstance(x, (int, Fraction)):
@@ -95,7 +86,7 @@ _table = cache(BernoulliTable)
 def bernoulli_base_series(m: int, order: int) -> TruncatedSeries:
     """(t/(e^t - 1))^m as a truncated EGF: the coefficients B_0..B_order
     of the order-m table, grown if needed."""
-    _check_order(m)  # before the cache, as in ``bernoulli_higher``
+    _check_positive(m, "order m")  # before the cache, as in ``bernoulli_higher``
     _check_size(order, "truncation order")
     den, nums = _table(m)._snapshot(order)
     return TruncatedSeries([Fraction(c, den) for c in nums[: order + 1]])
@@ -106,5 +97,5 @@ def bernoulli_higher(n: int, m: int, x) -> Fraction:
     rational x (an ``int`` or a ``Fraction``)."""
     # checked before the cache, where a float m would find the table of
     # the equal int
-    _check_order(m)
+    _check_positive(m, "order m")
     return _table(m).value(n, x)

@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from .bernoulli import bernoulli_base_series, bernoulli_higher
-from .poly import LambdaScalar, SYMBOLIC, csv_element, format_element
+from .poly import LambdaScalar, SYMBOLIC, _check_size, csv_element, format_element
 from .stirling import (
     rstirling1_lambda,
     rstirling2_lambda,
@@ -32,6 +32,7 @@ from .stirling import (
 )
 from .whitney import (
     DOBINSKI_DIGITS,
+    DOBINSKI_TOL,
     UnsupportedDomainError,
     bell_poly_lambda,
     dobinski_eval,
@@ -53,17 +54,23 @@ TRIANGLE_FAMILIES = {
     "whitney-r": (whitney_r, ("m", "r")),
 }
 
+EVAL_POLYS = {
+    # name -> (value function, its parameters between x and lambda)
+    "dowling": (dowling_poly, ("m",)),
+    "bell": (bell_poly_lambda, ()),
+}
 
 DUMP_KINDS = {
-    # kind -> the options it takes besides --order
-    "stirling2": ("k", "lam"),
-    "rstirling2": ("k", "r", "lam"),
-    "whitney": ("k", "m", "lam"),
-    "whitney-r": ("k", "m", "r", "lam"),
-    "bernoulli-base": ("m",),
-    "dowling": ("m", "x", "lam"),
+    # kind -> (series function, options it takes besides --order, fixed arguments)
+    "stirling2": (second_kind_series, ("k", "lam"), {"r": 0}),
+    "rstirling2": (second_kind_series, ("k", "r", "lam"), {}),
+    "whitney": (whitney_series, ("k", "m", "lam"), {"r": 1}),
+    "whitney-r": (whitney_series, ("k", "m", "r", "lam"), {}),
+    "bernoulli-base": (bernoulli_base_series, ("m",), {}),
+    "dowling": (dowling_series, ("m", "x", "lam"), {}),
 }
-DUMP_DEFAULTS = {"k": 0, "r": 0, "m": 1, "x": "1", "lam": "symbolic"}
+# the value of an option that eval or dump-series takes and is not given
+OPTION_DEFAULTS = {"k": 0, "r": 0, "m": 1, "x": "1", "lam": "symbolic"}
 
 
 def _parse_rational(option: str, text: str) -> Fraction:
@@ -116,31 +123,28 @@ def _add_output_argument(parser: argparse.ArgumentParser):
     )
 
 
-def _reject_stray(args, owner: str, takes, options) -> None:
-    """Exit 2 on the first of ``options`` given on the command line that
-    ``owner`` does not take; every such option defaults to ``None``."""
+def _take_options(args, owner: str, takes, options) -> dict:
+    """The options ``takes`` names, each at its given value or else at its
+    ``OPTION_DEFAULTS`` value.  Exit 2 on the first other of ``options``
+    given on the command line; every such option defaults to ``None``."""
     for name in options:
         if getattr(args, name) is not None and name not in takes:
             flag = "lambda" if name == "lam" else name
             raise ValueError(f"{owner} does not take --{flag}")
-
-
-def _check_n_max(n_max: int) -> None:
-    if n_max < 0:
-        raise ValueError("--n-max must be nonnegative")
+    return {name: OPTION_DEFAULTS[name] if getattr(args, name) is None
+            else getattr(args, name) for name in takes}
 
 
 def _cmd_triangle(args) -> int:
     value_fn, params = TRIANGLE_FAMILIES[args.family]
-    _reject_stray(args, f"family {args.family!r}", params, ("r", "m"))
+    extra = _take_options(args, f"family {args.family!r}", params, ("r", "m"))
     for name in ("r", "m"):
         if getattr(args, name) is None and name in params:
             raise ValueError(f"family {args.family!r} needs --{name}")
-    _check_n_max(args.n_max)
+    _check_size(args.n_max, "--n-max")
     lam = _parse_lambda(args.lam)
-    extra = [getattr(args, name) for name in params]
     cells = [
-        (n, k, value_fn(n, k, *extra, lam))
+        (n, k, value_fn(n, k, *extra.values(), lam))
         for n in range(args.n_max + 1)
         for k in range(n + 1)
     ]
@@ -165,16 +169,11 @@ def _cmd_triangle(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    takes = ("m",) if args.poly == "dowling" else ()
-    _reject_stray(args, f"poly {args.poly!r}", takes, ("m",))
-    if args.m is None:
-        args.m = 1
+    value_fn, takes = EVAL_POLYS[args.poly]
+    extra = _take_options(args, f"poly {args.poly!r}", takes, ("m",))
     lam = _parse_lambda(args.lam)
     x = _parse_rational("--x", args.x)
-    if args.poly == "dowling":
-        value = dowling_poly(args.n, x, args.m, lam)
-    else:
-        value = bell_poly_lambda(args.n, x, lam)
+    value = value_fn(args.n, x, **extra, lam=lam)
     if args.format == "json":
         payload = {
             "poly": args.poly,
@@ -182,9 +181,8 @@ def _cmd_eval(args) -> int:
             "x": str(x),
             "lambda": str(lam),
             "value": format_element(value),
+            **extra,
         }
-        if args.poly == "dowling":
-            payload["m"] = args.m
         _emit(json.dumps(payload, indent=2), args.output)
     else:
         _emit(csv_element(value), args.output)
@@ -218,7 +216,7 @@ def _cmd_dobinski(args) -> int:
 
 
 def _cmd_bernoulli(args) -> int:
-    _check_n_max(args.n_max)
+    _check_size(args.n_max, "--n-max")
     x = _parse_rational("--x", args.x)
     rows = [(n, bernoulli_higher(n, args.m, x)) for n in range(args.n_max + 1)]
     if args.format == "csv":
@@ -251,27 +249,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_dump_series(args) -> int:
-    kind = args.kind
-    _reject_stray(args, f"kind {kind!r}", DUMP_KINDS[kind], DUMP_DEFAULTS)
-    for name, default in DUMP_DEFAULTS.items():
-        if getattr(args, name) is None:
-            setattr(args, name, default)
-    if kind == "bernoulli-base":
-        series = bernoulli_base_series(args.m, args.order)
-    else:
-        lam = _parse_lambda(args.lam)
-        if kind == "stirling2":
-            series = second_kind_series(args.k, 0, lam, args.order)
-        elif kind == "rstirling2":
-            series = second_kind_series(args.k, args.r, lam, args.order)
-        elif kind == "whitney":
-            series = whitney_series(args.k, args.m, 1, lam, args.order)
-        elif kind == "whitney-r":
-            series = whitney_series(args.k, args.m, args.r, lam, args.order)
-        else:  # dowling
-            x = _parse_rational("--x", args.x)
-            series = dowling_series(x, args.m, lam, args.order)
-    payload = {"kind": kind, **series.to_json()}
+    series_fn, takes, fixed = DUMP_KINDS[args.kind]
+    values = _take_options(args, f"kind {args.kind!r}", takes, OPTION_DEFAULTS)
+    if "lam" in values:
+        values["lam"] = _parse_lambda(values["lam"])
+    if "x" in values:
+        values["x"] = _parse_rational("--x", values["x"])
+    series = series_fn(**values, **fixed, order=args.order)
+    payload = {"kind": args.kind, **series.to_json()}
     _emit(json.dumps(payload, indent=2), args.output)
     return 0
 
@@ -313,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser(
         "eval", help="evaluate a Dowling or deformed Bell polynomial exactly"
     )
-    p_eval.add_argument("--poly", required=True, choices=("dowling", "bell"))
+    p_eval.add_argument("--poly", required=True, choices=tuple(EVAL_POLYS))
     p_eval.add_argument("--n", type=int, required=True)
     p_eval.add_argument("--x", required=True, help="evaluation point, rational")
     p_eval.add_argument("--m", type=int, default=None)
@@ -331,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dob.add_argument("--x", required=True)
     p_dob.add_argument("--m", type=int, default=1)
     _add_lambda_argument(p_dob)
-    p_dob.add_argument("--tol", type=float, default=1e-12)
+    p_dob.add_argument("--tol", type=float, default=DOBINSKI_TOL)
     p_dob.add_argument(
         "--digits", type=int, default=20, help="significant digits printed"
     )

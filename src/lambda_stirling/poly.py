@@ -97,6 +97,12 @@ def _check_size(value, name: str) -> None:
         raise ValueError(f"{name} must be nonnegative")
 
 
+def _check_positive(value, name: str) -> None:
+    """Reject a parameter that is not a positive ``int`` with ``ValueError``."""
+    if not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be a positive integer")
+
+
 def _ratio_str(num: int, den: int) -> str:
     """``str(Fraction(num, den))``, without building the ``Fraction``."""
     g = gcd(num, den)
@@ -434,12 +440,24 @@ class LambdaScalar:
 SYMBOLIC = LambdaScalar.symbolic()
 
 
+def _check_lambda(lam) -> None:
+    """Reject a deformation parameter that is not a ``LambdaScalar``."""
+    if not isinstance(lam, LambdaScalar):
+        raise TypeError("lam must be a LambdaScalar")
+
+
+def _falling_basis(d: int, lam: LambdaScalar) -> list:
+    """The falling factorials [(x)_{0,lam}, ..., (x)_{d,lam}], built up in turn."""
+    _check_lambda(lam)
+    basis = [Poly.one()]
+    lam_elem = lam.element
+    for i in range(d):
+        basis.append(basis[-1] * Poly([-(i * lam_elem), 1]))
+    return basis
+
+
 def falling_factorial_poly(n: int, lam: LambdaScalar) -> Poly:
     """Generalized falling factorial x(x-lam)(x-2*lam)...(x-(n-1)*lam) as a
     polynomial in x; the empty product (n=0) is 1."""
     _check_size(n, "degree")
-    result = Poly.one()
-    lam_elem = lam.element
-    for i in range(n):
-        result = result * Poly([-(i * lam_elem), 1])
-    return result
+    return _falling_basis(n, lam)[n]

@@ -35,7 +35,8 @@ from math import comb, factorial, gcd
 from operator import mul, sub
 
 from .poly import (LambdaScalar, Poly, RingElement, _binary_power, _check_integer,
-                   _check_size, _coerce, _common_denominator, format_element)
+                   _check_lambda, _check_size, _coerce, _common_denominator,
+                   format_element)
 
 
 class TruncatedSeries:
@@ -216,6 +217,7 @@ def lambda_columns(m: int, r: int, lam: LambdaScalar, order: int, first: int = 0
     is used."""
     _check_size(first, "k")
     _check_size(order, "order")
+    _check_lambda(lam)
     symbolic = lam.is_symbolic
     lm = Fraction(m) if symbolic else lam.value * m
     p_powers, q_powers, qr_powers = (

@@ -37,8 +37,8 @@ from operator import mul
 from threading import Lock
 from typing import NamedTuple
 
-from .poly import (LambdaScalar, Poly, RingElement, _check_integer, _check_size, _horner,
-                   falling_factorial_poly)
+from .poly import (LambdaScalar, Poly, RingElement, _check_integer, _check_lambda,
+                   _check_size, _falling_basis, _horner)
 from .series import TruncatedSeries, lambda_columns
 
 _ZERO = Fraction(0)
@@ -88,8 +88,7 @@ class NumberTriangle:
         params = (alpha, beta, gamma, r)
         if not all(isinstance(v, int) for v in params):
             raise TypeError("recurrence parameters must be integers")
-        if not isinstance(lam, LambdaScalar):
-            raise TypeError("lam must be a LambdaScalar")
+        _check_lambda(lam)
         self._params = (lam,) + params
         self._frontier = [[1]] if lam.is_symbolic else [1]
         self._rows = [self._frontier]
@@ -299,8 +298,9 @@ class BasisExpansion(NamedTuple):
     def reconstruct(self) -> Poly:
         """Re-expand sum_k c_k (x)_{k,lam}; must reproduce the target."""
         total = Poly.zero()
-        for k, c in enumerate(self.coefficients):
-            total = total + falling_factorial_poly(k, self.lam).scale(c)
+        basis = _falling_basis(len(self.coefficients) - 1, self.lam)
+        for b, c in zip(basis, self.coefficients):
+            total = total + b.scale(c)
         return total
 
 
@@ -309,13 +309,8 @@ def expand_in_falling_basis(target: Poly, lam: LambdaScalar) -> BasisExpansion:
     elimination: the basis is monic of degree k, so coefficients are read
     off from the top degree downward.  This is the definitional oracle the
     recurrences are tested against."""
-    if target.is_zero:
-        return BasisExpansion(target=target, lam=lam, coefficients=())
-    d = target.degree
-    basis = [Poly.one()]
-    lam_elem = lam.element
-    for i in range(d):
-        basis.append(basis[-1] * Poly([-(i * lam_elem), 1]))
+    d = target.degree  # -1 for the zero target, which has no coefficients
+    basis = _falling_basis(d, lam)
     coefficients = [Fraction(0)] * (d + 1)
     work = target
     for k in range(d, -1, -1):
@@ -330,22 +325,28 @@ def expand_in_falling_basis(target: Poly, lam: LambdaScalar) -> BasisExpansion:
 
 @cache
 def _expansion(n: int, m: int, r: int, lam: LambdaScalar) -> tuple:
-    """Coefficients of (m x + r)^n in the basis (x)_{k,lam}, by elimination."""
+    """Coefficient k of (m x + r)^n in the basis (x)_{k,lam} over m^k, k <= n."""
     target = Poly([Fraction(r), Fraction(m)]) ** n
-    return expand_in_falling_basis(target, lam).coefficients
+    coefficients = expand_in_falling_basis(target, lam).coefficients
+    return tuple(c / Fraction(m) ** k for k, c in enumerate(coefficients))
+
+
+def _by_expansion(n: int, k: int, m: int, r: int, lam: LambdaScalar) -> RingElement:
+    """Entry k of ``_expansion(n, m, r, lam)``, zero outside 0 <= k <= n."""
+    # checked before the cache, where n = 3.0 would find the key 3
+    _check_size(n, "n")
+    _check_integer(k, "k")
+    coefficients = _expansion(n, m, r, lam)
+    if 0 <= k <= n:
+        return coefficients[k]
+    return _ZERO
 
 
 def rstirling2_by_expansion(n: int, k: int, r: int, lam: LambdaScalar) -> RingElement:
     """Definitional route for the r-shifted second kind: expand (x+r)^n in
     the falling-factorial basis and read off coefficient k."""
     _check_shift(r)
-    # checked before the cache, where n = 3.0 would find the key 3
-    _check_size(n, "n")
-    _check_integer(k, "k")
-    coefficients = _expansion(n, 1, r, lam)
-    if 0 <= k < len(coefficients):
-        return coefficients[k]
-    return _ZERO
+    return _by_expansion(n, k, 1, r, lam)
 
 
 def second_kind_series(k: int, r: int, lam: LambdaScalar, order: int) -> TruncatedSeries:

@@ -40,12 +40,12 @@ from fractions import Fraction
 from math import inf
 from typing import NamedTuple
 
-from .poly import LambdaScalar, RingElement, _check_integer, _check_size
+from .poly import LambdaScalar, RingElement, _check_lambda, _check_positive, _check_size
 from .series import TruncatedSeries, _exp_coeffs, lambda_columns
-from .stirling import _check_shift, _expansion, _triangle
+from .stirling import _by_expansion, _check_shift, _triangle
 
-_ZERO = Fraction(0)
 DOBINSKI_DIGITS = 40  # least decimal working precision of dobinski_eval
+DOBINSKI_TOL = 1e-12  # default tolerance of dobinski_eval
 
 
 class UnsupportedDomainError(ValueError):
@@ -53,8 +53,7 @@ class UnsupportedDomainError(ValueError):
 
 
 def _check_params(m: int, r: int) -> None:
-    if not isinstance(m, int) or m < 1:
-        raise ValueError("parameter m must be a positive integer")
+    _check_positive(m, "parameter m")
     _check_shift(r)
 
 
@@ -74,12 +73,7 @@ def whitney_r_by_expansion(n: int, k: int, m: int, r: int, lam: LambdaScalar) ->
     """Definitional oracle: expand (m x + r)^n in the falling-factorial
     basis and divide coefficient k by m^k (the division is exact)."""
     _check_params(m, r)
-    # checked before the cache, where n = 4.0 would find the key 4
-    _check_size(n, "n")
-    _check_integer(k, "k")
-    if k < 0 or k > n:
-        return _ZERO
-    return _expansion(n, m, r, lam)[k] / Fraction(m) ** k
+    return _by_expansion(n, k, m, r, lam)
 
 
 def whitney_series(k: int, m: int, r: int, lam: LambdaScalar, order: int) -> TruncatedSeries:
@@ -118,6 +112,7 @@ def dowling_series(x, m: int, lam: LambdaScalar, order: int) -> TruncatedSeries:
     ``int``: with x = a/b and lm = p/q, every coefficient is scaled by
     (b q)^n, so A_1 becomes (a + b) q and A_j becomes a q (p b)^(j-1), and
     B_n is published as one ``Fraction`` over (b q)^n."""
+    _check_lambda(lam)
     if lam.is_symbolic:
         raise ValueError("the closed Dowling EGF needs a fixed rational lambda")
     _check_size(order, "order")
@@ -159,7 +154,17 @@ class DowlingValue(NamedTuple):
     working_dps: int
 
 
-def dobinski_eval(n: int, x, m: int, lam, tol: float = 1e-12) -> DowlingValue:
+def _dobinski_domain(x, lam) -> tuple:
+    """x and lam as ``Fraction``s in the numeric series' domain lam > 0, x >= 0."""
+    x, lam = Fraction(x), Fraction(lam)
+    if lam <= 0:
+        raise UnsupportedDomainError("the numeric series needs lambda > 0")
+    if x < 0:
+        raise UnsupportedDomainError("the numeric series needs x >= 0")
+    return x, lam
+
+
+def dobinski_eval(n: int, x, m: int, lam, tol: float = DOBINSKI_TOL) -> DowlingValue:
     """Sum the Dobinski-style series for d(n, x) at fixed lam > 0, x >= 0.
 
     Terms t_k = c^k / k! * (lam m k + 1)^n with c = x/(lam m) are positive
@@ -172,12 +177,7 @@ def dobinski_eval(n: int, x, m: int, lam, tol: float = 1e-12) -> DowlingValue:
     """
     _check_size(n, "n")
     _check_params(m, 1)
-    x = Fraction(x)
-    lam = Fraction(lam)
-    if lam <= 0:
-        raise UnsupportedDomainError("the numeric series needs lambda > 0")
-    if x < 0:
-        raise UnsupportedDomainError("the numeric series needs x >= 0")
+    x, lam = _dobinski_domain(x, lam)
     if not 0 < tol < inf:
         raise ValueError("tolerance must be positive and finite")
     tol = Fraction(tol)

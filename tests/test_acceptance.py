@@ -191,7 +191,6 @@ def _symbolic_config(**overrides) -> SuiteConfig:
     merged = dict(
         n_max=10,
         fixed_lambdas=(Fraction(1, 2),),
-        include_symbolic=True,
     )
     merged.update(overrides)
     return SuiteConfig(**merged)

@@ -21,18 +21,18 @@ small_fractions = st.fractions(min_value=-12, max_value=12, max_denominator=8)
 
 def test_classical_base_values():
     table = BernoulliTable(1)
-    assert table.base_coeff(0) == 1
-    assert table.base_coeff(1) == Fraction(-1, 2)
-    assert table.base_coeff(2) == Fraction(1, 6)
-    assert table.base_coeff(3) == 0
-    assert table.base_coeff(4) == Fraction(-1, 30)
+    assert table.value(0, 0) == 1
+    assert table.value(1, 0) == Fraction(-1, 2)
+    assert table.value(2, 0) == Fraction(1, 6)
+    assert table.value(3, 0) == 0
+    assert table.value(4, 0) == Fraction(-1, 30)
 
 
 def test_base_matches_defining_recurrence():
     oracle = oracles.classical_bernoulli(12)
     table = BernoulliTable(1)
     for n in range(13):
-        assert table.base_coeff(n) == oracle[n]
+        assert table.value(n, 0) == oracle[n]
 
 
 def test_order_two_base_is_self_convolution():
@@ -42,7 +42,7 @@ def test_order_two_base_is_self_convolution():
         expected = sum(
             comb(n, j) * classical[j] * classical[n - j] for j in range(n + 1)
         )
-        assert table.base_coeff(n) == expected
+        assert table.value(n, 0) == expected
 
 
 def test_order_must_be_positive():
@@ -69,13 +69,13 @@ def egf_inverse(a: list) -> list:
 
 def test_base_series_matches_table():
     # ((e^t - 1)/t)^(-m) by a list inverse and EGF products, not by the
-    # power recurrence that both bernoulli_base_series and base_coeff run
+    # power recurrence that both bernoulli_base_series and value(n, 0) run
     inverse = egf_inverse([Fraction(1, n + 1) for n in range(9)])
     expected = oracles.egf_mul(oracles.egf_mul(inverse, inverse), inverse)
     series = bernoulli_base_series(3, 8)
     table = BernoulliTable(3)
     for n in range(9):
-        assert series.coeff(n) == expected[n] == table.base_coeff(n)
+        assert series.coeff(n) == expected[n] == table.value(n, 0)
 
 
 def test_polynomial_from_independent_series_route():
@@ -130,10 +130,10 @@ def test_non_integer_order_and_float_x_rejected():
 def test_table_grown_in_one_jump_equals_stepwise_growth():
     for m in (1, 2, 5):
         jump, steps = BernoulliTable(m), BernoulliTable(m)
-        last = jump.base_coeff(40)
-        values = [steps.base_coeff(n) for n in range(41)]
+        last = jump.value(40, 0)
+        values = [steps.value(n, 0) for n in range(41)]
         assert values[-1] == last
-        assert values == [jump.base_coeff(n) for n in range(41)]
+        assert values == [jump.value(n, 0) for n in range(41)]
         assert values == list(bernoulli_base_series(m, 40).coeffs)
 
 
@@ -163,9 +163,9 @@ def test_table_matches_independent_oracle(m):
     # with the power recurrence that grows the tables
     oracle = oracles.higher_bernoulli(m, 30)
     steps, jump = BernoulliTable(m), BernoulliTable(m)
-    jump.base_coeff(30)
-    assert [steps.base_coeff(n) for n in range(31)] == oracle
-    assert [jump.base_coeff(n) for n in range(31)] == oracle
+    jump.value(30, 0)
+    assert [steps.value(n, 0) for n in range(31)] == oracle
+    assert [jump.value(n, 0) for n in range(31)] == oracle
     assert list(bernoulli_base_series(m, 30).coeffs) == oracle
     for x in (Fraction(0), Fraction(-2, 3), Fraction(5, 4), 3):
         for n in (0, 1, 7, 30):
@@ -182,14 +182,14 @@ def test_concurrent_growth_never_pairs_numerators_with_another_denominator():
     # numerators) pair, never new numerators over the old denominator.
     n_max, x = 90, Fraction(-2, 7)
     want = BernoulliTable(3)
-    expected = [(want.base_coeff(n), want.value(n, x)) for n in range(n_max + 1)]
+    expected = [(want.value(n, 0), want.value(n, x)) for n in range(n_max + 1)]
     shared = BernoulliTable(3)
     seen = []
 
     def worker(i):
         for n in range(n_max + 1):
             for j in (n, n // 2, (i * n) % (n + 1), max(0, n - 1 - i % 3)):
-                seen.append((j, shared.base_coeff(j), shared.value(j, x)))
+                seen.append((j, shared.value(j, 0), shared.value(j, x)))
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -125,9 +125,26 @@ def test_config_rejects_a_bad_grid_when_built():
     # replace builds a new config through __init__, so it validates too
     with pytest.raises(ValueError):
         replace(SuiteConfig(), r_values=())
-    for tol in (0.0, -1e-12, float("inf"), float("nan")):
-        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
-            SuiteConfig(dobinski_tol=tol)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("r_values", 1.5),
+    ("r_values", -1),
+    ("m_values", 0),
+    ("dobinski_m_values", 0),
+    ("alpha_values", -1),
+    ("fixed_lambdas", 0),
+    ("bernoulli_shift_lambdas", 0),
+    ("egf_lambdas", 0),
+    ("dobinski_lambdas", -1),
+    ("dobinski_x_values", -1),
+    ("egf_x_values", "a"),
+])
+def test_config_rejects_a_bad_grid_value_when_built(field, value):
+    # each grid value meets the rule of the function that consumes it
+    # when the config is built, not partway through run_suite
+    with pytest.raises(ValueError):
+        SuiteConfig(**{field: (value,)})
 
 
 def test_dobinski_check_holds_the_error_to_the_reported_bounds(monkeypatch):

@@ -223,13 +223,12 @@ def test_non_integer_column_index_rejected():
     lambda: whitney_series(1, 2, 1, HALF, 2.5),
     lambda: dowling_series(Fraction(1), 1, HALF, 2.5),
     lambda: bernoulli_base_series(1, 2.5),
-    lambda: BernoulliTable(1).base_coeff(2.0),
     lambda: BernoulliTable(1).value(2.5, Fraction(1, 3)),
     lambda: bernoulli_higher(2.5, 1, 0),
 ], ids=[
     "coeff", "lambda_columns", "second_kind_series",
     "whitney_series", "dowling_series", "bernoulli_base_series",
-    "base_coeff", "table_value", "bernoulli_higher",
+    "table_value", "bernoulli_higher",
 ])
 def test_non_integer_size_rejected(call):
     # an order or index that is not an int is refused up front, not by

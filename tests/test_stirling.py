@@ -21,7 +21,13 @@ from lambda_stirling.stirling import (
     stirling2_lambda,
     unsigned_rstirling1_lambda,
 )
-from lambda_stirling.whitney import bell_poly_lambda, dowling_poly, whitney_r_by_expansion
+from lambda_stirling.whitney import (
+    bell_poly_lambda,
+    dowling_poly,
+    dowling_series,
+    whitney_r_by_expansion,
+    whitney_series,
+)
 
 import oracles
 
@@ -306,6 +312,25 @@ def test_triangle_parameters_must_be_integers():
         NumberTriangle(HALF, beta=1, r=Fraction(1, 2))
     with pytest.raises(TypeError):
         NumberTriangle(Fraction(1, 2), beta=1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda lam: second_kind_series(2, 0, lam, 4),
+    lambda lam: whitney_series(2, 2, 1, lam, 4),
+    lambda lam: dowling_series(Fraction(1), 2, lam, 4),
+    lambda lam: falling_factorial_poly(2, lam),
+    lambda lam: expand_in_falling_basis(Poly([1, 2, 3]), lam),
+    lambda lam: rstirling2_by_expansion(3, 1, 0, lam),
+    lambda lam: whitney_r_by_expansion(4, 1, 2, 1, lam),
+], ids=[
+    "second_kind_series", "whitney_series", "dowling_series", "falling_factorial_poly",
+    "expand_in_falling_basis", "rstirling2_by_expansion", "whitney_r_by_expansion",
+])
+def test_lambda_must_be_a_lambda_scalar(call):
+    # a bare rational is refused as the triangles refuse it, not with an
+    # AttributeError from deep inside
+    with pytest.raises(TypeError, match="lam must be a LambdaScalar"):
+        call(Fraction(1, 2))
 
 
 def test_concurrent_growth_is_consistent():
