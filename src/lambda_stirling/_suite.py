@@ -119,7 +119,7 @@ class SuiteConfig:
                 _check_positive(v, f"{name} entry {v!r}")
         for name in ("fixed_lambdas", "bernoulli_shift_lambdas", "egf_lambdas"):
             for v in getattr(self, name):
-                LambdaScalar(v)
+                LambdaScalar.fixed(v)
         for x in self.egf_x_values:
             Fraction(x)
         for x in self.dobinski_x_values:

@@ -376,24 +376,38 @@ def csv_element(value: RingElement) -> str:
 class LambdaScalar:
     """Deformation parameter: a fixed nonzero rational, or symbolic.
 
-    A fixed value may be anything ``Fraction`` accepts and is kept as a
-    ``Fraction``, so equal scalars always carry the same exact value.
-    ``element`` is the ring representation of lambda itself, a ``Fraction``
-    in fixed mode and the degree-1 ``Poly`` in symbolic mode.  Instances
-    are immutable; two are equal when their values are.
+    A fixed value may be anything ``Fraction`` accepts except a ``bool`` or
+    a non-finite float, and is kept as a ``Fraction``, so equal scalars
+    always carry the same exact value.  ``element`` is the ring
+    representation of lambda itself, a ``Fraction`` in fixed mode and the
+    degree-1 ``Poly`` in symbolic mode.  Instances are immutable; two are
+    equal when their values are.  Equality compares the reduced
+    ``(numerator, denominator)`` integer pairs, not the ``Fraction`` values:
+    a cache hit at a lambda equal to, but not the same object as, the one
+    in its key makes that comparison, and ``Fraction.__eq__`` would cost
+    more than the rest of the hit.
     """
 
-    __slots__ = ("value", "_hash")
+    __slots__ = ("value", "_hash", "_key")
 
     def __init__(self, value=None):
         if value is not None:
-            value = Fraction(value)
+            if isinstance(value, bool):
+                raise TypeError("lambda must be a rational number, not a bool")
+            try:
+                value = Fraction(value)
+            except (OverflowError, ValueError):
+                raise ValueError(f"lambda must be a finite rational, got {value!r}") from None
             if value == 0:
                 raise ValueError("lambda must be nonzero in fixed mode")
         object.__setattr__(self, "value", value)
         # every triangle lookup hashes its lambda as part of the cache key,
-        # and a Fraction recomputes its hash on each call
+        # and a Fraction recomputes its hash on each call; __eq__ compares
+        # _key, the reduced integer pair (None when symbolic), so a hit runs
+        # no Fraction method either
         object.__setattr__(self, "_hash", 0 if value is None else hash(value))
+        object.__setattr__(self, "_key", None if value is None
+                           else (value.numerator, value.denominator))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -403,7 +417,7 @@ class LambdaScalar:
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self.value == other.value
+            return self._key == other._key
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -417,6 +431,10 @@ class LambdaScalar:
 
     @classmethod
     def fixed(cls, value) -> "LambdaScalar":
+        """The fixed lambda ``value``; ``None`` is refused, because the
+        constructor reads it as the symbolic lambda."""
+        if value is None:
+            raise TypeError("lambda must be a rational number in fixed mode, not None")
         return cls(value)
 
     @classmethod

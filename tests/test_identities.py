@@ -147,6 +147,14 @@ def test_config_rejects_a_bad_grid_value_when_built(field, value):
         SuiteConfig(**{field: (value,)})
 
 
+@pytest.mark.parametrize("field", ["fixed_lambdas", "bernoulli_shift_lambdas", "egf_lambdas"])
+def test_config_rejects_none_in_a_fixed_lambda_grid_when_built(field):
+    # LambdaScalar(None) is the symbolic lambda; a fixed grid must not
+    # accept it and fail later inside run_suite
+    with pytest.raises(TypeError, match="lambda"):
+        SuiteConfig(**{field: (None,)}, theorems=("T2",), n_max=3)
+
+
 def test_dobinski_check_holds_the_error_to_the_reported_bounds(monkeypatch):
     # an evaluator that reports zero bounds is caught even though its
     # error is within tolerance, and the witness names the bound

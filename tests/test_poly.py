@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lambda_stirling.poly import (
@@ -17,7 +17,7 @@ from lambda_stirling.poly import (
     format_element,
     csv_element,
 )
-from lambda_stirling.stirling import BasisExpansion, NumberTriangle, expand_in_falling_basis
+from lambda_stirling.stirling import BasisExpansion, NumberTriangle, _triangle, expand_in_falling_basis
 from lambda_stirling.whitney import dobinski_eval
 
 X = Poly.x()
@@ -296,6 +296,46 @@ def test_lambda_scalar_hashable_and_frozen():
     for lam in (a, SYMBOLIC):
         copy = pickle.loads(pickle.dumps(lam))
         assert copy == lam and hash(copy) == hash(lam)
+
+
+def test_lambda_scalar_rejects_what_is_not_a_finite_rational():
+    # a bool is not read as lambda = 1, None is not the symbolic lambda in
+    # fixed mode, and a non-finite float gets a message that names lambda
+    with pytest.raises(TypeError, match="lambda"):
+        LambdaScalar(True)
+    with pytest.raises(TypeError, match="lambda"):
+        LambdaScalar.fixed(False)
+    with pytest.raises(TypeError, match="lambda"):
+        LambdaScalar.fixed(None)
+    for value in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="lambda"):
+            LambdaScalar(value)
+    assert LambdaScalar(None) == SYMBOLIC
+
+
+# small parts, so that pairs sharing only a numerator or only a denominator
+# come up often
+lambda_values = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 6))
+
+
+@given(lambda_values, lambda_values, st.integers(1, 6))
+@example(Fraction(1, 3), Fraction(1, 3), 2)  # built as 2/6: equal to 1/3
+@example(Fraction(1, 2), Fraction(1, 3), 1)  # same numerator, different values
+@example(Fraction(1, 3), Fraction(2, 3), 1)  # same denominator, different values
+def test_lambda_scalar_equality_hash_and_pickle_contract(a, b, c):
+    # equality is decided on the reduced (numerator, denominator) pair, so
+    # it must agree with the equality of the values however they were built
+    lam_a = LambdaScalar(Fraction(a.numerator * c, a.denominator * c))
+    lam_b = LambdaScalar.fixed(b)
+    assert (lam_a == lam_b) == (a == b)
+    assert (lam_a != lam_b) == (a != b)
+    if a == b:
+        assert hash(lam_a) == hash(lam_b)
+    copy = pickle.loads(pickle.dumps(lam_a))
+    assert copy == lam_a and hash(copy) == hash(lam_a)
+    assert _triangle(copy, 0, 1, 0) is _triangle(lam_a, 0, 1, 0)
+    for other in (SYMBOLIC, a, a.numerator, None):
+        assert lam_a != other and not lam_a == other
 
 
 def test_value_records_keep_their_contracts():

@@ -25,6 +25,7 @@ from lambda_stirling.whitney import (
     bell_poly_lambda,
     dowling_poly,
     dowling_series,
+    whitney_r,
     whitney_r_by_expansion,
     whitney_series,
 )
@@ -239,6 +240,29 @@ def test_lambda_zero_collapses_to_identity():
 
 
 # --- caching / concurrency ----------------------------------------------------
+
+
+def test_cache_hit_at_a_new_equal_lambda_runs_no_fraction_comparison(monkeypatch):
+    # a lookup at a lambda equal to, but not the same object as, the one in
+    # the cache key compares the two by their integer pairs; a hit that
+    # fell back to Fraction.__eq__ would raise here
+    stored = LambdaScalar.fixed(Fraction(1, 3))
+    reads = (
+        lambda lam: rstirling2_lambda(9, 4, 2, lam),
+        lambda lam: whitney_r(9, 4, 3, 2, lam),
+        lambda lam: rstirling2_by_expansion(9, 4, 2, lam),
+    )
+    cached = [read(stored) for read in reads]
+    fresh = LambdaScalar.fixed(Fraction(2, 6))
+    assert fresh is not stored
+
+    def no_fraction_eq(self, other):
+        raise AssertionError("Fraction.__eq__ called on a cache hit")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__eq__", no_fraction_eq)
+        hits = [read(fresh) for read in reads]
+    assert hits == cached
 
 
 def test_float_lambda_does_not_poison_the_triangle_cache():
