@@ -25,6 +25,11 @@ Public surface:
 * exact scalars: :class:`LambdaScalar`, :data:`SYMBOLIC`, :class:`Poly`;
   rationals are plain :class:`fractions.Fraction` values
 
+Every public function reads its parameters by three rules, before any
+cache: an index is an ``int``, a rational an ``int`` or a ``Fraction`` (no
+float, no string), lambda a ``LambdaScalar``.  A ``bool`` or a non-scalar
+lambda raises ``TypeError``, any other bad value ``ValueError`` naming it.
+
 Triangles, basis expansions and Bernoulli tables are cached with
 ``functools.cache``, keyed by their parameters: the caches are unbounded,
 and each triangle or table grows on demand under its own lock.

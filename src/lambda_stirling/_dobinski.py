@@ -16,7 +16,7 @@ from mpmath import mp
 from mpmath.libmp import (dps_to_prec, from_man_exp, from_rational, mpf_exp,
                           round_ceiling, round_floor)
 
-from .whitney import DOBINSKI_DIGITS
+from .whitney import DOBINSKI_DIGITS, UnsupportedDomainError
 
 GUARD_BITS = 20  # working bits beyond log2(value) + log2(1/tol)
 MAX_TERMS = 100000  # past this many terms the sum raises ArithmeticError
@@ -99,6 +99,9 @@ def dobinski_sum(n: int, c: Fraction, lm: Fraction, tol: Fraction) -> tuple:
     one pass over a growing numerator per term.  The working precision is
     fixed only after the sum, from log2 of its value.
     """
+    if 2 * c >= MAX_TERMS:  # t_k / t_(k-1) >= c / k, so the ratio test needs k > 2c
+        raise UnsupportedDomainError(
+            f"the numeric series needs x/(lambda m) below {MAX_TERMS // 2}")
     p, q, u, v = lm.numerator, lm.denominator, c.numerator, c.denominator
     prec = dps_to_prec(DOBINSKI_DIGITS)
     lo, hi = exp_neg_enclosure(u, v, prec)

@@ -56,8 +56,8 @@ from . import stirling as _stirling
 # the package binds the function ``whitney`` over the submodule's name, so
 # ``from . import whitney`` would return the function
 _whitney = import_module(".whitney", __package__)
-from .poly import (LambdaScalar, SYMBOLIC, _check_integer, _check_positive,
-                   eval_element, format_element)
+from .poly import (LambdaScalar, SYMBOLIC, _check_index, _rational, eval_element,
+                   format_element)
 from .series import lambda_columns
 
 
@@ -101,10 +101,8 @@ class SuiteConfig:
         self.validate()
 
     def validate(self) -> None:
-        _check_integer(self.n_max, "n_max")
-        _check_integer(self.bernoulli_n_max, "bernoulli_n_max")
-        if self.n_max < 0 or self.bernoulli_n_max < 0:
-            raise ValueError("grid bounds must be nonnegative")
+        _check_index(self.n_max, "n_max", 0)
+        _check_index(self.bernoulli_n_max, "bernoulli_n_max", 0)
         for name in (
             "r_values", "m_values", "alpha_values", "fixed_lambdas",
             "bernoulli_shift_lambdas", "egf_x_values", "egf_lambdas",
@@ -113,15 +111,15 @@ class SuiteConfig:
             if not getattr(self, name):
                 raise ValueError(f"empty parameter grid: {name}")
         for r in self.r_values:
-            _stirling._check_shift(r)
+            _check_index(r, "shift r", 0)
         for name in ("m_values", "alpha_values", "dobinski_m_values"):
             for v in getattr(self, name):
-                _check_positive(v, f"{name} entry {v!r}")
+                _check_index(v, f"{name} entry {v!r}", 1)
         for name in ("fixed_lambdas", "bernoulli_shift_lambdas", "egf_lambdas"):
             for v in getattr(self, name):
                 LambdaScalar.fixed(v)
         for x in self.egf_x_values:
-            Fraction(x)
+            _rational(x, "egf_x_values entry")
         for x in self.dobinski_x_values:
             for lam in self.dobinski_lambdas:
                 _whitney._dobinski_domain(x, lam)
@@ -169,6 +167,13 @@ def _witness(params: dict, lhs, rhs) -> dict:
         "lhs": format_element(lhs),
         "rhs": format_element(rhs),
     }
+
+
+def _config(cfg) -> SuiteConfig:
+    """``cfg``, or the default grid for ``None``."""
+    if not isinstance(cfg, (SuiteConfig, type(None))):
+        raise TypeError("cfg must be a SuiteConfig")
+    return cfg or SuiteConfig()
 
 
 def _grid_text(template: str, cfg: SuiteConfig) -> str:
@@ -416,7 +421,7 @@ class Theorem13Resolution:
 def resolve_theorem13_variant(cfg: SuiteConfig | None = None) -> Theorem13Resolution:
     """Evaluate each inequivalent candidate on the full grid and demand that
     exactly one family survives."""
-    cfg = cfg or SuiteConfig()
+    cfg = _config(cfg)
     reports = {name: check(cfg) for name, check in _T13_CHECKS.items()}
     passing = [name for name, report in reports.items() if report.status == "pass"]
     verified = passing[0] if len(passing) == 1 else None
@@ -655,7 +660,7 @@ CHECKS: dict[str, Callable[[SuiteConfig], IdentityReport]] = {
 
 def check_identity(theorem_id: str, cfg: SuiteConfig | None = None) -> IdentityReport:
     """Run a single named check over the configured grid."""
-    cfg = cfg or SuiteConfig()
+    cfg = _config(cfg)
     try:
         check = CHECKS[theorem_id]
     except KeyError:
@@ -688,7 +693,7 @@ class SuiteResult:
 
 def run_suite(cfg: SuiteConfig | None = None) -> SuiteResult:
     """Run every configured check in the fixed registry order."""
-    cfg = cfg or SuiteConfig()
+    cfg = _config(cfg)
     selected = cfg.theorems if cfg.theorems is not None else tuple(CHECKS)
     reports = tuple(CHECKS[theorem_id](cfg) for theorem_id in selected)
     exit_status = 0 if all(r.status == "pass" for r in reports) else 1

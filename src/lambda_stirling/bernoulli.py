@@ -22,7 +22,7 @@ from math import comb, lcm
 from operator import mul
 from threading import Lock
 
-from .poly import _check_positive, _check_size, _horner
+from .poly import _check_index, _horner, _rational
 from .series import TruncatedSeries, _power_ints
 
 
@@ -51,14 +51,13 @@ class BernoulliTable:
     __slots__ = ("m", "_state", "_lock")
 
     def __init__(self, m: int):
-        _check_positive(m, "order m")
+        _check_index(m, "order m", 1)
         self.m = m
         self._state = (1, [1])
         self._lock = Lock()
 
     def _snapshot(self, n: int) -> tuple:
-        """A consistent (D, numerators) pair that reaches index n."""
-        _check_size(n, "index")
+        """A consistent (D, numerators) pair that reaches index n >= 0."""
         state = self._state
         if n >= len(state[1]):
             with self._lock:
@@ -70,8 +69,8 @@ class BernoulliTable:
         return state
 
     def value(self, n: int, x) -> Fraction:
-        if not isinstance(x, (int, Fraction)):
-            raise ValueError("x must be an int or a Fraction")
+        _check_index(n, "n", 0)
+        x = _rational(x, "x")
         den, nums = self._snapshot(n)
         a, b = x.numerator, x.denominator
         # the coefficient of x^k is C(n, k) B_(n-k)
@@ -86,8 +85,8 @@ _table = cache(BernoulliTable)
 def bernoulli_base_series(m: int, order: int) -> TruncatedSeries:
     """(t/(e^t - 1))^m as a truncated EGF: the coefficients B_0..B_order
     of the order-m table, grown if needed."""
-    _check_positive(m, "order m")  # before the cache, as in ``bernoulli_higher``
-    _check_size(order, "truncation order")
+    _check_index(m, "order m", 1)  # before the cache, as in ``bernoulli_higher``
+    _check_index(order, "truncation order", 0)
     den, nums = _table(m)._snapshot(order)
     return TruncatedSeries([Fraction(c, den) for c in nums[: order + 1]])
 
@@ -97,5 +96,5 @@ def bernoulli_higher(n: int, m: int, x) -> Fraction:
     rational x (an ``int`` or a ``Fraction``)."""
     # checked before the cache, where a float m would find the table of
     # the equal int
-    _check_positive(m, "order m")
+    _check_index(m, "order m", 1)
     return _table(m).value(n, x)

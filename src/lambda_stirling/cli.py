@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from .bernoulli import bernoulli_base_series, bernoulli_higher
-from .poly import LambdaScalar, SYMBOLIC, _check_size, csv_element, format_element
+from .poly import LambdaScalar, SYMBOLIC, _check_index, csv_element, format_element
 from .stirling import (
     rstirling1_lambda,
     rstirling2_lambda,
@@ -78,6 +78,8 @@ def _parse_rational(option: str, text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"{option}: zero denominator in {text!r}") from None
+    except ValueError:
+        raise ValueError(f"{option}: not a rational number: {text!r}") from None
 
 
 def _parse_lambda(text: str) -> LambdaScalar:
@@ -141,7 +143,7 @@ def _cmd_triangle(args) -> int:
     for name in ("r", "m"):
         if getattr(args, name) is None and name in params:
             raise ValueError(f"family {args.family!r} needs --{name}")
-    _check_size(args.n_max, "--n-max")
+    _check_index(args.n_max, "--n-max", 0)
     lam = _parse_lambda(args.lam)
     cells = [
         (n, k, value_fn(n, k, *extra.values(), lam))
@@ -200,7 +202,7 @@ def _cmd_dobinski(args) -> int:
     if lam.is_symbolic:
         raise ValueError("the series evaluation needs a fixed rational lambda")
     x = _parse_rational("--x", args.x)
-    result = dobinski_eval(args.n, x, args.m, lam.value, args.tol)
+    result = dobinski_eval(args.n, x, args.m, lam, args.tol)
     payload = {
         "n": result.n,
         "x": str(result.x),
@@ -216,7 +218,7 @@ def _cmd_dobinski(args) -> int:
 
 
 def _cmd_bernoulli(args) -> int:
-    _check_size(args.n_max, "--n-max")
+    _check_index(args.n_max, "--n-max", 0)
     x = _parse_rational("--x", args.x)
     rows = [(n, bernoulli_higher(n, args.m, x)) for n in range(args.n_max + 1)]
     if args.format == "csv":

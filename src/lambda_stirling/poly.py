@@ -17,7 +17,8 @@ building any ``Fraction``.  Those integers are its only form: ``coeffs``,
 the tuple of ``Fraction`` coefficients, is built afresh on each read and
 kept nowhere.  A polynomial with a ``Poly`` among its coefficients (an
 x-polynomial at symbolic lambda) keeps that tuple itself, and its
-arithmetic runs coefficient by coefficient in the ring.
+arithmetic runs coefficient by coefficient in the ring; a constant
+lambda-polynomial among them is stored as its scalar.
 
 Two multiplications exist and must not be confused when polynomials nest:
 ``p * q`` convolves p and q as polynomials in the *same* variable, while
@@ -29,6 +30,9 @@ coefficients of an x-polynomial).
 of lambda, or lambda left as a formal symbol.  Instances are immutable and
 hashable, which makes them usable as cache keys; all values produced here are
 immutable and safe to share across threads.
+
+The package's three parameter rules live here: ``_check_index``,
+``_rational`` and ``_check_lambda`` (see the package docstring).
 """
 
 from __future__ import annotations
@@ -84,23 +88,28 @@ def _binary_power(base, k: int, product, result=None):
         base = product(base, base)
 
 
-def _check_integer(value, name: str) -> None:
-    """Reject an index or size that is not an ``int`` with ``ValueError``."""
+def _check_index(value, name: str, low: int | None = None) -> None:
+    """The index rule: an ``int`` that is not a ``bool``, at least ``low``
+    (0 or 1) when given; a ``bool`` raises ``TypeError``, else ``ValueError``."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, not a bool")
     if not isinstance(value, int):
         raise ValueError(f"{name} must be an integer")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be {'nonnegative' if low == 0 else 'positive'}")
 
 
-def _check_size(value, name: str) -> None:
-    """Reject a size or an index that is not a nonnegative ``int`` with ``ValueError``."""
-    _check_integer(value, name)
-    if value < 0:
-        raise ValueError(f"{name} must be nonnegative")
-
-
-def _check_positive(value, name: str) -> None:
-    """Reject a parameter that is not a positive ``int`` with ``ValueError``."""
-    if not isinstance(value, int) or value < 1:
-        raise ValueError(f"{name} must be a positive integer")
+def _rational(value, name: str) -> Fraction:
+    """The rational rule: an ``int`` that is not a ``bool``, or a
+    ``Fraction``, as a ``Fraction``; a ``bool`` raises ``TypeError``, else
+    ``ValueError`` (no float and no string is read)."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be a rational number, not a bool")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, Fraction):
+        return value
+    raise ValueError(f"{name} must be an int or a Fraction, not {type(value).__name__}")
 
 
 def _ratio_str(num: int, den: int) -> str:
@@ -120,7 +129,9 @@ class Poly:
     def __init__(self, coeffs: Iterable = ()):
         items = list(coeffs)
         if not all(isinstance(c, (int, Fraction)) for c in items):
-            items = [_coerce(c) for c in items]
+            # a constant lambda-polynomial coefficient is stored as its scalar
+            items = [c.coeff(0) if isinstance(c, Poly) and c.degree <= 0 else _coerce(c)
+                     for c in items]
             while items and items[-1] == 0:
                 items.pop()
             if any(isinstance(c, Poly) for c in items):
@@ -347,7 +358,9 @@ def _horner(coeffs, a: int, b: int) -> int:
 
 
 def eval_element(value: RingElement, point: Fraction) -> Fraction:
-    """Evaluate a ring element at a rational lambda (constants pass through)."""
+    """Evaluate a ring element at a rational lambda (constants pass through);
+    ``point`` is read by the rational rule."""
+    point = _rational(point, "point")
     if isinstance(value, Poly):
         return value(point)
     return value
@@ -376,9 +389,9 @@ def csv_element(value: RingElement) -> str:
 class LambdaScalar:
     """Deformation parameter: a fixed nonzero rational, or symbolic.
 
-    A fixed value may be anything ``Fraction`` accepts except a ``bool`` or
-    a non-finite float, and is kept as a ``Fraction``, so equal scalars
-    always carry the same exact value.  ``element`` is the ring
+    A fixed value is read by the rational rule (an ``int`` or a
+    ``Fraction``) and kept as a ``Fraction``, so equal scalars always carry
+    the same exact value.  ``element`` is the ring
     representation of lambda itself, a ``Fraction`` in fixed mode and the
     degree-1 ``Poly`` in symbolic mode.  Instances are immutable; two are
     equal when their values are.  Equality compares the reduced
@@ -392,12 +405,7 @@ class LambdaScalar:
 
     def __init__(self, value=None):
         if value is not None:
-            if isinstance(value, bool):
-                raise TypeError("lambda must be a rational number, not a bool")
-            try:
-                value = Fraction(value)
-            except (OverflowError, ValueError):
-                raise ValueError(f"lambda must be a finite rational, got {value!r}") from None
+            value = _rational(value, "lambda")
             if value == 0:
                 raise ValueError("lambda must be nonzero in fixed mode")
         object.__setattr__(self, "value", value)
@@ -477,5 +485,5 @@ def _falling_basis(d: int, lam: LambdaScalar) -> list:
 def falling_factorial_poly(n: int, lam: LambdaScalar) -> Poly:
     """Generalized falling factorial x(x-lam)(x-2*lam)...(x-(n-1)*lam) as a
     polynomial in x; the empty product (n=0) is 1."""
-    _check_size(n, "degree")
+    _check_index(n, "n", 0)
     return _falling_basis(n, lam)[n]

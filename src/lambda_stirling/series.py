@@ -34,9 +34,8 @@ from itertools import count, repeat
 from math import comb, factorial, gcd
 from operator import mul, sub
 
-from .poly import (LambdaScalar, Poly, RingElement, _binary_power, _check_integer,
-                   _check_lambda, _check_size, _coerce, _common_denominator,
-                   format_element)
+from .poly import (LambdaScalar, Poly, RingElement, _binary_power, _check_index,
+                   _check_lambda, _coerce, _common_denominator, format_element)
 
 
 class TruncatedSeries:
@@ -53,17 +52,11 @@ class TruncatedSeries:
         return len(self.coeffs) - 1
 
     def coeff(self, n: int) -> RingElement:
-        # a hit runs no type check: a non-int n fails the tuple index and
-        # is reported from there
-        try:
-            if n >= 0:
-                return self.coeffs[n]
-        except IndexError:
-            pass
-        except TypeError:
-            raise ValueError("n must be an integer") from None
-        _check_integer(n, "n")
-        raise IndexError(f"coefficient {n} outside truncation order {self.order}")
+        if type(n) is not int:
+            _check_index(n, "n")
+        if not 0 <= n < len(self.coeffs):
+            raise IndexError(f"coefficient {n} outside truncation order {self.order}")
+        return self.coeffs[n]
 
     def __eq__(self, other) -> bool:
         if isinstance(other, TruncatedSeries):
@@ -89,8 +82,7 @@ class TruncatedSeries:
         """A^k for any integer k, in one O(N^2) pass of Miller's recurrence
         over ``int`` (``_power_ints``).  Every coefficient must be rational
         and the constant term nonzero."""
-        if not isinstance(exponent, int):
-            raise ValueError("series exponent must be an integer")
+        _check_index(exponent, "series exponent")
         a = self.coeffs
         if any(isinstance(c, Poly) for c in a):
             raise ValueError("series powers need rational coefficients")
@@ -215,8 +207,8 @@ def lambda_columns(m: int, r: int, lam: LambdaScalar, order: int, first: int = 0
     ``Fraction``.  A column takes O(order) memory: lists of length
     order + 1, with each binomial C(n, l) taken from ``math.comb`` as it
     is used."""
-    _check_size(first, "k")
-    _check_size(order, "order")
+    _check_index(first, "k", 0)
+    _check_index(order, "order", 0)
     _check_lambda(lam)
     symbolic = lam.is_symbolic
     lm = Fraction(m) if symbolic else lam.value * m

@@ -37,8 +37,8 @@ from operator import mul
 from threading import Lock
 from typing import NamedTuple
 
-from .poly import (LambdaScalar, Poly, RingElement, _check_integer, _check_lambda,
-                   _check_size, _falling_basis, _horner)
+from .poly import (LambdaScalar, Poly, RingElement, _check_index, _check_lambda,
+                   _falling_basis, _horner)
 from .series import TruncatedSeries, lambda_columns
 
 _ZERO = Fraction(0)
@@ -61,7 +61,7 @@ class NumberTriangle:
     U(n+1, k) = U(n, k-1) + ((beta k - alpha n + gamma) p + r q) U(n, k).
 
     Each row is held in one form at a time.  It stays in its grown integer
-    form until the first ``row``/``value`` read, which replaces it by its
+    form until the first ``value`` read, which replaces it by its
     public tuple: ``Fraction(U, q^(n-k))`` for fixed lam; for symbolic lam
     ``Poly`` below the diagonal, each wrapping its integer coefficient list
     (``Poly.from_ints``, no ``Fraction``), and ``Fraction(1)`` on it and in
@@ -70,10 +70,9 @@ class NumberTriangle:
     a row that is only summed is never converted.  Growth reads the newest
     integer row, kept apart as the frontier.
 
-    Indices must be ``int``: ``value`` gives 0 for integer indices outside
-    0 <= k <= n, and any other n or k raises ``ValueError``.  The type is
-    only checked off the cache-hit path, where the row is missing or the
-    list or tuple index fails.
+    The triangle trusts its callers, which check n and k by the index
+    rule (``_lookup``, ``dowling_poly``, ...): ``value`` takes any ``int``
+    pair and gives 0 outside 0 <= k <= n, and ``row_sum`` takes n >= 0.
 
     Rows are appended whole and a slot only ever swaps one complete form
     for an equal one, so a lookup of an existing row is a plain read; two
@@ -150,44 +149,23 @@ class NumberTriangle:
         return [e.numerator * (p // e.denominator) for e, p in zip(row, powers)]
 
     def _slot(self, n: int):
-        """Row n as it is held (integer or public form), grown if missing."""
-        if n < 0:
-            _check_integer(n, "n")
-            raise ValueError("row index must be nonnegative")
+        """Row n >= 0 as it is held (integer or public form), grown if missing."""
         try:
             return self._rows[n]
         except IndexError:
             self._grow(n)
             return self._rows[n]
-        except TypeError:
-            raise ValueError("n must be an integer") from None
-
-    def row(self, n: int) -> tuple:
-        row = self._slot(n)
-        if type(row) is not tuple:
-            row = self._publish(n, row)
-        return row
 
     def value(self, n: int, k: int) -> RingElement:
-        # a cache hit runs no type check: a non-int n or k fails the list
-        # or tuple index and is reported from there
-        if n < 0 or k < 0 or k > n:
-            _check_integer(n, "n")
-            _check_integer(k, "k")
+        if k < 0 or k > n:  # n < 0 included
             return _ZERO
         try:
             row = self._rows[n]
         except IndexError:
-            _check_integer(k, "k")
             row = self._slot(n)
-        except TypeError:
-            raise ValueError("n must be an integer") from None
         if type(row) is not tuple:
             row = self._publish(n, row)
-        try:
-            return row[k]
-        except TypeError:
-            raise ValueError("k must be an integer") from None
+        return row[k]
 
     def row_sum(self, n: int, x: Fraction) -> RingElement:
         """sum_k T(n, k) x^k, summed over the integer form of row n.
@@ -230,40 +208,43 @@ def _triangle(lam: LambdaScalar, alpha: int, beta: int, r: int) -> NumberTriangl
     return NumberTriangle(lam, alpha=alpha, beta=beta, r=r)
 
 
-def _check_shift(r: int) -> None:
-    if not isinstance(r, int) or r < 0:
-        raise ValueError("shift r must be a nonnegative integer")
+def _lookup(n: int, k: int, lam: LambdaScalar, alpha: int, beta: int, r: int) -> RingElement:
+    """Entry (n, k) of the triangle of (lam, alpha, beta, r), its indices
+    checked by exact type comparisons, and by the index rule only to raise;
+    a lam that is not a ``LambdaScalar`` is refused when its triangle is built."""
+    if type(n) is not int or type(k) is not int or type(r) is not int or r < 0:
+        _check_index(n, "n")
+        _check_index(k, "k")
+        _check_index(r, "shift r", 0)
+    return _triangle(lam, alpha, beta, r).value(n, k)
 
 
 def rstirling2_lambda(n: int, k: int, r: int, lam: LambdaScalar) -> RingElement:
     """Entry T(n, k) of the r-shifted second-kind triangle, tabulated by the
     recurrence T(n+1, k) = T(n, k-1) + (lam*k + r) * T(n, k)."""
-    _check_shift(r)
-    return _triangle(lam, 0, 1, r).value(n, k)
+    return _lookup(n, k, lam, 0, 1, r)
 
 
 def stirling2_lambda(n: int, k: int, lam: LambdaScalar) -> RingElement:
     """Plain second-kind number: coefficient of (x)_{k,lam} in x^n."""
-    return rstirling2_lambda(n, k, 0, lam)
+    return _lookup(n, k, lam, 0, 1, 0)
 
 
 def rstirling1_lambda(n: int, k: int, r: int, lam: LambdaScalar) -> RingElement:
     """Coefficient of x^k in the shifted falling factorial
     (x+r)(x+r-lam)...(x+r-(n-1)lam); row extension multiplies by (x+r-n*lam)."""
-    _check_shift(r)
-    return _triangle(lam, 1, 0, r).value(n, k)
+    return _lookup(n, k, lam, 1, 0, r)
 
 
 def stirling1_lambda(n: int, k: int, lam: LambdaScalar) -> RingElement:
     """Coefficient of x^k in the plain falling factorial (x)_{n,lam}."""
-    return rstirling1_lambda(n, k, 0, lam)
+    return _lookup(n, k, lam, 1, 0, 0)
 
 
 def unsigned_rstirling1_lambda(n: int, k: int, r: int, lam: LambdaScalar) -> RingElement:
     """Coefficient of x^k in the shifted rising product
     (x+r)(x+r+lam)...(x+r+(n-1)lam)."""
-    _check_shift(r)
-    return _triangle(lam, -1, 0, r).value(n, k)
+    return _lookup(n, k, lam, -1, 0, r)
 
 
 def rstirling2_by_difference(n: int, k: int, r: int, lam_value) -> Fraction:
@@ -272,15 +253,12 @@ def rstirling2_by_difference(n: int, k: int, r: int, lam_value) -> Fraction:
         lam^(n-k) / k! * sum_{l=0}^{k} C(k,l) (-1)^(k-l) (l + r/lam)^n
 
     Equals the triangle entry for n >= k and vanishes for 0 <= n < k.
+    ``lam_value`` is read as ``LambdaScalar.fixed`` reads it.
     """
-    _check_shift(r)
-    _check_integer(n, "n")
-    _check_integer(k, "k")
-    if n < 0 or k < 0:
-        raise ValueError("indices must be nonnegative")
-    lam_value = Fraction(lam_value)
-    if lam_value == 0:
-        raise ValueError("lambda must be nonzero")
+    _check_index(n, "n", 0)
+    _check_index(k, "k", 0)
+    _check_index(r, "shift r", 0)
+    lam_value = LambdaScalar.fixed(lam_value).value
     shift = Fraction(r) / lam_value
     total = sum(
         comb(k, l) * (-1) ** (k - l) * (l + shift) ** n for l in range(k + 1)
@@ -309,6 +287,8 @@ def expand_in_falling_basis(target: Poly, lam: LambdaScalar) -> BasisExpansion:
     elimination: the basis is monic of degree k, so coefficients are read
     off from the top degree downward.  This is the definitional oracle the
     recurrences are tested against."""
+    if not isinstance(target, Poly):
+        raise TypeError("target must be a Poly")
     d = target.degree  # -1 for the zero target, which has no coefficients
     basis = _falling_basis(d, lam)
     coefficients = [Fraction(0)] * (d + 1)
@@ -334,8 +314,8 @@ def _expansion(n: int, m: int, r: int, lam: LambdaScalar) -> tuple:
 def _by_expansion(n: int, k: int, m: int, r: int, lam: LambdaScalar) -> RingElement:
     """Entry k of ``_expansion(n, m, r, lam)``, zero outside 0 <= k <= n."""
     # checked before the cache, where n = 3.0 would find the key 3
-    _check_size(n, "n")
-    _check_integer(k, "k")
+    _check_index(n, "n", 0)
+    _check_index(k, "k")
     coefficients = _expansion(n, m, r, lam)
     if 0 <= k <= n:
         return coefficients[k]
@@ -345,7 +325,7 @@ def _by_expansion(n: int, k: int, m: int, r: int, lam: LambdaScalar) -> RingElem
 def rstirling2_by_expansion(n: int, k: int, r: int, lam: LambdaScalar) -> RingElement:
     """Definitional route for the r-shifted second kind: expand (x+r)^n in
     the falling-factorial basis and read off coefficient k."""
-    _check_shift(r)
+    _check_index(r, "shift r", 0)
     return _by_expansion(n, k, 1, r, lam)
 
 
@@ -354,7 +334,7 @@ def second_kind_series(k: int, r: int, lam: LambdaScalar, order: int) -> Truncat
     the r-shifted second-kind numbers T(n, k) as its EGF coefficients.  It is
     column k of ``series.lambda_columns`` at m = 1, built directly over the
     integers from the powers of e^t - 1, with no division by lam."""
-    _check_shift(r)
+    _check_index(r, "shift r", 0)
     return next(lambda_columns(1, r, lam, order, first=k))
 
 
@@ -362,9 +342,9 @@ def classical_rstirling2(n: int, k: int, r: int) -> int:
     """Ordinary r-shifted second-kind number over the integers: the
     finite-difference closed form at lam = 1.  Serves as the independent
     reference for the lam -> 1 specialization."""
-    _check_shift(r)
-    _check_integer(n, "n")
-    _check_integer(k, "k")
+    _check_index(n, "n")
+    _check_index(k, "k")
+    _check_index(r, "shift r", 0)
     if n < 0 or k < 0:
         return 0
     value = rstirling2_by_difference(n, k, r, 1)

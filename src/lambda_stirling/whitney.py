@@ -40,9 +40,9 @@ from fractions import Fraction
 from math import inf
 from typing import NamedTuple
 
-from .poly import LambdaScalar, RingElement, _check_lambda, _check_positive, _check_size
+from .poly import LambdaScalar, RingElement, _check_index, _check_lambda, _rational
 from .series import TruncatedSeries, _exp_coeffs, lambda_columns
-from .stirling import _by_expansion, _check_shift, _triangle
+from .stirling import _by_expansion, _lookup, _triangle
 
 DOBINSKI_DIGITS = 40  # least decimal working precision of dobinski_eval
 DOBINSKI_TOL = 1e-12  # default tolerance of dobinski_eval
@@ -52,16 +52,12 @@ class UnsupportedDomainError(ValueError):
     """Parameters outside the domain where the numeric series converges."""
 
 
-def _check_params(m: int, r: int) -> None:
-    _check_positive(m, "parameter m")
-    _check_shift(r)
-
-
 def whitney_r(n: int, k: int, m: int, r: int, lam: LambdaScalar) -> RingElement:
     """Shifted Whitney-type number, tabulated by the recurrence
     W(n+1, k) = W(n, k-1) + (lam*m*k + r) * W(n, k)."""
-    _check_params(m, r)
-    return _triangle(lam, 0, m, r).value(n, k)
+    if type(m) is not int or m < 1:  # the hit path compares types, as _lookup does
+        _check_index(m, "parameter m", 1)
+    return _lookup(n, k, lam, 0, m, r)
 
 
 def whitney(n: int, k: int, m: int, lam: LambdaScalar) -> RingElement:
@@ -72,7 +68,8 @@ def whitney(n: int, k: int, m: int, lam: LambdaScalar) -> RingElement:
 def whitney_r_by_expansion(n: int, k: int, m: int, r: int, lam: LambdaScalar) -> RingElement:
     """Definitional oracle: expand (m x + r)^n in the falling-factorial
     basis and divide coefficient k by m^k (the division is exact)."""
-    _check_params(m, r)
+    _check_index(m, "parameter m", 1)
+    _check_index(r, "shift r", 0)
     return _by_expansion(n, k, m, r, lam)
 
 
@@ -81,25 +78,24 @@ def whitney_series(k: int, m: int, r: int, lam: LambdaScalar, order: int) -> Tru
     ``series.lambda_columns`` built directly over the integers, carries the
     shifted Whitney-type numbers as EGF coefficients; r = 1 gives the plain
     family."""
-    _check_params(m, r)
+    _check_index(m, "parameter m", 1)
+    _check_index(r, "shift r", 0)
     return next(lambda_columns(m, r, lam, order, first=k))
 
 
 def dowling_poly(n: int, x, m: int, lam: LambdaScalar) -> RingElement:
     """Dowling polynomial d(n, x) = sum_k W(n, k) x^k, summed over the
     integer form of the Whitney row (``NumberTriangle.row_sum``)."""
-    _check_size(n, "n")
-    x = Fraction(x)
-    _check_params(m, 1)
-    return _triangle(lam, 0, m, 1).row_sum(n, x)
+    _check_index(n, "n", 0)
+    _check_index(m, "parameter m", 1)
+    return _triangle(lam, 0, m, 1).row_sum(n, _rational(x, "x"))
 
 
 def bell_poly_lambda(n: int, x, lam: LambdaScalar) -> RingElement:
     """Deformed Bell polynomial: row sum of the plain second-kind triangle
     against powers of x."""
-    _check_size(n, "n")
-    x = Fraction(x)
-    return _triangle(lam, 0, 1, 0).row_sum(n, x)
+    _check_index(n, "n", 0)
+    return _triangle(lam, 0, 1, 0).row_sum(n, _rational(x, "x"))
 
 
 def dowling_series(x, m: int, lam: LambdaScalar, order: int) -> TruncatedSeries:
@@ -115,9 +111,9 @@ def dowling_series(x, m: int, lam: LambdaScalar, order: int) -> TruncatedSeries:
     _check_lambda(lam)
     if lam.is_symbolic:
         raise ValueError("the closed Dowling EGF needs a fixed rational lambda")
-    _check_size(order, "order")
-    _check_params(m, 1)
-    x = Fraction(x)
+    _check_index(order, "order", 0)
+    _check_index(m, "parameter m", 1)
+    x = _rational(x, "x")
     lm = lam.value * m
     a, b, q = x.numerator, x.denominator, lm.denominator
     alpha = [(a + b) * q] + [a * q * (lm.numerator * b) ** j for j in range(1, order)]
@@ -155,9 +151,12 @@ class DowlingValue(NamedTuple):
 
 
 def _dobinski_domain(x, lam) -> tuple:
-    """x and lam as ``Fraction``s in the numeric series' domain lam > 0, x >= 0."""
-    x, lam = Fraction(x), Fraction(lam)
-    if lam <= 0:
+    """x as a ``Fraction`` and lam as a fixed ``LambdaScalar`` (from its bare
+    value by ``LambdaScalar.fixed``) in the series' domain lam > 0, x >= 0."""
+    x = _rational(x, "x")
+    if not isinstance(lam, LambdaScalar):
+        lam = LambdaScalar.fixed(lam)
+    if lam.is_symbolic or lam.value < 0:
         raise UnsupportedDomainError("the numeric series needs lambda > 0")
     if x < 0:
         raise UnsupportedDomainError("the numeric series needs x >= 0")
@@ -166,6 +165,8 @@ def _dobinski_domain(x, lam) -> tuple:
 
 def dobinski_eval(n: int, x, m: int, lam, tol: float = DOBINSKI_TOL) -> DowlingValue:
     """Sum the Dobinski-style series for d(n, x) at fixed lam > 0, x >= 0.
+    lam is a fixed ``LambdaScalar``, as everywhere else, or its bare value
+    (an ``int`` or a ``Fraction``); x is read by the rational rule.
 
     Terms t_k = c^k / k! * (lam m k + 1)^n with c = x/(lam m) are positive
     and their ratio t_k/t_{k-1} decreases in k, so once it is below 1/2
@@ -173,16 +174,18 @@ def dobinski_eval(n: int, x, m: int, lam, tol: float = DOBINSKI_TOL) -> DowlingV
     k where 2 t_k is also below tol times a lower bound on e^{-c}, so the
     truncation error is below tol e^{-c} e^{-c}.  The sum is exact over
     ``int`` and only e^{-c} is enclosed (``_dobinski.dobinski_sum``, which
-    is imported on the first call).  ``tol`` must be positive and finite.
+    is imported on the first call).  ``tol`` must be a positive and finite
+    ``int``, ``float`` or ``Fraction``.
     """
-    _check_size(n, "n")
-    _check_params(m, 1)
+    _check_index(n, "n", 0)
+    _check_index(m, "parameter m", 1)
     x, lam = _dobinski_domain(x, lam)
-    if not 0 < tol < inf:
+    if isinstance(tol, bool) or not isinstance(tol, (int, float, Fraction)) or not 0 < tol < inf:
         raise ValueError("tolerance must be positive and finite")
     tol = Fraction(tol)
 
     from ._dobinski import dobinski_sum  # deferred: only this needs it and mpmath
 
-    exact = dowling_poly(n, x, m, LambdaScalar.fixed(lam))
-    return DowlingValue(n, x, m, lam, exact, *dobinski_sum(n, x / (lam * m), lam * m, tol))
+    lm = lam.value * m
+    exact = dowling_poly(n, x, m, lam)
+    return DowlingValue(n, x, m, lam.value, exact, *dobinski_sum(n, x / lm, lm, tol))

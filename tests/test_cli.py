@@ -260,6 +260,19 @@ def test_zero_denominator_names_the_option(capsys, argv, option):
     assert err == f"error: {option}: zero denominator in '1/0'\n"
 
 
+@pytest.mark.parametrize("argv, option, text", [
+    (("eval", "--poly", "bell", "--n", "3", "--x", "abc", "--lambda", "1/2"), "--x", "abc"),
+    (("eval", "--poly", "bell", "--n", "3", "--x", "nan", "--lambda", "1/2"), "--x", "nan"),
+    (("triangle", "--family", "s2lambda", "--n-max", "3", "--lambda", "inf"),
+     "--lambda", "inf"),
+    (("bernoulli", "--n-max", "3", "--m", "1", "--x", "1/2/3"), "--x", "1/2/3"),
+], ids=["x-abc", "x-nan", "lambda-inf", "x-two-slashes"])
+def test_unreadable_rational_names_the_option(capsys, argv, option, text):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {option}: not a rational number: {text!r}\n"
+
+
 def test_zero_lambda_exits_2(capsys):
     for argv, message in (
         (("triangle", "--family", "s2lambda", "--n-max", "3", "--lambda", "0"),

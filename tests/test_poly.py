@@ -221,7 +221,8 @@ def test_nested_constant_coefficients_equal_their_scalar_twin():
     nested = Poly([Poly([3]), Fraction(1, 2)])
     twin = Poly.from_ints([6, 1], 2)
     assert nested == twin and twin == nested and hash(nested) == hash(twin)
-    assert repr(nested) == "Poly([Poly([Fraction(3, 1)]), Fraction(1, 2)])"
+    # the constant lambda-polynomial Poly([3]) is stored as its scalar
+    assert repr(nested) == repr(twin) == "Poly([Fraction(3, 1), Fraction(1, 2)])"
     copy = pickle.loads(pickle.dumps(nested))
     assert copy == nested and repr(copy) == repr(nested)
 
@@ -237,7 +238,8 @@ def test_reading_coeffs_keeps_nothing():
     # the entries rstirling2_lambda(n, k, 2, SYMBOLIC) for n <= 60, from a
     # triangle of their own, so that no earlier read has touched them
     triangle = NumberTriangle(SYMBOLIC, beta=1, r=2)
-    entries = [e for n in range(61) for e in triangle.row(n) if isinstance(e, Poly)]
+    entries = [e for n in range(61) for k in range(n + 1)
+               if isinstance(e := triangle.value(n, k), Poly)]
     assert len(entries) == 61 * 60 // 2
     tracemalloc.start()
     try:
@@ -311,6 +313,18 @@ def test_lambda_scalar_rejects_what_is_not_a_finite_rational():
         with pytest.raises(ValueError, match="lambda"):
             LambdaScalar(value)
     assert LambdaScalar(None) == SYMBOLIC
+
+
+@pytest.mark.parametrize("value", ["1/0", "1/2", 0.5, 1j, object()],
+                         ids=["zero-denominator", "str", "float", "complex", "object"])
+def test_lambda_scalar_reads_only_an_int_or_a_fraction(value):
+    # the rational rule: no string, float or other type reaches Fraction,
+    # whose own errors (ZeroDivisionError, a TypeError naming no
+    # parameter) would escape
+    with pytest.raises(ValueError, match="^lambda must be an int or a Fraction, not "):
+        LambdaScalar(value)
+    with pytest.raises(ValueError, match="^point must be an int or a Fraction, not "):
+        eval_element(Poly([1, 2]), value)
 
 
 # small parts, so that pairs sharing only a numerator or only a denominator

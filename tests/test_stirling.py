@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from lambda_stirling.poly import LambdaScalar, Poly, SYMBOLIC, eval_element, falling_factorial_poly
 from lambda_stirling.stirling import (
     NumberTriangle,
-    _triangle,
     classical_rstirling2,
     expand_in_falling_basis,
     rstirling1_lambda,
@@ -265,23 +264,20 @@ def test_cache_hit_at_a_new_equal_lambda_runs_no_fraction_comparison(monkeypatch
     assert hits == cached
 
 
-def test_float_lambda_does_not_poison_the_triangle_cache():
-    # LambdaScalar(0.5) hashes and compares equal to the exact scalar, so
-    # the triangle it builds is the one every later lookup of 1/2 reads
-    _triangle.cache_clear()
-    for lam in (LambdaScalar(0.5), LambdaScalar.fixed(Fraction(1, 2))):
-        assert stirling2_lambda(3, 1, lam) == Fraction(1, 4)
-        assert type(lam.value) is Fraction
+def test_float_lambda_is_refused():
+    # a float is a binary fraction, not the rational it spells: neither
+    # LambdaScalar nor a triangle function reads it as lambda
+    with pytest.raises(ValueError, match="lambda must be an int or a Fraction, not float"):
+        LambdaScalar(0.5)
+    with pytest.raises(TypeError, match="lam must be a LambdaScalar"):
+        stirling2_lambda(3, 1, 0.5)
 
 
 def test_triangle_rows_immutable_and_consistent():
     tri = NumberTriangle(LambdaScalar.fixed(1), beta=1)
-    row3 = tri.row(3)
-    assert isinstance(row3, tuple)
-    # ordinary second-kind numbers at lam=1
-    assert row3 == (0, 1, 3, 1)
-    with pytest.raises(ValueError):
-        tri.row(-1)
+    # ordinary second-kind numbers at lam=1, and zero outside 0 <= k <= n
+    assert [tri.value(3, k) for k in range(-1, 5)] == [0, 0, 1, 3, 1, 0]
+    assert tri.value(-1, 0) == 0
 
 
 @pytest.mark.parametrize("lam", [HALF, SYMBOLIC], ids=["fixed", "symbolic"])
@@ -296,19 +292,24 @@ def test_non_integer_triangle_index_rejected(lam):
         (lambda: rstirling2_lambda(3, 1.0, 0, lam), "k"),
         (lambda: rstirling2_lambda(9, 1.0, 0, lam), "k"),
         (lambda: rstirling2_lambda(-1.5, 0, 0, lam), "n"),
-        (lambda: _triangle(lam, 0, 1, 0).row(2.0), "n"),
-        (lambda: _triangle(lam, 0, 1, 0).row(-0.5), "n"),
+        (lambda: stirling1_lambda(2.0, 1, lam), "n"),
+        (lambda: unsigned_rstirling1_lambda(3, 1.0, 1, lam), "k"),
+        (lambda: whitney_r(9.0, 1, 2, 1, lam), "n"),
         (lambda: dowling_poly(2.0, 1, 2, lam), "n"),
         (lambda: bell_poly_lambda(Fraction(3), 1, lam), "n"),
-        (lambda: falling_factorial_poly(2.0, lam), "degree"),
+        (lambda: falling_factorial_poly(2.0, lam), "n"),
     ):
         with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
             call()
     # integer indices outside 0 <= k <= n are still zero
     assert rstirling2_lambda(2, 3, 0, lam) == 0 and rstirling2_lambda(-1, 0, 0, lam) == 0
-    assert rstirling2_lambda(True, True, 0, lam) == 1
-    with pytest.raises(ValueError, match="row index must be nonnegative"):
-        _triangle(lam, 0, 1, 0).row(-1)
+    # a bool is not read as the index 1, on the hit path either
+    with pytest.raises(TypeError, match="^n must be an integer, not a bool$"):
+        rstirling2_lambda(True, 1, 0, lam)
+    with pytest.raises(TypeError, match="^k must be an integer, not a bool$"):
+        rstirling2_lambda(1, True, 0, lam)
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        bell_poly_lambda(-1, 1, lam)
 
 
 def test_non_integer_oracle_index_rejected():
@@ -373,6 +374,10 @@ def test_concurrent_growth_is_consistent():
     assert all(v == fresh.value(40, 17) for v in results)
 
 
+def read_row(triangle, n):
+    return tuple(triangle.value(n, k) for k in range(n + 1))
+
+
 def test_lock_free_reads_race_growth():
     lam = LambdaScalar.fixed(Fraction(-2, 3))
     want = NumberTriangle(lam, alpha=-1, r=2)
@@ -381,7 +386,7 @@ def test_lock_free_reads_race_growth():
 
     def worker(start):
         for n in range(start, 60, 4):
-            seen.append((n, shared.row(n), shared.value(n, n // 2)))
+            seen.append((n, read_row(shared, n), shared.value(n, n // 2)))
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -396,7 +401,7 @@ def test_lock_free_reads_race_growth():
     assert not any(t.is_alive() for t in threads)
     assert len(seen) == 16 * 15
     for n, row, entry in seen:
-        assert row == want.row(n) and entry == want.value(n, n // 2)
+        assert row == read_row(want, n) and entry == want.value(n, n // 2)
 
 
 def test_row_sums_and_reads_race_conversion():
@@ -416,7 +421,7 @@ def test_row_sums_and_reads_race_conversion():
                 if op == 0:
                     seen.append((0, n, shared.row_sum(n, x)))
                 elif op == 1:
-                    seen.append((1, n, shared.row(n)))
+                    seen.append((1, n, read_row(shared, n)))
                 else:
                     seen.append((2, n, shared.value(n, n // 2)))
 
@@ -433,5 +438,5 @@ def test_row_sums_and_reads_race_conversion():
         assert not any(t.is_alive() for t in threads)
         assert len(seen) == 16 * n_rows
         for op, n, got in seen:
-            expected = (sums[n], want.row(n), want.value(n, n // 2))[op]
+            expected = (sums[n], read_row(want, n), want.value(n, n // 2))[op]
             assert got == expected and type(got) is type(expected)

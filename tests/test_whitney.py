@@ -258,6 +258,24 @@ def test_dobinski_matches_exact():
                     assert result.truncation_terms > 0
 
 
+def test_dobinski_takes_lambda_as_every_other_function_does():
+    # a LambdaScalar, as the triangles take it, or its bare value
+    scalar = dobinski_eval(3, Fraction(1, 2), 2, HALF)
+    assert scalar == dobinski_eval(3, Fraction(1, 2), 2, Fraction(1, 2))
+    assert scalar.lam == Fraction(1, 2)
+    with pytest.raises(UnsupportedDomainError, match="lambda > 0"):
+        dobinski_eval(3, Fraction(1, 2), 2, SYMBOLIC)
+
+
+@pytest.mark.parametrize("x, lam", [(Fraction(1), Fraction(1, 10**30)), (10**30, HALF)],
+                         ids=["tiny-lambda", "huge-x"])
+def test_dobinski_refuses_a_series_that_cannot_converge(x, lam):
+    # t_k / t_(k-1) >= c / k with c = x/(lam m), so no k below 2c passes
+    # the ratio test; e^{-c} is not even enclosed (it overflowed before)
+    with pytest.raises(UnsupportedDomainError, match=r"x/\(lambda m\) below 50000"):
+        dobinski_eval(3, x, 1, lam)
+
+
 def test_dobinski_domain_errors():
     with pytest.raises(UnsupportedDomainError):
         dobinski_eval(3, Fraction(1), 1, Fraction(-1, 2), 1e-10)
