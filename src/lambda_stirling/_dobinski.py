@@ -16,10 +16,9 @@ from mpmath import mp
 from mpmath.libmp import (dps_to_prec, from_man_exp, from_rational, mpf_exp,
                           round_ceiling, round_floor)
 
-from .whitney import DOBINSKI_DIGITS, UnsupportedDomainError
+from .whitney import DOBINSKI_DIGITS, DOBINSKI_MAX_TERMS
 
 GUARD_BITS = 20  # working bits beyond log2(value) + log2(1/tol)
-MAX_TERMS = 100000  # past this many terms the sum raises ArithmeticError
 
 
 def _dyadic(man: int, exp: int) -> Fraction:
@@ -54,12 +53,12 @@ def exp_neg_enclosure(u: int, v: int, prec: int) -> tuple:
 def _first_true(pred, k: int) -> int:
     """The least j >= k with pred(j), for a predicate that is false and
     then true from k on, found by doubling and then bisection; past
-    ``MAX_TERMS`` the series counts as not converging."""
+    ``DOBINSKI_MAX_TERMS`` the series counts as not converging."""
     hi = k
     while not pred(hi):
-        if hi >= MAX_TERMS:
+        if hi >= DOBINSKI_MAX_TERMS:
             raise ArithmeticError("series failed to reach the tail bound")
-        k, hi = hi + 1, min(2 * hi, MAX_TERMS)
+        k, hi = hi + 1, min(2 * hi, DOBINSKI_MAX_TERMS)
     while k < hi:
         mid = (k + hi) // 2
         if pred(mid):
@@ -99,9 +98,6 @@ def dobinski_sum(n: int, c: Fraction, lm: Fraction, tol: Fraction) -> tuple:
     one pass over a growing numerator per term.  The working precision is
     fixed only after the sum, from log2 of its value.
     """
-    if 2 * c >= MAX_TERMS:  # t_k / t_(k-1) >= c / k, so the ratio test needs k > 2c
-        raise UnsupportedDomainError(
-            f"the numeric series needs x/(lambda m) below {MAX_TERMS // 2}")
     p, q, u, v = lm.numerator, lm.denominator, c.numerator, c.denominator
     prec = dps_to_prec(DOBINSKI_DIGITS)
     lo, hi = exp_neg_enclosure(u, v, prec)

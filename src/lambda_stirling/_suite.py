@@ -80,7 +80,8 @@ class SuiteConfig:
     verification grid; Bernoulli-heavy checks use the smaller ``bernoulli_n_max``.
     A config is validated when it is built, ``dataclasses.replace`` included:
     its bounds, its check ids, and each grid value by the rule of the
-    function that consumes it, so a bad grid fails before any check runs."""
+    function that consumes it (Dobinski points crossed), so a bad grid fails
+    before any check runs, save T4's at n_max <= 1 and T13's with no r >= 1."""
 
     n_max: int = 10
     bernoulli_n_max: int = 8
@@ -121,8 +122,9 @@ class SuiteConfig:
         for x in self.egf_x_values:
             _rational(x, "egf_x_values entry")
         for x in self.dobinski_x_values:
-            for lam in self.dobinski_lambdas:
-                _whitney._dobinski_domain(x, lam)
+            for m in self.dobinski_m_values:
+                for lam in self.dobinski_lambdas:
+                    _whitney._dobinski_domain(x, m, lam)
         if self.theorems is not None:
             if not self.theorems:
                 raise ValueError("no check ids selected")
@@ -162,10 +164,11 @@ class IdentityReport:
 
 
 def _witness(params: dict, lhs, rhs) -> dict:
+    # a side that a check describes in words (DOBINSKI_T11, T13) is kept
     return {
         "params": {key: str(value) for key, value in params.items()},
-        "lhs": format_element(lhs),
-        "rhs": format_element(rhs),
+        "lhs": lhs if isinstance(lhs, str) else format_element(lhs),
+        "rhs": rhs if isinstance(rhs, str) else format_element(rhs),
     }
 
 

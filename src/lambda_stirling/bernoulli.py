@@ -46,12 +46,11 @@ class BernoulliTable:
     into a new list and publishes the new pair whole.  So a reader takes
     one snapshot of the pair and reads only below that list's length: it
     never needs the lock, and never pairs numerators with another D.  Each
-    read reduces once, to one ``Fraction``."""
+    read reduces once, to one ``Fraction``.  Its callers check m."""
 
     __slots__ = ("m", "_state", "_lock")
 
     def __init__(self, m: int):
-        _check_index(m, "order m", 1)
         self.m = m
         self._state = (1, [1])
         self._lock = Lock()

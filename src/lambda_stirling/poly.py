@@ -31,8 +31,8 @@ of lambda, or lambda left as a formal symbol.  Instances are immutable and
 hashable, which makes them usable as cache keys; all values produced here are
 immutable and safe to share across threads.
 
-The package's three parameter rules live here: ``_check_index``,
-``_rational`` and ``_check_lambda`` (see the package docstring).
+The package's parameter rules live here: ``_check_index``, ``_rational``,
+``_check_lambda`` and ``_check_element`` (see the package docstring).
 """
 
 from __future__ import annotations
@@ -186,6 +186,8 @@ class Poly:
         return len(self._nums) - 1
 
     def coeff(self, i: int) -> RingElement:
+        if type(i) is not int:
+            _check_index(i, "i")
         if self._nums is None:
             if 0 <= i < len(self._coeffs):
                 return self._coeffs[i]
@@ -306,10 +308,7 @@ class Poly:
         return NotImplemented
 
     def __pow__(self, exponent: int) -> "Poly":
-        if not isinstance(exponent, int):
-            raise ValueError("polynomial power must be a nonnegative integer")
-        if exponent < 0:
-            raise ValueError("negative polynomial power")
+        _check_index(exponent, "polynomial power", 0)
         return _binary_power(self, exponent, mul, Poly.one())
 
     def __call__(self, point):
@@ -357,12 +356,19 @@ def _horner(coeffs, a: int, b: int) -> int:
     return total
 
 
+def _check_element(value) -> None:
+    """The ring-element rule: an ``int`` but no ``bool``, a ``Fraction`` or a ``Poly``."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction, Poly)):
+        raise TypeError(f"value must be an int, Fraction or Poly, not {type(value).__name__}")
+
+
 def eval_element(value: RingElement, point: Fraction) -> Fraction:
     """Evaluate a ring element at a rational lambda (constants pass through);
-    ``point`` is read by the rational rule."""
+    ``value`` and ``point`` are read by the ring-element and rational rules."""
     point = _rational(point, "point")
     if isinstance(value, Poly):
         return value(point)
+    _check_element(value)
     return value
 
 
@@ -375,6 +381,7 @@ def format_element(value: RingElement):
         if value._nums is None:
             return [str(c) for c in value.coeffs]
         return [_ratio_str(c, value._den) for c in value._nums]
+    _check_element(value)
     return str(value)
 
 
@@ -386,7 +393,19 @@ def csv_element(value: RingElement) -> str:
     return as_json
 
 
-class LambdaScalar:
+class _Frozen:
+    """Refuses assignment and deletion, so that a hash never changes."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class LambdaScalar(_Frozen):
     """Deformation parameter: a fixed nonzero rational, or symbolic.
 
     A fixed value is read by the rational rule (an ``int`` or a
@@ -416,12 +435,6 @@ class LambdaScalar:
         object.__setattr__(self, "_hash", 0 if value is None else hash(value))
         object.__setattr__(self, "_key", None if value is None
                            else (value.numerator, value.denominator))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -11,15 +11,9 @@ constant term, the inverse included.
 
 The column EGFs of the paper are one family: column k of the Whitney-type
 r-Stirling numbers of parameter m is ((e^{lam m t} - 1)/(lam m))^k e^{r t} / k!,
-and the r-shifted second kind is its m = 1 case.  The base
-E = (e^{lam m t} - 1)/(lam m) has EGF coefficients 0 and then (lam m)^(n-1),
-so it is homogeneous: [E^k]_n = eta_{k,n} (lam m)^(n-k), where eta_k holds
-the integer EGF coefficients of (e^t - 1)^k.  ``lambda_columns`` therefore
-builds every column over ``int``: eta_k by integer series products, then one
-binomial mix with the powers of lam m and r per coefficient, converted once
-to a ``Fraction`` (fixed lam) or a ``Poly`` (symbolic lam).  No step divides
-by lam.  eta_k is never taken from its derivative recurrence, which is the
-triangles' own: the EGF route stays independent of the triangles it checks.
+and the r-shifted second kind is its m = 1 case.  ``lambda_columns``
+builds every column over ``int``, never divides by lam, and stays
+independent of the triangles it checks; its docstring gives the formula.
 
 A power is one O(N^2) pass of J.C.P. Miller's recurrence, whose multipliers
 are integers, so it runs on integer numerators that share one denominator
@@ -34,18 +28,18 @@ from itertools import count, repeat
 from math import comb, factorial, gcd
 from operator import mul, sub
 
-from .poly import (LambdaScalar, Poly, RingElement, _binary_power, _check_index,
+from .poly import (LambdaScalar, Poly, RingElement, _Frozen, _binary_power, _check_index,
                    _check_lambda, _coerce, _common_denominator, format_element)
 
 
-class TruncatedSeries:
+class TruncatedSeries(_Frozen):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
         items = tuple(_coerce(c) for c in coeffs)
         if not items:
             raise ValueError("a series needs at least the order-0 coefficient")
-        self.coeffs = items
+        object.__setattr__(self, "coeffs", items)
 
     @property
     def order(self) -> int:
@@ -66,17 +60,16 @@ class TruncatedSeries:
     def __hash__(self):
         return hash(self.coeffs)
 
+    def __reduce__(self):
+        return (TruncatedSeries, (self.coeffs,))
+
     def __mul__(self, other):
-        """The series product: the binomial convolution, truncated to the
+        """The series product (``_binomial_product``), truncated to the
         smaller order.  The other factor must be a series too."""
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        size = min(len(self.coeffs), len(other.coeffs))
-        a, b = self.coeffs[:size], other.coeffs[:size]
-        out = []
-        for n in range(size):
-            out.append(sum((comb(n, l) * a[l]) * b[n - l] for l in range(n + 1)))
-        return TruncatedSeries(out)
+        order = min(self.order, other.order)
+        return TruncatedSeries(_binomial_product(self.coeffs, other.coeffs, order))
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
         """A^k for any integer k, in one O(N^2) pass of Miller's recurrence
@@ -165,10 +158,10 @@ def _exp_coeffs(alpha, order: int) -> list:
     return b
 
 
-def _binomial_product(a: list, b: list, order: int) -> list:
+def _binomial_product(a, b, order: int) -> list:
     """EGF coefficients 0..order of the product of two series given by
-    their ``int`` EGF coefficients: the binomial convolution, summed only
-    where both factors can be nonzero."""
+    their EGF coefficients (``int``, ``Fraction`` or ``Poly``): the binomial
+    convolution, summed only where both factors can be nonzero."""
     va = next((i for i, c in enumerate(a) if c), order + 1)
     vb = next((i for i, c in enumerate(b) if c), order + 1)
     # term l of coefficient n is C(n, l) a_l b_(n-l), for va <= l <= n - vb

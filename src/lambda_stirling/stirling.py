@@ -70,9 +70,10 @@ class NumberTriangle:
     a row that is only summed is never converted.  Growth reads the newest
     integer row, kept apart as the frontier.
 
-    The triangle trusts its callers, which check n and k by the index
-    rule (``_lookup``, ``dowling_poly``, ...): ``value`` takes any ``int``
-    pair and gives 0 outside 0 <= k <= n, and ``row_sum`` takes n >= 0.
+    The triangle trusts its callers for n, k and the ``int`` parameters
+    (``_lookup``, ``dowling_poly``, ... apply the index rule): ``value``
+    gives 0 outside 0 <= k <= n and ``row_sum`` takes n >= 0.  It checks
+    only lam, which is how ``_lookup`` refuses a lam of the wrong type.
 
     Rows are appended whole and a slot only ever swaps one complete form
     for an equal one, so a lookup of an existing row is a plain read; two
@@ -84,11 +85,8 @@ class NumberTriangle:
 
     def __init__(self, lam: LambdaScalar, *, alpha: int = 0, beta: int = 0,
                  gamma: int = 0, r: int = 0):
-        params = (alpha, beta, gamma, r)
-        if not all(isinstance(v, int) for v in params):
-            raise TypeError("recurrence parameters must be integers")
         _check_lambda(lam)
-        self._params = (lam,) + params
+        self._params = (lam, alpha, beta, gamma, r)
         self._frontier = [[1]] if lam.is_symbolic else [1]
         self._rows = [self._frontier]
         self._lock = Lock()

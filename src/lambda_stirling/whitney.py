@@ -19,19 +19,14 @@ integer rows by ``NumberTriangle.row_sum``.  The closed Dowling EGF
 
     d(n, x) = e^{-c} sum_{k>=0} c^k / k! * (lam m k + 1)^n,   c = x/(lam m),
 
-at fixed lam > 0 and x >= 0, exactly over ``int``: with c = u/v and
-lam m = p/q the partial sums are one integer numerator over v^k k! q^n,
-and both parts of the stopping rule are integer comparisons.  Only e^{-c}
-is transcendental; mpmath encloses it between two dyadic rationals at a
-working precision chosen per call, at least ``DOBINSKI_DIGITS`` digits
-and enough for log2(value) + log2(1/tol) + guard bits.  The result
-carries two exact error bounds: ``truncation_bound`` for the tail left
-out, and ``rounding_bound`` for the width of the e^{-c} enclosure and
-the one rounding of the numeric value.  Their sum bounds
-|numeric - exact|, after the style of midpoint-radius arithmetic
-(Johansson, "Arb", IEEE Trans. Computers 66, 2017).  The exact rational
-reference value is recorded next to the numeric one; the numeric route
-never reads a triangle to compute its sum.
+on the domain ``_dobinski_domain`` checks, exactly over ``int``
+(``_dobinski``).  Only e^{-c} is transcendental; mpmath encloses it
+between two dyadic rationals at a working precision of at least
+``DOBINSKI_DIGITS`` digits.  The result carries two exact error bounds
+(``DowlingValue``) whose sum bounds |numeric - exact|, after the style of
+midpoint-radius arithmetic (Johansson, "Arb", IEEE Trans. Computers 66,
+2017), and the exact rational reference value, which the numeric route
+never reads a triangle to compute.
 """
 
 from __future__ import annotations
@@ -46,6 +41,7 @@ from .stirling import _by_expansion, _lookup, _triangle
 
 DOBINSKI_DIGITS = 40  # least decimal working precision of dobinski_eval
 DOBINSKI_TOL = 1e-12  # default tolerance of dobinski_eval
+DOBINSKI_MAX_TERMS = 100000  # past this many terms the sum raises ArithmeticError
 
 
 class UnsupportedDomainError(ValueError):
@@ -150,16 +146,23 @@ class DowlingValue(NamedTuple):
     working_dps: int
 
 
-def _dobinski_domain(x, lam) -> tuple:
+def _dobinski_domain(x, m: int, lam) -> tuple:
     """x as a ``Fraction`` and lam as a fixed ``LambdaScalar`` (from its bare
-    value by ``LambdaScalar.fixed``) in the series' domain lam > 0, x >= 0."""
-    x = _rational(x, "x")
+    value by ``LambdaScalar.fixed``) in the series' domain: lam > 0, x >= 0,
+    m >= 1 and 2c below the term cap, as t_k / t_(k-1) >= c / k, c = x/(lam m)."""
     if not isinstance(lam, LambdaScalar):
         lam = LambdaScalar.fixed(lam)
-    if lam.is_symbolic or lam.value < 0:
+    if lam.is_symbolic:
+        raise UnsupportedDomainError("the series evaluation needs a fixed rational lambda")
+    _check_index(m, "parameter m", 1)
+    x = _rational(x, "x")
+    if lam.value < 0:
         raise UnsupportedDomainError("the numeric series needs lambda > 0")
     if x < 0:
         raise UnsupportedDomainError("the numeric series needs x >= 0")
+    if 2 * x >= DOBINSKI_MAX_TERMS * lam.value * m:
+        raise UnsupportedDomainError(
+            f"the numeric series needs x/(lambda m) below {DOBINSKI_MAX_TERMS // 2}")
     return x, lam
 
 
@@ -172,14 +175,11 @@ def dobinski_eval(n: int, x, m: int, lam, tol: float = DOBINSKI_TOL) -> DowlingV
     and their ratio t_k/t_{k-1} decreases in k, so once it is below 1/2
     the remaining tail is below 2 t_k.  Summation stops at the first such
     k where 2 t_k is also below tol times a lower bound on e^{-c}, so the
-    truncation error is below tol e^{-c} e^{-c}.  The sum is exact over
-    ``int`` and only e^{-c} is enclosed (``_dobinski.dobinski_sum``, which
-    is imported on the first call).  ``tol`` must be a positive and finite
-    ``int``, ``float`` or ``Fraction``.
+    truncation error is below tol e^{-c} e^{-c}.  ``tol`` must be a
+    positive and finite ``int``, ``float`` or ``Fraction``.
     """
     _check_index(n, "n", 0)
-    _check_index(m, "parameter m", 1)
-    x, lam = _dobinski_domain(x, lam)
+    x, lam = _dobinski_domain(x, m, lam)
     if isinstance(tol, bool) or not isinstance(tol, (int, float, Fraction)) or not 0 < tol < inf:
         raise ValueError("tolerance must be positive and finite")
     tol = Fraction(tol)

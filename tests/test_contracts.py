@@ -6,8 +6,9 @@ replaced by a hostile value.  The call either returns, or raises
 ``ValueError`` or ``TypeError`` whose message names the parameter.  It
 never raises anything else (``OverflowError``, ``AttributeError``,
 ``ZeroDivisionError``, ...) and never shows a message from inside
-``Fraction``.  A value that the index, rational or lambda rule refuses is
-never accepted, and a ``bool`` given to one of them raises ``TypeError``.  The CLI is fuzzed in process: each call exits 0 with
+``Fraction``.  A value that the index, rational, lambda or ring-element
+rule refuses is never accepted, and a ``bool`` given to one of them raises
+``TypeError``.  The CLI is fuzzed in process: each call exits 0 with
 output, or exits 2 with no output and an error or usage text.
 """
 
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 import lambda_stirling
 from lambda_stirling import LambdaScalar, Poly, SuiteConfig
 from lambda_stirling.cli import DUMP_KINDS, TRIANGLE_FAMILIES, main
+from lambda_stirling.poly import csv_element, eval_element, format_element
 
 HALF = LambdaScalar.fixed(Fraction(1, 2))
 SMALL = SuiteConfig(n_max=2, bernoulli_n_max=1, theorems=("T2",))
@@ -85,6 +87,7 @@ NAMED_AS = {
 KINDS = {
     "n": "index", "k": "index", "r": "index", "m": "index", "order": "index",
     "x": "rational", "point": "rational", "lam_value": "rational", "lam": "lambda",
+    "value": "ring",
     ("LambdaScalar", "value"): "rational", ("dobinski_eval", "lam"): "rational",
 }
 # Fraction's own messages, which name no parameter (its ZeroDivisionError
@@ -113,11 +116,14 @@ def cases():
 def refused(kind, value) -> bool:
     """Whether the rule of ``kind`` refuses ``value``, whatever its range:
     the index rule takes only an ``int``, the rational rule only an ``int``
-    or a ``Fraction``, and the lambda rule only a ``LambdaScalar``."""
+    or a ``Fraction``, the ring-element rule only those or a ``Poly``, and
+    the lambda rule only a ``LambdaScalar``."""
     if kind == "index":
         return type(value) is not int
     if kind == "rational":
         return type(value) is bool or not isinstance(value, (int, Fraction))
+    if kind == "ring":
+        return type(value) is bool or not isinstance(value, (int, Fraction, Poly))
     return kind == "lambda"
 
 
@@ -169,6 +175,45 @@ def test_no_module_but_poly_defines_a_check_function():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 assert not node.name.startswith("_check_") or node.name in allowed, (
                     f"{path.name} defines {node.name}")
+
+
+@pytest.mark.parametrize("serialize", [
+    format_element, csv_element, lambda value: eval_element(value, Fraction(1, 3))],
+    ids=["format_element", "csv_element", "eval_element"])
+@pytest.mark.parametrize("value", [True, float("nan"), 0.5, "1/2", None, 1j],
+                         ids=["True", "nan", "0.5", "str", "None", "complex"])
+def test_serializers_take_only_a_ring_element(serialize, value):
+    with pytest.raises(TypeError, match=r"\bvalue must be an int, Fraction or Poly\b"):
+        serialize(value)
+
+
+def raising_functions(tree, error: str) -> set:
+    """The functions whose own bodies (nested functions apart) raise ``error``."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if getattr(exc, "id", getattr(exc, "attr", None)) == error:
+                    found.add(owner)
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_the_dobinski_domain_raises_unsupported_domain_error():
+    # the numeric series' domain is checked in one function, so that a
+    # config, the library and the CLI cannot disagree on it again
+    package = Path(lambda_stirling.__file__).parent
+    sites = {(path.name, name) for path in sorted(package.glob("*.py"))
+             for name in raising_functions(ast.parse(path.read_text()),
+                                           "UnsupportedDomainError")}
+    assert sites == {("whitney.py", "_dobinski_domain")}
 
 
 # -- the CLI -------------------------------------------------------------------

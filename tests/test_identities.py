@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from lambda_stirling import _suite
+from lambda_stirling import UnsupportedDomainError, _suite
 from lambda_stirling.identities import (
     CHECKS,
     IdentityReport,
@@ -145,6 +145,19 @@ def test_config_rejects_a_bad_grid_value_when_built(field, value):
     # when the config is built, not partway through run_suite
     with pytest.raises(ValueError):
         SuiteConfig(**{field: (value,)})
+
+
+def test_config_checks_the_dobinski_term_cap_when_built():
+    # a grid point past the cap fails when the config is built, not in
+    # DOBINSKI_T11 after the fifteen checks before it have run
+    with pytest.raises(UnsupportedDomainError, match=r"x/\(lambda m\) below 50000"):
+        SuiteConfig(dobinski_x_values=(Fraction(10**6),))
+    # the cap is on x/(lambda m), so the x, m and lambda grids are crossed:
+    # x = 30000 at lambda = 1/2 is inside it for m = 2 only
+    grids = dict(dobinski_x_values=(30000,), dobinski_lambdas=(Fraction(1, 2),))
+    SuiteConfig(dobinski_m_values=(2,), **grids)
+    with pytest.raises(UnsupportedDomainError):
+        SuiteConfig(dobinski_m_values=(2, 1), **grids)
 
 
 @pytest.mark.parametrize("field", ["fixed_lambdas", "bernoulli_shift_lambdas", "egf_lambdas"])

@@ -1,11 +1,12 @@
 import gc
+import operator
 import pickle
 import tracemalloc
 from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lambda_stirling.poly import (
@@ -254,13 +255,26 @@ def test_reading_coeffs_keeps_nothing():
 
 
 def test_non_integer_power_rejected():
+    # the index rule, as for a series exponent
     p = 1 + X
     for exponent in (2.0, Fraction(2)):
-        with pytest.raises(ValueError, match="polynomial power must be a nonnegative integer"):
+        with pytest.raises(ValueError, match="polynomial power must be an integer"):
             p**exponent
-    assert p**True == p
-    with pytest.raises(ValueError, match="negative polynomial power"):
+    with pytest.raises(TypeError, match="polynomial power must be an integer, not a bool"):
+        p**True
+    with pytest.raises(ValueError, match="polynomial power must be nonnegative"):
         p**-1
+
+
+@pytest.mark.parametrize("p", [Poly([1, 2]), falling_factorial_poly(2, SYMBOLIC)],
+                         ids=["scalar", "nested"])
+def test_coeff_takes_the_index_rule(p):
+    with pytest.raises(TypeError, match="i must be an integer, not a bool"):
+        p.coeff(True)
+    with pytest.raises(ValueError, match="i must be an integer"):
+        p.coeff(1.5)
+    # an integer index outside the coefficients still reads 0
+    assert p.coeff(-1) == 0 and p.coeff(5) == 0
 
 
 def test_lambda_scalar_modes():
@@ -407,3 +421,34 @@ def test_falling_factorial_symbolic_vs_fixed_specialization():
     fixed = falling_factorial_poly(4, LambdaScalar.fixed(lam_value))
     for i in range(5):
         assert eval_element(sym.coeff(i), lam_value) == fixed.coeff(i)
+
+
+# x-polynomials at symbolic lambda: their coefficients are lambda-polynomials
+symbolic_falling = st.builds(falling_factorial_poly, st.integers(0, 4), st.just(SYMBOLIC))
+
+
+@st.composite
+def nested_polys(draw):
+    """Sums and products of symbolic falling factorials."""
+    value = draw(symbolic_falling)
+    for _ in range(draw(st.integers(0, 2))):
+        op = draw(st.sampled_from((operator.add, operator.mul)))
+        value = op(value, draw(symbolic_falling))
+    return value
+
+
+@settings(max_examples=60, deadline=None)
+@given(nested_polys(), nested_polys())
+def test_nested_poly_value_contract(p, q):
+    copy = pickle.loads(pickle.dumps(p))
+    assert copy == p and repr(copy) == repr(p)
+    # equal values built in different orders hash equal
+    for a, b in ((p + q, q + p), (p * q, q * p), (Poly(p.coeffs), p)):
+        assert a == b and hash(a) == hash(b)
+    assert (p == 1) == (p.degree == 0 and p.coeff(0) == 1)
+    formatted = format_element(p)
+    if p.degree >= 1:
+        assert formatted == [str(c) for c in p.coeffs]
+        assert len(formatted) == p.degree + 1
+    else:
+        assert formatted == str(p.coeff(0))

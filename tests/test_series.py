@@ -1,4 +1,5 @@
 import operator
+import pickle
 import time
 from fractions import Fraction
 from itertools import islice
@@ -38,6 +39,21 @@ def test_coeff_out_of_range_raises():
         s.coeff(4)
     with pytest.raises(IndexError):
         s.coeff(-1)
+
+
+def test_series_is_an_immutable_value():
+    # a series used as a dict key must keep its hash, so its one field
+    # cannot be assigned or deleted, as with LambdaScalar
+    s = TruncatedSeries([1, 2, 3])
+    table = {s: "found"}
+    with pytest.raises(AttributeError):
+        s.coeffs = (Fraction(7),)
+    with pytest.raises(AttributeError):
+        del s.coeffs
+    assert s.coeffs == (1, 2, 3)
+    assert table[s] == table[TruncatedSeries([1, 2, 3])] == "found"
+    copy = pickle.loads(pickle.dumps(s))
+    assert copy == s and hash(copy) == hash(s) and repr(copy) == repr(s)
 
 
 def test_mul_is_binomial_convolution():

