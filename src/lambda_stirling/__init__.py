@@ -25,11 +25,12 @@ Public surface:
 * exact scalars: :class:`LambdaScalar`, :data:`SYMBOLIC`, :class:`Poly`;
   rationals are plain :class:`fractions.Fraction` values
 
-Every public function reads its parameters by four rules, before any
+Every public function reads its parameters by five rules, before any
 cache: an index is an ``int``, a rational an ``int`` or a ``Fraction`` (no
-float, no string), lambda a ``LambdaScalar``, a ring element an ``int``, a
-``Fraction`` or a ``Poly``.  A ``bool``, a non-scalar lambda or a non-ring
-element raises ``TypeError``, any other bad value ``ValueError`` naming it.
+float, no string), lambda a ``LambdaScalar``, a fixed lambda also its bare
+rational, and a ring element (a coefficient too) an ``int``, a ``Fraction``
+or a ``Poly``.  A ``bool``, a non-scalar or symbolic fixed lambda and a
+non-ring element raise ``TypeError``, any other bad value ``ValueError``.
 
 Triangles, basis expansions and Bernoulli tables are cached with
 ``functools.cache``, keyed by their parameters: the caches are unbounded,

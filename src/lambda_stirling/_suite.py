@@ -79,9 +79,9 @@ class SuiteConfig:
     """Parameter grids for a suite run.  The defaults match the documented
     verification grid; Bernoulli-heavy checks use the smaller ``bernoulli_n_max``.
     A config is validated when it is built, ``dataclasses.replace`` included:
-    its bounds, its check ids, and each grid value by the rule of the
-    function that consumes it (Dobinski points crossed), so a bad grid fails
-    before any check runs, save T4's at n_max <= 1 and T13's with no r >= 1."""
+    its bounds, its check ids, each grid value by the rule of the function
+    that consumes it (Dobinski points crossed) and each selected check's grid
+    for an instance, so a bad grid fails before any check runs."""
 
     n_max: int = 10
     bernoulli_n_max: int = 8
@@ -126,11 +126,16 @@ class SuiteConfig:
                 for lam in self.dobinski_lambdas:
                     _whitney._dobinski_domain(x, m, lam)
         if self.theorems is not None:
+            if isinstance(self.theorems, str):
+                raise TypeError("theorems must be a sequence of check ids, not a str")
             if not self.theorems:
                 raise ValueError("no check ids selected")
-            unknown = [t for t in self.theorems if t not in CHECKS]
+            unknown = [str(t) for t in self.theorems if not isinstance(t, str) or t not in CHECKS]
             if unknown:
                 raise ValueError(f"unknown check ids: {', '.join(unknown)}")
+        for check_id, empty in (("T4", self.n_max < 2), ("T13", max(self.r_values) < 1)):
+            if check_id in (self.theorems or CHECKS) and empty:
+                raise ValueError(f"{check_id}: empty parameter grid")
 
     def lambdas(self) -> tuple:
         """The fixed-lambda scalars, then the symbolic one."""
@@ -214,8 +219,6 @@ def _grid(theorem_id: str, template: str):
                 checked += 1
                 if witness is None and lhs != rhs:
                     witness = _witness(params, lhs, rhs)
-            if checked == 0:
-                raise ValueError(f"{theorem_id}: empty parameter grid")
             return IdentityReport(
                 theorem_id=theorem_id,
                 parameter_grid=grid_desc,
@@ -327,7 +330,7 @@ def _check_t7(cfg: SuiteConfig, p: Providers):
     for lam_value in cfg.fixed_lambdas:
         lam = LambdaScalar.fixed(lam_value)
         for r in cfg.r_values:
-            shift = Fraction(r) / lam_value
+            shift = Fraction(r) / lam.value
             for m in cfg.m_values:
                 for n, k in _cells(cfg.bernoulli_n_max):
                     lhs = p.rstirling2(n, k, r, lam) / comb(k + m, k)
@@ -335,7 +338,7 @@ def _check_t7(cfg: SuiteConfig, p: Providers):
                         Fraction(comb(n, l), comb(l + m, l))
                         * p.stirling2(l + m, k + m, lam)
                         * p.bernoulli(n - l, m, shift)
-                        * lam_value ** (n - l)
+                        * lam.value ** (n - l)
                         for l in range(k, n + 1)
                     )
                     params = {"n": n, "k": k, "m": m, "r": r, "lambda": lam_value}
@@ -387,12 +390,12 @@ def _t13_variant(variant: str, numerator):
                             lhs = p.whitney_r(n, k, m, r, lam) / comb(k + alpha, k)
                             rhs = Fraction(0)
                             for l in range(k, n + 1):
-                                arg = Fraction(numerator(r, n - l)) / (m * lam_value)
+                                arg = Fraction(numerator(r, n - l)) / (m * lam.value)
                                 rhs += (
                                     Fraction(comb(n, l), comb(l + alpha, l))
                                     * p.whitney(l + alpha, k + alpha, m, lam)
                                     * p.bernoulli(n - l, alpha, arg)
-                                    * (lam_value * m) ** (n - l)
+                                    * (lam.value * m) ** (n - l)
                                 )
                             params = {
                                 "n": n, "k": k, "m": m, "r": r,

@@ -46,7 +46,7 @@ class BernoulliTable:
     into a new list and publishes the new pair whole.  So a reader takes
     one snapshot of the pair and reads only below that list's length: it
     never needs the lock, and never pairs numerators with another D.  Each
-    read reduces once, to one ``Fraction``.  Its callers check m."""
+    read reduces once, to one ``Fraction``.  Its callers check m, n and x."""
 
     __slots__ = ("m", "_state", "_lock")
 
@@ -67,9 +67,7 @@ class BernoulliTable:
                 state = self._state
         return state
 
-    def value(self, n: int, x) -> Fraction:
-        _check_index(n, "n", 0)
-        x = _rational(x, "x")
+    def value(self, n: int, x: Fraction) -> Fraction:
         den, nums = self._snapshot(n)
         a, b = x.numerator, x.denominator
         # the coefficient of x^k is C(n, k) B_(n-k)
@@ -96,4 +94,6 @@ def bernoulli_higher(n: int, m: int, x) -> Fraction:
     # checked before the cache, where a float m would find the table of
     # the equal int
     _check_index(m, "order m", 1)
+    _check_index(n, "n", 0)
+    x = _rational(x, "x")
     return _table(m).value(n, x)

@@ -32,7 +32,7 @@ hashable, which makes them usable as cache keys; all values produced here are
 immutable and safe to share across threads.
 
 The package's parameter rules live here: ``_check_index``, ``_rational``,
-``_check_lambda`` and ``_check_element`` (see the package docstring).
+``_check_lambda``, ``LambdaScalar.fixed`` and ``_element`` (see the package docstring).
 """
 
 from __future__ import annotations
@@ -45,12 +45,14 @@ from typing import Iterable, Union
 RingElement = Union[Fraction, "Poly"]
 
 
-def _coerce(value) -> RingElement:
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, (Poly, Fraction)):
+def _element(value, name: str) -> RingElement:
+    """The ring-element rule: a ``Fraction`` or a ``Poly`` as it is, an ``int``
+    but no ``bool`` as its ``Fraction``; any other value raises ``TypeError``."""
+    if isinstance(value, (Fraction, Poly)):
         return value
-    raise TypeError(f"exact coefficient expected, got {type(value).__name__}")
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    raise TypeError(f"{name} must be an int, Fraction or Poly, not {type(value).__name__}")
 
 
 def _reduce(nums, den: int):
@@ -128,10 +130,10 @@ class Poly:
 
     def __init__(self, coeffs: Iterable = ()):
         items = list(coeffs)
-        if not all(isinstance(c, (int, Fraction)) for c in items):
+        if not all(isinstance(c, (int, Fraction)) and type(c) is not bool for c in items):
             # a constant lambda-polynomial coefficient is stored as its scalar
-            items = [c.coeff(0) if isinstance(c, Poly) and c.degree <= 0 else _coerce(c)
-                     for c in items]
+            items = [c.coeff(0) if isinstance(c, Poly) and c.degree <= 0
+                     else _element(c, "coefficient") for c in items]
             while items and items[-1] == 0:
                 items.pop()
             if any(isinstance(c, Poly) for c in items):
@@ -297,9 +299,7 @@ class Poly:
             num = c.numerator
             return Poly.from_ints([a * num for a in self._nums],
                                   self._den * c.denominator)
-        c = _coerce(c)
-        if c == 0:
-            return Poly()
+        c = _element(c, "c")
         return Poly([a * c for a in self.coeffs])
 
     def __truediv__(self, other):
@@ -356,20 +356,13 @@ def _horner(coeffs, a: int, b: int) -> int:
     return total
 
 
-def _check_element(value) -> None:
-    """The ring-element rule: an ``int`` but no ``bool``, a ``Fraction`` or a ``Poly``."""
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction, Poly)):
-        raise TypeError(f"value must be an int, Fraction or Poly, not {type(value).__name__}")
-
-
 def eval_element(value: RingElement, point: Fraction) -> Fraction:
     """Evaluate a ring element at a rational lambda (constants pass through);
     ``value`` and ``point`` are read by the ring-element and rational rules."""
     point = _rational(point, "point")
     if isinstance(value, Poly):
         return value(point)
-    _check_element(value)
-    return value
+    return _element(value, "value")
 
 
 def format_element(value: RingElement):
@@ -381,8 +374,7 @@ def format_element(value: RingElement):
         if value._nums is None:
             return [str(c) for c in value.coeffs]
         return [_ratio_str(c, value._den) for c in value._nums]
-    _check_element(value)
-    return str(value)
+    return str(_element(value, "value"))
 
 
 def csv_element(value: RingElement) -> str:
@@ -452,11 +444,14 @@ class LambdaScalar(_Frozen):
 
     @classmethod
     def fixed(cls, value) -> "LambdaScalar":
-        """The fixed lambda ``value``; ``None`` is refused, because the
-        constructor reads it as the symbolic lambda."""
-        if value is None:
-            raise TypeError("lambda must be a rational number in fixed mode, not None")
-        return cls(value)
+        """A fixed lambda: a fixed ``LambdaScalar`` as it is, or its bare value by
+        the rational rule; ``None`` and the symbolic scalar raise ``TypeError``."""
+        if isinstance(value, cls):
+            if value.value is not None:
+                return value
+        elif value is not None:
+            return cls(value)
+        raise TypeError(f"lambda must be a rational number in fixed mode, not {value}")
 
     @classmethod
     def symbolic(cls) -> "LambdaScalar":

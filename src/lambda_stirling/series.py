@@ -29,14 +29,14 @@ from math import comb, factorial, gcd
 from operator import mul, sub
 
 from .poly import (LambdaScalar, Poly, RingElement, _Frozen, _binary_power, _check_index,
-                   _check_lambda, _coerce, _common_denominator, format_element)
+                   _check_lambda, _common_denominator, _element, format_element)
 
 
 class TruncatedSeries(_Frozen):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        items = tuple(_coerce(c) for c in coeffs)
+        items = tuple(_element(c, "coefficient") for c in coeffs)
         if not items:
             raise ValueError("a series needs at least the order-0 coefficient")
         object.__setattr__(self, "coeffs", items)

@@ -251,7 +251,7 @@ def rstirling2_by_difference(n: int, k: int, r: int, lam_value) -> Fraction:
         lam^(n-k) / k! * sum_{l=0}^{k} C(k,l) (-1)^(k-l) (l + r/lam)^n
 
     Equals the triangle entry for n >= k and vanishes for 0 <= n < k.
-    ``lam_value`` is read as ``LambdaScalar.fixed`` reads it.
+    ``lam_value`` is read by ``LambdaScalar.fixed``: a fixed scalar or its value.
     """
     _check_index(n, "n", 0)
     _check_index(k, "k", 0)

@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import inf
 from typing import NamedTuple
 
-from .poly import LambdaScalar, RingElement, _check_index, _check_lambda, _rational
+from .poly import SYMBOLIC, LambdaScalar, RingElement, _check_index, _check_lambda, _rational
 from .series import TruncatedSeries, _exp_coeffs, lambda_columns
 from .stirling import _by_expansion, _lookup, _triangle
 
@@ -147,13 +147,12 @@ class DowlingValue(NamedTuple):
 
 
 def _dobinski_domain(x, m: int, lam) -> tuple:
-    """x as a ``Fraction`` and lam as a fixed ``LambdaScalar`` (from its bare
-    value by ``LambdaScalar.fixed``) in the series' domain: lam > 0, x >= 0,
-    m >= 1 and 2c below the term cap, as t_k / t_(k-1) >= c / k, c = x/(lam m)."""
-    if not isinstance(lam, LambdaScalar):
-        lam = LambdaScalar.fixed(lam)
-    if lam.is_symbolic:
+    """x as a ``Fraction`` and lam as a fixed ``LambdaScalar`` (read by
+    ``LambdaScalar.fixed``) in the series' domain: lam > 0, x >= 0, m >= 1
+    and 2c below the term cap, as t_k / t_(k-1) >= c / k, c = x/(lam m)."""
+    if lam == SYMBOLIC:
         raise UnsupportedDomainError("the series evaluation needs a fixed rational lambda")
+    lam = LambdaScalar.fixed(lam)
     _check_index(m, "parameter m", 1)
     x = _rational(x, "x")
     if lam.value < 0:

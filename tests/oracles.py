@@ -107,6 +107,14 @@ def strip(a: list) -> list:
     return out
 
 
+def lambda_coeffs(value) -> list:
+    """A library value as its list of lambda coefficients, trailing zeros
+    stripped, as the list oracles give it: a polynomial by its ``coeffs``,
+    a scalar as a list of at most one entry."""
+    coeffs = getattr(value, "coeffs", None)
+    return list(coeffs) if coeffs is not None else strip([value])
+
+
 # --- symbolic lambda: polynomials in x whose coefficients are lists in lambda
 
 

@@ -119,7 +119,7 @@ def test_non_integer_order_and_float_x_rejected():
         lambda: bernoulli_higher(2, 2.0, Fraction(0)),
         # a float x is a binary fraction, not the rational it spells
         lambda: bernoulli_higher(2, 1, 0.1),
-        lambda: BernoulliTable(1).value(2, 0.5),
+        lambda: bernoulli_higher(2, 1, 0.5),
     ):
         with pytest.raises(ValueError):
             call()

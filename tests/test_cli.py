@@ -467,6 +467,16 @@ def test_verify_subcommand_passes_and_reports(capsys):
     assert summary["summary"] is True and summary["status"] == "pass"
 
 
+def test_verify_with_an_empty_t4_grid_exits_2_before_any_check(capsys, monkeypatch):
+    from lambda_stirling.identities import CHECKS
+
+    calls = []
+    monkeypatch.setitem(CHECKS, "T2", calls.append)
+    code, out, err = run_cli(capsys, "verify", "--n-max", "1")
+    assert (code, out, err) == (2, "", "error: T4: empty parameter grid\n")
+    assert calls == []
+
+
 def test_verify_unknown_theorem_exits_2(capsys):
     code, _, err = run_cli(capsys, "verify", "--theorem", "T99")
     assert code == 2

@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lambda_stirling
-from lambda_stirling import LambdaScalar, Poly, SuiteConfig
+from lambda_stirling import LambdaScalar, Poly, SuiteConfig, TruncatedSeries
 from lambda_stirling.cli import DUMP_KINDS, TRIANGLE_FAMILIES, main
 from lambda_stirling.poly import csv_element, eval_element, format_element
 
@@ -177,43 +177,82 @@ def test_no_module_but_poly_defines_a_check_function():
                     f"{path.name} defines {node.name}")
 
 
+# values that the ring-element rule refuses
+NOT_RING = pytest.mark.parametrize("value", [True, float("nan"), 0.5, "1/2", None, 1j],
+                                   ids=["True", "nan", "0.5", "str", "None", "complex"])
+
+
 @pytest.mark.parametrize("serialize", [
     format_element, csv_element, lambda value: eval_element(value, Fraction(1, 3))],
     ids=["format_element", "csv_element", "eval_element"])
-@pytest.mark.parametrize("value", [True, float("nan"), 0.5, "1/2", None, 1j],
-                         ids=["True", "nan", "0.5", "str", "None", "complex"])
+@NOT_RING
 def test_serializers_take_only_a_ring_element(serialize, value):
     with pytest.raises(TypeError, match=r"\bvalue must be an int, Fraction or Poly\b"):
         serialize(value)
 
 
-def raising_functions(tree, error: str) -> set:
-    """The functions whose own bodies (nested functions apart) raise ``error``."""
+@pytest.mark.parametrize("build", [Poly, lambda coeffs: TruncatedSeries([*coeffs, 1])],
+                         ids=["Poly", "TruncatedSeries"])
+@NOT_RING
+def test_constructors_take_only_a_ring_element(build, value):
+    with pytest.raises(TypeError, match=r"\bcoefficient must be an int, Fraction or Poly\b"):
+        build([value])
+
+
+def raising_functions(tree, raises) -> set:
+    """The qualified names (``Class.method``, ``outer.inner``) of the
+    functions whose own bodies (nested functions apart) hold a ``raise``
+    statement for which ``raises(node)`` is true."""
     found = set()
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{owner}.{child.name}" if owner else child.name)
                 continue
-            if isinstance(child, ast.Raise) and child.exc is not None:
-                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
-                if getattr(exc, "id", getattr(exc, "attr", None)) == error:
-                    found.add(owner)
+            if isinstance(child, ast.Raise) and child.exc is not None and raises(child):
+                found.add(owner)
             visit(child, owner)
 
     visit(tree, None)
     return found
 
 
+def raise_sites(raises) -> set:
+    """(module file, qualified function) of each such ``raise`` in the package."""
+    package = Path(lambda_stirling.__file__).parent
+    return {(path.name, name) for path in sorted(package.glob("*.py"))
+            for name in raising_functions(ast.parse(path.read_text()), raises)}
+
+
+def raises_error(error: str):
+    """Whether a ``raise`` statement raises the exception class ``error``."""
+    def raises(node) -> bool:
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return getattr(exc, "id", getattr(exc, "attr", None)) == error
+    return raises
+
+
+def raises_text(text: str):
+    """Whether a ``raise`` statement's message holds ``text``."""
+    def raises(node) -> bool:
+        return any(isinstance(part, ast.Constant) and text in str(part.value)
+                   for part in ast.walk(node))
+    return raises
+
+
 def test_only_the_dobinski_domain_raises_unsupported_domain_error():
     # the numeric series' domain is checked in one function, so that a
     # config, the library and the CLI cannot disagree on it again
-    package = Path(lambda_stirling.__file__).parent
-    sites = {(path.name, name) for path in sorted(package.glob("*.py"))
-             for name in raising_functions(ast.parse(path.read_text()),
-                                           "UnsupportedDomainError")}
+    sites = raise_sites(raises_error("UnsupportedDomainError"))
     assert sites == {("whitney.py", "_dobinski_domain")}
+
+
+def test_only_the_config_judges_a_grid_empty():
+    # a grid is judged when its config is built, so that no check fails
+    # on it after the checks before it have run
+    sites = raise_sites(raises_text("empty parameter grid"))
+    assert sites == {("_suite.py", "SuiteConfig.validate")}
 
 
 # -- the CLI -------------------------------------------------------------------

@@ -78,13 +78,6 @@ def test_fixed_lambda_parity(family, lam_value):
         assert value(n, n + 1, lam) == 0 and value(n, -1, lam) == 0
 
 
-def _lambda_coeffs(v) -> list:
-    """The library value as its list of lambda coefficients."""
-    if isinstance(v, Poly):
-        return list(v.coeffs)
-    return oracles.strip([v])
-
-
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_symbolic_lambda_parity(family):
     value, oracle_row = FAMILIES[family]
@@ -93,7 +86,7 @@ def test_symbolic_lambda_parity(family):
         got = [value(n, k, SYMBOLIC) for k in range(n + 1)]
         assert type(got[n]) is Fraction and got[n] == 1
         assert all(type(v) is Poly for v in got[:n])
-        assert [_lambda_coeffs(v) for v in got] == expected, (family, n)
+        assert [oracles.lambda_coeffs(v) for v in got] == expected, (family, n)
 
 
 def test_symbolic_zero_entries_are_zero_poly():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from lambda_stirling import UnsupportedDomainError, _suite
+from lambda_stirling import LambdaScalar, UnsupportedDomainError, _suite
 from lambda_stirling.identities import (
     CHECKS,
     IdentityReport,
@@ -166,6 +166,40 @@ def test_config_rejects_none_in_a_fixed_lambda_grid_when_built(field):
     # accept it and fail later inside run_suite
     with pytest.raises(TypeError, match="lambda"):
         SuiteConfig(**{field: (None,)}, theorems=("T2",), n_max=3)
+
+
+def test_config_refuses_a_selected_check_with_an_empty_grid_when_built():
+    # T4 needs n_max >= 2 and T13 a shift r >= 1; the config says so when
+    # it is built, not after the checks before them have run
+    with pytest.raises(ValueError, match="^T4: empty parameter grid$"):
+        SuiteConfig(n_max=1)
+    with pytest.raises(ValueError, match="^T13: empty parameter grid$"):
+        SuiteConfig(r_values=(0,))
+    # a selection without the check takes the grid
+    SuiteConfig(n_max=1, theorems=("T2",))
+    SuiteConfig(r_values=(0,), theorems=("T2",))
+
+
+@pytest.mark.parametrize("check_id, shown", [(1.5, "1.5"), (True, "True"), (None, "None")])
+def test_config_names_a_check_id_that_is_not_a_string(check_id, shown):
+    with pytest.raises(ValueError, match=rf"^unknown check ids: T99, {shown}$"):
+        SuiteConfig(theorems=("T2", "T99", check_id))
+
+
+def test_config_refuses_a_bare_string_of_check_ids():
+    # a string is a sequence of characters, not of check ids
+    with pytest.raises(TypeError, match=r"\btheorems\b"):
+        SuiteConfig(theorems="T2")
+
+
+def test_fixed_lambda_grids_take_scalars_or_their_values():
+    # every fixed-lambda grid is read by LambdaScalar.fixed, so a grid of
+    # scalars reports exactly as the same grid of bare values
+    fields = ("fixed_lambdas", "bernoulli_shift_lambdas", "egf_lambdas", "dobinski_lambdas")
+    bare = small_config(n_max=3, bernoulli_n_max=3)
+    scalars = replace(bare, **{name: tuple(map(LambdaScalar, getattr(bare, name)))
+                               for name in fields})
+    assert run_suite(scalars).to_json_lines() == run_suite(bare).to_json_lines()
 
 
 def test_dobinski_check_holds_the_error_to_the_reported_bounds(monkeypatch):

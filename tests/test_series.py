@@ -9,11 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lambda_stirling.bernoulli import (
-    BernoulliTable,
-    bernoulli_base_series,
-    bernoulli_higher,
-)
+from lambda_stirling.bernoulli import bernoulli_base_series, bernoulli_higher
 from lambda_stirling.poly import SYMBOLIC, LambdaScalar, Poly
 from lambda_stirling.series import TruncatedSeries, lambda_columns
 from lambda_stirling.stirling import second_kind_series
@@ -24,6 +20,7 @@ from oracles import (
     egf_exp,
     egf_mul,
     egf_power_ring,
+    lambda_coeffs,
     series_columns,
 )
 
@@ -171,14 +168,6 @@ def test_column_coefficient_types(order):
                         assert all(type(c) is kind for c in series.coeffs), (lam, m, r, k)
 
 
-def lambda_coeffs(c) -> list:
-    """A coefficient as its list of lambda coefficients, trailing zeros
-    stripped, as the list oracles give it."""
-    if isinstance(c, Poly):
-        return list(c.coeffs)
-    return [c] if c else []
-
-
 @st.composite
 def order_and_first(draw):
     order = draw(st.integers(min_value=0, max_value=20))
@@ -239,12 +228,11 @@ def test_non_integer_column_index_rejected():
     lambda: whitney_series(1, 2, 1, HALF, 2.5),
     lambda: dowling_series(Fraction(1), 1, HALF, 2.5),
     lambda: bernoulli_base_series(1, 2.5),
-    lambda: BernoulliTable(1).value(2.5, Fraction(1, 3)),
     lambda: bernoulli_higher(2.5, 1, 0),
 ], ids=[
     "coeff", "lambda_columns", "second_kind_series",
     "whitney_series", "dowling_series", "bernoulli_base_series",
-    "table_value", "bernoulli_higher",
+    "bernoulli_higher",
 ])
 def test_non_integer_size_rejected(call):
     # an order or index that is not an int is refused up front, not by

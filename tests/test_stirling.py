@@ -111,6 +111,15 @@ def test_difference_formula_frozen():
     assert rstirling2_by_difference(2, 4, 1, Fraction(1, 2)) == 0
 
 
+@pytest.mark.parametrize("value", [Fraction(1, 2), Fraction(-1, 3), 2])
+def test_difference_formula_takes_a_fixed_scalar_or_its_value(value):
+    # lambda is read by LambdaScalar.fixed, as at every other fixed-lambda
+    # entry point, so the scalar and its bare value give the same entry
+    for n, k, r in ((3, 1, 0), (4, 2, 1), (2, 4, 3)):
+        assert (rstirling2_by_difference(n, k, r, LambdaScalar(value))
+                == rstirling2_by_difference(n, k, r, value))
+
+
 # --- cross-route agreement ----------------------------------------------------
 
 
