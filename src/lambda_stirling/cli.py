@@ -397,6 +397,9 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError, OSError) as exc:  # UnsupportedDomainError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # its message is empty
+        print("error: out of memory", file=sys.stderr)
+        return 2
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

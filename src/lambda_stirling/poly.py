@@ -28,8 +28,8 @@ coefficients of an x-polynomial).
 
 ``LambdaScalar`` selects the coefficient ring: a fixed nonzero rational value
 of lambda, or lambda left as a formal symbol.  Instances are immutable and
-hashable, which makes them usable as cache keys; all values produced here are
-immutable and safe to share across threads.
+interned (one object per value), which makes them cheap cache keys; all
+values produced here are immutable and safe to share across threads.
 
 The package's parameter rules live here: ``_check_index``, ``_rational``,
 ``_check_lambda``, ``LambdaScalar.fixed`` and ``_element`` (see the package docstring).
@@ -40,7 +40,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
+from threading import Lock
 from typing import Iterable, Union
+from weakref import WeakValueDictionary
 
 RingElement = Union[Fraction, "Poly"]
 
@@ -227,7 +229,9 @@ class Poly:
         return (Poly.from_ints, (self._nums, self._den))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        # a bool operand is no scalar here, as in the constructor: it falls
+        # through to NotImplemented, and Python raises TypeError
+        if isinstance(other, (int, Fraction)) and other is not True and other is not False:
             other = Poly.from_ints((other.numerator,), other.denominator)
         elif not isinstance(other, Poly):
             return NotImplemented
@@ -260,15 +264,17 @@ class Poly:
         return Poly.from_ints([-c for c in self._nums], self._den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
+        if isinstance(other, (int, Fraction, Poly)) and other is not True and other is not False:
             return self + (-other)
         return NotImplemented
 
     def __rsub__(self, other):
-        return (-self) + other
+        if isinstance(other, (int, Fraction)) and other is not True and other is not False:
+            return (-self) + other
+        return NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and other is not True and other is not False:
             return self.scale(other)
         if not isinstance(other, Poly):
             return NotImplemented
@@ -289,13 +295,14 @@ class Poly:
         return Poly.from_ints(out, self._den * other._den)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and other is not True and other is not False:
             return self.scale(other)
         return NotImplemented
 
     def scale(self, c) -> "Poly":
         """Multiply every coefficient by the ring element c."""
-        if self._nums is not None and isinstance(c, (int, Fraction)):
+        if (self._nums is not None and isinstance(c, (int, Fraction))
+                and c is not True and c is not False):
             num = c.numerator
             return Poly.from_ints([a * num for a in self._nums],
                                   self._den * c.denominator)
@@ -303,7 +310,7 @@ class Poly:
         return Poly([a * c for a in self.coeffs])
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and other is not True and other is not False:
             return self.scale(Fraction(1) / Fraction(other))
         return NotImplemented
 
@@ -313,6 +320,8 @@ class Poly:
 
     def __call__(self, point):
         """Horner evaluation; works for nested coefficients as well."""
+        if point is True or point is False:
+            raise TypeError("point must be a rational number, not a bool")
         if self._nums is not None and isinstance(point, (int, Fraction)):
             nums = self._nums
             if not nums:
@@ -385,6 +394,10 @@ def csv_element(value: RingElement) -> str:
     return as_json
 
 
+_INTERNED = WeakValueDictionary()  # (numerator, denominator), or None -> LambdaScalar
+_INTERN_LOCK = Lock()
+
+
 class _Frozen:
     """Refuses assignment and deletion, so that a hash never changes."""
 
@@ -401,40 +414,34 @@ class LambdaScalar(_Frozen):
     """Deformation parameter: a fixed nonzero rational, or symbolic.
 
     A fixed value is read by the rational rule (an ``int`` or a
-    ``Fraction``) and kept as a ``Fraction``, so equal scalars always carry
-    the same exact value.  ``element`` is the ring
+    ``Fraction``) and kept as a ``Fraction``.  ``element`` is the ring
     representation of lambda itself, a ``Fraction`` in fixed mode and the
-    degree-1 ``Poly`` in symbolic mode.  Instances are immutable; two are
-    equal when their values are.  Equality compares the reduced
-    ``(numerator, denominator)`` integer pairs, not the ``Fraction`` values:
-    a cache hit at a lambda equal to, but not the same object as, the one
-    in its key makes that comparison, and ``Fraction.__eq__`` would cost
-    more than the rest of the hit.
+    degree-1 ``Poly`` in symbolic mode.  Instances are immutable and
+    interned: the constructor returns the one live instance of each value
+    (``SYMBOLIC`` for ``None``), so two scalars are equal exactly when they
+    are the same object, and equality and hashing are ``object``'s own.  A
+    cache hit keyed by lambda thus runs no Python-level ``__eq__`` or
+    ``__hash__``.  The intern table holds its instances weakly, so it keeps
+    no lambda alive by itself; pickling and copying return the interned
+    instance.
     """
 
-    __slots__ = ("value", "_hash", "_key")
+    __slots__ = ("value", "__weakref__")
 
-    def __init__(self, value=None):
+    def __new__(cls, value=None):
+        key = None
         if value is not None:
             value = _rational(value, "lambda")
             if value == 0:
                 raise ValueError("lambda must be nonzero in fixed mode")
-        object.__setattr__(self, "value", value)
-        # every triangle lookup hashes its lambda as part of the cache key,
-        # and a Fraction recomputes its hash on each call; __eq__ compares
-        # _key, the reduced integer pair (None when symbolic), so a hit runs
-        # no Fraction method either
-        object.__setattr__(self, "_hash", 0 if value is None else hash(value))
-        object.__setattr__(self, "_key", None if value is None
-                           else (value.numerator, value.denominator))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key == other._key
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash
+            key = (value.numerator, value.denominator)
+        with _INTERN_LOCK:
+            self = _INTERNED.get(key)
+            if self is None:
+                self = object.__new__(cls)
+                object.__setattr__(self, "value", value)
+                _INTERNED[key] = self
+        return self
 
     def __repr__(self) -> str:
         return f"LambdaScalar(value={self.value!r})"

@@ -192,29 +192,51 @@ def _falling_powers(q: int, n: int) -> list:
     return list(accumulate(repeat(q, n), mul, initial=1))[::-1]
 
 
-@cache
+_TRIANGLES: dict = {}  # (lam, alpha, beta, r) -> NumberTriangle
+
+
 def _triangle(lam: LambdaScalar, alpha: int, beta: int, r: int) -> NumberTriangle:
     """The shared triangle of the recurrence parameters, made on first use.
 
-    The cache is keyed by the parameters themselves, so families that
+    ``_TRIANGLES`` is keyed by the parameters themselves, so families that
     coincide (Whitney at m = 1 and the second kind) share one triangle.  It
-    is unbounded and takes no lock: two threads that miss on the same key
-    at once may each build a triangle, and one of them is kept.  Both hold
-    equal values and each has its own growth lock, so no caller can see a
-    wrong or partial row.
+    is unbounded and takes no lock: a miss builds a triangle and stores it
+    with ``setdefault``, so threads that miss on the same key at once may
+    each build one, but only the first stored is kept and every one of them
+    gets it.  A hit builds nothing.  A lam that is not a ``LambdaScalar`` is
+    refused by the triangle's constructor and stored nowhere.
     """
-    return NumberTriangle(lam, alpha=alpha, beta=beta, r=r)
+    key = (lam, alpha, beta, r)
+    try:
+        return _TRIANGLES[key]
+    except KeyError:
+        return _TRIANGLES.setdefault(key, NumberTriangle(lam, alpha=alpha, beta=beta, r=r))
 
 
 def _lookup(n: int, k: int, lam: LambdaScalar, alpha: int, beta: int, r: int) -> RingElement:
     """Entry (n, k) of the triangle of (lam, alpha, beta, r), its indices
-    checked by exact type comparisons, and by the index rule only to raise;
-    a lam that is not a ``LambdaScalar`` is refused when its triangle is built."""
+    checked by exact type comparisons, and by the index rule only to raise.
+
+    A hit is one subscript of ``_TRIANGLES`` (lam is interned, so its key
+    compares and hashes in C) and, for 0 <= k <= n in a row that is already
+    public, one tuple index; every other case goes through ``_triangle``
+    (which refuses a lam that is not a ``LambdaScalar``) and
+    ``NumberTriangle.value``."""
     if type(n) is not int or type(k) is not int or type(r) is not int or r < 0:
         _check_index(n, "n")
         _check_index(k, "k")
         _check_index(r, "shift r", 0)
-    return _triangle(lam, alpha, beta, r).value(n, k)
+    try:
+        triangle = _TRIANGLES[lam, alpha, beta, r]
+    except KeyError:
+        triangle = _triangle(lam, alpha, beta, r)
+    if 0 <= k <= n:
+        rows = triangle._rows
+        if n < len(rows):
+            row = rows[n]
+            if type(row) is tuple:
+                return row[k]
+    return triangle.value(n, k)
 
 
 def rstirling2_lambda(n: int, k: int, r: int, lam: LambdaScalar) -> RingElement:

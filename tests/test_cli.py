@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from lambda_stirling import cli
 from lambda_stirling.cli import main
 from lambda_stirling.poly import LambdaScalar, SYMBOLIC, csv_element, format_element
 from lambda_stirling.bernoulli import bernoulli_higher
@@ -565,6 +566,20 @@ def test_unwritable_output_exits_2(capsys, tmp_path, argv, target):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_out_of_memory_exits_2_without_a_traceback(capsys, monkeypatch):
+    # a command that runs out of memory (as eval --poly dowling --n 100000
+    # does) prints one line, like any other refused input
+    def out_of_memory(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_eval", out_of_memory)
+    code, out, err = run_cli(capsys, *OUTPUT_COMMANDS[1])
+    assert code == 2
+    assert out == ""
+    assert err == "error: out of memory\n"
+    assert "Traceback" not in err
 
 
 def run_cli_process(*argv, timeout=60):

@@ -1,14 +1,18 @@
+import copy
 import gc
 import operator
 import pickle
+import sys
 import tracemalloc
 from fractions import Fraction
 from math import lcm
+from threading import Barrier, Thread
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lambda_stirling import poly
 from lambda_stirling.poly import (
     LambdaScalar,
     Poly,
@@ -92,6 +96,25 @@ def test_int_subclass_becomes_fraction():
     # bool is the one int subclass the ring-element rule refuses
     with pytest.raises(TypeError, match=r"\bcoefficient must be an int, .* not bool$"):
         Poly([True])
+
+
+@pytest.mark.parametrize("p", [Poly([1, 2]), falling_factorial_poly(2, SYMBOLIC)],
+                         ids=["scalar", "nested"])
+def test_arithmetic_refuses_a_bool_as_the_constructor_does(p):
+    for flag in (True, False):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(TypeError):
+                op(p, flag)
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(flag, p)
+        with pytest.raises(TypeError, match="^c must be an int, Fraction or Poly, not bool$"):
+            p.scale(flag)
+        with pytest.raises(TypeError, match="^point must be a rational number, not a bool$"):
+            p(flag)
+    # an int, an int subclass other than bool and a Fraction are still scalars
+    assert p * 2 == 2 * p == p.scale(Fraction(2)) == p + p
+    assert p + 1 - 1 == p and 1 - p == -p + 1 and p / 2 == p.scale(Fraction(1, 2))
 
 
 def test_pow_matches_repeated_multiplication():
@@ -359,6 +382,54 @@ def test_lambda_scalar_equality_hash_and_pickle_contract(a, b, c):
     assert _triangle(copy, 0, 1, 0) is _triangle(lam_a, 0, 1, 0)
     for other in (SYMBOLIC, a, a.numerator, None):
         assert lam_a != other and not lam_a == other
+
+
+def test_lambda_scalar_is_interned():
+    third = LambdaScalar.fixed(Fraction(1, 3))
+    assert LambdaScalar.fixed(Fraction(2, 6)) is third
+    assert LambdaScalar(Fraction(-2, -6)) is third
+    assert LambdaScalar(3) is LambdaScalar(Fraction(6, 2))
+    assert LambdaScalar(None) is SYMBOLIC and LambdaScalar() is SYMBOLIC
+    assert LambdaScalar.symbolic() is SYMBOLIC
+    for lam in (third, SYMBOLIC):
+        assert pickle.loads(pickle.dumps(lam)) is lam
+        assert copy.copy(lam) is lam and copy.deepcopy(lam) is lam
+        assert copy.deepcopy([lam, lam])[1] is lam
+    # equality and hashing are object's own: identity, run in C
+    assert "__eq__" not in vars(LambdaScalar) and "__hash__" not in vars(LambdaScalar)
+
+
+def test_threads_that_build_one_new_lambda_get_one_object():
+    barrier = Barrier(8, timeout=60)
+    got = []
+
+    def worker():
+        barrier.wait()
+        got.append(LambdaScalar.fixed(Fraction(-9973, 31)))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 8 and all(lam is got[0] for lam in got)
+
+
+def test_intern_table_keeps_no_lambda_alive():
+    key = (9967, 29)
+    lam = LambdaScalar.fixed(Fraction(*key))
+    assert poly._INTERNED[key] is lam
+    del lam
+    gc.collect()
+    assert key not in poly._INTERNED
+    # a lambda built again later is a new live instance
+    assert LambdaScalar.fixed(Fraction(*key)).value == Fraction(*key)
 
 
 def test_value_records_keep_their_contracts():

@@ -1,11 +1,13 @@
 import sys
+import time
 from fractions import Fraction
-from threading import Thread
+from threading import Barrier, Thread
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lambda_stirling import stirling
 from lambda_stirling.poly import LambdaScalar, Poly, SYMBOLIC, eval_element, falling_factorial_poly
 from lambda_stirling.stirling import (
     NumberTriangle,
@@ -24,6 +26,7 @@ from lambda_stirling.whitney import (
     bell_poly_lambda,
     dowling_poly,
     dowling_series,
+    whitney,
     whitney_r,
     whitney_r_by_expansion,
     whitney_series,
@@ -251,9 +254,9 @@ def test_lambda_zero_collapses_to_identity():
 
 
 def test_cache_hit_at_a_new_equal_lambda_runs_no_fraction_comparison(monkeypatch):
-    # a lookup at a lambda equal to, but not the same object as, the one in
-    # the cache key compares the two by their integer pairs; a hit that
-    # fell back to Fraction.__eq__ would raise here
+    # a lambda built anew from an equal value is the interned object in the
+    # cache key, so a hit compares no values; a hit that fell back to
+    # Fraction.__eq__ would raise here
     stored = LambdaScalar.fixed(Fraction(1, 3))
     reads = (
         lambda lam: rstirling2_lambda(9, 4, 2, lam),
@@ -262,7 +265,7 @@ def test_cache_hit_at_a_new_equal_lambda_runs_no_fraction_comparison(monkeypatch
     )
     cached = [read(stored) for read in reads]
     fresh = LambdaScalar.fixed(Fraction(2, 6))
-    assert fresh is not stored
+    assert fresh is stored
 
     def no_fraction_eq(self, other):
         raise AssertionError("Fraction.__eq__ called on a cache hit")
@@ -364,6 +367,72 @@ def test_lambda_must_be_a_lambda_scalar(call):
     # AttributeError from deep inside
     with pytest.raises(TypeError, match="lam must be a LambdaScalar"):
         call(Fraction(1, 2))
+
+
+# each public triangle function, its arguments between k and lambda
+TRIANGLE_READS = (
+    (stirling2_lambda, ()),
+    (rstirling2_lambda, (2,)),
+    (stirling1_lambda, ()),
+    (rstirling1_lambda, (2,)),
+    (unsigned_rstirling1_lambda, (2,)),
+    (whitney, (3,)),
+    (whitney_r, (3, 2)),
+)
+
+
+@pytest.mark.parametrize("symbolic", [False, True], ids=["fixed", "symbolic"])
+@pytest.mark.parametrize("fn, extra", TRIANGLE_READS, ids=[fn.__name__ for fn, _ in TRIANGLE_READS])
+def test_warm_read_enters_only_the_lookup_frames(fn, extra, symbolic):
+    # a hit is a dict subscript and a tuple index below _lookup: no
+    # Python-level __eq__, __hash__ or NumberTriangle.value, even at a
+    # lambda built apart from the one in the cache key
+    stored = SYMBOLIC if symbolic else LambdaScalar.fixed(Fraction(1, 3))
+    want = fn(9, 4, *extra, stored)  # grows the triangle and publishes row 9
+    lam = LambdaScalar(None) if symbolic else LambdaScalar.fixed(Fraction(2, 6))
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        got = fn(9, 4, *extra, lam)
+    finally:
+        sys.setprofile(None)
+    assert got == want
+    assert entered and set(entered) <= {fn.__name__, "whitney_r", "_lookup"}, entered
+
+
+def test_racing_misses_on_one_key_get_one_triangle(monkeypatch):
+    # every thread misses (the build is slowed down), each may build a
+    # triangle, and all of them get the one that is kept
+    barrier = Barrier(8, timeout=60)
+    got = []
+
+    def slow_build(*args, **kwargs):
+        time.sleep(0.01)
+        return NumberTriangle(*args, **kwargs)
+
+    def worker():
+        barrier.wait()
+        got.append(stirling._triangle(lam, 0, 1, 7))
+
+    lam = LambdaScalar.fixed(Fraction(-11, 7))
+    monkeypatch.setattr(stirling, "NumberTriangle", slow_build)
+    threads = [Thread(target=worker) for _ in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 8
+    assert all(t is stirling._TRIANGLES[lam, 0, 1, 7] for t in got)
+    # a hit builds nothing
+    monkeypatch.setattr(stirling, "NumberTriangle", None)
+    assert stirling._triangle(lam, 0, 1, 7) is got[0]
+    assert rstirling2_lambda(3, 1, 7, lam) == got[0].value(3, 1)
 
 
 def test_concurrent_growth_is_consistent():

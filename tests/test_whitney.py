@@ -161,7 +161,7 @@ def test_row_sums_match_entrywise_sums(n, lam, x, read_first):
     # A fresh cache makes the first touch of row n either the row sum (over
     # the grown integer form) or the entry reads (after which the sum
     # recovers the integers from the public values).
-    stirling._triangle.cache_clear()
+    stirling._TRIANGLES.clear()
     rows = [
         (lambda k, m=m: whitney(n, k, m, lam), lambda m=m: dowling_poly(n, x, m, lam))
         for m in (1, 2, 3)
