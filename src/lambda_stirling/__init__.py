@@ -32,9 +32,9 @@ rational, and a ring element (a coefficient too) an ``int``, a ``Fraction``
 or a ``Poly``.  A ``bool``, a non-scalar or symbolic fixed lambda and a
 non-ring element raise ``TypeError``, any other bad value ``ValueError``.
 
-Triangles, basis expansions and Bernoulli tables are cached with
-``functools.cache``, keyed by their parameters: the caches are unbounded,
-and each triangle or table grows on demand under its own lock.
+Triangles are cached in the dict ``stirling._TRIANGLES``, basis expansions
+and Bernoulli tables by ``functools.cache``, keyed by their parameters: the
+caches are unbounded, and each triangle or table grows under its own lock.
 
 The verification names load on first use.  ``lambda_stirling.identities``
 is a stub that only lists them, in the ``__all__`` that this package's

@@ -14,17 +14,17 @@ recurrence of the shared shape (the unified form of Hsu and Shiue)
 
 with integer alpha, beta, gamma, r: the second kind is beta = 1, the signed
 and unsigned first kinds alpha = 1 and alpha = -1, the Whitney-type numbers
-(in ``whitney``) beta = m.  ``NumberTriangle`` tabulates it lazily over Python
-integers only (lambda-coefficient lists when lambda is symbolic, entries
-scaled by q^(n-k) when lambda = p/q).  A row is converted to the public
-``Fraction``/``Poly`` values on its first read (a symbolic entry wraps its
-integer list, with no ``Fraction``), and its row sums against
-powers of x (the Dowling and Bell rows) are taken over the integers without
-converting it.  Alongside the recurrences
-the module carries the definitional basis-expansion oracle, the
-finite-difference closed form and the EGF route, so every value can be
-cross-checked by computations that share no code path; none of them uses
-``NumberTriangle``.
+(in ``whitney``) beta = m.  ``NumberTriangle`` grows it lazily over Python
+integers for a fixed lambda = p/q (entries scaled by q^(n-k)), and reads a
+symbolic entry's lambda coefficients off the integer triangle at lambda = 1
+(S_{2,lam}(n, k) = lam^(n-k) S_2(n, k), shifted by
+T(n, k) = sum_l C(n, l) r^(n-l) S_{2,lam}(l, k) for the second kind).  A row
+becomes public ``Fraction``/``Poly`` values on its first read, and its row
+sums against powers of x (the Dowling and Bell rows) are taken over the
+integers without converting it.  Alongside the recurrences the module
+carries the definitional basis-expansion oracle, the finite-difference
+closed form and the EGF route, so every value can be cross-checked by
+computations that share no code path; none of them uses ``NumberTriangle``.
 """
 
 from __future__ import annotations
@@ -54,79 +54,72 @@ class NumberTriangle:
     with T(0, 0) = 1, integer parameters alpha, beta, gamma, r and lam a
     ``LambdaScalar``.  Values outside 0 <= k <= n are zero.
 
-    Growth runs over Python integers only.  With lam symbolic, an entry is
-    the list of its integer coefficients in lam (degree <= n - k), so the
-    multiplier is a shift-and-add.  With lam = p/q, row n stores the
-    integers U(n, k) = q^(n-k) T(n, k), which obey
+    Only a fixed lam = p/q is grown, over Python integers, from the newest
+    integer row (the frontier): row n stores U(n, k) = q^(n-k) T(n, k), and
     U(n+1, k) = U(n, k-1) + ((beta k - alpha n + gamma) p + r q) U(n, k).
+    A symbolic triangle keeps the triangle A at lam = 1, r = 0 and the same
+    (alpha, beta, gamma), and reads row n off it, k <= j <= n: with
+    alpha = 0 (T is lam^(n-k) A, shifted binomially in r) lam^(j-k) has the
+    coefficient C(n, j) r^(n-j) A(j, k); with beta = 0 (row n is the product
+    of x + r + lam (gamma - alpha i) over i < n) lam^(n-j) has
+    C(j, k) r^(j-k) A(n, j).  It refuses any other shape.
 
-    Each row is held in one form at a time.  It stays in its grown integer
-    form until the first ``value`` read, which replaces it by its
-    public tuple: ``Fraction(U, q^(n-k))`` for fixed lam; for symbolic lam
-    ``Poly`` below the diagonal, each wrapping its integer coefficient list
-    (``Poly.from_ints``, no ``Fraction``), and ``Fraction(1)`` on it and in
-    row 0.  ``row_sum`` works on the integer form, recovering it exactly
-    from a row that is already public (a symbolic entry's own integers), so
-    a row that is only summed is never converted.  Growth reads the newest
-    integer row, kept apart as the frontier.
+    A row becomes its public tuple on its first ``value`` read:
+    ``Fraction(U, q^(n-k))``, or for symbolic lam ``Poly`` below the diagonal
+    (``Poly.from_ints`` of the integer coefficients, no ``Fraction``) and
+    ``Fraction(1)`` on it and in row 0.  Until then a fixed row is held as
+    its integers and a symbolic one as ``None``.  ``row_sum`` works on the
+    integers, recovered from a public fixed row and read off A for a
+    symbolic one, so a row that is only summed is never converted.
 
     The triangle trusts its callers for n, k and the ``int`` parameters
     (``_lookup``, ``dowling_poly``, ... apply the index rule): ``value``
     gives 0 outside 0 <= k <= n and ``row_sum`` takes n >= 0.  It checks
     only lam, which is how ``_lookup`` refuses a lam of the wrong type.
 
-    Rows are appended whole and a slot only ever swaps one complete form
-    for an equal one, so a lookup of an existing row is a plain read; two
-    readers that race to convert a row may both build its tuple, and either
-    is kept.  Only growth takes the lock.
+    Rows are appended whole and a slot only ever swaps what it holds for
+    the public tuple of its row, so a lookup of a public row is a plain
+    read; two readers that race to convert a row may both build its tuple,
+    and either is kept.  Only growth takes the lock.
     """
 
-    __slots__ = ("_rows", "_frontier", "_params", "_lock")
+    __slots__ = ("_rows", "_frontier", "_base", "_params", "_lock")
 
     def __init__(self, lam: LambdaScalar, *, alpha: int = 0, beta: int = 0,
                  gamma: int = 0, r: int = 0):
         _check_lambda(lam)
         self._params = (lam, alpha, beta, gamma, r)
-        self._frontier = [[1]] if lam.is_symbolic else [1]
-        self._rows = [self._frontier]
         self._lock = Lock()
+        if lam.is_symbolic:
+            if alpha and beta:
+                raise ValueError("a symbolic triangle needs alpha = 0 or beta = 0")
+            self._base = NumberTriangle(LambdaScalar(1), alpha=alpha, beta=beta, gamma=gamma)
+            self._rows = [None]  # a slot that holds no public row yet
+        else:
+            self._frontier = [1]
+            self._rows = [self._frontier]
 
     def _grow(self, n: int) -> None:
-        with self._lock:
-            while len(self._rows) <= n:
-                if self._params[0].is_symbolic:
-                    self._grow_symbolic()
-                else:
-                    self._grow_fixed()
-
-    def _grow_symbolic(self) -> None:
-        _, alpha, beta, gamma, r = self._params
-        ints = self._frontier
-        m = len(ints) - 1  # row m -> row m + 1
-        new = []
-        for k, (left, cur) in enumerate(zip([[0] * (m + 2)] + ints, ints + [[]])):
-            a = beta * k - alpha * m + gamma
-            new.append(
-                [x + r * y + a * z for x, y, z in zip(left, cur + [0], [0] + cur)]
-            )
-        self._frontier = new
-        self._rows.append(new)
-
-    def _grow_fixed(self) -> None:
         lam, alpha, beta, gamma, r = self._params
-        p, q = lam.value.numerator, lam.value.denominator
-        ints = self._frontier
-        m = len(ints) - 1  # row m -> row m + 1
-        new = [
-            left + ((beta * k - alpha * m + gamma) * p + r * q) * cur
-            for k, (left, cur) in enumerate(zip([0] + ints, ints + [0]))
-        ]
-        self._frontier = new
-        self._rows.append(new)
+        with self._lock:
+            rows = self._rows
+            if lam.is_symbolic:
+                rows.extend(repeat(None, n + 1 - len(rows)))
+                return
+            p, q = lam.value.numerator, lam.value.denominator
+            while len(rows) <= n:
+                ints = self._frontier
+                m = len(ints) - 1  # row m -> row m + 1
+                self._frontier = [
+                    left + ((beta * k - alpha * m + gamma) * p + r * q) * cur
+                    for k, (left, cur) in enumerate(zip([0] + ints, ints + [0]))
+                ]
+                rows.append(self._frontier)
 
-    def _publish(self, n: int, ints: list) -> tuple:
-        """Replace the integer form ``ints`` of row n by its public tuple."""
+    def _publish(self, n: int) -> tuple:
+        """Replace row n by its public tuple."""
         lam = self._params[0]
+        ints = self._ints(n)
         if lam.is_symbolic:
             row = tuple(map(Poly.from_ints, ints[:-1])) + (_ONE,)
         else:
@@ -135,19 +128,26 @@ class NumberTriangle:
         return row
 
     def _ints(self, n: int) -> list:
-        """The integer form of row n, grown if missing and recovered
-        exactly if it is public."""
+        """The integer form of row n: for fixed lam grown if missing and
+        recovered exactly if it is public, for symbolic lam read off A."""
+        lam, alpha, _, _, r = self._params
+        if lam.is_symbolic:
+            base, powers = self._base, [r ** i for i in range(n + 1)]
+            if alpha == 0:  # entry k lists C(n, j) r^(n-j) A(j, k) for j = k..n
+                w = [comb(n, j) * powers[n - j] for j in range(n + 1)]
+                a = [base._ints(j) for j in range(n + 1)]
+                return [[w[j] * a[j][k] for j in range(k, n + 1)] for k in range(n + 1)]
+            a = base._ints(n)  # entry k lists C(j, k) r^(j-k) A(n, j) for j = n..k
+            return [[comb(j, k) * powers[j - k] * a[j] for j in range(n, k - 1, -1)]
+                    for k in range(n + 1)]
         row = self._slot(n)
         if type(row) is not tuple:
             return row
-        lam = self._params[0]
-        if lam.is_symbolic:
-            return [e._nums for e in row[:-1]] + [[1]]
         powers = _falling_powers(lam.value.denominator, n)
         return [e.numerator * (p // e.denominator) for e, p in zip(row, powers)]
 
     def _slot(self, n: int):
-        """Row n >= 0 as it is held (integer or public form), grown if missing."""
+        """Row n >= 0 as it is held (``None``, integers or public), grown if missing."""
         try:
             return self._rows[n]
         except IndexError:
@@ -162,7 +162,7 @@ class NumberTriangle:
         except IndexError:
             row = self._slot(n)
         if type(row) is not tuple:
-            row = self._publish(n, row)
+            row = self._publish(n)
         return row[k]
 
     def row_sum(self, n: int, x: Fraction) -> RingElement:

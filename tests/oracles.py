@@ -181,6 +181,22 @@ def first_kind_row(n: int, r: int, sign: int, lam) -> list:
     return rising_poly(n, lam, Fraction(r))
 
 
+def recurrence_rows(n_max: int, alpha: int = 0, beta: int = 0, gamma: int = 0,
+                    r: int = 0):
+    """Rows 0..n_max of T(n+1, k) = T(n, k-1) + (lam (beta k - alpha n + gamma)
+    + r) T(n, k), T(0, 0) = 1, with lam symbolic, stepped entry by entry in
+    list arithmetic: each entry is its list of lambda coefficients, trailing
+    zeros stripped."""
+    row = [[Fraction(1)]]
+    for n in range(n_max + 1):
+        yield [strip(c) for c in row]
+        below = row + [[]]
+        row = [poly_add(below[k - 1] if k else [],
+                        poly_mul([Fraction(r), Fraction(beta * k - alpha * n + gamma)],
+                                 below[k]))
+               for k in range(n + 2)]
+
+
 # --- brute-force set partitions ---------------------------------------------
 
 

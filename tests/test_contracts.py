@@ -177,6 +177,19 @@ def test_no_module_but_poly_defines_a_check_function():
                     f"{path.name} defines {node.name}")
 
 
+def test_no_module_but_poly_reads_poly_storage():
+    # a Poly's integers are its own: code that read them elsewhere would
+    # break, or keep a stale copy, when poly.py changes how it stores them
+    package = Path(lambda_stirling.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "poly.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in ("_nums", "_den", "_coeffs"), (
+                    f"{path.name}:{node.lineno} reads Poly.{node.attr}")
+
+
 # values that the ring-element rule refuses
 NOT_RING = pytest.mark.parametrize("value", [True, float("nan"), 0.5, "1/2", None, 1j],
                                    ids=["True", "nan", "0.5", "str", "None", "complex"])

@@ -6,7 +6,10 @@ package), at fixed lambda with q > 1, negative p and integer values, and
 with lambda symbolic.  The public value types are asserted on every entry:
 ``Fraction`` throughout for fixed lambda; for symbolic lambda ``Fraction(1)``
 in row 0 and on the diagonal and ``Poly`` below it, the zero polynomial
-included.
+included.  Up to n = 100 every symbolic entry, evaluated at a fixed lambda,
+equals the fixed-lambda triangle; and the symbolic triangles of the
+mutants' shapes (gamma != 0, doubled and offset shifts) equal the
+recurrence itself, stepped in naive list arithmetic.
 """
 
 from fractions import Fraction
@@ -15,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lambda_stirling.poly import LambdaScalar, Poly, SYMBOLIC
+from lambda_stirling import stirling
+from lambda_stirling.poly import LambdaScalar, Poly, SYMBOLIC, eval_element
 from lambda_stirling.stirling import (
     rstirling1_lambda,
     rstirling2_by_difference,
@@ -25,6 +29,7 @@ from lambda_stirling.stirling import (
 from lambda_stirling.whitney import whitney_r
 
 import oracles
+from mutants import MUTANT_PROVIDERS
 
 N_MAX = 20
 
@@ -87,6 +92,38 @@ def test_symbolic_lambda_parity(family):
         assert type(got[n]) is Fraction and got[n] == 1
         assert all(type(v) is Poly for v in got[:n])
         assert [oracles.lambda_coeffs(v) for v in got] == expected, (family, n)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_symbolic_entries_evaluate_to_fixed_lambda_to_n_100(monkeypatch, family):
+    # triangles of this test's own, dropped with it
+    monkeypatch.setattr(stirling, "_TRIANGLES", {})
+    value = FAMILIES[family][0]
+    lam = LambdaScalar.fixed(Fraction(-2, 3))
+    for n in range(101):
+        got = [eval_element(value(n, k, SYMBOLIC), lam.value) for k in range(n + 1)]
+        assert got == [value(n, k, lam) for k in range(n + 1)], (family, n)
+
+
+# mutant -> (its symbolic entry (n, k), the recurrence parameters it has)
+MUTANT_SHAPES = {
+    "stirling2": (lambda p, n, k: p.stirling2(n, k, SYMBOLIC), dict(beta=1, r=1)),
+    "rstirling2": (lambda p, n, k: p.rstirling2(n, k, 2, SYMBOLIC), dict(beta=1, r=4)),
+    "stirling1": (lambda p, n, k: p.stirling1(n, k, SYMBOLIC), dict(alpha=1, gamma=-1)),
+    "unsigned_rstirling1": (lambda p, n, k: p.unsigned_rstirling1(n, k, 2, SYMBOLIC),
+                            dict(alpha=-1, gamma=1, r=2)),
+    "whitney": (lambda p, n, k: p.whitney(n, k, 2, SYMBOLIC), dict(beta=2, r=2)),
+    "whitney_r": (lambda p, n, k: p.whitney_r(n, k, 3, 2, SYMBOLIC), dict(beta=3, r=3)),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANT_SHAPES))
+def test_mutant_shapes_follow_the_recurrence(mutant):
+    value, params = MUTANT_SHAPES[mutant]
+    providers = MUTANT_PROVIDERS[mutant]
+    for n, expected in enumerate(oracles.recurrence_rows(15, **params)):
+        got = [value(providers, n, k) for k in range(n + 1)]
+        assert [oracles.lambda_coeffs(v) for v in got] == expected, (mutant, n)
 
 
 def test_symbolic_zero_entries_are_zero_poly():

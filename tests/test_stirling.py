@@ -1,3 +1,6 @@
+import hashlib
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -348,6 +351,42 @@ def test_triangle_parameters_must_be_integers():
     # the triangle trusts its callers' integers, but refuses a bare lambda
     with pytest.raises(TypeError):
         NumberTriangle(Fraction(1, 2), beta=1)
+
+
+def test_symbolic_triangle_needs_alpha_or_beta_zero():
+    # a symbolic entry is read off the lam = 1 triangle by a closed form
+    # that holds only when c(n, k) depends on one index
+    with pytest.raises(ValueError, match="alpha = 0 or beta = 0"):
+        NumberTriangle(SYMBOLIC, alpha=1, beta=1)
+    assert NumberTriangle(LambdaScalar.fixed(2), alpha=1, beta=2).value(2, 1) == 2
+    assert NumberTriangle(SYMBOLIC, gamma=2, r=1).value(2, 1) == Poly([2, 4])
+
+
+COLD_SYMBOLIC_READ = """
+import hashlib, resource, sys
+from fractions import Fraction
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+from lambda_stirling import SYMBOLIC, bell_poly_lambda, eval_element, rstirling2_lambda
+for value in (rstirling2_lambda(400, 200, 2, SYMBOLIC),
+              bell_poly_lambda(400, Fraction(1, 2), SYMBOLIC)):
+    print(hashlib.sha256(str(eval_element(value, Fraction(-2, 3))).encode()).hexdigest())
+"""
+
+
+def test_cold_symbolic_read_in_bounded_memory(monkeypatch):
+    # a symbolic row is read off the integer triangle at lam = 1, so a
+    # cold read at n = 400 keeps no cubic store of lambda coefficients; the
+    # address-space limit holds in the child only
+    src = os.path.join(os.path.dirname(stirling.__file__), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-c", COLD_SYMBOLIC_READ], env=env,
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    monkeypatch.setattr(stirling, "_TRIANGLES", {})
+    lam = LambdaScalar.fixed(Fraction(-2, 3))
+    expected = [hashlib.sha256(str(value).encode()).hexdigest() for value in (
+        rstirling2_lambda(400, 200, 2, lam), bell_poly_lambda(400, Fraction(1, 2), lam))]
+    assert proc.stdout.split() == expected
 
 
 @pytest.mark.parametrize("call", [
