@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import re
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 from .bernoulli import bernoulli_base_series, bernoulli_higher
@@ -87,22 +87,24 @@ def _parse_lambda(text: str) -> LambdaScalar:
     return LambdaScalar(_parse_rational("--lambda", text))
 
 
+def _open_output(output: str | None):
+    return nullcontext(sys.stdout) if output is None else open(output, "w", encoding="utf-8")
+
+
 def _emit(text: str, output: str | None) -> None:
     if not text.endswith("\n"):
         text += "\n"
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    with _open_output(output) as handle:
+        handle.write(text)
 
 
 def _emit_csv(header: list, rows, output: str | None) -> None:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(header)
-    writer.writerows(rows)
-    _emit(buffer.getvalue(), output)
+    """Write the header, then each row as ``rows`` yields it; the callers
+    compute every value first, so an error exits before any write."""
+    with _open_output(output) as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _add_lambda_argument(parser: argparse.ArgumentParser, required: bool = True):
@@ -150,8 +152,7 @@ def _cmd_triangle(args) -> int:
         for k in range(n + 1)
     ]
     if args.format == "csv":
-        rows = [(n, k, csv_element(value)) for n, k, value in cells]
-        _emit_csv(["n", "k", "value"], rows, args.output)
+        _emit_csv(["n", "k", "value"], ((n, k, csv_element(v)) for n, k, v in cells), args.output)
     else:
         payload = {
             "family": args.family,
@@ -219,7 +220,7 @@ def _cmd_bernoulli(args) -> int:
     x = _parse_rational("--x", args.x)
     rows = [(n, bernoulli_higher(n, args.m, x)) for n in range(args.n_max + 1)]
     if args.format == "csv":
-        _emit_csv(["n", "value"], [(n, csv_element(v)) for n, v in rows], args.output)
+        _emit_csv(["n", "value"], ((n, csv_element(v)) for n, v in rows), args.output)
     else:
         payload = {
             "order": args.m,

@@ -11,9 +11,9 @@ They satisfy the triangular recurrence W(n+1, k) = W(n, k-1) + (lam*m*k + r) W(n
 which is what the tabulation uses; the basis-expansion oracle below is the
 independent check.  Dowling polynomials are the row sums d(n, x) =
 sum_k W(n, k) x^k with r = 1, and the Bell polynomials are the same row sums
-for the plain second-kind triangle; both are summed over the triangle's
-integer rows by ``NumberTriangle.row_sum``.  The closed Dowling EGF
-(``dowling_series``) is one exponential, exp(t + x (e^{lam m t} - 1)/(lam m)).
+for the plain second-kind triangle; both are the triangle's ``row_sum``,
+over ``int``.  The closed Dowling EGF (``dowling_series``) is one
+exponential, exp(t + x (e^{lam m t} - 1)/(lam m)).
 
 ``dobinski_eval`` sums the infinite-series representation
 
@@ -80,8 +80,8 @@ def whitney_series(k: int, m: int, r: int, lam: LambdaScalar, order: int) -> Tru
 
 
 def dowling_poly(n: int, x, m: int, lam: LambdaScalar) -> RingElement:
-    """Dowling polynomial d(n, x) = sum_k W(n, k) x^k, summed over the
-    integer form of the Whitney row (``NumberTriangle.row_sum``)."""
+    """Dowling polynomial d(n, x) = sum_k W(n, k) x^k, summed over ``int``
+    by the Whitney triangle's ``row_sum``."""
     _check_index(n, "n", 0)
     _check_index(m, "parameter m", 1)
     return _triangle(lam, 0, m, 1).row_sum(n, _rational(x, "x"))

@@ -14,21 +14,21 @@ from fractions import Fraction
 from lambda_stirling.bernoulli import bernoulli_higher
 from lambda_stirling.identities import Providers
 from lambda_stirling.poly import LambdaScalar
-from lambda_stirling.stirling import NumberTriangle
+from lambda_stirling.stirling import _new_triangle
 
 
 def _cached_triangle_family(params_of):
     """Map lambda-mode (and extra integer parameters) to a corrupted
-    NumberTriangle, mirroring the library's own per-family caches.
-    ``params_of`` turns the family's integer parameters into the
-    recurrence parameters of ``NumberTriangle``."""
+    triangle from ``_new_triangle``, mirroring the library's own per-family
+    caches.  ``params_of`` turns the family's integer parameters into the
+    recurrence parameters of the triangle."""
     cache: dict = {}
 
     def value(n, k, *params, lam: LambdaScalar):
         key = (params, lam)
         tri = cache.get(key)
         if tri is None:
-            tri = cache[key] = NumberTriangle(lam, **params_of(*params))
+            tri = cache[key] = _new_triangle(lam, **params_of(*params))
         return tri.value(n, k)
 
     return value

@@ -593,6 +593,29 @@ def run_cli_process(*argv, timeout=60):
     )
 
 
+CAPPED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (80 << 20, 80 << 20))
+from lambda_stirling.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_symbolic_csv_is_written_row_by_row(tmp_path):
+    # The cells of this triangle need about 48 MB of address space and its
+    # CSV is 21 MB.  Written row by row it fits under the child's 80 MB
+    # cap; holding the whole text at once (the cell strings, a buffer and
+    # its copy) needed over 112 MB and ran out of memory.
+    target = tmp_path / "table.csv"
+    proc = run_cli_process(
+        "-c", CAPPED_CLI, "triangle", "--family", "rstirling2", "--r", "2",
+        "--n-max", "120", "--lambda", "symbolic", "--format", "csv",
+        "--output", str(target), timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+        "f6b5f50df025ec05fa8848cc1298d7baa991f3978c9035302a924287a1282f73")
+
+
 def test_cli_import_leaves_mpmath_unloaded():
     # the suite stub is registered, but the suite itself is not loaded
     proc = run_cli_process(

@@ -190,6 +190,16 @@ def test_no_module_but_poly_reads_poly_storage():
                     f"{path.name}:{node.lineno} reads Poly.{node.attr}")
 
 
+def test_only_the_factory_reads_the_lambda_mode():
+    # stirling._new_triangle decides the lambda mode once, when a triangle
+    # is made, so that neither triangle class branches on it again
+    path = Path(lambda_stirling.__file__).parent / "stirling.py"
+    readers = {getattr(top, "name", "<module>") for top in ast.parse(path.read_text()).body
+               for node in ast.walk(top)
+               if isinstance(node, ast.Attribute) and node.attr == "is_symbolic"}
+    assert readers == {"_new_triangle"}
+
+
 # values that the ring-element rule refuses
 NOT_RING = pytest.mark.parametrize("value", [True, float("nan"), 0.5, "1/2", None, 1j],
                                    ids=["True", "nan", "0.5", "str", "None", "complex"])

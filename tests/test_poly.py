@@ -22,7 +22,7 @@ from lambda_stirling.poly import (
     format_element,
     csv_element,
 )
-from lambda_stirling.stirling import BasisExpansion, NumberTriangle, _triangle, expand_in_falling_basis
+from lambda_stirling.stirling import BasisExpansion, _new_triangle, _triangle, expand_in_falling_basis
 from lambda_stirling.whitney import dobinski_eval
 
 from oracles import poly_add, poly_mul, strip
@@ -247,7 +247,7 @@ def test_format_element_reduces_like_fraction_str():
 def test_reading_coeffs_keeps_nothing():
     # the entries rstirling2_lambda(n, k, 2, SYMBOLIC) for n <= 60, from a
     # triangle of their own, so that no earlier read has touched them
-    triangle = NumberTriangle(SYMBOLIC, beta=1, r=2)
+    triangle = _new_triangle(SYMBOLIC, beta=1, r=2)
     entries = [e for n in range(61) for k in range(n + 1)
                if isinstance(e := triangle.value(n, k), Poly)]
     assert len(entries) == 61 * 60 // 2

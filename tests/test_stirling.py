@@ -7,7 +7,7 @@ from fractions import Fraction
 from threading import Barrier, Thread
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lambda_stirling import stirling
@@ -357,9 +357,50 @@ def test_symbolic_triangle_needs_alpha_or_beta_zero():
     # a symbolic entry is read off the lam = 1 triangle by a closed form
     # that holds only when c(n, k) depends on one index
     with pytest.raises(ValueError, match="alpha = 0 or beta = 0"):
-        NumberTriangle(SYMBOLIC, alpha=1, beta=1)
+        stirling._new_triangle(SYMBOLIC, alpha=1, beta=1)
     assert NumberTriangle(LambdaScalar.fixed(2), alpha=1, beta=2).value(2, 1) == 2
-    assert NumberTriangle(SYMBOLIC, gamma=2, r=1).value(2, 1) == Poly([2, 4])
+    assert stirling._new_triangle(SYMBOLIC, gamma=2, r=1).value(2, 1) == Poly([2, 4])
+
+
+def test_symbolic_row_sum_needs_alpha_zero():
+    # no library function sums a first-kind row at symbolic lam, so the
+    # reader sums only the alpha = 0 shape and refuses the other
+    with pytest.raises(ValueError, match="alpha = 0"):
+        stirling.SymbolicTriangle(alpha=1, r=2).row_sum(3, Fraction(1, 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.sampled_from([1, 2, 3]), r=st.integers(min_value=0, max_value=3),
+       n=st.integers(min_value=0, max_value=60),
+       x=st.fractions(min_value=-6, max_value=6, max_denominator=9))
+@example(m=3, r=3, n=60, x=Fraction(-5, 2))
+@example(m=1, r=0, n=0, x=Fraction(0))
+def test_symbolic_row_sum_matches_entrywise_sum(m, r, n, x):
+    # the row sum reads the lam = 1 triangle straight, the entries come
+    # from the per-entry assembler: two routes to one polynomial
+    triangle = stirling.SymbolicTriangle(beta=m, r=r)
+    got = triangle.row_sum(n, x)
+    expected = sum(triangle.value(n, k) * x**k for k in range(n + 1))
+    assert got == expected and type(got) is type(expected)
+    if isinstance(got, Poly):
+        assert got.coeffs == expected.coeffs
+        assert list(map(type, got.coeffs)) == list(map(type, expected.coeffs))
+
+
+def test_symbolic_row_sums_build_no_entry(monkeypatch):
+    # a row sum never reaches the per-entry assembler; the digests are of
+    # the values that summing the assembled entries gave
+    def no_entries(self, n):
+        raise AssertionError("a row sum built the entries of its row")
+
+    monkeypatch.setattr(stirling.SymbolicTriangle, "_entries", no_entries)
+    monkeypatch.setattr(stirling, "_TRIANGLES", {})
+    values = (bell_poly_lambda(200, Fraction(3, 4), SYMBOLIC),
+              dowling_poly(60, Fraction(-5, 2), 2, SYMBOLIC))
+    assert [hashlib.sha256(repr(value).encode()).hexdigest() for value in values] == [
+        "4766653b29e5d3faf0525baeab1cd12a7dfc3c168624eaace49165fdbdfd622a",
+        "aaa3a5fab31115f3b9c4e8f6e12ff54d4d9a94f507b2f5e1ba44c6e54949c071",
+    ]
 
 
 COLD_SYMBOLIC_READ = """
@@ -521,14 +562,16 @@ def test_lock_free_reads_race_growth():
 
 
 def test_row_sums_and_reads_race_conversion():
-    # Rows stay integer until their first read; readers that race the swap
-    # to the public tuple, and sums that race it, must each see one whole
-    # form of the row.
+    # Rows stay integer (or, at symbolic lam, None) until their first read;
+    # readers that race the swap to the public tuple, and sums that race it,
+    # must each see one whole form of the row.  The symbolic reader pads its
+    # slots with None without a lock: padding only appends, so a racing pad
+    # adds spare unread slots but never overwrites a public row.
     x = Fraction(-3, 5)
     for lam, n_rows in ((LambdaScalar.fixed(Fraction(-2, 3)), 60), (SYMBOLIC, 30)):
-        want = NumberTriangle(lam, beta=2, r=1)
+        want = stirling._new_triangle(lam, beta=2, r=1)
         sums = [want.row_sum(n, x) for n in range(n_rows)]
-        shared = NumberTriangle(lam, beta=2, r=1)
+        shared = stirling._new_triangle(lam, beta=2, r=1)
         seen = []
 
         def worker(i):
