@@ -58,7 +58,7 @@ from . import stirling as _stirling
 _whitney = import_module(".whitney", __package__)
 from .poly import (LambdaScalar, SYMBOLIC, _check_index, _rational, eval_element,
                    format_element)
-from .series import lambda_columns
+from .series import lambda_column
 
 
 @dataclass(frozen=True)
@@ -516,10 +516,10 @@ def _check_limit_lambda1(cfg: SuiteConfig, p: Providers):
 
 
 def _columns_against(n_max: int, m: int, r: int, lam: LambdaScalar, lookup):
-    """(n, k, EGF coefficient, ``lookup(n, k)``) for n, k <= n_max, walking
-    the columns ((e^{lam m t}-1)/m)^k e^{rt}/(lam^k k!) one at a time."""
-    columns = lambda_columns(m, r, lam, n_max)
-    for k, series in zip(range(n_max + 1), columns):
+    """(n, k, EGF coefficient, ``lookup(n, k)``) for n, k <= n_max, reading
+    column k of ((e^{lam m t}-1)/m)^k e^{rt}/(lam^k k!) for each k."""
+    for k in range(n_max + 1):
+        series = lambda_column(k, m, r, lam, n_max)
         for n in range(n_max + 1):
             yield n, k, series.coeff(n), lookup(n, k)
 

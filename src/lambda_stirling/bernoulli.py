@@ -2,7 +2,8 @@
 
 Defined through the EGF (t/(e^t - 1))^m e^{x t} = sum B_n^(m)(x) t^n / n!.
 The order-m base coefficients B_n^(m) = B_n^(m)(0) are the EGF coefficients
-of ((e^t - 1)/t)^(-m), produced by J.C.P. Miller's power recurrence.  Its
+of G^(-m), G = (e^t - 1)/t (``series._core``, whose powers also give the
+column EGFs), raised by J.C.P. Miller's power recurrence.  Its
 multipliers are integers, so a table keeps the coefficients as integer
 numerators N_j = D B_j^(m) over one common denominator D and grows them
 over ``int`` (``series._power_ints``), continuing the recurrence to exactly
@@ -18,20 +19,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import repeat
-from math import comb, lcm
+from math import comb
 from operator import mul
 from threading import Lock
 
 from .poly import _check_index, _horner, _rational
-from .series import TruncatedSeries, _power_ints
-
-
-def _core(order: int) -> list:
-    """The EGF coefficients 1/(n+1), n = 0..order, of (e^t - 1)/t =
-    sum t^n/(n+1)!, as integer numerators over lcm(1..order+1), which the
-    recurrence does not need."""
-    den = lcm(*range(1, order + 2))
-    return [den // n for n in range(1, order + 2)]
+from .series import TruncatedSeries, _core, _power_ints
 
 
 class BernoulliTable:

@@ -19,6 +19,7 @@ import re
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
+from itertools import islice, starmap
 
 from .bernoulli import bernoulli_base_series, bernoulli_higher
 from .poly import LambdaScalar, SYMBOLIC, _check_index, csv_element, format_element
@@ -70,6 +71,8 @@ DUMP_KINDS = {
 }
 # the value of an option that eval or dump-series takes and is not given
 OPTION_DEFAULTS = {"k": 0, "r": 0, "m": 1, "x": "1", "lam": "symbolic"}
+# every JSON payload is written as json.dumps(payload, indent=2) writes it
+_JSON = json.JSONEncoder(indent=2)
 
 
 def _parse_rational(option: str, text: str) -> Fraction:
@@ -91,11 +94,27 @@ def _open_output(output: str | None):
     return nullcontext(sys.stdout) if output is None else open(output, "w", encoding="utf-8")
 
 
-def _emit(text: str, output: str | None) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
+def _emit(chunks, output: str | None, end: str = "\n") -> None:
+    """Write the strings ``chunks`` as they come, joined 8,192 at a time
+    (``_JSON.iterencode`` yields many small ones), then ``end``."""
+    chunks = iter(chunks)
     with _open_output(output) as handle:
-        handle.write(text)
+        while piece := "".join(islice(chunks, 8192)):
+            handle.write(piece)
+        handle.write(end)
+
+
+class _JsonRows(list):
+    """A JSON array of ``row(*item)`` for each item, each built only as the
+    encoder reaches it (the indenting encoder, pure Python, walks a list
+    subclass with ``iter``)."""
+
+    def __init__(self, items, row):
+        super().__init__(items)
+        self.row = row
+
+    def __iter__(self):
+        return starmap(self.row, super().__iter__())
 
 
 def _emit_csv(header: list, rows, output: str | None) -> None:
@@ -158,15 +177,13 @@ def _cmd_triangle(args) -> int:
             "family": args.family,
             "n_max": args.n_max,
             "lambda": str(lam),
-            "rows": [
-                {"n": n, "k": k, "value": format_element(value)}
-                for n, k, value in cells
-            ],
+            "rows": _JsonRows(cells, lambda n, k, value: {
+                "n": n, "k": k, "value": format_element(value)}),
         }
         payload.update(
             (name, getattr(args, name)) for name in ("r", "m") if name in params
         )
-        _emit(json.dumps(payload, indent=2), args.output)
+        _emit(_JSON.iterencode(payload), args.output)
     return 0
 
 
@@ -185,9 +202,9 @@ def _cmd_eval(args) -> int:
             "value": format_element(value),
             **extra,
         }
-        _emit(json.dumps(payload, indent=2), args.output)
+        _emit(_JSON.iterencode(payload), args.output)
     else:
-        _emit(csv_element(value), args.output)
+        _emit([csv_element(value)], args.output)
     return 0
 
 
@@ -211,7 +228,7 @@ def _cmd_dobinski(args) -> int:
         "tail_bound": result.tail_bound,
         "truncation_terms": result.truncation_terms,
     }
-    _emit(json.dumps(payload, indent=2), args.output)
+    _emit(_JSON.iterencode(payload), args.output)
     return 0
 
 
@@ -226,9 +243,9 @@ def _cmd_bernoulli(args) -> int:
             "order": args.m,
             "x": str(x),
             "n_max": args.n_max,
-            "rows": [{"n": n, "value": format_element(v)} for n, v in rows],
+            "rows": _JsonRows(rows, lambda n, v: {"n": n, "value": format_element(v)}),
         }
-        _emit(json.dumps(payload, indent=2), args.output)
+        _emit(_JSON.iterencode(payload), args.output)
     return 0
 
 
@@ -244,7 +261,7 @@ def _cmd_verify(args) -> int:
         overrides["bernoulli_n_max"] = args.bernoulli_n_max
     config = SuiteConfig(**overrides)  # unknown ids exit 2 before any check runs
     result = run_suite(config)
-    _emit(result.to_json_lines(), args.output)
+    _emit([result.to_json_lines()], args.output, end="")  # its lines end in newlines
     return result.exit_status
 
 
@@ -257,7 +274,7 @@ def _cmd_dump_series(args) -> int:
         values["x"] = _parse_rational("--x", values["x"])
     series = series_fn(**values, **fixed, order=args.order)
     payload = {"kind": args.kind, **series.to_json()}
-    _emit(json.dumps(payload, indent=2), args.output)
+    _emit(_JSON.iterencode(payload), args.output)
     return 0
 
 

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 from threading import Lock
 from typing import Iterable, Union
 from weakref import WeakValueDictionary
@@ -77,19 +76,6 @@ def _common_denominator(values):
     least common denominator: values[i] = numerators[i] / denominator."""
     den = lcm(*(c.denominator for c in values))
     return [c.numerator * (den // c.denominator) for c in values], den
-
-
-def _binary_power(base, k: int, product, result=None):
-    """base^k for an integer k >= 0 by square-and-multiply with
-    ``product(x, y)``, multiplying the factors into ``result`` (the unit for
-    k = 0); with ``result`` None the first factor starts it, so k >= 1."""
-    while True:
-        if k & 1:
-            result = base if result is None else product(result, base)
-        k >>= 1
-        if not k:
-            return result
-        base = product(base, base)
 
 
 def _check_index(value, name: str, low: int | None = None) -> None:
@@ -316,7 +302,12 @@ class Poly:
 
     def __pow__(self, exponent: int) -> "Poly":
         _check_index(exponent, "polynomial power", 0)
-        return _binary_power(self, exponent, mul, Poly.one())
+        result = Poly.one()
+        for bit in f"{exponent:b}":  # square-and-multiply from the top bit
+            result = result * result
+            if bit == "1":
+                result = result * self
+        return result
 
     def __call__(self, point):
         """Horner evaluation; works for nested coefficients as well."""

@@ -9,26 +9,27 @@ convolution, truncated to the smaller order), ``exp`` of a series with zero
 constant term, and any integer power of a rational series with a nonzero
 constant term, the inverse included.
 
-The column EGFs of the paper are one family: column k of the Whitney-type
-r-Stirling numbers of parameter m is ((e^{lam m t} - 1)/(lam m))^k e^{r t} / k!,
-and the r-shifted second kind is its m = 1 case.  ``lambda_columns``
-builds every column over ``int``, never divides by lam, and stays
-independent of the triangles it checks; its docstring gives the formula.
+The column EGFs of the paper and the higher-order Bernoulli bases are powers
+of one series, G = (e^t - 1)/t (``_core``): column k of the Whitney-type
+r-Stirling numbers of parameter m is (t^k / k!) G^k(lam m t) e^{r t}, the
+r-shifted second kind is its m = 1 case, and the order-m Bernoulli base is
+G^(-m).  ``lambda_column`` builds a column over ``int``, never divides by
+lam, and stays independent of the triangles it checks.
 
-A power is one O(N^2) pass of J.C.P. Miller's recurrence, whose multipliers
-are integers, so it runs on integer numerators that share one denominator
-(``_power_ints``) and reduces once per coefficient, to one ``Fraction``; the
+Every power is one O(N^2) pass of J.C.P. Miller's recurrence, whose
+multipliers are integers, so it runs on integer numerators that share one
+denominator (``_power_ints``) and reduces once per coefficient; the
 Bernoulli tables keep that integer form and grow it in place.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count, repeat
-from math import comb, factorial, gcd
+from itertools import repeat
+from math import comb, gcd, lcm
 from operator import mul, sub
 
-from .poly import (LambdaScalar, Poly, RingElement, _Frozen, _binary_power, _check_index,
+from .poly import (LambdaScalar, Poly, RingElement, _Frozen, _check_index,
                    _check_lambda, _common_denominator, _element, format_element)
 
 
@@ -107,13 +108,6 @@ class TruncatedSeries(_Frozen):
         return f"TruncatedSeries({list(self.coeffs)!r})"
 
 
-def _miller_multipliers(k: int, n: int) -> list:
-    """k C(n, i-1) - C(n, i) for i = 1..n+1: the integer multipliers of
-    step n of Miller's recurrence (C(n, n+1) = 0)."""
-    binomials = list(map(comb, repeat(n), range(n + 2)))
-    return list(map(sub, map(mul, repeat(k), binomials), binomials[1:]))
-
-
 def _power_ints(alpha: list, k: int, order: int, nums: list, den: int):
     """Miller's recurrence for A^k over ``int``: the coefficients a_i are
     alpha_i / c for any common denominator c (the recurrence does not see
@@ -128,7 +122,9 @@ def _power_ints(alpha: list, k: int, order: int, nums: list, den: int):
     below its length, and the pair returned is always consistent."""
     a0, tail = alpha[0], alpha[1:]
     for n in range(len(nums) - 1, order):
-        num = _dot(_miller_multipliers(k, n), tail, reversed(nums))
+        binomials = list(map(comb, repeat(n), range(n + 2)))  # C(n, n+1) = 0
+        multipliers = map(sub, map(mul, repeat(k), binomials), binomials[1:])
+        num = _dot(multipliers, tail, reversed(nums))
         d = a0 * den
         g = gcd(num, d)
         if d < 0:
@@ -172,72 +168,54 @@ def _binomial_product(a, b, order: int) -> list:
     ]
 
 
-def lambda_columns(m: int, r: int, lam: LambdaScalar, order: int, first: int = 0):
-    """Yield the columns C_k = ((e^{lam m t} - 1)/(lam m))^k e^{r t} / k!,
-    k = first, first + 1, ..., truncated at ``order``.
+def _core(order: int) -> list:
+    """The EGF coefficients 1/(n+1), n = 0..order, of G = (e^t - 1)/t =
+    sum t^n/(n+1)!, as integer numerators over lcm(1..order+1), which the
+    recurrence does not need."""
+    den = lcm(*range(1, order + 2))
+    return [den // n for n in range(1, order + 2)]
 
-    The base E = (e^{lam m t} - 1)/(lam m) has EGF coefficients 0 and then
-    (lam m)^(n-1), so it is homogeneous: [E^k]_n = eta_{k,n} (lam m)^(n-k),
-    where eta_k holds the ``int`` EGF coefficients of (e^t - 1)^k, which do
-    not depend on lam, m or r.  Column k is then the binomial mix
 
-        C_k[n] = sum_{l=k..n} C(n, l) eta_{k,l} (lam m)^(l-k) r^(n-l) / k!.
+def lambda_column(k: int, m: int, r: int, lam: LambdaScalar, order: int) -> TruncatedSeries:
+    """Column k of the Whitney-type r-Stirling numbers of parameter m,
+    C_k = ((e^{lam m t} - 1)/(lam m))^k e^{r t} / k! = (t^k / k!) G^k(lam m t)
+    e^{r t} with G = (e^t - 1)/t, truncated at ``order``.
 
-    eta_first is a repeated squaring of e^t - 1 and each later column of
-    the walk takes eta_k = eta_{k-1} (e^t - 1), all by integer series
-    products.  The derivative recurrence eta_k[n+1] = k (eta_k[n] +
-    eta_{k-1}[n]) is the triangle's own recurrence and is not used: the EGF
-    route must stay independent of the triangles it checks.
-
-    With lam m = P/q, coefficient n is one ``Fraction`` of
-    sum_l C(n, l) eta_{k,l} P^(l-k) (q r)^(n-l) over k! q^(n-k).  With lam
-    symbolic it is one ``Poly`` whose lam^j coefficient is
-    C(n, j+k) eta_{k,j+k} m^j r^(n-j-k) / k!: the same sum with P = m and
-    q = 1, kept term by term as integer numerators over k!
-    (``Poly.from_ints``).  Column 0 holds the ``Fraction`` powers of r,
-    and a column past ``order`` is zero without being computed.  Symbolic
-    columns with k >= 1 hold only ``Poly`` coefficients, all others only
-    ``Fraction``.  A column takes O(order) memory: lists of length
-    order + 1, with each binomial C(n, l) taken from ``math.comb`` as it
-    is used."""
-    _check_index(first, "k", 0)
+    One pass of ``_power_ints`` over ``_core`` gives the EGF coefficients
+    h_j = N_j / D of G^k, j <= order - k, which do not depend on lam, m or
+    r; then C_k[n] = C(n, k) sum_j C(n-k, j) h_j (lam m)^j r^(n-k-j).  With
+    lam m = P/q, coefficient n is one ``Fraction`` of C(n, k) sum_j
+    C(n-k, j) N_j P^j (q r)^(n-k-j) over D q^(n-k); with lam symbolic it is
+    one ``Poly`` whose lam^j coefficient is C(n, k) C(n-k, j) N_j m^j
+    r^(n-k-j) / D (``Poly.from_ints``).  No step divides by lam, and the
+    triangle's own recurrence is not used: the EGF route must stay
+    independent of the triangles it checks.  Column 0 holds the
+    ``Fraction`` powers of r, a column past ``order`` is zero without being
+    computed, and symbolic columns with k >= 1 hold only ``Poly``
+    coefficients, all others only ``Fraction``."""
+    _check_index(k, "k", 0)
     _check_index(order, "order", 0)
     _check_lambda(lam)
     symbolic = lam.is_symbolic
-    lm = Fraction(m) if symbolic else lam.value * m
-    p_powers, q_powers, qr_powers = (
-        [c**j for j in range(order + 1)]
-        for c in (lm.numerator, lm.denominator, lm.denominator * r)
-    )
     zero = Poly() if symbolic else Fraction(0)
-    e_t_minus_1 = [0] + [1] * order
-    eta = None
-    for k in count(first):
-        if k > order:
-            column = TruncatedSeries([zero] * (order + 1))
-            while True:
-                yield column
-        if k == 0:
-            yield TruncatedSeries([Fraction(r) ** n for n in range(order + 1)])
-            continue
-        if eta is None:
-            eta = _binary_power(
-                e_t_minus_1, k, lambda x, y: _binomial_product(x, y, order))
+    if k > order:
+        return TruncatedSeries([zero] * (order + 1))
+    if k == 0:
+        return TruncatedSeries([Fraction(r) ** n for n in range(order + 1)])
+    lm = Fraction(m) if symbolic else lam.value * m
+    p, q = lm.numerator, lm.denominator
+    nums, den = _power_ints(_core(order - k), k, order - k, [1], 1)
+    weights = [c * p**j for j, c in enumerate(nums)]  # N_j P^j
+    qr_powers = [(q * r) ** i for i in range(order - k + 1)]
+    coeffs = [zero] * k
+    for n in range(k, order + 1):
+        # term j is C(n-k, j) weights[j] (q r)^(n-k-j), all times C(n, k)
+        i, scale = n - k, comb(n, k)
+        binomials = map(comb, repeat(i), range(i + 1))
+        qr_tail = reversed(qr_powers[: i + 1])
+        if symbolic:
+            coeffs.append(Poly.from_ints(
+                [scale * c * w * t for c, w, t in zip(binomials, weights, qr_tail)], den))
         else:
-            eta = _binomial_product(eta, e_t_minus_1, order)
-        # weights[j] = eta_{k,k+j} P^j
-        weights = [e * p for e, p in zip(eta[k:], p_powers)]
-        scale = factorial(k)
-        coeffs = [zero] * k
-        for n in range(k, order + 1):
-            # term j is C(n, k+j) weights[j] (q r)^(n-k-j)
-            binomials = map(comb, repeat(n), range(k, n + 1))
-            qr_tail = reversed(qr_powers[: n - k + 1])
-            if symbolic:
-                coeffs.append(Poly.from_ints(
-                    [c * w * t for c, w, t in zip(binomials, weights, qr_tail)],
-                    scale))
-            else:
-                total = _dot(binomials, weights, qr_tail)
-                coeffs.append(Fraction(total, scale * q_powers[n - k]))
-        yield TruncatedSeries(coeffs)
+            coeffs.append(Fraction(scale * _dot(binomials, weights, qr_tail), den * q**i))
+    return TruncatedSeries(coeffs)

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 from .poly import (LambdaScalar, Poly, RingElement, _check_index, _check_lambda,
                    _falling_basis, _horner)
-from .series import TruncatedSeries, lambda_columns
+from .series import TruncatedSeries, lambda_column
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -351,10 +351,10 @@ def rstirling2_by_expansion(n: int, k: int, r: int, lam: LambdaScalar) -> RingEl
 def second_kind_series(k: int, r: int, lam: LambdaScalar, order: int) -> TruncatedSeries:
     """EGF route: the series ((e^{lam t} - 1)/lam)^k e^{r t} / k! carries
     the r-shifted second-kind numbers T(n, k) as its EGF coefficients.  It is
-    column k of ``series.lambda_columns`` at m = 1, built directly over the
-    integers from the powers of e^t - 1, with no division by lam."""
+    ``series.lambda_column`` at m = 1, (t^k / k!) G^k(lam t) e^{r t} with
+    G = (e^t - 1)/t, from one integer power recurrence and no division by lam."""
     _check_index(r, "shift r", 0)
-    return next(lambda_columns(1, r, lam, order, first=k))
+    return lambda_column(k, 1, r, lam, order)
 
 
 def classical_rstirling2(n: int, k: int, r: int) -> int:

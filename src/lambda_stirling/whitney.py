@@ -36,7 +36,7 @@ from math import inf
 from typing import NamedTuple
 
 from .poly import SYMBOLIC, LambdaScalar, RingElement, _check_index, _check_lambda, _rational
-from .series import TruncatedSeries, _exp_coeffs, lambda_columns
+from .series import TruncatedSeries, _exp_coeffs, lambda_column
 from .stirling import _by_expansion, _lookup, _triangle
 
 DOBINSKI_DIGITS = 40  # least decimal working precision of dobinski_eval
@@ -70,13 +70,13 @@ def whitney_r_by_expansion(n: int, k: int, m: int, r: int, lam: LambdaScalar) ->
 
 
 def whitney_series(k: int, m: int, r: int, lam: LambdaScalar, order: int) -> TruncatedSeries:
-    """EGF route: ((e^{lam m t} - 1)/(lam m))^k e^{r t} / k!, column k of
-    ``series.lambda_columns`` built directly over the integers, carries the
-    shifted Whitney-type numbers as EGF coefficients; r = 1 gives the plain
-    family."""
+    """EGF route: ((e^{lam m t} - 1)/(lam m))^k e^{r t} / k!, that is
+    (t^k / k!) G^k(lam m t) e^{r t} with G = (e^t - 1)/t, carries the shifted
+    Whitney-type numbers as EGF coefficients (r = 1: the plain family); it is
+    ``series.lambda_column``, one integer power recurrence."""
     _check_index(m, "parameter m", 1)
     _check_index(r, "shift r", 0)
-    return next(lambda_columns(m, r, lam, order, first=k))
+    return lambda_column(k, m, r, lam, order)
 
 
 def dowling_poly(n: int, x, m: int, lam: LambdaScalar) -> RingElement:

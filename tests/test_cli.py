@@ -616,6 +616,21 @@ def test_symbolic_csv_is_written_row_by_row(tmp_path):
         "f6b5f50df025ec05fa8848cc1298d7baa991f3978c9035302a924287a1282f73")
 
 
+def test_symbolic_json_is_written_as_encoded(tmp_path):
+    # The same triangle as JSON is 25 MB.  Written as the encoder makes it,
+    # with each row's dict built only when it is written, it fits under the
+    # child's 80 MB cap; the whole payload and its text at once peaked at
+    # 148 MB and ran out of memory.
+    target = tmp_path / "table.json"
+    proc = run_cli_process(
+        "-c", CAPPED_CLI, "triangle", "--family", "rstirling2", "--r", "2",
+        "--n-max", "120", "--lambda", "symbolic", "--format", "json",
+        "--output", str(target), timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+        "6ef23bcdec9d605cd8668aa4013559233c73d12c0e88dae4fb43e7c21c4f1446")
+
+
 def test_cli_import_leaves_mpmath_unloaded():
     # the suite stub is registered, but the suite itself is not loaded
     proc = run_cli_process(

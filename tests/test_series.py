@@ -1,3 +1,4 @@
+import hashlib
 import operator
 import pickle
 import time
@@ -10,9 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lambda_stirling.bernoulli import bernoulli_base_series, bernoulli_higher
+from lambda_stirling import series
 from lambda_stirling.poly import SYMBOLIC, LambdaScalar, Poly
-from lambda_stirling.series import TruncatedSeries, lambda_columns
-from lambda_stirling.stirling import second_kind_series
+from lambda_stirling.series import TruncatedSeries, lambda_column
+from lambda_stirling.stirling import rstirling2_by_difference, second_kind_series
 from lambda_stirling.whitney import dowling_series, whitney_series
 
 from oracles import (
@@ -87,7 +89,7 @@ def test_negative_order_rejected():
     with pytest.raises(ValueError):
         TruncatedSeries([])
     with pytest.raises(ValueError):
-        next(lambda_columns(1, 0, HALF, -1))
+        lambda_column(1, 1, 0, HALF, -1)
     with pytest.raises(ValueError):
         dowling_series(Fraction(2), 1, HALF, -3)
     with pytest.raises(ValueError):
@@ -140,7 +142,7 @@ def test_exp_matches_power_sum_oracle(tail):
 
 def test_symbolic_base_column_is_lambda_powers():
     # column 1 at m = 1, r = 0 is the base (e^{lam t} - 1)/lam itself
-    base = next(islice(lambda_columns(1, 0, SYMBOLIC, 6), 1, None))
+    base = lambda_column(1, 1, 0, SYMBOLIC, 6)
     assert base.coeff(0) == 0
     for n in range(1, 7):
         assert base.coeff(n) == LAM ** (n - 1)
@@ -148,15 +150,13 @@ def test_symbolic_base_column_is_lambda_powers():
 
 @pytest.mark.parametrize("order", [0, 1, 2, 17])
 def test_column_coefficient_types(order):
-    # the walk from column 0 is the reference for the columns built
-    # directly as one power of the base
+    # each column, past the order too, is the same through both EGF entry
+    # points, with one coefficient type
     lams = [SYMBOLIC, LambdaScalar.fixed(Fraction(1, 3)), LambdaScalar.fixed(-2)]
     for lam in lams:
         for m in (1, 3):
             for r in (0, 2):
-                columns = list(islice(lambda_columns(m, r, lam, order), order + 3))
-                tail = list(islice(lambda_columns(m, r, lam, order, first=2), order + 1))
-                assert tail == columns[2:]
+                columns = [lambda_column(k, m, r, lam, order) for k in range(order + 3)]
                 for k, column in enumerate(columns):
                     direct = [whitney_series(k, m, r, lam, order)]
                     if m == 1:
@@ -186,16 +186,55 @@ def order_and_first(draw):
     st.integers(min_value=0, max_value=3),
     order_and_first(),
 )
-@example(SYMBOLIC, 2, 3, (20, 0))  # the longest symbolic walk
+@example(SYMBOLIC, 2, 3, (20, 0))  # the longest symbolic columns
 def test_columns_match_generic_series_oracle(lam, m, r, order_first):
     order, first = order_first
-    walk = lambda_columns(m, r, lam, order, first)
     oracle = series_columns(m, r, None if lam.is_symbolic else lam.value, order)
     kind = Poly if lam.is_symbolic else Fraction
     expected_columns = islice(oracle, first, None)
-    for k, column, expected in zip(range(first, first + 3), walk, expected_columns):
+    for k, expected in zip(range(first, first + 3), expected_columns):
+        column = lambda_column(k, m, r, lam, order)
         assert [lambda_coeffs(c) for c in column.coeffs] == expected, (k, order)
         assert all(type(c) is (kind if k else Fraction) for c in column.coeffs)
+
+
+def test_each_column_is_one_power_pass(monkeypatch):
+    # column k is one pass of the power recurrence at order - k, and no
+    # column takes a series product; the values and coefficient types are
+    # pinned as the column walk built them
+    def refuse(*args):
+        raise AssertionError("a column took a series product")
+
+    calls = []
+
+    def counted(alpha, k, order, nums, den):
+        calls.append((k, order))
+        return power_ints(alpha, k, order, nums, den)
+
+    power_ints = series._power_ints
+    monkeypatch.setattr(series, "_binomial_product", refuse)
+    monkeypatch.setattr(series, "_power_ints", counted)
+    lines = []
+    for lam in (SYMBOLIC, LambdaScalar.fixed(Fraction(-2, 3))):
+        for r in (0, 2):
+            for k in range(12):
+                for build in (lambda: second_kind_series(k, r, lam, 9),
+                              lambda: whitney_series(k, 3, r, lam, 9)):
+                    lines.append(repr(build()))
+                    assert calls == ([(k, 9 - k)] if 1 <= k <= 9 else []), (lam, r, k)
+                    calls.clear()
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "4a87aa65547357c908d0b08ee89141267b0edb059d571037f9694f7db9ff5149")
+
+
+@pytest.mark.parametrize("lam, r", [(Fraction(1, 3), 2), (Fraction(-5, 2), 0)])
+def test_large_columns_match_finite_differences(lam, r):
+    # columns k up to 60 at order 64, far past the generic oracle's order
+    # 20, against the finite-difference closed form entry by entry
+    for k in range(0, 61, 4):
+        column = second_kind_series(k, r, LambdaScalar.fixed(lam), 64)
+        assert list(column.coeffs) == [
+            rstirling2_by_difference(n, k, r, lam) for n in range(65)], k
 
 
 @pytest.mark.parametrize("lam", [SYMBOLIC, LambdaScalar.fixed(Fraction(-2, 3))])
@@ -223,14 +262,14 @@ def test_non_integer_column_index_rejected():
 
 @pytest.mark.parametrize("call", [
     lambda: TruncatedSeries([1, 2, 3]).coeff(1.0),
-    lambda: next(lambda_columns(1, 0, HALF, 2.5)),
+    lambda: lambda_column(1, 1, 0, HALF, 2.5),
     lambda: second_kind_series(1, 0, HALF, 2.5),
     lambda: whitney_series(1, 2, 1, HALF, 2.5),
     lambda: dowling_series(Fraction(1), 1, HALF, 2.5),
     lambda: bernoulli_base_series(1, 2.5),
     lambda: bernoulli_higher(2.5, 1, 0),
 ], ids=[
-    "coeff", "lambda_columns", "second_kind_series",
+    "coeff", "lambda_column", "second_kind_series",
     "whitney_series", "dowling_series", "bernoulli_base_series",
     "bernoulli_higher",
 ])
