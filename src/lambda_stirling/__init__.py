@@ -32,9 +32,10 @@ rational, and a ring element (a coefficient too) an ``int``, a ``Fraction``
 or a ``Poly``.  A ``bool``, a non-scalar or symbolic fixed lambda and a
 non-ring element raise ``TypeError``, any other bad value ``ValueError``.
 
-Triangles are cached in the dict ``stirling._TRIANGLES``, basis expansions
-and Bernoulli tables by ``functools.cache``, keyed by their parameters: the
-caches are unbounded, and each triangle or table grows under its own lock.
+Triangles are cached in the dict ``stirling._TRIANGLES``; basis expansions
+and the powers G^k of G = (e^t - 1)/t behind the columns and the Bernoulli
+bases by ``functools.cache``, a power keyed by k alone.  The caches are
+unbounded, and each triangle or table grows under its own lock.
 
 The verification names load on first use.  ``lambda_stirling.identities``
 is a stub that only lists them, in the ``__all__`` that this package's

@@ -13,24 +13,26 @@ The column EGFs of the paper and the higher-order Bernoulli bases are powers
 of one series, G = (e^t - 1)/t (``_core``): column k of the Whitney-type
 r-Stirling numbers of parameter m is (t^k / k!) G^k(lam m t) e^{r t}, the
 r-shifted second kind is its m = 1 case, and the order-m Bernoulli base is
-G^(-m).  ``lambda_column`` builds a column over ``int``, never divides by
-lam, and stays independent of the triangles it checks.
-
-Every power is one O(N^2) pass of J.C.P. Miller's recurrence, whose
-multipliers are integers, so it runs on integer numerators that share one
-denominator (``_power_ints``) and reduces once per coefficient; the
-Bernoulli tables keep that integer form and grow it in place.
+G^(-m).  Every power is one O(N^2) pass of J.C.P. Miller's recurrence, whose
+multipliers are integers, so it runs on integer numerators over one
+denominator (``_power_ints``).  G^k depends on k alone, so one cached table
+per nonzero k (``_power_table``) keeps that form and grows it in place: the
+columns read k >= 1, the Bernoulli bases k = -m.  ``lambda_column`` mixes
+lam, m and r in on every call, never divides by lam, and reads no triangle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import repeat
 from math import comb, gcd, lcm
 from operator import mul, sub
+from threading import Lock
 
 from .poly import (LambdaScalar, Poly, RingElement, _Frozen, _check_index,
-                   _check_lambda, _common_denominator, _element, format_element)
+                   _check_lambda, _common_denominator, _element, _horner,
+                   format_element)
 
 
 class TruncatedSeries(_Frozen):
@@ -176,23 +178,67 @@ def _core(order: int) -> list:
     return [den // n for n in range(1, order + 2)]
 
 
+class _PowerTable:
+    """The EGF coefficients h_j of G^k, G = (e^t - 1)/t, for one nonzero
+    integer k, grown on demand, as one pair (D, [N_0..N_N]) of a positive
+    common denominator and integer numerators, h_j = N_j / D.  Growth takes
+    the lock and continues the recurrence from wherever the list ends: it
+    appends in place while D stays, and publishes a new pair whole when D
+    grows.  So a reader takes one snapshot and reads only below that list's
+    length, without the lock and never over another D.  Callers check k, n
+    and x."""
+
+    __slots__ = ("k", "_state", "_lock")
+
+    def __init__(self, k: int):
+        self.k = k
+        self._state = (1, [1])
+        self._lock = Lock()
+
+    def _snapshot(self, n: int) -> tuple:
+        """A consistent (D, numerators) pair that reaches index n >= 0."""
+        state = self._state
+        if n >= len(state[1]):
+            with self._lock:
+                den, nums = self._state
+                if n >= len(nums):
+                    nums, den = _power_ints(_core(n), self.k, n, nums, den)
+                    self._state = (den, nums)
+                state = self._state
+        return state
+
+    def value(self, n: int, x: Fraction) -> Fraction:
+        """EGF coefficient n of G^k e^{x t}, sum_j C(n, j) h_j x^(n-j): at
+        x = a/b one integer Horner pass, sum_j C(n, j) N_j a^(n-j) b^j,
+        reduced once to one ``Fraction`` over D b^n."""
+        den, nums = self._snapshot(n)
+        a, b = x.numerator, x.denominator
+        coeffs = list(map(mul, map(comb, repeat(n), range(n + 1)),
+                          reversed(nums[: n + 1])))
+        return Fraction(_horner(coeffs, a, b), den * b**n)
+
+
+_power_table = cache(_PowerTable)
+
+
 def lambda_column(k: int, m: int, r: int, lam: LambdaScalar, order: int) -> TruncatedSeries:
     """Column k of the Whitney-type r-Stirling numbers of parameter m,
     C_k = ((e^{lam m t} - 1)/(lam m))^k e^{r t} / k! = (t^k / k!) G^k(lam m t)
     e^{r t} with G = (e^t - 1)/t, truncated at ``order``.
 
-    One pass of ``_power_ints`` over ``_core`` gives the EGF coefficients
-    h_j = N_j / D of G^k, j <= order - k, which do not depend on lam, m or
-    r; then C_k[n] = C(n, k) sum_j C(n-k, j) h_j (lam m)^j r^(n-k-j).  With
-    lam m = P/q, coefficient n is one ``Fraction`` of C(n, k) sum_j
-    C(n-k, j) N_j P^j (q r)^(n-k-j) over D q^(n-k); with lam symbolic it is
-    one ``Poly`` whose lam^j coefficient is C(n, k) C(n-k, j) N_j m^j
-    r^(n-k-j) / D (``Poly.from_ints``).  No step divides by lam, and the
-    triangle's own recurrence is not used: the EGF route must stay
-    independent of the triangles it checks.  Column 0 holds the
-    ``Fraction`` powers of r, a column past ``order`` is zero without being
-    computed, and symbolic columns with k >= 1 hold only ``Poly``
-    coefficients, all others only ``Fraction``."""
+    The table of G^k (``_power_table``) gives h_j = N_j / D, j <= order - k,
+    which do not depend on lam, m or r; then C_k[n] = C(n, k) s_(n-k), where
+    s_i = sum_j C(i, j) h_j (lam m)^j r^(i-j) is the EGF coefficient of
+    G^k(lam m t) e^{r t}.  With lam m = P/q, w_j = N_j P^j and x = q r,
+    s_i D q^i is the first entry of row i of the shift T_0 = w,
+    T_(l+1)[j] = T_l[j+1] + x T_l[j] (additions and one product per entry),
+    and coefficient n is one ``Fraction`` over D q^(n-k).  With lam symbolic
+    it is one ``Poly`` whose lam^j coefficient is C(n, k) C(n-k, j) N_j m^j
+    r^(n-k-j) / D (``Poly.from_ints``).  No step divides by lam, and no
+    triangle is read: the EGF route stays independent of the triangles it
+    checks.  Column 0 holds the ``Fraction`` powers of r, a column past
+    ``order`` is zero without being computed, and symbolic columns with
+    k >= 1 hold only ``Poly`` coefficients, all others only ``Fraction``."""
     _check_index(k, "k", 0)
     _check_index(order, "order", 0)
     _check_lambda(lam)
@@ -204,18 +250,21 @@ def lambda_column(k: int, m: int, r: int, lam: LambdaScalar, order: int) -> Trun
         return TruncatedSeries([Fraction(r) ** n for n in range(order + 1)])
     lm = Fraction(m) if symbolic else lam.value * m
     p, q = lm.numerator, lm.denominator
-    nums, den = _power_ints(_core(order - k), k, order - k, [1], 1)
-    weights = [c * p**j for j, c in enumerate(nums)]  # N_j P^j
-    qr_powers = [(q * r) ** i for i in range(order - k + 1)]
+    top = order - k
+    den, nums = _power_table(k)._snapshot(top)
+    weights = [c * p**j for j, c in enumerate(nums[: top + 1])]  # N_j P^j
     coeffs = [zero] * k
-    for n in range(k, order + 1):
-        # term j is C(n-k, j) weights[j] (q r)^(n-k-j), all times C(n, k)
-        i, scale = n - k, comb(n, k)
-        binomials = map(comb, repeat(i), range(i + 1))
-        qr_tail = reversed(qr_powers[: i + 1])
-        if symbolic:
-            coeffs.append(Poly.from_ints(
-                [scale * c * w * t for c, w, t in zip(binomials, weights, qr_tail)], den))
-        else:
-            coeffs.append(Fraction(scale * _dot(binomials, weights, qr_tail), den * q**i))
+    if symbolic:
+        r_powers = [r**i for i in range(top + 1)]
+        for i in range(top + 1):
+            # term j is C(i, j) weights[j] r^(i-j), all times C(i + k, k)
+            scale, binomials = comb(i + k, k), map(comb, repeat(i), range(i + 1))
+            terms = zip(binomials, weights, reversed(r_powers[: i + 1]))
+            coeffs.append(Poly.from_ints([scale * c * w * t for c, w, t in terms], den))
+        return TruncatedSeries(coeffs)
+    x, row, sums = q * r, weights, []
+    while row:
+        sums.append(row[0])
+        row = [a + x * b for a, b in zip(row[1:], row)] if x else row[1:]
+    coeffs += [Fraction(comb(i + k, k) * s, den * q**i) for i, s in enumerate(sums)]
     return TruncatedSeries(coeffs)

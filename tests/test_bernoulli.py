@@ -7,12 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lambda_stirling.bernoulli import (
-    BernoulliTable,
-    bernoulli_base_series,
-    bernoulli_higher,
-)
-from lambda_stirling.series import TruncatedSeries
+from lambda_stirling.bernoulli import bernoulli_base_series, bernoulli_higher
+from lambda_stirling.series import TruncatedSeries, _PowerTable
 
 import oracles
 
@@ -20,7 +16,7 @@ small_fractions = st.fractions(min_value=-12, max_value=12, max_denominator=8)
 
 
 def test_classical_base_values():
-    table = BernoulliTable(1)
+    table = _PowerTable(-1)
     assert table.value(0, 0) == 1
     assert table.value(1, 0) == Fraction(-1, 2)
     assert table.value(2, 0) == Fraction(1, 6)
@@ -30,14 +26,14 @@ def test_classical_base_values():
 
 def test_base_matches_defining_recurrence():
     oracle = oracles.classical_bernoulli(12)
-    table = BernoulliTable(1)
+    table = _PowerTable(-1)
     for n in range(13):
         assert table.value(n, 0) == oracle[n]
 
 
 def test_order_two_base_is_self_convolution():
     classical = oracles.classical_bernoulli(10)
-    table = BernoulliTable(2)
+    table = _PowerTable(-2)
     for n in range(11):
         expected = sum(
             comb(n, j) * classical[j] * classical[n - j] for j in range(n + 1)
@@ -72,7 +68,7 @@ def test_base_series_matches_table():
     inverse = egf_inverse([Fraction(1, n + 1) for n in range(9)])
     expected = oracles.egf_mul(oracles.egf_mul(inverse, inverse), inverse)
     series = bernoulli_base_series(3, 8)
-    table = BernoulliTable(3)
+    table = _PowerTable(-3)
     for n in range(9):
         assert series.coeff(n) == expected[n] == table.value(n, 0)
 
@@ -127,7 +123,7 @@ def test_non_integer_order_and_float_x_rejected():
 
 def test_table_grown_in_one_jump_equals_stepwise_growth():
     for m in (1, 2, 5):
-        jump, steps = BernoulliTable(m), BernoulliTable(m)
+        jump, steps = _PowerTable(-m), _PowerTable(-m)
         last = jump.value(40, 0)
         values = [steps.value(n, 0) for n in range(41)]
         assert values[-1] == last
@@ -160,7 +156,7 @@ def test_table_matches_independent_oracle(m):
     # the oracle multiplies the classical numbers out; it shares no code
     # with the power recurrence that grows the tables
     oracle = oracles.higher_bernoulli(m, 30)
-    steps, jump = BernoulliTable(m), BernoulliTable(m)
+    steps, jump = _PowerTable(-m), _PowerTable(-m)
     jump.value(30, 0)
     assert [steps.value(n, 0) for n in range(31)] == oracle
     assert [jump.value(n, 0) for n in range(31)] == oracle
@@ -179,9 +175,9 @@ def test_concurrent_growth_never_pairs_numerators_with_another_denominator():
     # denominator grows; a reader must see one whole (denominator,
     # numerators) pair, never new numerators over the old denominator.
     n_max, x = 90, Fraction(-2, 7)
-    want = BernoulliTable(3)
+    want = _PowerTable(-3)
     expected = [(want.value(n, 0), want.value(n, x)) for n in range(n_max + 1)]
-    shared = BernoulliTable(3)
+    shared = _PowerTable(-3)
     seen = []
 
     def worker(i):

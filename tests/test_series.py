@@ -1,17 +1,22 @@
+import ast
 import hashlib
 import operator
 import pickle
+import sys
 import time
 from fractions import Fraction
+from functools import cache
 from itertools import islice
-from math import factorial
+from math import comb, factorial
+from pathlib import Path
+from threading import Thread
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lambda_stirling.bernoulli import bernoulli_base_series, bernoulli_higher
-from lambda_stirling import series
+from lambda_stirling import bernoulli, series, stirling
 from lambda_stirling.poly import SYMBOLIC, LambdaScalar, Poly
 from lambda_stirling.series import TruncatedSeries, lambda_column
 from lambda_stirling.stirling import rstirling2_by_difference, second_kind_series
@@ -22,6 +27,7 @@ from oracles import (
     egf_exp,
     egf_mul,
     egf_power_ring,
+    higher_bernoulli,
     lambda_coeffs,
     series_columns,
 )
@@ -199,32 +205,132 @@ def test_columns_match_generic_series_oracle(lam, m, r, order_first):
 
 
 def test_each_column_is_one_power_pass(monkeypatch):
-    # column k is one pass of the power recurrence at order - k, and no
-    # column takes a series product; the values and coefficient types are
-    # pinned as the column walk built them
+    # the first read of column k makes one pass of the power recurrence, to
+    # order - k; a read the table of G^k already reaches makes none, and a
+    # longer one continues from the table's end.  No column takes a series
+    # product, and the values and coefficient types are pinned as the
+    # column walk built them
     def refuse(*args):
         raise AssertionError("a column took a series product")
 
     calls = []
 
     def counted(alpha, k, order, nums, den):
-        calls.append((k, order))
+        calls.append((k, order, len(nums)))
         return power_ints(alpha, k, order, nums, den)
 
     power_ints = series._power_ints
     monkeypatch.setattr(series, "_binomial_product", refuse)
     monkeypatch.setattr(series, "_power_ints", counted)
-    lines = []
+    monkeypatch.setattr(series, "_power_table", cache(series._PowerTable))
+    lines, seen = [], set()
     for lam in (SYMBOLIC, LambdaScalar.fixed(Fraction(-2, 3))):
         for r in (0, 2):
             for k in range(12):
                 for build in (lambda: second_kind_series(k, r, lam, 9),
                               lambda: whitney_series(k, 3, r, lam, 9)):
                     lines.append(repr(build()))
-                    assert calls == ([(k, 9 - k)] if 1 <= k <= 9 else []), (lam, r, k)
+                    # every table starts at h_0 = 1, so k = 9 reads it as is
+                    first = 1 <= k <= 8 and k not in seen
+                    assert calls == ([(k, 9 - k, 1)] if first else []), (lam, r, k)
+                    if first:
+                        seen.add(k)
                     calls.clear()
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
         "4a87aa65547357c908d0b08ee89141267b0edb059d571037f9694f7db9ff5149")
+    lam = LambdaScalar.fixed(Fraction(1, 3))
+    for order, expected in ((20, [(3, 17, 7)]), (15, []), (20, [])):
+        assert list(second_kind_series(3, 2, lam, order).coeffs) == [
+            rstirling2_by_difference(n, 3, 2, Fraction(1, 3)) for n in range(order + 1)]
+        assert calls == expected, order
+        calls.clear()
+
+
+def test_power_tables_grow_safely_and_apart(monkeypatch):
+    # 8 threads read columns of one k at mixed orders, lam and r while its
+    # table grows (and rescales its denominator); each value equals the
+    # one a single thread computes.  Columns k and Bernoulli order k read
+    # the tables of k and -k, never one table
+    lams = [LambdaScalar.fixed(Fraction(v)) for v in ("1/3", "-5/2", "2")] + [SYMBOLIC]
+    requests = [(order, lam, r) for order in range(4, 61, 4) for lam in lams for r in (0, 3)]
+    monkeypatch.setattr(series, "_power_table", cache(series._PowerTable))
+    expected = {req: lambda_column(4, 2, req[2], req[1], req[0]) for req in requests}
+    monkeypatch.setattr(series, "_power_table", cache(series._PowerTable))
+    seen = []
+
+    def worker(i):
+        mine = requests[i * 15:] + requests[: i * 15]
+        for order, lam, r in (reversed(mine) if i % 2 else mine):
+            seen.append(((order, lam, r), lambda_column(4, 2, r, lam, order)))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == 8 * len(requests)
+    for req, column in seen:
+        assert column == expected[req], req
+
+    tables = cache(series._PowerTable)
+    monkeypatch.setattr(series, "_power_table", tables)
+    monkeypatch.setattr(bernoulli, "_power_table", tables)
+    lam, x = LambdaScalar.fixed(Fraction(1, 3)), Fraction(2, 5)
+    classical = higher_bernoulli(3, 24)
+    for n in range(3, 25):
+        assert list(lambda_column(3, 1, 0, lam, n).coeffs) == [
+            rstirling2_by_difference(j, 3, 0, Fraction(1, 3)) for j in range(n + 1)]
+        assert bernoulli_higher(n, 3, x) == sum(
+            comb(n, j) * classical[j] * x ** (n - j) for j in range(n + 1))
+    assert tables.cache_info().currsize == 2
+    assert tables(3).k == 3 and tables(-3).k == -3
+
+
+def test_columns_and_bernoulli_bases_read_no_triangle(monkeypatch):
+    # the EGF and Bernoulli routes stay closed off from the triangles they
+    # check: with every triangle seam refusing, they still return, and
+    # their modules import nothing from the triangle modules
+    def refuse(*args, **kwargs):
+        raise AssertionError("a triangle was read")
+
+    monkeypatch.setattr(stirling, "_lookup", refuse)
+    monkeypatch.setattr(stirling, "_triangle", refuse)
+    monkeypatch.setattr(stirling.NumberTriangle, "_row", refuse)
+    monkeypatch.setattr(series, "_power_table", cache(series._PowerTable))
+    monkeypatch.setattr(bernoulli, "_power_table", cache(series._PowerTable))
+    for lam in (SYMBOLIC, LambdaScalar.fixed(Fraction(-2, 3))):
+        assert lambda_column(3, 2, 1, lam, 12).order == 12
+    assert bernoulli_base_series(2, 12).order == 12
+    assert bernoulli_higher(12, 2, Fraction(1, 3)) == sum(
+        comb(12, j) * b * Fraction(1, 3) ** (12 - j)
+        for j, b in enumerate(higher_bernoulli(2, 12)))
+    for module in (series, bernoulli):
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            assert not any(name.split(".")[-1] in ("stirling", "whitney") for name in names), (
+                module.__name__, ast.dump(node))
+
+
+@pytest.mark.parametrize("lam", [Fraction(1, 3), Fraction(-5, 2)])
+@pytest.mark.parametrize("r", [0, 2])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_long_small_k_columns_match_finite_differences(k, r, lam):
+    # the longest shifts: order 200 with k <= 3, r = 0 (no shift at all)
+    # and r = 2, against the finite-difference closed form entry by entry
+    column = second_kind_series(k, r, LambdaScalar.fixed(lam), 200)
+    assert list(column.coeffs) == [
+        rstirling2_by_difference(n, k, r, lam) for n in range(201)]
 
 
 @pytest.mark.parametrize("lam, r", [(Fraction(1, 3), 2), (Fraction(-5, 2), 0)])
