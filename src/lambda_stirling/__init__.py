@@ -32,7 +32,7 @@ rational, and a ring element (a coefficient too) an ``int``, a ``Fraction``
 or a ``Poly``.  A ``bool``, a non-scalar or symbolic fixed lambda and a
 non-ring element raise ``TypeError``, any other bad value ``ValueError``.
 
-Triangles are cached in the dict ``stirling._TRIANGLES``; basis expansions
+Triangles are cached in the dict ``_triangle._TRIANGLES``; basis expansions
 and the powers G^k of G = (e^t - 1)/t behind the columns and the Bernoulli
 bases by ``functools.cache``, a power keyed by k alone.  The caches are
 unbounded, and each triangle or table grows under its own lock.

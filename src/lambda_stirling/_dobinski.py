@@ -16,8 +16,6 @@ from mpmath import mp
 from mpmath.libmp import (dps_to_prec, from_man_exp, from_rational, mpf_exp,
                           round_ceiling, round_floor)
 
-from .whitney import DOBINSKI_DIGITS, DOBINSKI_MAX_TERMS
-
 GUARD_BITS = 20  # working bits beyond log2(value) + log2(1/tol)
 
 
@@ -50,15 +48,15 @@ def exp_neg_enclosure(u: int, v: int, prec: int) -> tuple:
     return tuple(ends)
 
 
-def _first_true(pred, k: int) -> int:
+def _first_true(pred, k: int, max_terms: int) -> int:
     """The least j >= k with pred(j), for a predicate that is false and
     then true from k on, found by doubling and then bisection; past
-    ``DOBINSKI_MAX_TERMS`` the series counts as not converging."""
+    ``max_terms`` the series counts as not converging."""
     hi = k
     while not pred(hi):
-        if hi >= DOBINSKI_MAX_TERMS:
+        if hi >= max_terms:
             raise ArithmeticError("series failed to reach the tail bound")
-        k, hi = hi + 1, min(2 * hi, DOBINSKI_MAX_TERMS)
+        k, hi = hi + 1, min(2 * hi, max_terms)
     while k < hi:
         mid = (k + hi) // 2
         if pred(mid):
@@ -80,11 +78,13 @@ def _split_sum(a: int, b: int, u: int, v: int, f) -> tuple:
     return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
 
 
-def dobinski_sum(n: int, c: Fraction, lm: Fraction, tol: Fraction) -> tuple:
+def dobinski_sum(n: int, c: Fraction, lm: Fraction, tol: Fraction, digits: int,
+                 max_terms: int) -> tuple:
     """The numeric fields of ``whitney.DowlingValue`` for the series of
     d(n, x) with c = x/(lam m) >= 0 and lm = lam m > 0: (numeric,
     truncation_terms, tail_bound, truncation_bound, rounding_bound,
-    working_dps).
+    working_dps), at least ``digits`` decimal digits working and at most
+    ``max_terms`` terms.
 
     The stopping rule is ``dobinski_eval``'s.  Everything but e^{-c} is
     exact over ``int``.  With c = u/v and
@@ -99,7 +99,7 @@ def dobinski_sum(n: int, c: Fraction, lm: Fraction, tol: Fraction) -> tuple:
     fixed only after the sum, from log2 of its value.
     """
     p, q, u, v = lm.numerator, lm.denominator, c.numerator, c.denominator
-    prec = dps_to_prec(DOBINSKI_DIGITS)
+    prec = dps_to_prec(digits)
     lo, hi = exp_neg_enclosure(u, v, prec)
     qn = q**n
     stop = tol * lo / 2
@@ -120,8 +120,8 @@ def dobinski_sum(n: int, c: Fraction, lm: Fraction, tol: Fraction) -> tuple:
         num, den = term(k)
         return num * stop.denominator < stop.numerator * den
 
-    k = _first_true(lambda k: 2 * u * power(k) < v * k * power(k - 1), 1)
-    k = _first_true(below_stop, k)
+    k = _first_true(lambda k: 2 * u * power(k) < v * k * power(k - 1), 1, max_terms)
+    k = _first_true(below_stop, k, max_terms)
     _, d, total = _split_sum(0, k, u, v, power)
     d *= qn  # the partial sum is total / d
     omitted, omitted_den = term(k)  # the first term left out
@@ -132,7 +132,7 @@ def dobinski_sum(n: int, c: Fraction, lm: Fraction, tol: Fraction) -> tuple:
         + tol.denominator.bit_length() - tol.numerator.bit_length()
         + 3 + GUARD_BITS
     )
-    working_dps = max(DOBINSKI_DIGITS, ceil(need * log10(2)))
+    working_dps = max(digits, ceil(need * log10(2)))
     if dps_to_prec(working_dps) > prec:
         prec = dps_to_prec(working_dps)
         lo, hi = exp_neg_enclosure(u, v, prec)

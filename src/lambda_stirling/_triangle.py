@@ -1,0 +1,221 @@
+"""The triangle route: the Stirling-family numbers tabulated by their
+recurrence.  Every family satisfies one triangular recurrence (the unified
+form of Hsu and Shiue)
+
+    T(n+1, k) = T(n, k-1) + c(n, k) * T(n, k),
+    c(n, k) = lam (beta k - alpha n + gamma) + r,
+
+with integer alpha, beta, gamma, r: the second kind is beta = 1, the signed
+and unsigned first kinds alpha = 1 and alpha = -1, the Whitney-type numbers
+beta = m.  ``_new_triangle`` picks the one integer grower,
+``NumberTriangle``, for a fixed lambda = p/q (entries scaled by q^(n-k)),
+and the one symbolic reader, ``SymbolicTriangle``, which reads an entry's
+lambda coefficients off the integer triangle at lambda = 1.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import accumulate, repeat
+from math import comb
+from operator import mul
+from threading import Lock
+
+from .poly import LambdaScalar, Poly, RingElement, _check_index, _check_lambda, _horner
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+class NumberTriangle:
+    """The unified recurrence above, T(0, 0) = 1, at a fixed lam = p/q,
+    grown lazily over Python integers from the newest integer row (the
+    frontier): row n stores U(n, k) = q^(n-k) T(n, k), and
+    U(n+1, k) = U(n, k-1) + ((beta k - alpha n + gamma) p + r q) U(n, k).
+    A row's first ``value`` read makes it the public tuple
+    ``Fraction(U, q^(n-k))``; ``row_sum`` recovers its integers, so a row
+    that is only summed is never converted.
+
+    It checks only that lam is a ``LambdaScalar`` and trusts its callers
+    (``_lookup``, ``dowling_poly``, ...) for the ``int`` parameters and n,
+    k: ``value`` gives 0 outside 0 <= k <= n and ``row_sum`` takes n >= 0.
+    Rows are appended whole and a slot only ever swaps its integers for
+    the public tuple, so a lookup of a public row is a plain read; two
+    readers that race to convert a row may both build its tuple, and
+    either is kept.  Only growth takes the lock.
+    """
+
+    __slots__ = ("_rows", "_frontier", "_params", "_lock")
+
+    def __init__(self, lam: LambdaScalar, *, alpha: int = 0, beta: int = 0,
+                 gamma: int = 0, r: int = 0):
+        _check_lambda(lam)
+        self._params = (lam.value.numerator, lam.value.denominator, alpha, beta, gamma, r)
+        self._lock = Lock()
+        self._frontier = [1]
+        self._rows = [self._frontier]
+
+    def _row(self, n: int):
+        """Row n >= 0 as it is held (integers or public), grown if missing."""
+        rows = self._rows
+        if len(rows) <= n:
+            p, q, alpha, beta, gamma, r = self._params
+            with self._lock:
+                while len(rows) <= n:
+                    ints = self._frontier
+                    m = len(ints) - 1  # row m -> row m + 1
+                    self._frontier = [
+                        left + ((beta * k - alpha * m + gamma) * p + r * q) * cur
+                        for k, (left, cur) in enumerate(zip([0] + ints, ints + [0]))
+                    ]
+                    rows.append(self._frontier)
+        return rows[n]
+
+    def value(self, n: int, k: int) -> Fraction:
+        if k < 0 or k > n:  # n < 0 included
+            return _ZERO
+        row = self._row(n)
+        if type(row) is not tuple:  # its first read makes it public
+            powers = _falling_powers(self._params[1], n)
+            row = self._rows[n] = tuple(map(Fraction, row, powers))
+        return row[k]
+
+    def row_sum(self, n: int, x: Fraction) -> Fraction:
+        """sum_k T(n, k) x^k.  With x = a/b this is S / (q b)^n, where
+        S = sum_k U(n, k) (a q)^k b^(n-k) is one homogeneous Horner pass
+        over ``int``."""
+        a, b, q = x.numerator, x.denominator, self._params[1]
+        ints = self._row(n)
+        if type(ints) is tuple:  # a public row: recover its integers exactly
+            powers = _falling_powers(q, n)
+            ints = [e.numerator * (p // e.denominator) for e, p in zip(ints, powers)]
+        return Fraction(_horner(ints, a * q, b), (q * b) ** n)
+
+
+class SymbolicTriangle:
+    """The unified recurrence at a symbolic lam, read off the triangle A of
+    (alpha, beta, gamma) at lam = 1, r = 0, a private ``NumberTriangle``
+    whose rows stay integers, as nothing reads its values.  With alpha = 0
+    (T is lam^(n-k) A, shifted binomially in r) lam^(j-k) has the
+    coefficient C(n, j) r^(n-j) A(j, k) in T(n, k); with beta = 0 (row n is
+    the product of x + r + lam (gamma - alpha i) over i < n) lam^(n-j) has
+    C(j, k) r^(j-k) A(n, j).  It refuses any other shape.
+
+    A slot holds ``None`` until the row's first ``value`` read stores its
+    public tuple: ``Poly.from_ints`` of the integer coefficients below the
+    diagonal, ``Fraction(1)`` on it.  Only A's growth takes a lock: padding
+    ``_rows`` with ``None`` only appends, so it overwrites no public row,
+    and readers that pad at once may add more slots than asked for, each
+    an unread row all the same.  Readers that race to publish a row build
+    equal tuples, and either is kept.
+    """
+
+    __slots__ = ("_rows", "_base", "_params")
+
+    def __init__(self, *, alpha: int = 0, beta: int = 0, gamma: int = 0, r: int = 0):
+        if alpha and beta:
+            raise ValueError("a symbolic triangle needs alpha = 0 or beta = 0")
+        self._base = NumberTriangle(LambdaScalar(1), alpha=alpha, beta=beta, gamma=gamma)
+        self._params = (alpha, r)
+        self._rows = [None]
+
+    def _entries(self, n: int) -> list:
+        """The lam-coefficient lists of the entries of row n."""
+        alpha, r = self._params
+        base, powers = self._base, [r ** i for i in range(n + 1)]
+        if alpha == 0:  # entry k lists C(n, j) r^(n-j) A(j, k) for j = k..n
+            w = [comb(n, j) * powers[n - j] for j in range(n + 1)]
+            a = [base._row(j) for j in range(n + 1)]
+            return [[w[j] * a[j][k] for j in range(k, n + 1)] for k in range(n + 1)]
+        a = base._row(n)  # entry k lists C(j, k) r^(j-k) A(n, j) for j = n..k
+        return [[comb(j, k) * powers[j - k] * a[j] for j in range(n, k - 1, -1)]
+                for k in range(n + 1)]
+
+    def value(self, n: int, k: int) -> RingElement:
+        if k < 0 or k > n:  # n < 0 included
+            return _ZERO
+        self._rows.extend(repeat(None, n + 1 - len(self._rows)))
+        if self._rows[n] is None:
+            self._rows[n] = tuple(map(Poly.from_ints, self._entries(n)[:-1])) + (_ONE,)
+        return self._rows[n][k]
+
+    def row_sum(self, n: int, x: Fraction) -> RingElement:
+        """sum_k T(n, k) x^k for alpha = 0, the only shape a library function
+        sums.  With x = a/b, b^n times the coefficient of lam^(j-k) gets
+        C(n, j) r^(n-j) A(j, k) a^k b^(n-k) from each j whose weight
+        C(n, j) r^(n-j) is nonzero; row 0 sums to ``Fraction(1)``."""
+        alpha, r = self._params
+        if alpha:
+            raise ValueError("a symbolic row sum needs alpha = 0")
+        if n == 0:
+            return _ONE
+        a, b = x.numerator, x.denominator
+        scale = list(map(mul, accumulate(repeat(a, n), mul, initial=1), _falling_powers(b, n)))
+        sums = [0] * (n + 1)
+        for j in range(n + 1):
+            weight = comb(n, j) * r ** (n - j)
+            if weight:  # only j = n when r = 0
+                for k, entry in enumerate(self._base._row(j)):
+                    sums[j - k] += weight * entry * scale[k]
+        return Poly.from_ints(sums, b ** n)
+
+
+def _falling_powers(q: int, n: int) -> list:
+    """[q^n, q^(n-1), ..., q^0]: the denominators q^(n-k) of row n."""
+    return list(accumulate(repeat(q, n), mul, initial=1))[::-1]
+
+
+_TRIANGLES: dict = {}  # (lam, alpha, beta, r) -> NumberTriangle or SymbolicTriangle
+
+
+def _new_triangle(lam: LambdaScalar, **params):
+    """A new triangle of lam and the ``int`` alpha, beta, gamma and r: the one
+    reader of the lam mode, so that neither triangle class branches on it."""
+    _check_lambda(lam)
+    if lam.is_symbolic:
+        return SymbolicTriangle(**params)
+    return NumberTriangle(lam, **params)
+
+
+def _triangle(lam: LambdaScalar, alpha: int, beta: int, r: int):
+    """The shared triangle of the recurrence parameters, made on first use.
+
+    ``_TRIANGLES`` is keyed by the parameters themselves, so families that
+    coincide (Whitney at m = 1 and the second kind) share one triangle.  It
+    is unbounded and takes no lock: a miss builds a triangle and stores it
+    with ``setdefault``, so threads that miss on the same key at once may
+    each build one, but only the first stored is kept and every one of them
+    gets it.  A hit builds nothing.  A lam that is not a ``LambdaScalar`` is
+    refused by ``_new_triangle`` and stored nowhere.
+    """
+    key = (lam, alpha, beta, r)
+    try:
+        return _TRIANGLES[key]
+    except KeyError:
+        return _TRIANGLES.setdefault(key, _new_triangle(lam, alpha=alpha, beta=beta, r=r))
+
+
+def _lookup(n: int, k: int, lam: LambdaScalar, alpha: int, beta: int, r: int) -> RingElement:
+    """Entry (n, k) of the triangle of (lam, alpha, beta, r), its indices
+    checked by exact type comparisons, and by the index rule only to raise.
+
+    A hit is one subscript of ``_TRIANGLES`` (lam is interned, so its key
+    compares and hashes in C) and, for 0 <= k <= n in a row that is already
+    public, one tuple index; every other case goes through ``_triangle``
+    (which refuses a lam that is not a ``LambdaScalar``) and the
+    triangle's ``value``."""
+    if type(n) is not int or type(k) is not int or type(r) is not int or r < 0:
+        _check_index(n, "n")
+        _check_index(k, "k")
+        _check_index(r, "shift r", 0)
+    try:
+        triangle = _TRIANGLES[lam, alpha, beta, r]
+    except KeyError:
+        triangle = _triangle(lam, alpha, beta, r)
+    if 0 <= k <= n:
+        rows = triangle._rows
+        if n < len(rows):
+            row = rows[n]
+            if type(row) is tuple:
+                return row[k]
+    return triangle.value(n, k)

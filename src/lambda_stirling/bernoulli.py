@@ -1,16 +1,11 @@
-"""Higher-order Bernoulli numbers and polynomials.
+"""Higher-order Bernoulli numbers and polynomials: a facade over the EGF
+route.
 
 Defined through the EGF (t/(e^t - 1))^m e^{x t} = sum B_n^(m)(x) t^n / n!.
 The order-m base coefficients B_n^(m) = B_n^(m)(0) are the EGF coefficients
 of G^(-m), G = (e^t - 1)/t, read from the power table of k = -m
-(``series._power_table``, the one cache that also holds the column EGFs'
-powers G^k, k >= 1).  The table keeps them as integer numerators
-N_j = D B_j^(m) over one common denominator D and grows them over ``int``
-by J.C.P. Miller's power recurrence, continuing it to exactly the index
-asked for; ``bernoulli_base_series`` and ``bernoulli_higher`` read the same
-table.  A polynomial value is the binomial mix sum_j C(n,j) B_j^(m) x^(n-j);
-at x = a/b it is one integer Horner pass, sum_j C(n,j) N_j a^(n-j) b^j,
-divided once by D b^n.
+(``series._power_table``, which also holds the column EGFs' powers G^k);
+a polynomial value is the table's binomial mix sum_j C(n,j) B_j^(m) x^(n-j).
 With m = 1 this is the first-Bernoulli-number convention, B_1 = -1/2.
 """
 

@@ -2,9 +2,9 @@
 
 Thin argparse wrapper over the library: every number the commands print is
 produced by the package modules, never computed here.  All rational inputs
-accept ``p/q`` strings, negative ones too (``--lambda -2/3``); ``--lambda``
-additionally accepts the word ``symbolic`` to keep the deformation
-parameter as a polynomial variable.
+accept ``p/q`` strings, negative ones too (``--lambda -2/3``, ``--x -1e-1``);
+``--lambda`` additionally accepts the word ``symbolic`` to keep the
+deformation parameter as a polynomial variable.
 Domain errors (zero lambda, unsupported parameter ranges, unknown check ids)
 and an ``--output`` path that cannot be written exit with status 2; the
 ``verify`` command exits 0 when every check passes and 1 otherwise.
@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import re
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
@@ -385,19 +384,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_NEGATIVE_FRACTION = re.compile(r"-\d+/\d+")
-
-
 def _attach_negative_fractions(argv: list) -> list:
-    """argparse takes a token like ``-2/3`` for an option, so an option
-    followed by one is rewritten as ``--option=-2/3``."""
+    """argparse takes a token like ``-2/3`` or ``-1e-1`` for an option, so
+    an option followed by a dash token that ``_parse_rational`` accepts is
+    rewritten as ``--option=-2/3``."""
     out = []
     for token in argv:
-        if (out and out[-1].startswith("--") and "=" not in out[-1]
-                and _NEGATIVE_FRACTION.fullmatch(token)):
-            out[-1] = f"{out[-1]}={token}"
-        else:
-            out.append(token)
+        if out and out[-1].startswith("--") and "=" not in out[-1] and token.startswith("-"):
+            try:
+                _parse_rational(out[-1], token)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"{out[-1]}={token}"
+                continue
+        out.append(token)
     return out
 
 

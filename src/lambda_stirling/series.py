@@ -19,6 +19,7 @@ denominator (``_power_ints``).  G^k depends on k alone, so one cached table
 per nonzero k (``_power_table``) keeps that form and grows it in place: the
 columns read k >= 1, the Bernoulli bases k = -m.  ``lambda_column`` mixes
 lam, m and r in on every call, never divides by lam, and reads no triangle.
+The closed Dowling EGF (``dowling_series``) is one exponential, over ``int``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from threading import Lock
 
 from .poly import (LambdaScalar, Poly, RingElement, _Frozen, _check_index,
                    _check_lambda, _common_denominator, _element, _horner,
-                   format_element)
+                   _rational, format_element)
 
 
 class TruncatedSeries(_Frozen):
@@ -154,6 +155,30 @@ def _exp_coeffs(alpha, order: int) -> list:
     for n in range(1, order + 1):
         b.append(_dot(map(comb, repeat(n - 1), range(n)), alpha, reversed(b)))
     return b
+
+
+def dowling_series(x, m: int, lam: LambdaScalar, order: int) -> TruncatedSeries:
+    """Closed Dowling EGF e^t * exp(x (e^{lam m t} - 1)/(lam m)), truncated,
+    as the one exponential exp(t + x (e^{lam m t} - 1)/(lam m)).  Needs a
+    fixed rational lambda (the exponent has lambda in a denominator).
+
+    The exponent has EGF coefficients A = 0, 1 + x, x lm, x lm^2, ... with
+    lm = lam m, and ``_exp_coeffs`` runs the exp recurrence over ``int``:
+    with x = a/b and lm = p/q, every coefficient is scaled by (b q)^n, so
+    A_1 becomes (a + b) q and A_j becomes a q (p b)^(j-1), and B_n is
+    published as one ``Fraction`` over (b q)^n."""
+    _check_lambda(lam)
+    if lam.is_symbolic:
+        raise ValueError("the closed Dowling EGF needs a fixed rational lambda")
+    _check_index(order, "order", 0)
+    _check_index(m, "parameter m", 1)
+    x = _rational(x, "x")
+    lm = lam.value * m
+    a, b, q = x.numerator, x.denominator, lm.denominator
+    alpha = [(a + b) * q] + [a * q * (lm.numerator * b) ** j for j in range(1, order)]
+    bq = b * q
+    return TruncatedSeries(
+        [Fraction(c, bq**n) for n, c in enumerate(_exp_coeffs(alpha, order))])
 
 
 def _binomial_product(a, b, order: int) -> list:

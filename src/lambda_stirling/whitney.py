@@ -1,32 +1,21 @@
 """Whitney-type numbers, Dowling and Bell polynomials, and the numeric
-Dobinski-style evaluator.
+Dobinski-style evaluator: a facade that picks a verification route for each
+public name.
 
-The Whitney-type numbers W(n, k) of parameter m (and shift r) are defined by
-expanding (m x + r)^n in the generalized falling-factorial basis with the
-powers of m factored out:
+The Whitney-type numbers W(n, k) of parameter m and shift r are the
+coefficients in (m x + r)^n = sum_k W(n, k) m^k (x)_{k,lam}.  ``whitney_r``
+and the row sums ``dowling_poly`` (r = 1) and ``bell_poly_lambda`` (the
+plain second kind) read the recurrence (``_triangle``),
+``whitney_r_by_expansion`` the basis expansion (``_expansion``), and
+``whitney_series`` and ``dowling_series`` the EGF route (``series``).
 
-    (m x + r)^n = sum_k  W(n, k)  m^k  (x)_{k,lam}.
-
-They satisfy the triangular recurrence W(n+1, k) = W(n, k-1) + (lam*m*k + r) W(n, k),
-which is what the tabulation uses; the basis-expansion oracle below is the
-independent check.  Dowling polynomials are the row sums d(n, x) =
-sum_k W(n, k) x^k with r = 1, and the Bell polynomials are the same row sums
-for the plain second-kind triangle; both are the triangle's ``row_sum``,
-over ``int``.  The closed Dowling EGF (``dowling_series``) is one
-exponential, exp(t + x (e^{lam m t} - 1)/(lam m)).
-
-``dobinski_eval`` sums the infinite-series representation
-
-    d(n, x) = e^{-c} sum_{k>=0} c^k / k! * (lam m k + 1)^n,   c = x/(lam m),
-
-on the domain ``_dobinski_domain`` checks, exactly over ``int``
-(``_dobinski``).  Only e^{-c} is transcendental; mpmath encloses it
-between two dyadic rationals at a working precision of at least
-``DOBINSKI_DIGITS`` digits.  The result carries two exact error bounds
-(``DowlingValue``) whose sum bounds |numeric - exact|, after the style of
-midpoint-radius arithmetic (Johansson, "Arb", IEEE Trans. Computers 66,
-2017), and the exact rational reference value, which the numeric route
-never reads a triangle to compute.
+``dobinski_eval`` sums the Dobinski-style series on the domain that
+``_dobinski_domain`` checks, exactly over ``int`` but for e^{-c}
+(``_dobinski``, loaded with mpmath on the first call).  The result carries
+two exact error bounds (``DowlingValue``) whose sum bounds |numeric - exact|,
+after the style of midpoint-radius arithmetic (Johansson, "Arb", IEEE
+Trans. Computers 66, 2017), and the exact value, read off the triangle; the
+numeric sum reads none.
 """
 
 from __future__ import annotations
@@ -35,9 +24,10 @@ from fractions import Fraction
 from math import inf
 from typing import NamedTuple
 
-from .poly import SYMBOLIC, LambdaScalar, RingElement, _check_index, _check_lambda, _rational
-from .series import TruncatedSeries, _exp_coeffs, lambda_column
-from .stirling import _by_expansion, _lookup, _triangle
+from ._expansion import _by_expansion
+from ._triangle import _lookup, _triangle
+from .poly import SYMBOLIC, LambdaScalar, RingElement, _check_index, _rational
+from .series import TruncatedSeries, dowling_series, lambda_column
 
 DOBINSKI_DIGITS = 40  # least decimal working precision of dobinski_eval
 DOBINSKI_TOL = 1e-12  # default tolerance of dobinski_eval
@@ -92,30 +82,6 @@ def bell_poly_lambda(n: int, x, lam: LambdaScalar) -> RingElement:
     against powers of x."""
     _check_index(n, "n", 0)
     return _triangle(lam, 0, 1, 0).row_sum(n, _rational(x, "x"))
-
-
-def dowling_series(x, m: int, lam: LambdaScalar, order: int) -> TruncatedSeries:
-    """Closed Dowling EGF e^t * exp(x (e^{lam m t} - 1)/(lam m)), truncated,
-    as the one exponential exp(t + x (e^{lam m t} - 1)/(lam m)).  Needs a
-    fixed rational lambda (the exponent has lambda in a denominator).
-
-    The exponent has EGF coefficients A = 0, 1 + x, x lm, x lm^2, ... with
-    lm = lam m, and ``series._exp_coeffs`` runs the exp recurrence over
-    ``int``: with x = a/b and lm = p/q, every coefficient is scaled by
-    (b q)^n, so A_1 becomes (a + b) q and A_j becomes a q (p b)^(j-1), and
-    B_n is published as one ``Fraction`` over (b q)^n."""
-    _check_lambda(lam)
-    if lam.is_symbolic:
-        raise ValueError("the closed Dowling EGF needs a fixed rational lambda")
-    _check_index(order, "order", 0)
-    _check_index(m, "parameter m", 1)
-    x = _rational(x, "x")
-    lm = lam.value * m
-    a, b, q = x.numerator, x.denominator, lm.denominator
-    alpha = [(a + b) * q] + [a * q * (lm.numerator * b) ** j for j in range(1, order)]
-    bq = b * q
-    return TruncatedSeries(
-        [Fraction(c, bq**n) for n, c in enumerate(_exp_coeffs(alpha, order))])
 
 
 class DowlingValue(NamedTuple):
@@ -187,4 +153,5 @@ def dobinski_eval(n: int, x, m: int, lam, tol: float = DOBINSKI_TOL) -> DowlingV
 
     lm = lam.value * m
     exact = dowling_poly(n, x, m, lam)
-    return DowlingValue(n, x, m, lam.value, exact, *dobinski_sum(n, x / lm, lm, tol))
+    return DowlingValue(n, x, m, lam.value, exact, *dobinski_sum(
+        n, x / lm, lm, tol, DOBINSKI_DIGITS, DOBINSKI_MAX_TERMS))

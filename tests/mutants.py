@@ -14,7 +14,7 @@ from fractions import Fraction
 from lambda_stirling.bernoulli import bernoulli_higher
 from lambda_stirling.identities import Providers
 from lambda_stirling.poly import LambdaScalar
-from lambda_stirling.stirling import _new_triangle
+from lambda_stirling._triangle import _new_triangle
 
 
 def _cached_triangle_family(params_of):

@@ -295,9 +295,12 @@ def test_rational_spellings_give_identical_output(capsys):
     for argv, reference in (
         (triangle + ("--lambda", " 1/2 "), triangle + ("--lambda", "1/2")),
         (triangle + ("--lambda", "2/4"), triangle + ("--lambda", "1/2")),
-        # argparse alone reads -2/3 as an option, not as the value
+        # argparse alone reads -2/3 and -1e-1 as options, not as the value
         (triangle + ("--lambda", "-2/3"), triangle + ("--lambda=-2/3",)),
         (bell + ("--x", "-1/2"), bell + ("--x=-1/2",)),
+        (triangle + ("--lambda", "-5e-1"), triangle + ("--lambda=-5e-1",)),
+        (bell + ("--x", "-1e-1"), bell + ("--x=-1e-1",)),
+        (bell + ("--x", "-2.5E+1"), bell + ("--x=-2.5E+1",)),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 0 and err == "", argv

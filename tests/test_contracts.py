@@ -191,9 +191,9 @@ def test_no_module_but_poly_reads_poly_storage():
 
 
 def test_only_the_factory_reads_the_lambda_mode():
-    # stirling._new_triangle decides the lambda mode once, when a triangle
+    # _triangle._new_triangle decides the lambda mode once, when a triangle
     # is made, so that neither triangle class branches on it again
-    path = Path(lambda_stirling.__file__).parent / "stirling.py"
+    path = Path(lambda_stirling.__file__).parent / "_triangle.py"
     readers = {getattr(top, "name", "<module>") for top in ast.parse(path.read_text()).body
                for node in ast.walk(top)
                if isinstance(node, ast.Attribute) and node.attr == "is_symbolic"}

@@ -22,7 +22,8 @@ from lambda_stirling.poly import (
     format_element,
     csv_element,
 )
-from lambda_stirling.stirling import BasisExpansion, _new_triangle, _triangle, expand_in_falling_basis
+from lambda_stirling._triangle import _new_triangle, _triangle
+from lambda_stirling.stirling import BasisExpansion, expand_in_falling_basis
 from lambda_stirling.whitney import dobinski_eval
 
 from oracles import poly_add, poly_mul, strip

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lambda_stirling import stirling
+from lambda_stirling import _triangle
+from lambda_stirling._triangle import NumberTriangle
 from lambda_stirling.poly import LambdaScalar, Poly, SYMBOLIC, eval_element, falling_factorial_poly
 from lambda_stirling.stirling import (
-    NumberTriangle,
     classical_rstirling2,
     expand_in_falling_basis,
     rstirling1_lambda,
@@ -357,16 +357,16 @@ def test_symbolic_triangle_needs_alpha_or_beta_zero():
     # a symbolic entry is read off the lam = 1 triangle by a closed form
     # that holds only when c(n, k) depends on one index
     with pytest.raises(ValueError, match="alpha = 0 or beta = 0"):
-        stirling._new_triangle(SYMBOLIC, alpha=1, beta=1)
+        _triangle._new_triangle(SYMBOLIC, alpha=1, beta=1)
     assert NumberTriangle(LambdaScalar.fixed(2), alpha=1, beta=2).value(2, 1) == 2
-    assert stirling._new_triangle(SYMBOLIC, gamma=2, r=1).value(2, 1) == Poly([2, 4])
+    assert _triangle._new_triangle(SYMBOLIC, gamma=2, r=1).value(2, 1) == Poly([2, 4])
 
 
 def test_symbolic_row_sum_needs_alpha_zero():
     # no library function sums a first-kind row at symbolic lam, so the
     # reader sums only the alpha = 0 shape and refuses the other
     with pytest.raises(ValueError, match="alpha = 0"):
-        stirling.SymbolicTriangle(alpha=1, r=2).row_sum(3, Fraction(1, 2))
+        _triangle.SymbolicTriangle(alpha=1, r=2).row_sum(3, Fraction(1, 2))
 
 
 @settings(max_examples=80, deadline=None)
@@ -378,7 +378,7 @@ def test_symbolic_row_sum_needs_alpha_zero():
 def test_symbolic_row_sum_matches_entrywise_sum(m, r, n, x):
     # the row sum reads the lam = 1 triangle straight, the entries come
     # from the per-entry assembler: two routes to one polynomial
-    triangle = stirling.SymbolicTriangle(beta=m, r=r)
+    triangle = _triangle.SymbolicTriangle(beta=m, r=r)
     got = triangle.row_sum(n, x)
     expected = sum(triangle.value(n, k) * x**k for k in range(n + 1))
     assert got == expected and type(got) is type(expected)
@@ -393,8 +393,8 @@ def test_symbolic_row_sums_build_no_entry(monkeypatch):
     def no_entries(self, n):
         raise AssertionError("a row sum built the entries of its row")
 
-    monkeypatch.setattr(stirling.SymbolicTriangle, "_entries", no_entries)
-    monkeypatch.setattr(stirling, "_TRIANGLES", {})
+    monkeypatch.setattr(_triangle.SymbolicTriangle, "_entries", no_entries)
+    monkeypatch.setattr(_triangle, "_TRIANGLES", {})
     values = (bell_poly_lambda(200, Fraction(3, 4), SYMBOLIC),
               dowling_poly(60, Fraction(-5, 2), 2, SYMBOLIC))
     assert [hashlib.sha256(repr(value).encode()).hexdigest() for value in values] == [
@@ -418,12 +418,12 @@ def test_cold_symbolic_read_in_bounded_memory(monkeypatch):
     # a symbolic row is read off the integer triangle at lam = 1, so a
     # cold read at n = 400 keeps no cubic store of lambda coefficients; the
     # address-space limit holds in the child only
-    src = os.path.join(os.path.dirname(stirling.__file__), os.pardir)
+    src = os.path.join(os.path.dirname(_triangle.__file__), os.pardir)
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run([sys.executable, "-c", COLD_SYMBOLIC_READ], env=env,
                           capture_output=True, text=True, timeout=10)
     assert proc.returncode == 0, proc.stderr
-    monkeypatch.setattr(stirling, "_TRIANGLES", {})
+    monkeypatch.setattr(_triangle, "_TRIANGLES", {})
     lam = LambdaScalar.fixed(Fraction(-2, 3))
     expected = [hashlib.sha256(str(value).encode()).hexdigest() for value in (
         rstirling2_lambda(400, 200, 2, lam), bell_poly_lambda(400, Fraction(1, 2), lam))]
@@ -497,10 +497,10 @@ def test_racing_misses_on_one_key_get_one_triangle(monkeypatch):
 
     def worker():
         barrier.wait()
-        got.append(stirling._triangle(lam, 0, 1, 7))
+        got.append(_triangle._triangle(lam, 0, 1, 7))
 
     lam = LambdaScalar.fixed(Fraction(-11, 7))
-    monkeypatch.setattr(stirling, "NumberTriangle", slow_build)
+    monkeypatch.setattr(_triangle, "NumberTriangle", slow_build)
     threads = [Thread(target=worker) for _ in range(8)]
     for t in threads:
         t.start()
@@ -508,10 +508,10 @@ def test_racing_misses_on_one_key_get_one_triangle(monkeypatch):
         t.join(timeout=60)
     assert not any(t.is_alive() for t in threads)
     assert len(got) == 8
-    assert all(t is stirling._TRIANGLES[lam, 0, 1, 7] for t in got)
+    assert all(t is _triangle._TRIANGLES[lam, 0, 1, 7] for t in got)
     # a hit builds nothing
-    monkeypatch.setattr(stirling, "NumberTriangle", None)
-    assert stirling._triangle(lam, 0, 1, 7) is got[0]
+    monkeypatch.setattr(_triangle, "NumberTriangle", None)
+    assert _triangle._triangle(lam, 0, 1, 7) is got[0]
     assert rstirling2_lambda(3, 1, 7, lam) == got[0].value(3, 1)
 
 
@@ -569,9 +569,9 @@ def test_row_sums_and_reads_race_conversion():
     # adds spare unread slots but never overwrites a public row.
     x = Fraction(-3, 5)
     for lam, n_rows in ((LambdaScalar.fixed(Fraction(-2, 3)), 60), (SYMBOLIC, 30)):
-        want = stirling._new_triangle(lam, beta=2, r=1)
+        want = _triangle._new_triangle(lam, beta=2, r=1)
         sums = [want.row_sum(n, x) for n in range(n_rows)]
-        shared = stirling._new_triangle(lam, beta=2, r=1)
+        shared = _triangle._new_triangle(lam, beta=2, r=1)
         seen = []
 
         def worker(i):

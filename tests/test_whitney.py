@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lambda_stirling import stirling
+from lambda_stirling import _triangle
 from lambda_stirling._dobinski import exp_neg_enclosure
 from lambda_stirling.poly import LambdaScalar, Poly, SYMBOLIC
 from lambda_stirling.series import TruncatedSeries
@@ -161,7 +161,7 @@ def test_row_sums_match_entrywise_sums(n, lam, x, read_first):
     # A fresh cache makes the first touch of row n either the row sum (over
     # the grown integer form) or the entry reads (after which the sum
     # recovers the integers from the public values).
-    stirling._TRIANGLES.clear()
+    _triangle._TRIANGLES.clear()
     rows = [
         (lambda k, m=m: whitney(n, k, m, lam), lambda m=m: dowling_poly(n, x, m, lam))
         for m in (1, 2, 3)
