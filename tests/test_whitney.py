@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from math import comb, factorial
 
@@ -388,6 +389,29 @@ def test_dobinski_stops_at_the_first_term_both_tests_pass(lam):
                 while not (term(k) < term(k - 1) / 2 and 2 * term(k) < Fraction(1e-12) * lo):
                     k += 1
                 assert dobinski_eval(n, x, m, lam, 1e-12).truncation_terms == k
+
+
+# every field of dobinski_eval over 11 n x 6 x x 2 m x 4 lambda x 2 tol =
+# 1,056 points: the mpf as (man, exp), the float tail bound as its repr,
+# both exact bounds as p/q, the working digits and the exact value
+DOBINSKI_FIELDS_SHA256 = "54652b2bef7a88c6fcc1172ebfa02091cc0fd6c200ed6160edadbf37bbd539b0"
+
+
+def test_dobinski_fields_pinned():
+    digest = hashlib.sha256()
+    for n in (0, 1, 2, 3, 5, 8, 13, 21, 30, 45, 60):
+        for x in ("0", "1/2", "3/2", "2", "10", "50"):
+            for m in (1, 3):
+                for lam in ("1/10", "1/2", "1", "5/3"):
+                    for tol in (1e-12, 1e-30):
+                        v = dobinski_eval(n, Fraction(x), m, Fraction(lam), tol)
+                        digest.update(repr((
+                            v.numeric.man, v.numeric.exp, v.truncation_terms,
+                            repr(v.tail_bound), *(f"{b.numerator}/{b.denominator}" for b in
+                                                  (v.truncation_bound, v.rounding_bound)),
+                            v.working_dps, str(v.exact),
+                        )).encode())
+    assert digest.hexdigest() == DOBINSKI_FIELDS_SHA256
 
 
 @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -float("inf"), -1e-12])
