@@ -72,15 +72,20 @@ DUMP_KINDS = {
 OPTION_DEFAULTS = {"k": 0, "r": 0, "m": 1, "x": "1", "lam": "symbolic"}
 # every JSON payload is written as json.dumps(payload, indent=2) writes it
 _JSON = json.JSONEncoder(indent=2)
+# Fraction expands a decimal exponent in full: one past the int/str digit limit is refused
+_MAX_EXPONENT = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # read before main lifts it
 
 
 def _parse_rational(option: str, text: str) -> Fraction:
     try:
-        return Fraction(text)
+        exponent = int(text.lower().partition("e")[2] or 0)  # no int: no rational
+        if not _MAX_EXPONENT or abs(exponent) <= _MAX_EXPONENT:
+            return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"{option}: zero denominator in {text!r}") from None
     except ValueError:
         raise ValueError(f"{option}: not a rational number: {text!r}") from None
+    raise ValueError(f"{option}: decimal exponent beyond {_MAX_EXPONENT} in {text!r}")
 
 
 def _parse_lambda(text: str) -> LambdaScalar:

@@ -113,9 +113,9 @@ class DowlingValue(NamedTuple):
 
 
 def _dobinski_domain(x, m: int, lam) -> tuple:
-    """x as a ``Fraction`` and lam as a fixed ``LambdaScalar`` (read by
-    ``LambdaScalar.fixed``) in the series' domain: lam > 0, x >= 0, m >= 1
-    and 2c below the term cap, as t_k / t_(k-1) >= c / k, c = x/(lam m)."""
+    """x as a ``Fraction``, lam as a fixed ``LambdaScalar`` (read by
+    ``LambdaScalar.fixed``) and lam m, in the series' domain: lam > 0, x >= 0,
+    m >= 1 and 2c below the term cap, as t_k / t_(k-1) >= c / k, c = x/(lam m)."""
     if lam == SYMBOLIC:
         raise UnsupportedDomainError("the series evaluation needs a fixed rational lambda")
     lam = LambdaScalar.fixed(lam)
@@ -125,10 +125,11 @@ def _dobinski_domain(x, m: int, lam) -> tuple:
         raise UnsupportedDomainError("the numeric series needs lambda > 0")
     if x < 0:
         raise UnsupportedDomainError("the numeric series needs x >= 0")
-    if 2 * x >= DOBINSKI_MAX_TERMS * lam.value * m:
+    lm = lam.value * m
+    if 2 * x.numerator * lm.denominator >= DOBINSKI_MAX_TERMS * lm.numerator * x.denominator:
         raise UnsupportedDomainError(
             f"the numeric series needs x/(lambda m) below {DOBINSKI_MAX_TERMS // 2}")
-    return x, lam
+    return x, lam, lm
 
 
 def dobinski_eval(n: int, x, m: int, lam, tol: float = DOBINSKI_TOL) -> DowlingValue:
@@ -144,14 +145,12 @@ def dobinski_eval(n: int, x, m: int, lam, tol: float = DOBINSKI_TOL) -> DowlingV
     positive and finite ``int``, ``float`` or ``Fraction``.
     """
     _check_index(n, "n", 0)
-    x, lam = _dobinski_domain(x, m, lam)
+    x, lam, lm = _dobinski_domain(x, m, lam)
     if isinstance(tol, bool) or not isinstance(tol, (int, float, Fraction)) or not 0 < tol < inf:
         raise ValueError("tolerance must be positive and finite")
-    tol = Fraction(tol)
 
     from ._dobinski import dobinski_sum  # deferred: only this needs it and mpmath
 
-    lm = lam.value * m
     exact = dowling_poly(n, x, m, lam)
     return DowlingValue(n, x, m, lam.value, exact, *dobinski_sum(
         n, x / lm, lm, tol, DOBINSKI_DIGITS, DOBINSKI_MAX_TERMS))

@@ -274,6 +274,28 @@ def test_unreadable_rational_names_the_option(capsys, argv, option, text):
     assert err == f"error: {option}: not a rational number: {text!r}\n"
 
 
+@pytest.mark.parametrize("text", ["1e4301", "-1e-4301", "2.5E+1_0000"])
+def test_decimal_exponent_past_the_digit_limit_is_refused(capsys, text):
+    # the interpreter's limit on int/str digits (4,300 by default) bounds
+    # the exponent; 1e4300 and below parse as before
+    argv = ("eval", "--poly", "bell", "--n", "2", f"--x={text}", "--lambda", "1/2")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    limit = sys.get_int_max_str_digits()
+    assert err == f"error: --x: decimal exponent beyond {limit} in {text!r}\n"
+    assert run_cli(capsys, *argv[:5], "--x=-1e-1", *argv[6:])[:2] == (0, "-1/25\n")
+
+
+def test_a_huge_decimal_exponent_is_refused_before_it_is_expanded():
+    # Fraction("1e10000000") alone ran 10.8 s; argparse refuses the dash
+    # token, which _parse_rational did not accept either
+    for spelling in [("--x=1e10000000",), ("--x=-1e-10000000",), ("--x", "-1e10000000")]:
+        proc = run_cli_process("-m", "lambda_stirling", "eval", "--poly", "bell", "--n", "2",
+                               *spelling, "--lambda", "1/2", timeout=20)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "error: " in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_zero_lambda_exits_2(capsys):
     for argv, message in (
         (("triangle", "--family", "s2lambda", "--n-max", "3", "--lambda", "0"),

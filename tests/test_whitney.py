@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 from fractions import Fraction
 from math import comb, factorial
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lambda_stirling import _triangle
+from lambda_stirling import _dobinski, _triangle
 from lambda_stirling._dobinski import exp_neg_enclosure
 from lambda_stirling.poly import LambdaScalar, Poly, SYMBOLIC
 from lambda_stirling.series import TruncatedSeries
@@ -374,21 +375,37 @@ def test_dobinski_error_within_truncation_plus_rounding(n, x, m, lam, tol):
 
 @pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(1), Fraction(7, 3)])
 def test_dobinski_stops_at_the_first_term_both_tests_pass(lam):
-    # the stopping k found by bisection (and float logarithms) is the one
-    # a term-by-term scan over Fractions finds
+    # the stopping k, found term by term or past SCAN_BITS by bisection (and
+    # float logarithms), is the one a term-by-term scan over Fractions finds;
+    # x/(lam m) reaches 200 and k the hundreds, and at tol = 1e9 the ratio
+    # test alone decides where c is small
     for m in (1, 2):
-        for x in (Fraction(0), Fraction(1, 3), Fraction(2), Fraction(19, 2)):
+        for x in (Fraction(0), Fraction(1, 3), Fraction(2), Fraction(19, 2), Fraction(100)):
             c = x / (lam * m)
             lo, _ = exp_neg_enclosure(
                 c.numerator, c.denominator, mpmath.libmp.dps_to_prec(DOBINSKI_DIGITS))
-            for n in (0, 1, 7, 30):
-                def term(k):
-                    return c**k / factorial(k) * (lam * m * k + 1) ** n
+            for n, tol in itertools.product((0, 1, 7, 30, 60), (1e-12, 1e9)):
+                k, last = 1, Fraction(1)  # t_0
+                while True:
+                    term = last * c / k * ((lam * m * k + 1) / (lam * m * (k - 1) + 1)) ** n
+                    if term < last / 2 and 2 * term < Fraction(tol) * lo:
+                        break
+                    k, last = k + 1, term
+                assert dobinski_eval(n, x, m, lam, tol).truncation_terms == k
 
-                k = 1
-                while not (term(k) < term(k - 1) / 2 and 2 * term(k) < Fraction(1e-12) * lo):
-                    k += 1
-                assert dobinski_eval(n, x, m, lam, 1e-12).truncation_terms == k
+
+@pytest.mark.parametrize("n, x, m, lam, k", [
+    (1, Fraction(1, 3), 1, Fraction(1), 12),
+    (200, Fraction(50), 1, Fraction(1), 798),
+])
+def test_dobinski_sum_refuses_to_pass_max_terms(n, x, m, lam, k):
+    # the search may stop at max_terms but not past it, term by term (k = 12)
+    # and by bisection (k = 798) alike
+    lm = lam * m
+    args = (n, x / lm, lm, 1e-12, DOBINSKI_DIGITS)
+    assert _dobinski.dobinski_sum(*args, max_terms=k)[1] == k
+    with pytest.raises(ArithmeticError, match="failed to reach the tail bound"):
+        _dobinski.dobinski_sum(*args, max_terms=k - 1)
 
 
 # every field of dobinski_eval over 11 n x 6 x x 2 m x 4 lambda x 2 tol =
