@@ -51,12 +51,6 @@ def _enclosure(u: int, v: int, prec: int) -> tuple:
     return (*(man << e - exp for man, e in ends), exp)
 
 
-def exp_neg_enclosure(u: int, v: int, prec: int) -> tuple:
-    """``_enclosure``'s ends as dyadic ``Fraction``s lo <= e^{-u/v} <= hi."""
-    lo, hi, exp = _enclosure(u, v, prec)
-    return _dyadic(lo, exp), _dyadic(hi, exp)
-
-
 def _first_true(pred, k: int, max_terms: int) -> int:
     """The least j >= k with pred(j), for a predicate that is false and
     then true from k on, found by doubling and then bisection; past

@@ -11,6 +11,11 @@ beta = m.  ``_new_triangle`` picks the one integer grower,
 ``NumberTriangle``, for a fixed lambda = p/q (entries scaled by q^(n-k)),
 and the one symbolic reader, ``SymbolicTriangle``, which reads an entry's
 lambda coefficients off the integer triangle at lambda = 1.
+
+The seven public triangle readers (in ``stirling`` and ``whitney``) answer
+a warm read in one frame, their own: a subscript of ``_TRIANGLES`` and a
+tuple index.  ``_lookup`` is their miss path, and the one place that
+checks their arguments.
 """
 
 from __future__ import annotations
@@ -196,26 +201,23 @@ def _triangle(lam: LambdaScalar, alpha: int, beta: int, r: int):
 
 
 def _lookup(n: int, k: int, lam: LambdaScalar, alpha: int, beta: int, r: int) -> RingElement:
-    """Entry (n, k) of the triangle of (lam, alpha, beta, r), its indices
-    checked by exact type comparisons, and by the index rule only to raise.
+    """Entry (n, k) of the triangle of (lam, alpha, beta, r): the miss path
+    of the seven public triangle readers, and the one place that checks
+    their arguments: by exact type comparisons, and by the index rule only
+    to raise.  With alpha = 0 (second kind, Whitney) beta is the Whitney m.
 
-    A hit is one subscript of ``_TRIANGLES`` (lam is interned, so its key
-    compares and hashes in C) and, for 0 <= k <= n in a row that is already
-    public, one tuple index; every other case goes through ``_triangle``
-    (which refuses a lam that is not a ``LambdaScalar``) and the
-    triangle's ``value``."""
+    Each reader answers a warm read in its own frame: behind exact ``int``
+    tests of its indices, one subscript of ``_TRIANGLES`` (lam is interned,
+    so its key compares and hashes in C) and, for 0 <= k <= n in a row that
+    is already public, one tuple index.  That test comes before the index,
+    as a negative n reads a row from the end of the list.  A hit needs no
+    range test of r or m, since only checked arguments make a key.  Every
+    other case comes here, through ``_triangle`` (which refuses a lam that
+    is not a ``LambdaScalar``) to the triangle's ``value``."""
+    if alpha == 0 and (type(beta) is not int or beta < 1):
+        _check_index(beta, "parameter m", 1)
     if type(n) is not int or type(k) is not int or type(r) is not int or r < 0:
         _check_index(n, "n")
         _check_index(k, "k")
         _check_index(r, "shift r", 0)
-    try:
-        triangle = _TRIANGLES[lam, alpha, beta, r]
-    except KeyError:
-        triangle = _triangle(lam, alpha, beta, r)
-    if 0 <= k <= n:
-        rows = triangle._rows
-        if n < len(rows):
-            row = rows[n]
-            if type(row) is tuple:
-                return row[k]
-    return triangle.value(n, k)
+    return _triangle(lam, alpha, beta, r).value(n, k)

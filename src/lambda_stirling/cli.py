@@ -390,20 +390,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _attach_negative_fractions(argv: list) -> list:
-    """argparse takes a token like ``-2/3`` or ``-1e-1`` for an option, so
-    an option followed by a dash token that ``_parse_rational`` accepts is
-    rewritten as ``--option=-2/3``."""
+    """argparse takes a dash token like ``-2/3`` or ``-1e-1`` for an option,
+    so a dash token after an option that takes a value (every ``--option``
+    but ``--help`` and its abbreviations, and no bare ``--``) is rewritten
+    as ``--option=-2/3``, and the option's own reader reports a value it
+    refuses.  A token that is itself an option string (``-h`` or ``--...``)
+    is left alone."""
     out = []
     for token in argv:
-        if out and out[-1].startswith("--") and "=" not in out[-1] and token.startswith("-"):
-            try:
-                _parse_rational(out[-1], token)
-            except ValueError:
-                pass
-            else:
-                out[-1] = f"{out[-1]}={token}"
-                continue
-        out.append(token)
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and not "--help".startswith(out[-1])
+                and token.startswith("-") and token != "-h" and not token.startswith("--")):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
     return out
 
 

@@ -3,10 +3,14 @@ Dobinski-style evaluator: a facade that picks a verification route for each
 public name.
 
 The Whitney-type numbers W(n, k) of parameter m and shift r are the
-coefficients in (m x + r)^n = sum_k W(n, k) m^k (x)_{k,lam}.  ``whitney_r``
-and the row sums ``dowling_poly`` (r = 1) and ``bell_poly_lambda`` (the
-plain second kind) read the recurrence (``_triangle``),
-``whitney_r_by_expansion`` the basis expansion (``_expansion``), and
+coefficients in (m x + r)^n = sum_k W(n, k) m^k (x)_{k,lam}.  ``whitney``,
+``whitney_r`` and the row sums ``dowling_poly`` (r = 1) and
+``bell_poly_lambda`` (the plain second kind) read the recurrence
+(``_triangle``); ``whitney`` and ``whitney_r`` each answer a warm read in
+their own frame, a subscript of ``_TRIANGLES`` and a tuple index behind
+exact ``int`` type tests, and hand every other case to ``_lookup``, the
+miss path, which checks the arguments.  ``whitney_r_by_expansion`` reads
+the basis expansion (``_expansion``), and
 ``whitney_series`` and ``dowling_series`` the EGF route (``series``).
 
 ``dobinski_eval`` sums the Dobinski-style series on the domain that
@@ -25,7 +29,7 @@ from math import inf
 from typing import NamedTuple
 
 from ._expansion import _by_expansion
-from ._triangle import _lookup, _triangle
+from ._triangle import _TRIANGLES, _lookup, _triangle
 from .poly import SYMBOLIC, LambdaScalar, RingElement, _check_index, _rational
 from .series import TruncatedSeries, dowling_series, lambda_column
 
@@ -41,14 +45,26 @@ class UnsupportedDomainError(ValueError):
 def whitney_r(n: int, k: int, m: int, r: int, lam: LambdaScalar) -> RingElement:
     """Shifted Whitney-type number, tabulated by the recurrence
     W(n+1, k) = W(n, k-1) + (lam*m*k + r) * W(n, k)."""
-    if type(m) is not int or m < 1:  # the hit path compares types, as _lookup does
-        _check_index(m, "parameter m", 1)
+    if type(n) is int and type(k) is int and type(m) is int and type(r) is int:
+        try:
+            row = _TRIANGLES[lam, 0, m, r]._rows[n]
+        except (KeyError, IndexError, TypeError):
+            row = None
+        if type(row) is tuple and 0 <= k <= n:
+            return row[k]
     return _lookup(n, k, lam, 0, m, r)
 
 
 def whitney(n: int, k: int, m: int, lam: LambdaScalar) -> RingElement:
     """Whitney-type number with unit shift (the Dowling-lattice case)."""
-    return whitney_r(n, k, m, 1, lam)
+    if type(n) is int and type(k) is int and type(m) is int:
+        try:
+            row = _TRIANGLES[lam, 0, m, 1]._rows[n]
+        except (KeyError, IndexError, TypeError):
+            row = None
+        if type(row) is tuple and 0 <= k <= n:
+            return row[k]
+    return _lookup(n, k, lam, 0, m, 1)
 
 
 def whitney_r_by_expansion(n: int, k: int, m: int, r: int, lam: LambdaScalar) -> RingElement:

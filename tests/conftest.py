@@ -1,0 +1,15 @@
+import pytest
+
+from lambda_stirling import _triangle
+
+
+@pytest.fixture
+def fresh_triangles():
+    """An empty triangle cache for one test, and the cache as it was after
+    it.  The dict is emptied in place, not replaced, because the public
+    triangle readers hold it by name."""
+    saved = dict(_triangle._TRIANGLES)
+    _triangle._TRIANGLES.clear()
+    yield
+    _triangle._TRIANGLES.clear()
+    _triangle._TRIANGLES.update(saved)

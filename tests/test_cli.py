@@ -287,13 +287,57 @@ def test_decimal_exponent_past_the_digit_limit_is_refused(capsys, text):
 
 
 def test_a_huge_decimal_exponent_is_refused_before_it_is_expanded():
-    # Fraction("1e10000000") alone ran 10.8 s; argparse refuses the dash
-    # token, which _parse_rational did not accept either
+    # Fraction("1e10000000") alone ran 10.8 s; a dash token after --x is its
+    # value, refused by the exponent bound as --x=-1e10000000 is
     for spelling in [("--x=1e10000000",), ("--x=-1e-10000000",), ("--x", "-1e10000000")]:
         proc = run_cli_process("-m", "lambda_stirling", "eval", "--poly", "bell", "--n", "2",
                                *spelling, "--lambda", "1/2", timeout=20)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert "error: " in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("text, message", [
+    ("-1/0", "zero denominator in '-1/0'"),
+    ("-1e10000000", "decimal exponent beyond {limit} in '-1e10000000'"),
+    ("-abc", "not a rational number: '-abc'"),
+], ids=["zero-denominator", "huge-exponent", "unreadable"])
+def test_a_refused_negative_value_keeps_its_own_message(capsys, text, message):
+    # a dash token after an option that takes a value is that option's
+    # value, whether or not it reads as a rational, so the error names it
+    # as the --x=... spelling does
+    message = message.format(limit=sys.get_int_max_str_digits())
+    bell = ("eval", "--poly", "bell", "--n", "2")
+    spaced = run_cli(capsys, *bell, "--x", text, "--lambda", "1/2")
+    assert spaced == (2, "", f"error: --x: {message}\n")
+    assert run_cli(capsys, *bell, f"--x={text}", "--lambda", "1/2") == spaced
+    triangle = ("triangle", "--family", "s2lambda", "--n-max", "2", "--lambda")
+    assert run_cli(capsys, *triangle, text) == (2, "", f"error: --lambda: {message}\n")
+
+
+def test_an_option_string_is_no_option_value(capsys):
+    # -h and --... stay options, and --help takes no value: --help -2/3
+    # prints the help as --help does
+    def exit_of(*argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        return (exc.value.code, *capsys.readouterr())
+
+    bell = ("eval", "--poly", "bell", "--n", "2", "--lambda", "1/2")
+    code, out, err = exit_of(*bell, "--x", "-h")
+    assert (code, out) == (2, "") and "argument --x: expected one argument" in err
+    code, out, err = exit_of(*bell, "--x", "--m")
+    assert (code, out) == (2, "") and "argument --x: expected one argument" in err
+    helped = exit_of(*bell, "--help")
+    assert helped[0] == 0 and helped[1].startswith("usage: ")
+    assert exit_of(*bell, "--help", "-2/3") == helped
+    assert exit_of(*bell, "--he", "-1") == helped
+
+
+def test_a_dash_output_path_is_the_value(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ("triangle", "--family", "s2lambda", "--n-max", "2", "--lambda", "1/2")
+    assert run_cli(capsys, *argv, "--output", "-table.csv")[:2] == (0, "")
+    assert (tmp_path / "-table.csv").read_bytes() == run_cli(capsys, *argv)[1].encode("utf-8")
 
 
 def test_zero_lambda_exits_2(capsys):

@@ -18,7 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lambda_stirling import _triangle
 from lambda_stirling.poly import LambdaScalar, Poly, SYMBOLIC, eval_element
 from lambda_stirling.stirling import (
     rstirling1_lambda,
@@ -95,9 +94,8 @@ def test_symbolic_lambda_parity(family):
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_symbolic_entries_evaluate_to_fixed_lambda_to_n_100(monkeypatch, family):
+def test_symbolic_entries_evaluate_to_fixed_lambda_to_n_100(fresh_triangles, family):
     # triangles of this test's own, dropped with it
-    monkeypatch.setattr(_triangle, "_TRIANGLES", {})
     value = FAMILIES[family][0]
     lam = LambdaScalar.fixed(Fraction(-2, 3))
     for n in range(101):

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import os
 import subprocess
 import sys
@@ -387,14 +388,13 @@ def test_symbolic_row_sum_matches_entrywise_sum(m, r, n, x):
         assert list(map(type, got.coeffs)) == list(map(type, expected.coeffs))
 
 
-def test_symbolic_row_sums_build_no_entry(monkeypatch):
+def test_symbolic_row_sums_build_no_entry(monkeypatch, fresh_triangles):
     # a row sum never reaches the per-entry assembler; the digests are of
     # the values that summing the assembled entries gave
     def no_entries(self, n):
         raise AssertionError("a row sum built the entries of its row")
 
     monkeypatch.setattr(_triangle.SymbolicTriangle, "_entries", no_entries)
-    monkeypatch.setattr(_triangle, "_TRIANGLES", {})
     values = (bell_poly_lambda(200, Fraction(3, 4), SYMBOLIC),
               dowling_poly(60, Fraction(-5, 2), 2, SYMBOLIC))
     assert [hashlib.sha256(repr(value).encode()).hexdigest() for value in values] == [
@@ -414,7 +414,7 @@ for value in (rstirling2_lambda(400, 200, 2, SYMBOLIC),
 """
 
 
-def test_cold_symbolic_read_in_bounded_memory(monkeypatch):
+def test_cold_symbolic_read_in_bounded_memory(fresh_triangles):
     # a symbolic row is read off the integer triangle at lam = 1, so a
     # cold read at n = 400 keeps no cubic store of lambda coefficients; the
     # address-space limit holds in the child only
@@ -423,7 +423,6 @@ def test_cold_symbolic_read_in_bounded_memory(monkeypatch):
     proc = subprocess.run([sys.executable, "-c", COLD_SYMBOLIC_READ], env=env,
                           capture_output=True, text=True, timeout=10)
     assert proc.returncode == 0, proc.stderr
-    monkeypatch.setattr(_triangle, "_TRIANGLES", {})
     lam = LambdaScalar.fixed(Fraction(-2, 3))
     expected = [hashlib.sha256(str(value).encode()).hexdigest() for value in (
         rstirling2_lambda(400, 200, 2, lam), bell_poly_lambda(400, Fraction(1, 2), lam))]
@@ -464,9 +463,10 @@ TRIANGLE_READS = (
 @pytest.mark.parametrize("symbolic", [False, True], ids=["fixed", "symbolic"])
 @pytest.mark.parametrize("fn, extra", TRIANGLE_READS, ids=[fn.__name__ for fn, _ in TRIANGLE_READS])
 def test_warm_read_enters_only_the_lookup_frames(fn, extra, symbolic):
-    # a hit is a dict subscript and a tuple index below _lookup: no
-    # Python-level __eq__, __hash__ or NumberTriangle.value, even at a
-    # lambda built apart from the one in the cache key
+    # a hit is a dict subscript and a tuple index in the public function's
+    # own frame: no _lookup (nor whitney_r below whitney), no Python-level
+    # __eq__, __hash__ or NumberTriangle.value, even at a lambda built apart
+    # from the one in the cache key
     stored = SYMBOLIC if symbolic else LambdaScalar.fixed(Fraction(1, 3))
     want = fn(9, 4, *extra, stored)  # grows the triangle and publishes row 9
     lam = LambdaScalar(None) if symbolic else LambdaScalar.fixed(Fraction(2, 6))
@@ -482,7 +482,58 @@ def test_warm_read_enters_only_the_lookup_frames(fn, extra, symbolic):
     finally:
         sys.setprofile(None)
     assert got == want
-    assert entered and set(entered) <= {fn.__name__, "whitney_r", "_lookup"}, entered
+    assert entered == [fn.__name__], entered
+
+
+# (parameter, bad value, what every triangle reader returns or raises for it);
+# each reader is called with n = 4, k = 1, r = 2, m = 2, lambda = 1/3 but
+# for the one bad value
+BAD_ARGUMENTS = (
+    ("n", True, TypeError("n must be an integer, not a bool")),
+    ("n", 4.0, ValueError("n must be an integer")),
+    ("n", -1, Fraction(0)),
+    ("k", True, TypeError("k must be an integer, not a bool")),
+    ("k", 2.0, ValueError("k must be an integer")),
+    ("k", -1, Fraction(0)),
+    ("k", 5, Fraction(0)),
+    ("r", True, TypeError("shift r must be an integer, not a bool")),
+    ("r", -1, ValueError("shift r must be nonnegative")),
+    ("m", True, TypeError("parameter m must be an integer, not a bool")),
+    ("m", False, TypeError("parameter m must be an integer, not a bool")),
+    ("m", 0, ValueError("parameter m must be positive")),
+    ("m", -1, ValueError("parameter m must be positive")),
+    ("lam", Fraction(1, 3), TypeError("lam must be a LambdaScalar")),
+    ("lam", [LambdaScalar.fixed(Fraction(1, 3))], TypeError("unhashable type: 'list'")),
+)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("fn", [fn for fn, _ in TRIANGLE_READS],
+                         ids=[fn.__name__ for fn, _ in TRIANGLE_READS])
+def test_bad_arguments_answer_alike_cold_and_warm(fn, warm, fresh_triangles):
+    # warm, the reader's own rows 0..6 are public, and those of r = 1 or
+    # m = 1, so True (which hashes like 1) and -1 (which indexes the last
+    # row) would find a public row if a hit tested no type or range
+    lam = LambdaScalar.fixed(Fraction(1, 3))
+    params = list(inspect.signature(fn).parameters)
+    base = {name: dict(n=4, k=1, r=2, m=2).get(name, lam) for name in params}
+    if warm:
+        for shift in ({}, {"r": 1}, {"m": 1}):
+            args = dict(base, **{name: 1 for name in shift if name in params})
+            for n in range(7):
+                for k in range(n + 1):
+                    fn(**dict(args, n=n, k=k))
+    cases = [case for case in BAD_ARGUMENTS if case[0] in params]
+    assert len(cases) == 9 + 2 * ("r" in params) + 4 * ("m" in params)
+    for name, value, want in cases:
+        try:
+            got = fn(**dict(base, **{name: value}))
+        except (TypeError, ValueError) as exc:
+            got = exc
+        if isinstance(want, Exception):
+            assert (type(got), str(got)) == (type(want), str(want)), (name, value)
+        else:
+            assert type(got) is Fraction and got == want, (name, value)
 
 
 def test_racing_misses_on_one_key_get_one_triangle(monkeypatch):
