@@ -32,9 +32,17 @@ rational, and a ring element (a coefficient too) an ``int``, a ``Fraction``
 or a ``Poly``.  A ``bool``, a non-scalar or symbolic fixed lambda and a
 non-ring element raise ``TypeError``, any other bad value ``ValueError``.
 
-Triangles are cached in the dict ``_triangle._TRIANGLES``; basis expansions
-and the powers G^k of G = (e^t - 1)/t behind the columns and the Bernoulli
-bases by ``functools.cache``, a power keyed by k alone.  The caches are
+Each public function lives in the route module that computes it: the
+triangles and the Dowling and Bell row sums in ``_triangle``, the
+expansion oracles and ``expand_in_falling_basis`` in ``_expansion``,
+``rstirling2_by_difference`` and ``classical_rstirling2`` in
+``_difference``, and the series, the Bernoulli functions included, in
+``series``.  The facades ``stirling``, ``whitney`` and ``bernoulli``
+re-export them, and ``whitney`` also holds ``dobinski_eval``.
+
+Triangles are cached in a dict in ``_triangle``; basis expansions and the
+powers G^k of G = (e^t - 1)/t behind the columns and the Bernoulli bases
+by ``functools.cache``, a power keyed by k alone.  The caches are
 unbounded, and each triangle or table grows under its own lock.
 
 The verification names load on first use.  ``lambda_stirling.identities``

@@ -1,5 +1,7 @@
 """The expansion route, the definition itself: a polynomial written in the
-falling-factorial basis (x)_{k,lam} = x(x-lam)...(x-(k-1)lam).
+falling-factorial basis (x)_{k,lam} = x(x-lam)...(x-(k-1)lam), and the
+oracles ``whitney_r_by_expansion`` and its m = 1 case
+``rstirling2_by_expansion``, which read the expansion of (m x + r)^n.
 """
 
 from __future__ import annotations
@@ -8,7 +10,7 @@ from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
-from .poly import LambdaScalar, Poly, RingElement, _check_index, _falling_basis
+from .poly import LambdaScalar, Poly, RingElement, _check_index, _check_lambda, _falling_basis
 
 
 class BasisExpansion(NamedTuple):
@@ -56,12 +58,24 @@ def _expansion(n: int, m: int, r: int, lam: LambdaScalar) -> tuple:
     return tuple(c / Fraction(m) ** k for k, c in enumerate(coefficients))
 
 
-def _by_expansion(n: int, k: int, m: int, r: int, lam: LambdaScalar) -> RingElement:
-    """Entry k of ``_expansion(n, m, r, lam)``, zero outside 0 <= k <= n."""
-    # checked before the cache, where n = 3.0 would find the key 3
+def whitney_r_by_expansion(n: int, k: int, m: int, r: int, lam: LambdaScalar) -> RingElement:
+    """Definitional oracle: expand (m x + r)^n in the falling-factorial
+    basis and divide coefficient k by m^k (the division is exact); zero
+    outside 0 <= k <= n."""
+    _check_index(m, "parameter m", 1)
+    _check_index(r, "shift r", 0)
+    # checked before the cache, where n = 3.0 would find the key 3 and an
+    # unhashable lam would raise the cache's own TypeError
     _check_index(n, "n", 0)
     _check_index(k, "k")
+    _check_lambda(lam)
     coefficients = _expansion(n, m, r, lam)
     if 0 <= k <= n:
         return coefficients[k]
     return Fraction(0)
+
+
+def rstirling2_by_expansion(n: int, k: int, r: int, lam: LambdaScalar) -> RingElement:
+    """Definitional route for the r-shifted second kind: expand (x+r)^n in
+    the falling-factorial basis and read off coefficient k."""
+    return whitney_r_by_expansion(n, k, 1, r, lam)

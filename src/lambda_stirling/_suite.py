@@ -58,7 +58,7 @@ from . import stirling as _stirling
 _whitney = import_module(".whitney", __package__)
 from .poly import (LambdaScalar, SYMBOLIC, _check_index, _rational, eval_element,
                    format_element)
-from .series import lambda_column
+from .series import whitney_series
 
 
 @dataclass(frozen=True)
@@ -519,7 +519,7 @@ def _columns_against(n_max: int, m: int, r: int, lam: LambdaScalar, lookup):
     """(n, k, EGF coefficient, ``lookup(n, k)``) for n, k <= n_max, reading
     column k of ((e^{lam m t}-1)/m)^k e^{rt}/(lam^k k!) for each k."""
     for k in range(n_max + 1):
-        series = lambda_column(k, m, r, lam, n_max)
+        series = whitney_series(k, m, r, lam, n_max)
         for n in range(n_max + 1):
             yield n, k, series.coeff(n), lookup(n, k)
 
@@ -667,13 +667,9 @@ CHECKS: dict[str, Callable[[SuiteConfig], IdentityReport]] = {
 def check_identity(theorem_id: str, cfg: SuiteConfig | None = None) -> IdentityReport:
     """Run a single named check over the configured grid."""
     cfg = _config(cfg)
-    try:
-        check = CHECKS[theorem_id]
-    except KeyError:
-        raise ValueError(
-            f"unknown check id {theorem_id!r}; valid ids: {', '.join(CHECKS)}"
-        ) from None
-    return check(cfg)
+    if not isinstance(theorem_id, str) or theorem_id not in CHECKS:
+        raise ValueError(f"unknown check id {theorem_id!r}; valid ids: {', '.join(CHECKS)}")
+    return CHECKS[theorem_id](cfg)
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,12 @@ beta = m.  ``_new_triangle`` picks the one integer grower,
 and the one symbolic reader, ``SymbolicTriangle``, which reads an entry's
 lambda coefficients off the integer triangle at lambda = 1.
 
-The seven public triangle readers (in ``stirling`` and ``whitney``) answer
-a warm read in one frame, their own: a subscript of ``_TRIANGLES`` and a
-tuple index.  ``_lookup`` is their miss path, and the one place that
-checks their arguments.
+The seven public triangle readers and the row sums ``dowling_poly`` and
+``bell_poly_lambda`` live here, beside the cache ``_TRIANGLES``; the
+facades ``stirling`` and ``whitney`` re-export them.  A reader answers a
+warm read in one frame, its own: a subscript of ``_TRIANGLES`` and a tuple
+index.  ``_lookup`` is its miss path, and the one place that checks the
+readers' arguments.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from math import comb
 from operator import mul
 from threading import Lock
 
-from .poly import LambdaScalar, Poly, RingElement, _check_index, _check_lambda, _horner
+from .poly import (LambdaScalar, Poly, RingElement, _check_index, _check_lambda, _horner,
+                   _rational)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -191,12 +194,13 @@ def _triangle(lam: LambdaScalar, alpha: int, beta: int, r: int):
     with ``setdefault``, so threads that miss on the same key at once may
     each build one, but only the first stored is kept and every one of them
     gets it.  A hit builds nothing.  A lam that is not a ``LambdaScalar`` is
-    refused by ``_new_triangle`` and stored nowhere.
+    refused by ``_new_triangle`` and stored nowhere, an unhashable one too:
+    only such a lam makes the key unhashable.
     """
     key = (lam, alpha, beta, r)
     try:
         return _TRIANGLES[key]
-    except KeyError:
+    except (KeyError, TypeError):
         return _TRIANGLES.setdefault(key, _new_triangle(lam, alpha=alpha, beta=beta, r=r))
 
 
@@ -221,3 +225,106 @@ def _lookup(n: int, k: int, lam: LambdaScalar, alpha: int, beta: int, r: int) ->
         _check_index(k, "k")
         _check_index(r, "shift r", 0)
     return _triangle(lam, alpha, beta, r).value(n, k)
+
+
+def rstirling2_lambda(n: int, k: int, r: int, lam: LambdaScalar) -> RingElement:
+    """Entry T(n, k) of the r-shifted second-kind triangle, tabulated by the
+    recurrence T(n+1, k) = T(n, k-1) + (lam*k + r) * T(n, k)."""
+    if type(n) is int and type(k) is int and type(r) is int:
+        try:
+            row = _TRIANGLES[lam, 0, 1, r]._rows[n]
+        except (KeyError, IndexError, TypeError):
+            row = None
+        if type(row) is tuple and 0 <= k <= n:
+            return row[k]
+    return _lookup(n, k, lam, 0, 1, r)
+
+
+def stirling2_lambda(n: int, k: int, lam: LambdaScalar) -> RingElement:
+    """Plain second-kind number: coefficient of (x)_{k,lam} in x^n."""
+    if type(n) is int and type(k) is int:
+        try:
+            row = _TRIANGLES[lam, 0, 1, 0]._rows[n]
+        except (KeyError, IndexError, TypeError):
+            row = None
+        if type(row) is tuple and 0 <= k <= n:
+            return row[k]
+    return _lookup(n, k, lam, 0, 1, 0)
+
+
+def rstirling1_lambda(n: int, k: int, r: int, lam: LambdaScalar) -> RingElement:
+    """Coefficient of x^k in the shifted falling factorial
+    (x+r)(x+r-lam)...(x+r-(n-1)lam); row extension multiplies by (x+r-n*lam)."""
+    if type(n) is int and type(k) is int and type(r) is int:
+        try:
+            row = _TRIANGLES[lam, 1, 0, r]._rows[n]
+        except (KeyError, IndexError, TypeError):
+            row = None
+        if type(row) is tuple and 0 <= k <= n:
+            return row[k]
+    return _lookup(n, k, lam, 1, 0, r)
+
+
+def stirling1_lambda(n: int, k: int, lam: LambdaScalar) -> RingElement:
+    """Coefficient of x^k in the plain falling factorial (x)_{n,lam}."""
+    if type(n) is int and type(k) is int:
+        try:
+            row = _TRIANGLES[lam, 1, 0, 0]._rows[n]
+        except (KeyError, IndexError, TypeError):
+            row = None
+        if type(row) is tuple and 0 <= k <= n:
+            return row[k]
+    return _lookup(n, k, lam, 1, 0, 0)
+
+
+def unsigned_rstirling1_lambda(n: int, k: int, r: int, lam: LambdaScalar) -> RingElement:
+    """Coefficient of x^k in the shifted rising product
+    (x+r)(x+r+lam)...(x+r+(n-1)lam)."""
+    if type(n) is int and type(k) is int and type(r) is int:
+        try:
+            row = _TRIANGLES[lam, -1, 0, r]._rows[n]
+        except (KeyError, IndexError, TypeError):
+            row = None
+        if type(row) is tuple and 0 <= k <= n:
+            return row[k]
+    return _lookup(n, k, lam, -1, 0, r)
+
+
+def whitney_r(n: int, k: int, m: int, r: int, lam: LambdaScalar) -> RingElement:
+    """Shifted Whitney-type number, tabulated by the recurrence
+    W(n+1, k) = W(n, k-1) + (lam*m*k + r) * W(n, k)."""
+    if type(n) is int and type(k) is int and type(m) is int and type(r) is int:
+        try:
+            row = _TRIANGLES[lam, 0, m, r]._rows[n]
+        except (KeyError, IndexError, TypeError):
+            row = None
+        if type(row) is tuple and 0 <= k <= n:
+            return row[k]
+    return _lookup(n, k, lam, 0, m, r)
+
+
+def whitney(n: int, k: int, m: int, lam: LambdaScalar) -> RingElement:
+    """Whitney-type number with unit shift (the Dowling-lattice case)."""
+    if type(n) is int and type(k) is int and type(m) is int:
+        try:
+            row = _TRIANGLES[lam, 0, m, 1]._rows[n]
+        except (KeyError, IndexError, TypeError):
+            row = None
+        if type(row) is tuple and 0 <= k <= n:
+            return row[k]
+    return _lookup(n, k, lam, 0, m, 1)
+
+
+def dowling_poly(n: int, x, m: int, lam: LambdaScalar) -> RingElement:
+    """Dowling polynomial d(n, x) = sum_k W(n, k) x^k, summed over ``int``
+    by the Whitney triangle's ``row_sum``."""
+    _check_index(n, "n", 0)
+    _check_index(m, "parameter m", 1)
+    return _triangle(lam, 0, m, 1).row_sum(n, _rational(x, "x"))
+
+
+def bell_poly_lambda(n: int, x, lam: LambdaScalar) -> RingElement:
+    """Deformed Bell polynomial: row sum of the plain second-kind triangle
+    against powers of x."""
+    _check_index(n, "n", 0)
+    return _triangle(lam, 0, 1, 0).row_sum(n, _rational(x, "x"))

@@ -17,9 +17,14 @@ G^(-m).  Every power is one O(N^2) pass of J.C.P. Miller's recurrence, whose
 multipliers are integers, so it runs on integer numerators over one
 denominator (``_power_ints``).  G^k depends on k alone, so one cached table
 per nonzero k (``_power_table``) keeps that form and grows it in place: the
-columns read k >= 1, the Bernoulli bases k = -m.  ``lambda_column`` mixes
-lam, m and r in on every call, never divides by lam, and reads no triangle.
-The closed Dowling EGF (``dowling_series``) is one exponential, over ``int``.
+columns read k >= 1, the Bernoulli bases k = -m.  The column function
+``whitney_series`` (``second_kind_series`` is its m = 1 call) mixes lam, m
+and r in on every call, never divides by lam, and reads no triangle.  The
+higher-order Bernoulli numbers B_n^(m) are the EGF coefficients of
+(t/(e^t - 1))^m = G^(-m) (``bernoulli_base_series``), and B_n^(m)(x), the
+coefficients of G^(-m) e^{x t}, the table's binomial mix sum_j C(n, j)
+B_j^(m) x^(n-j) (``bernoulli_higher``); at m = 1, B_1 = -1/2.  The closed
+Dowling EGF (``dowling_series``) is one exponential, over ``int``.
 """
 
 from __future__ import annotations
@@ -246,10 +251,12 @@ class _PowerTable:
 _power_table = cache(_PowerTable)
 
 
-def lambda_column(k: int, m: int, r: int, lam: LambdaScalar, order: int) -> TruncatedSeries:
-    """Column k of the Whitney-type r-Stirling numbers of parameter m,
-    C_k = ((e^{lam m t} - 1)/(lam m))^k e^{r t} / k! = (t^k / k!) G^k(lam m t)
-    e^{r t} with G = (e^t - 1)/t, truncated at ``order``.
+def whitney_series(k: int, m: int, r: int, lam: LambdaScalar, order: int) -> TruncatedSeries:
+    """EGF route: column k of the Whitney-type r-Stirling numbers of
+    parameter m, C_k = ((e^{lam m t} - 1)/(lam m))^k e^{r t} / k! =
+    (t^k / k!) G^k(lam m t) e^{r t} with G = (e^t - 1)/t, truncated at
+    ``order``; its EGF coefficients are the shifted Whitney-type numbers
+    (r = 1: the plain family).
 
     The table of G^k (``_power_table``) gives h_j = N_j / D, j <= order - k,
     which do not depend on lam, m or r; then C_k[n] = C(n, k) s_(n-k), where
@@ -264,6 +271,8 @@ def lambda_column(k: int, m: int, r: int, lam: LambdaScalar, order: int) -> Trun
     checks.  Column 0 holds the ``Fraction`` powers of r, a column past
     ``order`` is zero without being computed, and symbolic columns with
     k >= 1 hold only ``Poly`` coefficients, all others only ``Fraction``."""
+    _check_index(m, "parameter m", 1)
+    _check_index(r, "shift r", 0)
     _check_index(k, "k", 0)
     _check_index(order, "order", 0)
     _check_lambda(lam)
@@ -293,3 +302,30 @@ def lambda_column(k: int, m: int, r: int, lam: LambdaScalar, order: int) -> Trun
         row = [a + x * b for a, b in zip(row[1:], row)] if x else row[1:]
     coeffs += [Fraction(comb(i + k, k) * s, den * q**i) for i, s in enumerate(sums)]
     return TruncatedSeries(coeffs)
+
+
+def second_kind_series(k: int, r: int, lam: LambdaScalar, order: int) -> TruncatedSeries:
+    """EGF route: the series ((e^{lam t} - 1)/lam)^k e^{r t} / k! carries
+    the r-shifted second-kind numbers T(n, k) as its EGF coefficients: the
+    column ``whitney_series`` at m = 1."""
+    return whitney_series(k, 1, r, lam, order)
+
+
+def bernoulli_base_series(m: int, order: int) -> TruncatedSeries:
+    """(t/(e^t - 1))^m as a truncated EGF: the coefficients B_0..B_order
+    of the order-m table, grown if needed."""
+    _check_index(m, "order m", 1)  # before the cache, as in ``bernoulli_higher``
+    _check_index(order, "truncation order", 0)
+    den, nums = _power_table(-m)._snapshot(order)
+    return TruncatedSeries([Fraction(c, den) for c in nums[: order + 1]])
+
+
+def bernoulli_higher(n: int, m: int, x) -> Fraction:
+    """B_n^(m)(x) for nonnegative integer n, positive integer order m,
+    rational x (an ``int`` or a ``Fraction``)."""
+    # checked before the cache, where a float m would find the table of
+    # the equal int
+    _check_index(m, "order m", 1)
+    _check_index(n, "n", 0)
+    x = _rational(x, "x")
+    return _power_table(-m).value(n, x)

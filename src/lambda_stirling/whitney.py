@@ -1,17 +1,15 @@
 """Whitney-type numbers, Dowling and Bell polynomials, and the numeric
-Dobinski-style evaluator: a facade that picks a verification route for each
-public name.
+Dobinski-style evaluator: a facade that re-exports each public function
+from the verification route that computes it, and the front end of the
+Dobinski sum.
 
 The Whitney-type numbers W(n, k) of parameter m and shift r are the
-coefficients in (m x + r)^n = sum_k W(n, k) m^k (x)_{k,lam}.  ``whitney``,
-``whitney_r`` and the row sums ``dowling_poly`` (r = 1) and
-``bell_poly_lambda`` (the plain second kind) read the recurrence
-(``_triangle``); ``whitney`` and ``whitney_r`` each answer a warm read in
-their own frame, a subscript of ``_TRIANGLES`` and a tuple index behind
-exact ``int`` type tests, and hand every other case to ``_lookup``, the
-miss path, which checks the arguments.  ``whitney_r_by_expansion`` reads
-the basis expansion (``_expansion``), and
-``whitney_series`` and ``dowling_series`` the EGF route (``series``).
+coefficients in (m x + r)^n = sum_k W(n, k) m^k (x)_{k,lam}.
+
+* ``_triangle``, the recurrence: ``whitney``, ``whitney_r`` and the row sums
+  ``dowling_poly`` and ``bell_poly_lambda``;
+* ``_expansion``, the basis expansion: ``whitney_r_by_expansion``;
+* ``series``, the EGFs: ``whitney_series`` and ``dowling_series``.
 
 ``dobinski_eval`` sums the Dobinski-style series on the domain that
 ``_dobinski_domain`` checks, exactly over ``int`` but for e^{-c}
@@ -28,10 +26,10 @@ from fractions import Fraction
 from math import inf
 from typing import NamedTuple
 
-from ._expansion import _by_expansion
-from ._triangle import _TRIANGLES, _lookup, _triangle
+from ._expansion import whitney_r_by_expansion
+from ._triangle import bell_poly_lambda, dowling_poly, whitney, whitney_r
 from .poly import SYMBOLIC, LambdaScalar, RingElement, _check_index, _rational
-from .series import TruncatedSeries, dowling_series, lambda_column
+from .series import TruncatedSeries, dowling_series, whitney_series
 
 DOBINSKI_DIGITS = 40  # least decimal working precision of dobinski_eval
 DOBINSKI_TOL = 1e-12  # default tolerance of dobinski_eval
@@ -40,64 +38,6 @@ DOBINSKI_MAX_TERMS = 100000  # past this many terms the sum raises ArithmeticErr
 
 class UnsupportedDomainError(ValueError):
     """Parameters outside the domain where the numeric series converges."""
-
-
-def whitney_r(n: int, k: int, m: int, r: int, lam: LambdaScalar) -> RingElement:
-    """Shifted Whitney-type number, tabulated by the recurrence
-    W(n+1, k) = W(n, k-1) + (lam*m*k + r) * W(n, k)."""
-    if type(n) is int and type(k) is int and type(m) is int and type(r) is int:
-        try:
-            row = _TRIANGLES[lam, 0, m, r]._rows[n]
-        except (KeyError, IndexError, TypeError):
-            row = None
-        if type(row) is tuple and 0 <= k <= n:
-            return row[k]
-    return _lookup(n, k, lam, 0, m, r)
-
-
-def whitney(n: int, k: int, m: int, lam: LambdaScalar) -> RingElement:
-    """Whitney-type number with unit shift (the Dowling-lattice case)."""
-    if type(n) is int and type(k) is int and type(m) is int:
-        try:
-            row = _TRIANGLES[lam, 0, m, 1]._rows[n]
-        except (KeyError, IndexError, TypeError):
-            row = None
-        if type(row) is tuple and 0 <= k <= n:
-            return row[k]
-    return _lookup(n, k, lam, 0, m, 1)
-
-
-def whitney_r_by_expansion(n: int, k: int, m: int, r: int, lam: LambdaScalar) -> RingElement:
-    """Definitional oracle: expand (m x + r)^n in the falling-factorial
-    basis and divide coefficient k by m^k (the division is exact)."""
-    _check_index(m, "parameter m", 1)
-    _check_index(r, "shift r", 0)
-    return _by_expansion(n, k, m, r, lam)
-
-
-def whitney_series(k: int, m: int, r: int, lam: LambdaScalar, order: int) -> TruncatedSeries:
-    """EGF route: ((e^{lam m t} - 1)/(lam m))^k e^{r t} / k!, that is
-    (t^k / k!) G^k(lam m t) e^{r t} with G = (e^t - 1)/t, carries the shifted
-    Whitney-type numbers as EGF coefficients (r = 1: the plain family); it is
-    ``series.lambda_column``, one integer power recurrence."""
-    _check_index(m, "parameter m", 1)
-    _check_index(r, "shift r", 0)
-    return lambda_column(k, m, r, lam, order)
-
-
-def dowling_poly(n: int, x, m: int, lam: LambdaScalar) -> RingElement:
-    """Dowling polynomial d(n, x) = sum_k W(n, k) x^k, summed over ``int``
-    by the Whitney triangle's ``row_sum``."""
-    _check_index(n, "n", 0)
-    _check_index(m, "parameter m", 1)
-    return _triangle(lam, 0, m, 1).row_sum(n, _rational(x, "x"))
-
-
-def bell_poly_lambda(n: int, x, lam: LambdaScalar) -> RingElement:
-    """Deformed Bell polynomial: row sum of the plain second-kind triangle
-    against powers of x."""
-    _check_index(n, "n", 0)
-    return _triangle(lam, 0, 1, 0).row_sum(n, _rational(x, "x"))
 
 
 class DowlingValue(NamedTuple):

@@ -73,6 +73,7 @@ HOSTILE = {
     "huge denominator": Fraction(1, 10**40),
     "negative": -3,
     "non-integral": Fraction(7, 2),
+    "unhashable": [HALF],
 }
 # how a message names a parameter, where not by the parameter's own name
 NAMED_AS = {

@@ -14,7 +14,7 @@ from fractions import Fraction
 from lambda_stirling.bernoulli import bernoulli_base_series, bernoulli_higher
 from lambda_stirling.cli import main
 from lambda_stirling.poly import SYMBOLIC, LambdaScalar, Poly, falling_factorial_poly
-from lambda_stirling.series import TruncatedSeries, lambda_column
+from lambda_stirling.series import TruncatedSeries, whitney_series
 from lambda_stirling.stirling import (
     expand_in_falling_basis,
     rstirling1_lambda,
@@ -87,7 +87,7 @@ def series_group_lines():
             for r in (0, 1, 3):
                 for order in ORDERS:
                     for first in (0, 1, 3, 9):
-                        lines.extend(repr(lambda_column(k, m, r, lam, order))
+                        lines.extend(repr(whitney_series(k, m, r, lam, order))
                                      for k in range(first, first + 3))
     for lam in DOWLING_LAMBDAS:
         for x in ("1/2", "0", "-3", "7/5"):

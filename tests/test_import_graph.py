@@ -8,10 +8,18 @@ alone (``_dobinski`` also mpmath), and only the facades, ``_suite`` and
 ``cli`` import more than one route.  The graph is read from each module's
 ``ast``: its top-level imports, the imports inside its functions, and
 ``import_module`` and ``__import__`` calls given a literal name.
+
+Each public function lives in the route that computes it, and a facade
+only re-exports it: ``stirling`` and ``bernoulli`` define nothing,
+``whitney`` only the front end of the Dobinski sum, and only ``_triangle``
+knows the triangle cache.
 """
 
 import ast
+import importlib
+import re
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -107,7 +115,7 @@ def test_bernoulli_reads_only_the_series_route():
     # the Bernoulli bases are powers of G in the series tables, and no
     # triangle enters them
     assert {name for name in module_imports("bernoulli") if name.startswith(".")} == {
-        ".poly", ".series"}
+        ".series"}
 
 
 @pytest.mark.parametrize("facade", FACADES)
@@ -121,3 +129,91 @@ def test_a_facade_imports_a_private_name_only_to_use_it(facade):
     used = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     assert imported <= used
+
+
+def definitions(module: str) -> tuple:
+    """The names of the functions (nested ones too) and of the classes
+    that ``module`` defines."""
+    nodes = list(ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())))
+    functions = {node.name for node in nodes
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    classes = {node.name for node in nodes if isinstance(node, ast.ClassDef)}
+    return functions, classes
+
+
+@pytest.mark.parametrize("facade", ["stirling", "bernoulli"])
+def test_a_pure_facade_defines_nothing_and_imports_no_private_name(facade):
+    tree = ast.parse((PACKAGE / f"{facade}.py").read_text())
+    assert definitions(facade) == (set(), set())
+    assert not any(isinstance(node, ast.Lambda) for node in ast.walk(tree))
+    private = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+
+
+def test_whitney_defines_only_the_dobinski_front_end():
+    assert definitions("whitney") == ({"_dobinski_domain", "dobinski_eval"},
+                                      {"DowlingValue", "UnsupportedDomainError"})
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_the_triangle_route_names_its_cache(module):
+    # the key (lam, alpha, beta, r) and the list-or-tuple row convention
+    # have one owner; the readers and row sums live beside them
+    text = (PACKAGE / f"{module}.py").read_text()
+    assert module == "_triangle" or not re.search(r"\b(_TRIANGLES|_lookup)\b", text)
+
+
+# the public names of the package (its __all__) and of each facade (every
+# name it binds without an underscore, but those it imports from outside
+# the package); the CLI, the suite and the benchmark's tracer and workloads
+# read the facades' names as module attributes
+PUBLIC_NAMES = {
+    "lambda_stirling": [
+        "BasisExpansion", "CHECKS", "DowlingValue", "IdentityReport", "LambdaScalar",
+        "Poly", "Providers", "SYMBOLIC", "SuiteConfig", "SuiteResult",
+        "Theorem13Resolution", "TruncatedSeries", "UnsupportedDomainError",
+        "__version__", "bell_poly_lambda", "bernoulli_base_series", "bernoulli_higher",
+        "check_identity", "classical_rstirling2", "dobinski_eval", "dowling_poly",
+        "dowling_series", "eval_element", "expand_in_falling_basis",
+        "falling_factorial_poly", "format_element", "resolve_theorem13_variant",
+        "rstirling1_lambda", "rstirling2_by_difference", "rstirling2_by_expansion",
+        "rstirling2_lambda", "run_suite", "second_kind_series", "stirling1_lambda",
+        "stirling2_lambda", "unsigned_rstirling1_lambda", "whitney", "whitney_r",
+        "whitney_r_by_expansion", "whitney_series",
+    ],
+    "stirling": [
+        "BasisExpansion", "LambdaScalar", "RingElement", "TruncatedSeries",
+        "classical_rstirling2", "expand_in_falling_basis", "rstirling1_lambda",
+        "rstirling2_by_difference", "rstirling2_by_expansion", "rstirling2_lambda",
+        "second_kind_series", "stirling1_lambda", "stirling2_lambda",
+        "unsigned_rstirling1_lambda",
+    ],
+    "whitney": [
+        "DOBINSKI_DIGITS", "DOBINSKI_MAX_TERMS", "DOBINSKI_TOL", "DowlingValue",
+        "LambdaScalar", "RingElement", "SYMBOLIC", "TruncatedSeries",
+        "UnsupportedDomainError", "bell_poly_lambda", "dobinski_eval", "dowling_poly",
+        "dowling_series", "whitney", "whitney_r", "whitney_r_by_expansion",
+        "whitney_series",
+    ],
+    "bernoulli": ["TruncatedSeries", "bernoulli_base_series", "bernoulli_higher"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC_NAMES))
+def test_the_public_names_are_pinned(name):
+    if name == "lambda_stirling":
+        module, public = lambda_stirling, set(lambda_stirling.__all__)
+    else:
+        module = importlib.import_module(f"lambda_stirling.{name}")
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+        outside = {(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+                   if isinstance(node, ast.Import)
+                   or isinstance(node, ast.ImportFrom) and not node.level
+                   for alias in node.names}
+        public = {key for key, value in vars(module).items()
+                  if not key.startswith("_") and key not in outside
+                  and not isinstance(value, types.ModuleType)}
+    assert sorted(public) == PUBLIC_NAMES[name]
+    for key in public:
+        getattr(module, key)

@@ -66,6 +66,10 @@ def test_equality_with_scalars():
     assert Poly([Fraction(5)]) == 5
     assert Poly.zero() == 0
     assert X != 3
+    # a value that is no ring element, a float included, is left to the
+    # other operand, and compares unequal
+    assert Poly([3]).__eq__(3.0) is NotImplemented
+    assert Poly([3]) != 3.0 and X != "x"
 
 
 def test_hash_matches_scalar_for_constants():

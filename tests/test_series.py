@@ -14,9 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lambda_stirling.bernoulli import bernoulli_base_series, bernoulli_higher
-from lambda_stirling import _triangle, bernoulli, series
+from lambda_stirling import _triangle, series
 from lambda_stirling.poly import SYMBOLIC, LambdaScalar, Poly
-from lambda_stirling.series import TruncatedSeries, lambda_column
+from lambda_stirling.series import TruncatedSeries
 from lambda_stirling.stirling import rstirling2_by_difference, second_kind_series
 from lambda_stirling.whitney import dowling_series, whitney_series
 
@@ -57,6 +57,10 @@ def test_series_is_an_immutable_value():
     assert table[s] == table[TruncatedSeries([1, 2, 3])] == "found"
     copy = pickle.loads(pickle.dumps(s))
     assert copy == s and hash(copy) == hash(s) and repr(copy) == repr(s)
+    # a value that is no series, even its own coefficient tuple, is left
+    # to the other operand, and compares unequal
+    assert s.__eq__(s.coeffs) is NotImplemented
+    assert s != s.coeffs and s != 1
 
 
 def test_mul_is_binomial_convolution():
@@ -93,7 +97,7 @@ def test_negative_order_rejected():
     with pytest.raises(ValueError):
         TruncatedSeries([])
     with pytest.raises(ValueError):
-        lambda_column(1, 1, 0, HALF, -1)
+        whitney_series(1, 1, 0, HALF, -1)
     with pytest.raises(ValueError):
         dowling_series(Fraction(2), 1, HALF, -3)
     with pytest.raises(ValueError):
@@ -146,7 +150,7 @@ def test_exp_matches_power_sum_oracle(tail):
 
 def test_symbolic_base_column_is_lambda_powers():
     # column 1 at m = 1, r = 0 is the base (e^{lam t} - 1)/lam itself
-    base = lambda_column(1, 1, 0, SYMBOLIC, 6)
+    base = whitney_series(1, 1, 0, SYMBOLIC, 6)
     assert base.coeff(0) == 0
     for n in range(1, 7):
         assert base.coeff(n) == LAM ** (n - 1)
@@ -160,7 +164,7 @@ def test_column_coefficient_types(order):
     for lam in lams:
         for m in (1, 3):
             for r in (0, 2):
-                columns = [lambda_column(k, m, r, lam, order) for k in range(order + 3)]
+                columns = [whitney_series(k, m, r, lam, order) for k in range(order + 3)]
                 for k, column in enumerate(columns):
                     direct = [whitney_series(k, m, r, lam, order)]
                     if m == 1:
@@ -197,7 +201,7 @@ def test_columns_match_generic_series_oracle(lam, m, r, order_first):
     kind = Poly if lam.is_symbolic else Fraction
     expected_columns = islice(oracle, first, None)
     for k, expected in zip(range(first, first + 3), expected_columns):
-        column = lambda_column(k, m, r, lam, order)
+        column = whitney_series(k, m, r, lam, order)
         assert [lambda_coeffs(c) for c in column.coeffs] == expected, (k, order)
         assert all(type(c) is (kind if k else Fraction) for c in column.coeffs)
 
@@ -252,14 +256,14 @@ def test_power_tables_grow_safely_and_apart(monkeypatch):
     lams = [LambdaScalar.fixed(Fraction(v)) for v in ("1/3", "-5/2", "2")] + [SYMBOLIC]
     requests = [(order, lam, r) for order in range(4, 61, 4) for lam in lams for r in (0, 3)]
     monkeypatch.setattr(series, "_power_table", cache(series._PowerTable))
-    expected = {req: lambda_column(4, 2, req[2], req[1], req[0]) for req in requests}
+    expected = {req: whitney_series(4, 2, req[2], req[1], req[0]) for req in requests}
     monkeypatch.setattr(series, "_power_table", cache(series._PowerTable))
     seen = []
 
     def worker(i):
         mine = requests[i * 15:] + requests[: i * 15]
         for order, lam, r in (reversed(mine) if i % 2 else mine):
-            seen.append(((order, lam, r), lambda_column(4, 2, r, lam, order)))
+            seen.append(((order, lam, r), whitney_series(4, 2, r, lam, order)))
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -278,11 +282,10 @@ def test_power_tables_grow_safely_and_apart(monkeypatch):
 
     tables = cache(series._PowerTable)
     monkeypatch.setattr(series, "_power_table", tables)
-    monkeypatch.setattr(bernoulli, "_power_table", tables)
     lam, x = LambdaScalar.fixed(Fraction(1, 3)), Fraction(2, 5)
     classical = higher_bernoulli(3, 24)
     for n in range(3, 25):
-        assert list(lambda_column(3, 1, 0, lam, n).coeffs) == [
+        assert list(whitney_series(3, 1, 0, lam, n).coeffs) == [
             rstirling2_by_difference(j, 3, 0, Fraction(1, 3)) for j in range(n + 1)]
         assert bernoulli_higher(n, 3, x) == sum(
             comb(n, j) * classical[j] * x ** (n - j) for j in range(n + 1))
@@ -301,9 +304,8 @@ def test_columns_and_bernoulli_bases_read_no_triangle(monkeypatch):
     monkeypatch.setattr(_triangle, "_triangle", refuse)
     monkeypatch.setattr(_triangle.NumberTriangle, "_row", refuse)
     monkeypatch.setattr(series, "_power_table", cache(series._PowerTable))
-    monkeypatch.setattr(bernoulli, "_power_table", cache(series._PowerTable))
     for lam in (SYMBOLIC, LambdaScalar.fixed(Fraction(-2, 3))):
-        assert lambda_column(3, 2, 1, lam, 12).order == 12
+        assert whitney_series(3, 2, 1, lam, 12).order == 12
     assert dowling_series(Fraction(1, 2), 2, LambdaScalar.fixed(Fraction(-2, 3)), 12).order == 12
     assert bernoulli_base_series(2, 12).order == 12
     assert bernoulli_higher(12, 2, Fraction(1, 3)) == sum(
@@ -357,14 +359,14 @@ def test_non_integer_column_index_rejected():
 
 @pytest.mark.parametrize("call", [
     lambda: TruncatedSeries([1, 2, 3]).coeff(1.0),
-    lambda: lambda_column(1, 1, 0, HALF, 2.5),
+    lambda: whitney_series(1, 1, 0, HALF, 2.5),
     lambda: second_kind_series(1, 0, HALF, 2.5),
     lambda: whitney_series(1, 2, 1, HALF, 2.5),
     lambda: dowling_series(Fraction(1), 1, HALF, 2.5),
     lambda: bernoulli_base_series(1, 2.5),
     lambda: bernoulli_higher(2.5, 1, 0),
 ], ids=[
-    "coeff", "lambda_column", "second_kind_series",
+    "coeff", "whitney_series_m1", "second_kind_series",
     "whitney_series", "dowling_series", "bernoulli_base_series",
     "bernoulli_higher",
 ])

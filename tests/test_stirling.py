@@ -503,7 +503,7 @@ BAD_ARGUMENTS = (
     ("m", 0, ValueError("parameter m must be positive")),
     ("m", -1, ValueError("parameter m must be positive")),
     ("lam", Fraction(1, 3), TypeError("lam must be a LambdaScalar")),
-    ("lam", [LambdaScalar.fixed(Fraction(1, 3))], TypeError("unhashable type: 'list'")),
+    ("lam", [LambdaScalar.fixed(Fraction(1, 3))], TypeError("lam must be a LambdaScalar")),
 )
 
 

@@ -395,6 +395,33 @@ def test_dobinski_stops_at_the_first_term_both_tests_pass(lam):
                 assert dobinski_eval(n, x, m, lam, tol).truncation_terms == k
 
 
+@pytest.mark.parametrize("n, x, m, lam", [
+    (60, Fraction(200), 1, Fraction(1)),
+    (5, Fraction(2000), 1, Fraction(1)),
+    (3, Fraction(50), 2, Fraction(1, 10)),
+])
+def test_dobinski_stop_search_falls_back_to_the_exact_comparison(monkeypatch, n, x, m, lam):
+    # with every float logarithm 0.0 no probe of the bisection is far enough
+    # from the bound for the logarithms to settle it, so each probe that
+    # passes the ratio test takes the exact comparison over int, the one
+    # reader of factorial; the stop and every field stay the same
+    want = dobinski_eval(n, x, m, lam)
+    exact = []
+
+    def counted(k):
+        exact.append(k)
+        return factorial(k)
+
+    monkeypatch.setattr(_dobinski, "log", lambda value: 0.0)
+    monkeypatch.setattr(_dobinski, "lgamma", lambda value: 0.0)
+    monkeypatch.setattr(_dobinski, "factorial", counted)
+    got = dobinski_eval(n, x, m, lam)
+    assert exact
+    for field in got._fields:
+        assert getattr(got, field) == getattr(want, field), field
+    assert got.numeric._mpf_ == want.numeric._mpf_
+
+
 @pytest.mark.parametrize("n, x, m, lam, k", [
     (1, Fraction(1, 3), 1, Fraction(1), 12),
     (200, Fraction(50), 1, Fraction(1), 798),
