@@ -22,9 +22,12 @@ that ``_grid_text`` names.  ``CHECKS`` maps each id to the resulting
 ``cfg -> IdentityReport`` callable; ``run_suite`` and ``check_identity``
 look an entry up at call time, so a callable put in its place runs instead.
 
-Value lookups go through an injectable ``Providers`` bundle.  The default
-bundle is the real library; tests inject deliberately corrupted recurrences
-to demonstrate that every check actually bites (negative controls).
+A check reaches each route one way, never by a bare name: a triangle or
+Bernoulli value through the injectable ``Providers`` bundle, whose defaults
+are the route functions the facades re-export, and any other route as a
+``stirling`` or ``whitney`` attribute looked up at call time.  Tests inject
+deliberately corrupted recurrences to demonstrate that every check actually
+bites (negative controls).
 
 Two checks resolve ambiguities empirically rather than assuming an answer:
 
@@ -45,33 +48,33 @@ Two checks resolve ambiguities empirically rather than assuming an answer:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from importlib import import_module
 from math import comb
 from typing import Callable
 
-from . import bernoulli as _bernoulli
+from . import _triangle
+from . import series as _series
 from . import stirling as _stirling
 # the package binds the function ``whitney`` over the submodule's name, so
 # ``from . import whitney`` would return the function
 _whitney = import_module(".whitney", __package__)
 from .poly import (LambdaScalar, SYMBOLIC, _check_index, _rational, eval_element,
                    format_element)
-from .series import whitney_series
 
 
 @dataclass(frozen=True)
 class Providers:
     """The value sources the checks consume; swap entries to test the suite."""
 
-    stirling2: Callable = _stirling.stirling2_lambda
-    rstirling2: Callable = _stirling.rstirling2_lambda
-    stirling1: Callable = _stirling.stirling1_lambda
-    unsigned_rstirling1: Callable = _stirling.unsigned_rstirling1_lambda
-    whitney: Callable = _whitney.whitney
-    whitney_r: Callable = _whitney.whitney_r
-    bernoulli: Callable = _bernoulli.bernoulli_higher
+    stirling2: Callable = _triangle.stirling2_lambda
+    rstirling2: Callable = _triangle.rstirling2_lambda
+    stirling1: Callable = _triangle.stirling1_lambda
+    unsigned_rstirling1: Callable = _triangle.unsigned_rstirling1_lambda
+    whitney: Callable = _triangle.whitney
+    whitney_r: Callable = _triangle.whitney_r
+    bernoulli: Callable = _series.bernoulli_higher
 
 
 @dataclass(frozen=True)
@@ -117,8 +120,7 @@ class SuiteConfig:
             for v in getattr(self, name):
                 _check_index(v, f"{name} entry {v!r}", 1)
         for name in ("fixed_lambdas", "bernoulli_shift_lambdas", "egf_lambdas"):
-            for v in getattr(self, name):
-                LambdaScalar.fixed(v)
+            _fixed(getattr(self, name))
         for x in self.egf_x_values:
             _rational(x, "egf_x_values entry")
         for x in self.dobinski_x_values:
@@ -139,7 +141,12 @@ class SuiteConfig:
 
     def lambdas(self) -> tuple:
         """The fixed-lambda scalars, then the symbolic one."""
-        return tuple(LambdaScalar.fixed(v) for v in self.fixed_lambdas) + (SYMBOLIC,)
+        return _fixed(self.fixed_lambdas) + (SYMBOLIC,)
+
+
+def _fixed(grid) -> tuple:
+    """A fixed-lambda grid as ``LambdaScalar``s, for the checks and ``validate``."""
+    return tuple(LambdaScalar.fixed(v) for v in grid)
 
 
 @dataclass(frozen=True)
@@ -156,15 +163,9 @@ class IdentityReport:
             raise ValueError("a passing report needs at least one instance")
 
     def to_dict(self) -> dict:
-        out = {
-            "theorem_id": self.theorem_id,
-            "parameter_grid": self.parameter_grid,
-            "checked_instances": self.checked_instances,
-            "status": self.status,
-            "witness": self.witness,
-        }
-        if self.details is not None:
-            out["details"] = self.details
+        out = asdict(self)
+        if self.details is None:
+            del out["details"]
         return out
 
 
@@ -246,14 +247,13 @@ def _cells(n_max: int):
 def _check_t2(cfg: SuiteConfig, p: Providers):
     """Finite-difference closed form against the tabulated triangle,
     including the vanishing rectangle 0 <= n < k."""
-    for lam_value in cfg.fixed_lambdas:
-        lam = LambdaScalar.fixed(lam_value)
+    for lam in _fixed(cfg.fixed_lambdas):
         for r in cfg.r_values:
             for n in range(cfg.n_max + 1):
                 for k in range(cfg.n_max + 1):
-                    lhs = _stirling.rstirling2_by_difference(n, k, r, lam_value)
+                    lhs = _stirling.rstirling2_by_difference(n, k, r, lam)
                     rhs = p.rstirling2(n, k, r, lam)
-                    yield {"n": n, "k": k, "r": r, "lambda": lam_value}, lhs, rhs
+                    yield {"n": n, "k": k, "r": r, "lambda": lam}, lhs, rhs
 
 
 @_grid("T3", "n <= {n_max}, k <= n, r in {r}, all lambda modes")
@@ -327,8 +327,7 @@ def _check_t6(cfg: SuiteConfig, p: Providers):
 def _check_t7(cfg: SuiteConfig, p: Providers):
     """Bernoulli connection: T(n,k)/C(k+m,k) equals the binomial mix of the
     plain triangle against higher-order Bernoulli values at r/lam."""
-    for lam_value in cfg.fixed_lambdas:
-        lam = LambdaScalar.fixed(lam_value)
+    for lam in _fixed(cfg.fixed_lambdas):
         for r in cfg.r_values:
             shift = Fraction(r) / lam.value
             for m in cfg.m_values:
@@ -341,8 +340,7 @@ def _check_t7(cfg: SuiteConfig, p: Providers):
                         * lam.value ** (n - l)
                         for l in range(k, n + 1)
                     )
-                    params = {"n": n, "k": k, "m": m, "r": r, "lambda": lam_value}
-                    yield params, lhs, rhs
+                    yield {"n": n, "k": k, "m": m, "r": r, "lambda": lam}, lhs, rhs
 
 
 @_grid("T9", "n <= {n_max}, k <= n, symbolic lambda")
@@ -381,8 +379,7 @@ def _t13_variant(variant: str, numerator):
         """One candidate argument convention for the Whitney/Bernoulli
         convolution: W_r(n,k)/C(k+a,k) = sum_l C(n,l)/C(l+a,l) W(l+a,k+a)
         B_(n-l)^(a)(ARG) (lam m)^(n-l)."""
-        for lam_value in cfg.bernoulli_shift_lambdas:
-            lam = LambdaScalar.fixed(lam_value)
+        for lam in _fixed(cfg.bernoulli_shift_lambdas):
             for m in cfg.m_values:
                 for r in [r for r in cfg.r_values if r >= 1]:
                     for alpha in cfg.alpha_values:
@@ -397,10 +394,8 @@ def _t13_variant(variant: str, numerator):
                                     * p.bernoulli(n - l, alpha, arg)
                                     * (lam.value * m) ** (n - l)
                                 )
-                            params = {
-                                "n": n, "k": k, "m": m, "r": r,
-                                "alpha": alpha, "lambda": lam_value,
-                            }
+                            params = {"n": n, "k": k, "m": m, "r": r, "alpha": alpha,
+                                      "lambda": lam}
                             yield params, lhs, rhs
 
     return generate
@@ -428,6 +423,7 @@ def resolve_theorem13_variant(cfg: SuiteConfig | None = None) -> Theorem13Resolu
     """Evaluate each inequivalent candidate on the full grid and demand that
     exactly one family survives."""
     cfg = _config(cfg)
+    replace(cfg, theorems=("T13",))  # an empty grid raises as when T13 is selected
     reports = {name: check(cfg) for name, check in _T13_CHECKS.items()}
     passing = [name for name, report in reports.items() if report.status == "pass"]
     verified = passing[0] if len(passing) == 1 else None
@@ -519,7 +515,7 @@ def _columns_against(n_max: int, m: int, r: int, lam: LambdaScalar, lookup):
     """(n, k, EGF coefficient, ``lookup(n, k)``) for n, k <= n_max, reading
     column k of ((e^{lam m t}-1)/m)^k e^{rt}/(lam^k k!) for each k."""
     for k in range(n_max + 1):
-        series = whitney_series(k, m, r, lam, n_max)
+        series = _whitney.whitney_series(k, m, r, lam, n_max)
         for n in range(n_max + 1):
             yield n, k, series.coeff(n), lookup(n, k)
 
@@ -539,12 +535,11 @@ def _check_gf_t1(cfg: SuiteConfig, p: Providers):
 def _check_gf_t8(cfg: SuiteConfig, p: Providers):
     """EGF coefficients of ((e^{lam m t}-1)/m)^k e^t/(lam^k k!) against the
     Whitney-type triangle."""
-    for lam_value in cfg.fixed_lambdas:
-        lam = LambdaScalar.fixed(lam_value)
+    for lam in _fixed(cfg.fixed_lambdas):
         for m in cfg.m_values:
             lookup = lambda n, k: p.whitney(n, k, m, lam)
             for n, k, lhs, rhs in _columns_against(cfg.n_max, m, 1, lam, lookup):
-                yield {"n": n, "k": k, "m": m, "lambda": lam_value}, lhs, rhs
+                yield {"n": n, "k": k, "m": m, "lambda": lam}, lhs, rhs
 
 
 def _dowling_row(p: Providers, n: int, x, m: int, lam: LambdaScalar):
@@ -558,29 +553,26 @@ def _check_gf_t10(cfg: SuiteConfig, p: Providers):
     """Dowling EGF e^t exp(x (e^{lam m t}-1)/(lam m)) against the polynomial
     rows built from the Whitney triangle."""
     n_max = cfg.bernoulli_n_max
-    for lam_value in cfg.egf_lambdas:
-        lam = LambdaScalar.fixed(lam_value)
+    for lam in _fixed(cfg.egf_lambdas):
         for m in cfg.m_values:
             for x in cfg.egf_x_values:
                 series = _whitney.dowling_series(x, m, lam, n_max)
                 for n in range(n_max + 1):
                     lhs = series.coeff(n)
                     rhs = _dowling_row(p, n, x, m, lam)
-                    yield {"n": n, "x": x, "m": m, "lambda": lam_value}, lhs, rhs
+                    yield {"n": n, "x": x, "m": m, "lambda": lam}, lhs, rhs
 
 
 @_grid("GF_T12", "n, k <= {n_max}, m in {m}, r in {r}, lambda in {fixed}")
 def _check_gf_t12(cfg: SuiteConfig, p: Providers):
     """EGF coefficients of ((e^{lam m t}-1)/m)^k e^{rt}/(lam^k k!) against
     the shifted Whitney-type triangle."""
-    for lam_value in cfg.fixed_lambdas:
-        lam = LambdaScalar.fixed(lam_value)
+    for lam in _fixed(cfg.fixed_lambdas):
         for m in cfg.m_values:
             for r in cfg.r_values:
                 lookup = lambda n, k: p.whitney_r(n, k, m, r, lam)
                 for n, k, lhs, rhs in _columns_against(cfg.n_max, m, r, lam, lookup):
-                    params = {"n": n, "k": k, "m": m, "r": r, "lambda": lam_value}
-                    yield params, lhs, rhs
+                    yield {"n": n, "k": k, "m": m, "r": r, "lambda": lam}, lhs, rhs
 
 
 def _mpf(q: Fraction):
@@ -597,19 +589,18 @@ def _check_dobinski(cfg: SuiteConfig, p: Providers):
     error is within the sum of the reported truncation and rounding
     bounds, and that sum is within ``whitney.DOBINSKI_TOL``."""
     tol = _whitney.DOBINSKI_TOL
-    for lam_value in cfg.dobinski_lambdas:
-        lam = LambdaScalar.fixed(lam_value)
+    for lam in _fixed(cfg.dobinski_lambdas):
         for m in cfg.dobinski_m_values:
             for x in cfg.dobinski_x_values:
                 for n in range(cfg.bernoulli_n_max + 1):
-                    value = _whitney.dobinski_eval(n, x, m, lam_value, tol)
+                    value = _whitney.dobinski_eval(n, x, m, lam, tol)
                     exact = _dowling_row(p, n, x, m, lam)
                     # the mpf is a dyadic rational, so the difference is
                     # taken exactly; no working precision hides it
                     man, exp = value.numeric.man, value.numeric.exp
                     error = abs(Fraction(man) * Fraction(2) ** exp - exact)
                     bound = value.truncation_bound + value.rounding_bound
-                    params = {"n": n, "x": x, "m": m, "lambda": lam_value, "tol": tol}
+                    params = {"n": n, "x": x, "m": m, "lambda": lam, "tol": tol}
                     if error <= bound <= tol:
                         yield params, Fraction(0), Fraction(0)
                     else:
@@ -669,6 +660,7 @@ def check_identity(theorem_id: str, cfg: SuiteConfig | None = None) -> IdentityR
     cfg = _config(cfg)
     if not isinstance(theorem_id, str) or theorem_id not in CHECKS:
         raise ValueError(f"unknown check id {theorem_id!r}; valid ids: {', '.join(CHECKS)}")
+    replace(cfg, theorems=(theorem_id,))  # an empty grid raises as when it is selected
     return CHECKS[theorem_id](cfg)
 
 

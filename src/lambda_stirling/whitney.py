@@ -11,6 +11,9 @@ coefficients in (m x + r)^n = sum_k W(n, k) m^k (x)_{k,lam}.
 * ``_expansion``, the basis expansion: ``whitney_r_by_expansion``;
 * ``series``, the EGFs: ``whitney_series`` and ``dowling_series``.
 
+The identity suite reads the two triangles as its ``Providers`` defaults,
+and the EGFs and ``dobinski_eval`` as attributes looked up at call time.
+
 ``dobinski_eval`` sums the Dobinski-style series on the domain that
 ``_dobinski_domain`` checks, exactly over ``int`` but for e^{-c}
 (``_dobinski``, loaded with mpmath on the first call).  The result carries
@@ -28,8 +31,8 @@ from typing import NamedTuple
 
 from ._expansion import whitney_r_by_expansion
 from ._triangle import bell_poly_lambda, dowling_poly, whitney, whitney_r
-from .poly import SYMBOLIC, LambdaScalar, RingElement, _check_index, _rational
-from .series import TruncatedSeries, dowling_series, whitney_series
+from .poly import SYMBOLIC, LambdaScalar, _check_index, _rational
+from .series import dowling_series, whitney_series
 
 DOBINSKI_DIGITS = 40  # least decimal working precision of dobinski_eval
 DOBINSKI_TOL = 1e-12  # default tolerance of dobinski_eval

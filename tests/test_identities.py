@@ -180,6 +180,18 @@ def test_config_refuses_a_selected_check_with_an_empty_grid_when_built():
     SuiteConfig(r_values=(0,), theorems=("T2",))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: check_identity("T4", SuiteConfig(n_max=1, theorems=("T2",))), "T4"),
+    (lambda: check_identity("T13", SuiteConfig(r_values=(0,), theorems=("T2",))), "T13"),
+    (lambda: resolve_theorem13_variant(SuiteConfig(r_values=(0,), theorems=("T2",))), "T13"),
+], ids=["check_identity T4", "check_identity T13", "resolve_theorem13_variant"])
+def test_every_entry_point_refuses_an_empty_grid_as_the_config_does(call, message):
+    # a config that does not select the check still reaches it through
+    # these entry points, which judge its grid as one that selects it
+    with pytest.raises(ValueError, match=f"^{message}: empty parameter grid$"):
+        call()
+
+
 @pytest.mark.parametrize("check_id, shown", [(1.5, "1.5"), (True, "True"), (None, "None")])
 def test_config_names_a_check_id_that_is_not_a_string(check_id, shown):
     with pytest.raises(ValueError, match=rf"^unknown check ids: T99, {shown}$"):

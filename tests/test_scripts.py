@@ -2,6 +2,7 @@
 demo, and the benchmark tracer's wrapping of the library's seams."""
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -56,3 +57,49 @@ def test_tracer_installs():
     # deleted in the library fails here
     proc = run_python("-c", INSTALL_TRACER, extra_path=[ROOT / "perfbench"])
     assert proc.returncode == 0, proc.stderr
+
+
+TRACED_GF_RUN = INSTALL_TRACER + """
+import dataclasses, json
+from lambda_stirling import identities
+
+providers = tracer.providers()
+depths = {}
+for field in dataclasses.fields(providers):
+    fn, depth = getattr(providers, field.name), 0
+    while hasattr(fn, "__wrapped__"):
+        fn, depth = fn.__wrapped__, depth + 1
+    depths[field.name] = depth
+cfg = identities.SuiteConfig(n_max=3, theorems=("GF_T1", "GF_T8", "GF_T12"),
+                             providers=providers)
+status = identities.run_suite(cfg).exit_status
+print(json.dumps({"depths": depths, "status": status, "calls": tracer.calls}))
+"""
+
+
+@pytest.fixture(scope="module")
+def traced_gf_run():
+    """Depth of each traced provider and the seam calls of a traced GF_T1 +
+    GF_T8 + GF_T12 run at n_max = 3, read in a process that only imports
+    the tracer."""
+    proc = run_python("-c", TRACED_GF_RUN, extra_path=[ROOT / "perfbench"])
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_the_tracer_wraps_each_provider_once(traced_gf_run):
+    # the Providers defaults are the functions the facades re-export, so the
+    # tracer's provider wrapper is the one it put on the facade attribute
+    assert traced_gf_run["depths"] == dict.fromkeys(
+        ("stirling2", "rstirling2", "stirling1", "unsigned_rstirling1",
+         "whitney", "whitney_r", "bernoulli"), 1)
+
+
+def test_the_tracer_counts_the_gf_checks_column_calls(traced_gf_run):
+    # the suite reads whitney_series as a facade attribute, so the column
+    # seam sees every column: (4 lambda modes x 4 r) + (3 lambdas x 3 m)
+    # + (3 lambdas x 3 m x 4 r) columns of 4 k each, and GF_T1's
+    # 4 x 4 x 16 triangle reads
+    assert traced_gf_run["status"] == 0
+    assert traced_gf_run["calls"]["series.column"] == 244
+    assert traced_gf_run["calls"]["stirling.lookup"] == 256
