@@ -8,7 +8,9 @@ form of Hsu and Shiue)
 with integer alpha, beta, gamma, r: the second kind is beta = 1, the signed
 and unsigned first kinds alpha = 1 and alpha = -1, the Whitney-type numbers
 beta = m.  ``_new_triangle`` picks the one integer grower,
-``NumberTriangle``, for a fixed lambda = p/q (entries scaled by q^(n-k)),
+``NumberTriangle``, for a fixed lambda (entries scaled by q^(n-k), where q
+is the denominator of lambda gcd(alpha, beta, gamma), that is of lambda m
+for the Whitney families; a row with q = 1 is published without a gcd),
 and the one symbolic reader, ``SymbolicTriangle``, which reads an entry's
 lambda coefficients off the integer triangle at lambda = 1.
 
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import comb
+from math import comb, gcd
 from operator import mul
 from threading import Lock
 
@@ -36,13 +38,17 @@ _ONE = Fraction(1)
 
 
 class NumberTriangle:
-    """The unified recurrence above, T(0, 0) = 1, at a fixed lam = p/q,
-    grown lazily over Python integers from the newest integer row (the
-    frontier): row n stores U(n, k) = q^(n-k) T(n, k), and
+    """The unified recurrence above, T(0, 0) = 1, at a fixed lam, grown
+    lazily over Python integers from the newest integer row (the frontier).
+    The recurrence reads lam only through lam g, g = gcd(alpha, beta, gamma)
+    (1 when all three are 0), so with lam g = p/q and (alpha, beta, gamma)
+    divided by g, row n stores U(n, k) = q^(n-k) T(n, k), and
     U(n+1, k) = U(n, k-1) + ((beta k - alpha n + gamma) p + r q) U(n, k).
+    For the Whitney families q is the denominator of lam m, not of lam.
     A row's first ``value`` read makes it the public tuple
-    ``Fraction(U, q^(n-k))``; ``row_sum`` recovers its integers, so a row
-    that is only summed is never converted.
+    ``Fraction(U, q^(n-k))``, or ``Fraction(U)`` with no gcd when q = 1;
+    ``row_sum`` recovers its integers, so a row that is only summed is
+    never converted.
 
     It checks only that lam is a ``LambdaScalar`` and trusts its callers
     (``_lookup``, ``dowling_poly``, ...) for the ``int`` parameters and n,
@@ -58,7 +64,10 @@ class NumberTriangle:
     def __init__(self, lam: LambdaScalar, *, alpha: int = 0, beta: int = 0,
                  gamma: int = 0, r: int = 0):
         _check_lambda(lam)
-        self._params = (lam.value.numerator, lam.value.denominator, alpha, beta, gamma, r)
+        g = gcd(alpha, beta, gamma) or 1
+        scaled = lam.value * g
+        self._params = (scaled.numerator, scaled.denominator,
+                        alpha // g, beta // g, gamma // g, r)
         self._lock = Lock()
         self._frontier = [1]
         self._rows = [self._frontier]
@@ -84,8 +93,9 @@ class NumberTriangle:
             return _ZERO
         row = self._row(n)
         if type(row) is not tuple:  # its first read makes it public
-            powers = _falling_powers(self._params[1], n)
-            row = self._rows[n] = tuple(map(Fraction, row, powers))
+            q = self._params[1]
+            entries = map(Fraction, row, _falling_powers(q, n)) if q != 1 else map(Fraction, row)
+            row = self._rows[n] = tuple(entries)
         return row[k]
 
     def row_sum(self, n: int, x: Fraction) -> Fraction:
@@ -169,7 +179,10 @@ class SymbolicTriangle:
 
 
 def _falling_powers(q: int, n: int) -> list:
-    """[q^n, q^(n-1), ..., q^0]: the denominators q^(n-k) of row n."""
+    """[q^n, q^(n-1), ..., q^0]: the powers q^(n-k) of row n.  In a
+    ``NumberTriangle`` they are its denominators, q being the denominator
+    of lam gcd(alpha, beta, gamma) (of lam m for a Whitney triangle), and a
+    row with q = 1 is published without them."""
     return list(accumulate(repeat(q, n), mul, initial=1))[::-1]
 
 

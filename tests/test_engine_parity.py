@@ -3,13 +3,17 @@
 Every tabulated family is compared, row by row up to n = 20, with the
 definitional expansions in ``oracles`` (which imports nothing from the
 package), at fixed lambda with q > 1, negative p and integer values, and
-with lambda symbolic.  The public value types are asserted on every entry:
-``Fraction`` throughout for fixed lambda; for symbolic lambda ``Fraction(1)``
-in row 0 and on the diagonal and ``Poly`` below it, the zero polynomial
-included.  Up to n = 100 every symbolic entry, evaluated at a fixed lambda,
+with lambda symbolic.  At fixed lambda the Whitney families meet every
+kind of scale a triangle grows by (the denominator of lambda m): 1, the
+denominator of lambda, and one strictly between.  The public value types
+are asserted on every entry: ``Fraction`` throughout for fixed lambda; for
+symbolic lambda ``Fraction(1)`` in row 0 and on the diagonal and ``Poly``
+below it, the zero polynomial included.  Up to n = 100 every symbolic entry, evaluated at a fixed lambda,
 equals the fixed-lambda triangle; and the symbolic triangles of the
 mutants' shapes (gamma != 0, doubled and offset shifts) equal the
-recurrence itself, stepped in naive list arithmetic.
+recurrence itself, stepped in naive list arithmetic, as do their
+fixed-lambda triangles and those of shapes whose gcd(alpha, beta, gamma)
+depends on gamma.
 """
 
 from fractions import Fraction
@@ -18,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lambda_stirling import _triangle
 from lambda_stirling.poly import LambdaScalar, Poly, SYMBOLIC, eval_element
 from lambda_stirling.stirling import (
     rstirling1_lambda,
@@ -64,8 +69,11 @@ FAMILIES = {
     ),
 }
 
+# the Whitney families scale by the denominator of lam m: it is 1 at m = 3
+# for 1/3 and -2/3, and strictly between 1 and 6 at 5/6 for m = 2 and 3
 FIXED_LAMBDAS = (
     Fraction(1, 3), Fraction(-2, 3), Fraction(2), Fraction(-1), Fraction(5, 7),
+    Fraction(5, 6),
 )
 
 
@@ -122,6 +130,29 @@ def test_mutant_shapes_follow_the_recurrence(mutant):
     for n, expected in enumerate(oracles.recurrence_rows(15, **params)):
         got = [value(providers, n, k) for k in range(n + 1)]
         assert [oracles.lambda_coeffs(v) for v in got] == expected, (mutant, n)
+
+
+# shapes with gamma != 0: a fixed-lam triangle scales by the denominator of
+# lam gcd(alpha, beta, gamma), which gamma keeps at 2 in the first two and
+# lowers to 1 in the next two, so a scale that read gamma wrong would show;
+# the mutants' shapes too
+GCD_SHAPES = (
+    dict(beta=2, gamma=2, r=1), dict(alpha=2, gamma=-2), dict(beta=2, gamma=1, r=1),
+    dict(alpha=2, gamma=3, r=2), dict(alpha=-4, beta=6, gamma=-2, r=1),
+    *(params for _, params in MUTANT_SHAPES.values()),
+)
+
+
+@pytest.mark.parametrize("params", GCD_SHAPES,
+                         ids=lambda p: ",".join(f"{k}={v}" for k, v in p.items()))
+@pytest.mark.parametrize("lam_value", [Fraction(1, 2), Fraction(1, 4)], ids=str)
+def test_fixed_lambda_shapes_follow_the_recurrence(params, lam_value):
+    triangle = _triangle._new_triangle(LambdaScalar.fixed(lam_value), **params)
+    for n, expected in enumerate(oracles.recurrence_rows(N_MAX, **params)):
+        got = [triangle.value(n, k) for k in range(n + 1)]
+        assert all(type(v) is Fraction for v in got)
+        assert got == [sum(c * lam_value ** i for i, c in enumerate(entry))
+                       for entry in expected], (params, n)
 
 
 def test_symbolic_zero_entries_are_zero_poly():

@@ -254,6 +254,43 @@ def test_lambda_zero_collapses_to_identity():
             assert eval_element(sym, Fraction(0)) == (1 if n == k else 0)
 
 
+# --- the fixed-lambda scale ---------------------------------------------------
+
+
+@pytest.mark.parametrize("lam_value, scale", [(Fraction(-2, 3), 1), (Fraction(5, 6), 2)],
+                         ids=["-2/3", "5/6"])
+def test_whitney_rows_are_scaled_by_the_denominator_of_lam_m(fresh_triangles, lam_value,
+                                                             scale):
+    # W reads lam only through lam m, so at m = 3 the unpublished integer
+    # rows hold den(3 lam)^(n-k) W(n, k): the entries themselves at -2/3,
+    # 2^(n-k) times them at 5/6 (not 3^(n-k) and 6^(n-k))
+    lam = LambdaScalar.fixed(lam_value)
+    triangle = _triangle._triangle(lam, 0, 3, 1)
+    for n in range(31):
+        held = list(triangle._row(n))
+        assert all(type(u) is int for u in held)
+        entries = [whitney(n, k, 3, lam) for k in range(n + 1)]
+        assert held == [scale ** (n - k) * entry for k, entry in enumerate(entries)], n
+
+
+def test_a_scale_one_row_is_published_without_powers(monkeypatch, fresh_triangles):
+    # at lam m = -2 a published entry is Fraction(U), so no power list is
+    # built; at lam m = 5/2 each published row builds one, of 2
+    calls = []
+    powers = _triangle._falling_powers
+
+    def counted(q, n):
+        calls.append(q)
+        return powers(q, n)
+
+    monkeypatch.setattr(_triangle, "_falling_powers", counted)
+    integral = [whitney(40, k, 3, LambdaScalar.fixed(Fraction(-2, 3))) for k in range(41)]
+    assert calls == []
+    assert all(type(e) is Fraction and e.denominator == 1 for e in integral)
+    whitney(40, 1, 3, LambdaScalar.fixed(Fraction(5, 6)))
+    assert calls == [2]
+
+
 # --- caching / concurrency ----------------------------------------------------
 
 

@@ -140,6 +140,39 @@ def test_dowling_series_matches_rows():
         assert series.coeff(n) == dowling_poly(n, Fraction(1, 2), 2, lam)
 
 
+# (m, lam) -> the denominator of lam m that the Whitney triangle scales by;
+# m = 1 at lam = -3 is the Bell row, of the plain second kind
+SCALED_ROWS = {
+    (2, Fraction(1, 2)): 1, (3, Fraction(-2, 3)): 1, (3, Fraction(5, 6)): 2,
+    (1, Fraction(-3)): 1,
+}
+
+
+@pytest.mark.parametrize("m, lam_value", SCALED_ROWS, ids=str)
+def test_row_sums_under_the_scale_of_lam_m(fresh_triangles, m, lam_value):
+    # each row is summed once while it is held as integers and once after
+    # its entries are published, so both branches of row_sum run
+    lam = LambdaScalar.fixed(lam_value)
+    r = 0 if m == 1 else 1
+
+    def row_sum(n, x):
+        return bell_poly_lambda(n, x, lam) if m == 1 else dowling_poly(n, x, m, lam)
+
+    xs = (Fraction(-5, 2), Fraction(3, 4), Fraction(2))
+    for n in range(21):
+        row = oracles.whitney_type_row(n, m, r, lam_value)
+        expected = [sum(w * x**k for k, w in enumerate(row)) for x in xs]
+        before = [row_sum(n, x) for x in xs]
+        triangle = _triangle._TRIANGLES[lam, 0, m, r]
+        assert type(triangle._rows[n]) is list
+        assert [whitney_r(n, k, m, r, lam) for k in range(n + 1)] == row
+        assert type(triangle._rows[n]) is tuple
+        after = [row_sum(n, x) for x in xs]
+        assert before == after == expected, n
+        assert all(type(v) is Fraction for v in before + after)
+    assert triangle._params[1] == SCALED_ROWS[m, lam_value]
+
+
 ROW_LAMBDAS = [SYMBOLIC] + [
     LambdaScalar.fixed(Fraction(v)) for v in ("1/3", "-2/3", "2", "-1", "5/7")
 ]
