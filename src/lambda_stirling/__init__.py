@@ -19,7 +19,8 @@ Public surface:
   :func:`second_kind_series`, :func:`whitney_series`, :func:`dowling_series`,
   :func:`bernoulli_base_series`
 * numeric evaluation: :func:`dobinski_eval`, whose default tolerance is
-  ``lambda_stirling.whitney.DOBINSKI_TOL``
+  ``DOBINSKI_TOL`` (``from lambda_stirling.whitney import DOBINSKI_TOL``:
+  the package's ``whitney`` is the function, not the submodule)
 * verification: :func:`run_suite`, :func:`check_identity`,
   :func:`resolve_theorem13_variant`, :class:`SuiteConfig`
 * exact scalars: :class:`LambdaScalar`, :data:`SYMBOLIC`, :class:`Poly`;

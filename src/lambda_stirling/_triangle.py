@@ -12,14 +12,17 @@ beta = m.  ``_new_triangle`` picks the one integer grower,
 is the denominator of lambda gcd(alpha, beta, gamma), that is of lambda m
 for the Whitney families; a row with q = 1 is published without a gcd),
 and the one symbolic reader, ``SymbolicTriangle``, which reads an entry's
-lambda coefficients off the integer triangle at lambda = 1.
+lambda coefficients off the integer triangle at lambda = 1.  Both keep one
+row protocol: slot n of ``_rows`` is ``None`` until row n is public, that
+is until its tuple of values is stored there.  A fixed-lambda triangle
+holds its integer rows apart and drops each when it publishes the row.
 
 The seven public triangle readers and the row sums ``dowling_poly`` and
 ``bell_poly_lambda`` live here, beside the cache ``_TRIANGLES``; the
 facades ``stirling`` and ``whitney`` re-export them.  A reader answers a
-warm read in one frame, its own: a subscript of ``_TRIANGLES`` and a tuple
-index.  ``_lookup`` is its miss path, and the one place that checks the
-readers' arguments.
+warm read in one frame, its own: a subscript of ``_TRIANGLES`` and an index
+of a public row.  ``_lookup`` is its miss path, and the one place that
+checks the readers' arguments.
 """
 
 from __future__ import annotations
@@ -45,21 +48,24 @@ class NumberTriangle:
     divided by g, row n stores U(n, k) = q^(n-k) T(n, k), and
     U(n+1, k) = U(n, k-1) + ((beta k - alpha n + gamma) p + r q) U(n, k).
     For the Whitney families q is the denominator of lam m, not of lam.
-    A row's first ``value`` read makes it the public tuple
-    ``Fraction(U, q^(n-k))``, or ``Fraction(U)`` with no gcd when q = 1;
-    ``row_sum`` recovers its integers, so a row that is only summed is
-    never converted.
+
+    The integer rows are held in ``_ints`` and the public rows in
+    ``_rows``, which grow together.  ``_rows[n]`` is ``None`` until the
+    row's first ``value`` read stores its public tuple
+    ``Fraction(U, q^(n-k))``, or ``Fraction(U)`` with no gcd when q = 1,
+    and ``_ints[n]`` is dropped to ``None`` only after that, so no row is
+    held twice and a racing reader always finds one of the two.
+    ``row_sum`` recovers a public row's integers, so a row that is only
+    summed is never converted.
 
     It checks only that lam is a ``LambdaScalar`` and trusts its callers
     (``_lookup``, ``dowling_poly``, ...) for the ``int`` parameters and n,
     k: ``value`` gives 0 outside 0 <= k <= n and ``row_sum`` takes n >= 0.
-    Rows are appended whole and a slot only ever swaps its integers for
-    the public tuple, so a lookup of a public row is a plain read; two
-    readers that race to convert a row may both build its tuple, and
+    Two readers that race to publish a row may both build its tuple, and
     either is kept.  Only growth takes the lock.
     """
 
-    __slots__ = ("_rows", "_frontier", "_params", "_lock")
+    __slots__ = ("_rows", "_ints", "_frontier", "_params", "_lock")
 
     def __init__(self, lam: LambdaScalar, *, alpha: int = 0, beta: int = 0,
                  gamma: int = 0, r: int = 0):
@@ -70,32 +76,37 @@ class NumberTriangle:
                         alpha // g, beta // g, gamma // g, r)
         self._lock = Lock()
         self._frontier = [1]
-        self._rows = [self._frontier]
+        self._ints = [self._frontier]
+        self._rows = [None]
 
     def _row(self, n: int):
-        """Row n >= 0 as it is held (integers or public), grown if missing."""
-        rows = self._rows
+        """The integers of row n >= 0, grown if missing, or ``None`` once the
+        row is public."""
+        rows, ints = self._rows, self._ints
         if len(rows) <= n:
             p, q, alpha, beta, gamma, r = self._params
             with self._lock:
                 while len(rows) <= n:
-                    ints = self._frontier
-                    m = len(ints) - 1  # row m -> row m + 1
+                    last = self._frontier
+                    m = len(last) - 1  # row m -> row m + 1
                     self._frontier = [
                         left + ((beta * k - alpha * m + gamma) * p + r * q) * cur
-                        for k, (left, cur) in enumerate(zip([0] + ints, ints + [0]))
+                        for k, (left, cur) in enumerate(zip([0] + last, last + [0]))
                     ]
-                    rows.append(self._frontier)
-        return rows[n]
+                    ints.append(self._frontier)  # so _ints[n] exists once _rows[n] does
+                    rows.append(None)
+        return ints[n]
 
     def value(self, n: int, k: int) -> Fraction:
         if k < 0 or k > n:  # n < 0 included
             return _ZERO
-        row = self._row(n)
-        if type(row) is not tuple:  # its first read makes it public
+        ints = self._row(n)  # read before the row: it is dropped after
+        row = self._rows[n]
+        if row is None:  # its first read makes it public
             q = self._params[1]
-            entries = map(Fraction, row, _falling_powers(q, n)) if q != 1 else map(Fraction, row)
+            entries = map(Fraction, ints, _falling_powers(q, n)) if q != 1 else map(Fraction, ints)
             row = self._rows[n] = tuple(entries)
+            self._ints[n] = None
         return row[k]
 
     def row_sum(self, n: int, x: Fraction) -> Fraction:
@@ -104,9 +115,9 @@ class NumberTriangle:
         over ``int``."""
         a, b, q = x.numerator, x.denominator, self._params[1]
         ints = self._row(n)
-        if type(ints) is tuple:  # a public row: recover its integers exactly
+        if ints is None:  # a public row: recover its integers exactly
             powers = _falling_powers(q, n)
-            ints = [e.numerator * (p // e.denominator) for e, p in zip(ints, powers)]
+            ints = [e.numerator * (p // e.denominator) for e, p in zip(self._rows[n], powers)]
         return Fraction(_horner(ints, a * q, b), (q * b) ** n)
 
 
@@ -224,13 +235,15 @@ def _lookup(n: int, k: int, lam: LambdaScalar, alpha: int, beta: int, r: int) ->
     to raise.  With alpha = 0 (second kind, Whitney) beta is the Whitney m.
 
     Each reader answers a warm read in its own frame: behind exact ``int``
-    tests of its indices, one subscript of ``_TRIANGLES`` (lam is interned,
-    so its key compares and hashes in C) and, for 0 <= k <= n in a row that
-    is already public, one tuple index.  That test comes before the index,
-    as a negative n reads a row from the end of the list.  A hit needs no
-    range test of r or m, since only checked arguments make a key.  Every
-    other case comes here, through ``_triangle`` (which refuses a lam that
-    is not a ``LambdaScalar``) to the triangle's ``value``."""
+    tests of its indices and 0 <= k <= n (tested first, as a negative n
+    reads a row from the end of the list), one subscript of ``_TRIANGLES``
+    (lam is interned, so its key compares and hashes in C), then the row's
+    slot and the entry.  An absent triangle raises ``KeyError``, an ungrown
+    row ``IndexError`` and a row that is not public (its slot is ``None``)
+    ``TypeError``, and each is a miss.  A hit needs no range test of r or
+    m, since only checked arguments make a key.  Every miss comes here,
+    through ``_triangle`` (which refuses a lam that is not a
+    ``LambdaScalar``) to the triangle's ``value``."""
     if alpha == 0 and (type(beta) is not int or beta < 1):
         _check_index(beta, "parameter m", 1)
     if type(n) is not int or type(k) is not int or type(r) is not int or r < 0:
@@ -243,88 +256,74 @@ def _lookup(n: int, k: int, lam: LambdaScalar, alpha: int, beta: int, r: int) ->
 def rstirling2_lambda(n: int, k: int, r: int, lam: LambdaScalar) -> RingElement:
     """Entry T(n, k) of the r-shifted second-kind triangle, tabulated by the
     recurrence T(n+1, k) = T(n, k-1) + (lam*k + r) * T(n, k)."""
-    if type(n) is int and type(k) is int and type(r) is int:
+    if type(n) is int and type(k) is int and type(r) is int and 0 <= k <= n:
         try:
-            row = _TRIANGLES[lam, 0, 1, r]._rows[n]
+            return _TRIANGLES[lam, 0, 1, r]._rows[n][k]
         except (KeyError, IndexError, TypeError):
-            row = None
-        if type(row) is tuple and 0 <= k <= n:
-            return row[k]
+            pass
     return _lookup(n, k, lam, 0, 1, r)
 
 
 def stirling2_lambda(n: int, k: int, lam: LambdaScalar) -> RingElement:
     """Plain second-kind number: coefficient of (x)_{k,lam} in x^n."""
-    if type(n) is int and type(k) is int:
+    if type(n) is int and type(k) is int and 0 <= k <= n:
         try:
-            row = _TRIANGLES[lam, 0, 1, 0]._rows[n]
+            return _TRIANGLES[lam, 0, 1, 0]._rows[n][k]
         except (KeyError, IndexError, TypeError):
-            row = None
-        if type(row) is tuple and 0 <= k <= n:
-            return row[k]
+            pass
     return _lookup(n, k, lam, 0, 1, 0)
 
 
 def rstirling1_lambda(n: int, k: int, r: int, lam: LambdaScalar) -> RingElement:
     """Coefficient of x^k in the shifted falling factorial
     (x+r)(x+r-lam)...(x+r-(n-1)lam); row extension multiplies by (x+r-n*lam)."""
-    if type(n) is int and type(k) is int and type(r) is int:
+    if type(n) is int and type(k) is int and type(r) is int and 0 <= k <= n:
         try:
-            row = _TRIANGLES[lam, 1, 0, r]._rows[n]
+            return _TRIANGLES[lam, 1, 0, r]._rows[n][k]
         except (KeyError, IndexError, TypeError):
-            row = None
-        if type(row) is tuple and 0 <= k <= n:
-            return row[k]
+            pass
     return _lookup(n, k, lam, 1, 0, r)
 
 
 def stirling1_lambda(n: int, k: int, lam: LambdaScalar) -> RingElement:
     """Coefficient of x^k in the plain falling factorial (x)_{n,lam}."""
-    if type(n) is int and type(k) is int:
+    if type(n) is int and type(k) is int and 0 <= k <= n:
         try:
-            row = _TRIANGLES[lam, 1, 0, 0]._rows[n]
+            return _TRIANGLES[lam, 1, 0, 0]._rows[n][k]
         except (KeyError, IndexError, TypeError):
-            row = None
-        if type(row) is tuple and 0 <= k <= n:
-            return row[k]
+            pass
     return _lookup(n, k, lam, 1, 0, 0)
 
 
 def unsigned_rstirling1_lambda(n: int, k: int, r: int, lam: LambdaScalar) -> RingElement:
     """Coefficient of x^k in the shifted rising product
     (x+r)(x+r+lam)...(x+r+(n-1)lam)."""
-    if type(n) is int and type(k) is int and type(r) is int:
+    if type(n) is int and type(k) is int and type(r) is int and 0 <= k <= n:
         try:
-            row = _TRIANGLES[lam, -1, 0, r]._rows[n]
+            return _TRIANGLES[lam, -1, 0, r]._rows[n][k]
         except (KeyError, IndexError, TypeError):
-            row = None
-        if type(row) is tuple and 0 <= k <= n:
-            return row[k]
+            pass
     return _lookup(n, k, lam, -1, 0, r)
 
 
 def whitney_r(n: int, k: int, m: int, r: int, lam: LambdaScalar) -> RingElement:
     """Shifted Whitney-type number, tabulated by the recurrence
     W(n+1, k) = W(n, k-1) + (lam*m*k + r) * W(n, k)."""
-    if type(n) is int and type(k) is int and type(m) is int and type(r) is int:
+    if type(n) is int and type(k) is int and type(m) is int and type(r) is int and 0 <= k <= n:
         try:
-            row = _TRIANGLES[lam, 0, m, r]._rows[n]
+            return _TRIANGLES[lam, 0, m, r]._rows[n][k]
         except (KeyError, IndexError, TypeError):
-            row = None
-        if type(row) is tuple and 0 <= k <= n:
-            return row[k]
+            pass
     return _lookup(n, k, lam, 0, m, r)
 
 
 def whitney(n: int, k: int, m: int, lam: LambdaScalar) -> RingElement:
     """Whitney-type number with unit shift (the Dowling-lattice case)."""
-    if type(n) is int and type(k) is int and type(m) is int:
+    if type(n) is int and type(k) is int and type(m) is int and 0 <= k <= n:
         try:
-            row = _TRIANGLES[lam, 0, m, 1]._rows[n]
+            return _TRIANGLES[lam, 0, m, 1]._rows[n][k]
         except (KeyError, IndexError, TypeError):
-            row = None
-        if type(row) is tuple and 0 <= k <= n:
-            return row[k]
+            pass
     return _lookup(n, k, lam, 0, m, 1)
 
 

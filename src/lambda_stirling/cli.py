@@ -72,8 +72,9 @@ DUMP_KINDS = {
 OPTION_DEFAULTS = {"k": 0, "r": 0, "m": 1, "x": "1", "lam": "symbolic"}
 # every JSON payload is written as json.dumps(payload, indent=2) writes it
 _JSON = json.JSONEncoder(indent=2)
-# Fraction expands a decimal exponent in full: one past the int/str digit limit is refused
-_MAX_EXPONENT = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # read before main lifts it
+# Fraction expands a decimal exponent in full: one past the interpreter's default int/str
+# digit limit is refused, whatever limit the process has set (main lifts it for the call)
+_MAX_EXPONENT = getattr(sys.int_info, "default_max_str_digits", 0)
 
 
 def _parse_rational(option: str, text: str) -> Fraction:

@@ -296,6 +296,28 @@ def test_a_huge_decimal_exponent_is_refused_before_it_is_expanded():
         assert "error: " in proc.stderr and "Traceback" not in proc.stderr
 
 
+LIFTED_LIMIT_CLI = """
+import sys, time
+sys.set_int_max_str_digits(0)
+from lambda_stirling.cli import main
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(time.perf_counter() - start)
+sys.exit(code)
+"""
+
+
+def test_the_exponent_bound_holds_after_the_caller_lifts_the_digit_limit():
+    # a process that lifts the int/str digit limit before it imports the CLI
+    # keeps the bound of the interpreter's default limit; read from the
+    # caller's limit, the bound was gone and this call ran 14.8 s
+    proc = run_cli_process("-c", LIFTED_LIMIT_CLI, "eval", "--poly", "bell", "--n", "1",
+                           "--x", "1e1000000", "--lambda", "1")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: --x: decimal exponent beyond 4300 in '1e1000000'\n"
+    assert float(proc.stdout) < 1.0
+
+
 @pytest.mark.parametrize("text, message", [
     ("-1/0", "zero denominator in '-1/0'"),
     ("-1e10000000", "decimal exponent beyond {limit} in '-1e10000000'"),

@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import os
+import random
 import subprocess
 import sys
 import time
@@ -687,3 +688,92 @@ def test_row_sums_and_reads_race_conversion():
         for op, n, got in seen:
             expected = (sums[n], read_row(want, n), want.value(n, n // 2))[op]
             assert got == expected and type(got) is type(expected)
+
+
+def test_reads_and_sums_race_publication_in_shuffled_orders(fresh_triangles):
+    # threads share one Whitney triangle of scale 2 (lam m = 5/2), each
+    # reading every entry of rows 0..40 and summing each row at two points,
+    # in its own order; every result is the single-thread one, and every
+    # published row has dropped its integers, so no row is held twice
+    lam, xs = LambdaScalar.fixed(Fraction(5, 6)), (Fraction(-3, 5), Fraction(7, 2))
+    ops = [(whitney, n, k) for n in range(41) for k in range(n + 1)]
+    ops += [(dowling_poly, n, x) for n in range(41) for x in xs]
+    want = [fn(n, arg, 3, lam) for fn, n, arg in ops]
+    _triangle._TRIANGLES.clear()
+    results = {}
+
+    def worker(seed):
+        order = list(range(len(ops)))
+        random.Random(seed).shuffle(order)
+        results[seed] = {i: ops[i][0](ops[i][1], ops[i][2], 3, lam) for i in order}
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [Thread(target=worker, args=(seed,)) for seed in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 8
+    for got in results.values():
+        assert [got[i] for i in range(len(ops))] == want
+        assert all(type(got[i]) is type(w) for i, w in enumerate(want))
+    triangle = _triangle._TRIANGLES[lam, 0, 3, 1]
+    assert triangle._params[1] == 2 and len(triangle._rows) == 41
+    assert all(type(row) is tuple for row in triangle._rows)
+    assert all(ints is None for ints in triangle._ints)
+
+
+def test_a_sum_inside_publication_finds_the_integers(monkeypatch):
+    # a row_sum that runs while value publishes the row, at its first
+    # entry, stands for a racing thread at the worst point: it still finds
+    # the integers, as they are dropped only after the tuple is stored
+    lam, x = LambdaScalar.fixed(Fraction(5, 6)), Fraction(-3, 5)
+    want = NumberTriangle(lam, beta=3, r=1)
+    triangle = NumberTriangle(lam, beta=3, r=1)
+    calls, sums = [], []
+
+    def converting(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            sums.append(triangle.row_sum(12, x))
+        return Fraction(*args)
+
+    monkeypatch.setattr(_triangle, "Fraction", converting)
+    row = read_row(triangle, 12)
+    monkeypatch.undo()
+    assert sums == [want.row_sum(12, x)]
+    assert row == read_row(want, 12) and triangle._ints[12] is None
+
+def test_a_summed_row_misses_once_then_hits(fresh_triangles):
+    # dowling_poly grows row 12 without publishing it, so the first read of
+    # it misses on its None slot and goes to _lookup, which publishes it;
+    # the second read is a hit in whitney's own frame
+    lam = LambdaScalar.fixed(Fraction(5, 6))
+    dowling_poly(12, Fraction(1, 2), 3, lam)
+    triangle = _triangle._TRIANGLES[lam, 0, 3, 1]
+    assert triangle._rows[12] is None and type(triangle._ints[12]) is list
+
+    def entered_frames():
+        entered = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                entered.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            got = whitney(12, 5, 3, lam)
+        finally:
+            sys.setprofile(None)
+        assert got == oracles.whitney_type_row(12, 3, 1, Fraction(5, 6))[5]
+        return entered
+
+    first = entered_frames()
+    assert first[0] == "whitney" and first.count("_lookup") == 1, first
+    assert entered_frames() == ["whitney"]
+    assert type(triangle._rows[12]) is tuple and triangle._ints[12] is None

@@ -164,9 +164,9 @@ def test_row_sums_under_the_scale_of_lam_m(fresh_triangles, m, lam_value):
         expected = [sum(w * x**k for k, w in enumerate(row)) for x in xs]
         before = [row_sum(n, x) for x in xs]
         triangle = _triangle._TRIANGLES[lam, 0, m, r]
-        assert type(triangle._rows[n]) is list
+        assert triangle._rows[n] is None and type(triangle._ints[n]) is list
         assert [whitney_r(n, k, m, r, lam) for k in range(n + 1)] == row
-        assert type(triangle._rows[n]) is tuple
+        assert type(triangle._rows[n]) is tuple and triangle._ints[n] is None
         after = [row_sum(n, x) for x in xs]
         assert before == after == expected, n
         assert all(type(v) is Fraction for v in before + after)
