@@ -10,12 +10,15 @@ and unsigned first kinds alpha = 1 and alpha = -1, the Whitney-type numbers
 beta = m.  ``_new_triangle`` picks the one integer grower,
 ``NumberTriangle``, for a fixed lambda (entries scaled by q^(n-k), where q
 is the denominator of lambda gcd(alpha, beta, gamma), that is of lambda m
-for the Whitney families; a row with q = 1 is published without a gcd),
-and the one symbolic reader, ``SymbolicTriangle``, which reads an entry's
-lambda coefficients off the integer triangle at lambda = 1.  Both keep one
-row protocol: slot n of ``_rows`` is ``None`` until row n is public, that
-is until its tuple of values is stored there.  A fixed-lambda triangle
-holds its integer rows apart and drops each when it publishes the row.
+for the Whitney families).  It builds each row in one C-level ``map``
+pass, its coefficients, linear in k, taken from a ``range``, and publishes
+each entry through ``poly._lowest``: one gcd (none when q = 1), the sign
+on the numerator, as q^(n-k) > 0.  The one symbolic reader,
+``SymbolicTriangle``, reads an entry's lambda coefficients off the integer
+triangle at lambda = 1.  Both keep one row protocol: slot n of ``_rows``
+is ``None`` until row n is public, that is until its tuple of values is
+stored there.  A fixed-lambda triangle holds its integer rows apart and
+drops each when it publishes the row.
 
 The seven public triangle readers and the row sums ``dowling_poly`` and
 ``bell_poly_lambda`` live here, beside the cache ``_TRIANGLES``; the
@@ -30,11 +33,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import comb, gcd
-from operator import mul
+from operator import add, mul
 from threading import Lock
 
 from .poly import (LambdaScalar, Poly, RingElement, _check_index, _check_lambda, _horner,
-                   _rational)
+                   _lowest, _rational)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -48,11 +51,16 @@ class NumberTriangle:
     divided by g, row n stores U(n, k) = q^(n-k) T(n, k), and
     U(n+1, k) = U(n, k-1) + ((beta k - alpha n + gamma) p + r q) U(n, k).
     For the Whitney families q is the denominator of lam m, not of lam.
+    The coefficient steps by beta p in k, so a new row is one pass of
+    ``map(add, ...)`` over ``map(mul, ...)`` with the coefficients of
+    k = 0..n+1 as a ``range`` (``repeat`` when beta p = 0): the same sums,
+    in the same order, as entry by entry.
 
     The integer rows are held in ``_ints`` and the public rows in
     ``_rows``, which grow together.  ``_rows[n]`` is ``None`` until the
-    row's first ``value`` read stores its public tuple
-    ``Fraction(U, q^(n-k))``, or ``Fraction(U)`` with no gcd when q = 1,
+    row's first ``value`` read stores its public tuple, each entry
+    ``_lowest(U, q^(n-k))``: the ``Fraction`` U / q^(n-k) with one gcd
+    divided out (none when q = 1) and the sign on U, as q^(n-k) > 0,
     and ``_ints[n]`` is dropped to ``None`` only after that, so no row is
     held twice and a racing reader always finds one of the two.
     ``row_sum`` recovers a public row's integers, so a row that is only
@@ -85,14 +93,14 @@ class NumberTriangle:
         rows, ints = self._rows, self._ints
         if len(rows) <= n:
             p, q, alpha, beta, gamma, r = self._params
+            step = beta * p
             with self._lock:
                 while len(rows) <= n:
                     last = self._frontier
                     m = len(last) - 1  # row m -> row m + 1
-                    self._frontier = [
-                        left + ((beta * k - alpha * m + gamma) * p + r * q) * cur
-                        for k, (left, cur) in enumerate(zip([0] + last, last + [0]))
-                    ]
+                    c0 = (gamma - alpha * m) * p + r * q
+                    coeffs = range(c0, c0 + step * (m + 2), step) if step else repeat(c0)
+                    self._frontier = list(map(add, [0] + last, map(mul, coeffs, last + [0])))
                     ints.append(self._frontier)  # so _ints[n] exists once _rows[n] does
                     rows.append(None)
         return ints[n]
@@ -104,8 +112,8 @@ class NumberTriangle:
         row = self._rows[n]
         if row is None:  # its first read makes it public
             q = self._params[1]
-            entries = map(Fraction, ints, _falling_powers(q, n)) if q != 1 else map(Fraction, ints)
-            row = self._rows[n] = tuple(entries)
+            dens = _falling_powers(q, n) if q != 1 else repeat(1)
+            row = self._rows[n] = tuple(map(_lowest, ints, dens))
             self._ints[n] = None
         return row[k]
 

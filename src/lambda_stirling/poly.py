@@ -71,6 +71,24 @@ def _reduce(nums, den: int):
     return nums, den
 
 
+def _lowest(num: int, den: int) -> Fraction:
+    """The ``Fraction`` num / den of ``int`` num and den > 0, built as the
+    standard library builds its own results: ``math.gcd`` is divided out
+    once (not at all when den = 1) and the lowest terms fill the two slots,
+    with no type dispatch, zero test or sign fix-up.  The sign stays on the
+    numerator, as den > 0 and the gcd is positive.  The value is equal,
+    hashed, printed, pickled and copied as ``Fraction(num, den)``."""
+    if den != 1:
+        g = gcd(num, den)
+        if g != 1:
+            num //= g
+            den //= g
+    value = object.__new__(Fraction)
+    value._numerator = num
+    value._denominator = den
+    return value
+
+
 def _common_denominator(values):
     """``(numerators, denominator)`` of the rationals ``values`` over their
     least common denominator: values[i] = numerators[i] / denominator."""

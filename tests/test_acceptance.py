@@ -14,13 +14,9 @@ inversion partner, sum_k T(n,k) (-1)^(k-m) U(k,m) = [n = m] with U the
 unsigned first-kind numbers.
 """
 
-import difflib
-import hashlib
 from dataclasses import replace
 from fractions import Fraction
-from itertools import islice
 from math import comb
-from pathlib import Path
 
 import pytest
 
@@ -41,6 +37,7 @@ from lambda_stirling.stirling import (
 )
 from lambda_stirling.whitney import dobinski_eval, whitney_r, whitney_r_by_expansion
 
+from golden_texts import assert_golden, committed, sha256
 from mutants import MUTANT_PROVIDERS
 
 
@@ -386,40 +383,25 @@ def test_criterion_12_negative_controls():
 
 
 # the two pinned texts are committed in tests/golden beside their hashes
-GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_SHA256 = {
     "suite.jsonl": "edc220924ad22c07ddc2ad5fbdea0b3e67b5c27e0053720d59470b0292fd0506",
     "mutant_reports.jsonl": "20028d8589b362241a66e8a4655420976c0235e4304c55aa1143aab75095f79b",
 }
 
 
-def sha256(text):
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def assert_golden(text, name):
-    # a text that misses its hash shows its first lines that differ from
-    # the committed one
-    digest = GOLDEN_SHA256[name]
-    if sha256(text) != digest:
-        diff = difflib.unified_diff((GOLDEN / name).read_text(encoding="utf-8").splitlines(),
-                                    text.splitlines(), name, "this run", lineterm="")
-        pytest.fail(f"{name} does not hash to {digest}:\n" + "\n".join(islice(diff, 20)))
-
-
 def test_golden_report_hashes():
     # the default suite's JSON lines and the mutant reports on the
     # criterion-12 grid (concatenated in sorted mutant order) are pinned
     # byte for byte: a change to any exact value or verdict shows here
-    assert_golden(run_suite().to_json_lines(), "suite.jsonl")
+    assert_golden(run_suite().to_json_lines(), "suite.jsonl", GOLDEN_SHA256["suite.jsonl"])
     mutant_lines = "".join(
         run_suite(replace(MUTANT_GRID, providers=providers)).to_json_lines()
         for _, providers in sorted(MUTANT_PROVIDERS.items()))
-    assert_golden(mutant_lines, "mutant_reports.jsonl")
+    assert_golden(mutant_lines, "mutant_reports.jsonl", GOLDEN_SHA256["mutant_reports.jsonl"])
 
 
 @pytest.mark.parametrize("name, digest", GOLDEN_SHA256.items())
 def test_golden_texts_hash_to_their_pins(name, digest):
     # the committed texts are the ones the pins hash, so a re-recorded pin
     # shows as a diff of its text
-    assert sha256((GOLDEN / name).read_text(encoding="utf-8")) == digest
+    assert sha256(committed(name)) == digest

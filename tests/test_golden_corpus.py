@@ -31,6 +31,8 @@ from lambda_stirling.whitney import (
     whitney_r,
 )
 
+from golden_texts import assert_golden, committed
+
 
 def sha256(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
@@ -243,8 +245,16 @@ def cli_group_lines():
     return lines
 
 
+# the CLI group's text is committed as tests/golden/cli.jsonl, one record
+# (the repr of argv, exit status, stdout and stderr) a line
+CLI_SHA256 = "6d04c3dde853f4b65ea52dcabd00ce12d605aa5c07b5614459c4e21247668369"
+
+
 def test_cli_group_hash():
     # triangle, eval, bernoulli, dobinski and per-check verify calls and
     # the documented error paths: argv, exit status, stdout and stderr
-    assert sha256(cli_group_lines()) == (
-        "6d04c3dde853f4b65ea52dcabd00ce12d605aa5c07b5614459c4e21247668369")
+    assert_golden("\n".join(cli_group_lines()), "cli.jsonl", CLI_SHA256)
+
+
+def test_cli_text_hashes_to_its_pin():
+    assert hashlib.sha256(committed("cli.jsonl").encode()).hexdigest() == CLI_SHA256

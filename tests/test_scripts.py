@@ -1,7 +1,6 @@
 """The scripts shipped beside the package run against this checkout: each
 demo, and the benchmark tracer's wrapping of the library's seams."""
 
-import hashlib
 import json
 import os
 import subprocess
@@ -9,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from golden_texts import assert_golden, committed, sha256
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -39,8 +40,13 @@ def run_python(*argv, extra_path=()):
 def test_demo_runs(demo):
     proc = run_python(str(demo))
     assert proc.returncode == 0, proc.stderr
-    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
-    assert digest == DEMO_STDOUT[demo.stem]
+    assert_golden(proc.stdout, f"demo_{demo.stem}.txt", DEMO_STDOUT[demo.stem])
+
+
+@pytest.mark.parametrize("stem, digest", DEMO_STDOUT.items())
+def test_demo_texts_hash_to_their_pins(stem, digest):
+    # each demo's stdout is committed as tests/golden/demo_<stem>.txt
+    assert sha256(committed(f"demo_{stem}.txt")) == digest
 
 
 INSTALL_TRACER = """

@@ -1,18 +1,21 @@
+import copy
 import hashlib
 import inspect
 import os
+import pickle
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import gcd
 from threading import Barrier, Thread
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lambda_stirling import _triangle
+from lambda_stirling import _difference, _expansion, _triangle
 from lambda_stirling._triangle import NumberTriangle
 from lambda_stirling.poly import LambdaScalar, Poly, SYMBOLIC, eval_element, falling_factorial_poly
 from lambda_stirling.stirling import (
@@ -220,6 +223,15 @@ def test_expansion_matches_naive_oracle():
     assert list(ours.coefficients) == naive
 
 
+def test_an_elimination_that_leaves_a_remainder_raises(monkeypatch):
+    # a basis of 2 x^k is not monic, so reading coefficient k off the top
+    # degree and subtracting c 2 x^k leaves -c x^k behind
+    monkeypatch.setattr(_expansion, "_falling_basis",
+                        lambda d, lam: [Poly([0] * k + [2]) for k in range(d + 1)])
+    with pytest.raises(ArithmeticError, match="nonzero remainder"):
+        expand_in_falling_basis(Poly([Fraction(1), Fraction(3)]), HALF)
+
+
 # --- classical limits ---------------------------------------------------------
 
 
@@ -230,6 +242,13 @@ def test_classical_rstirling2_matches_partition_count():
                 assert classical_rstirling2(n, k, r) == oracles.count_r_partitions(
                     n, k, r
                 )
+
+
+def test_a_sum_not_divisible_by_k_factorial_raises(monkeypatch):
+    monkeypatch.setattr(_difference, "rstirling2_by_difference",
+                        lambda n, k, r, lam_value: Fraction(7, 2))
+    with pytest.raises(ArithmeticError, match="not divisible by k!"):
+        classical_rstirling2(4, 2, 1)
 
 
 def test_classical_plain_matches_alternating_sum():
@@ -290,6 +309,48 @@ def test_a_scale_one_row_is_published_without_powers(monkeypatch, fresh_triangle
     assert all(type(e) is Fraction and e.denominator == 1 for e in integral)
     whitney(40, 1, 3, LambdaScalar.fixed(Fraction(5, 6)))
     assert calls == [2]
+
+
+# (lam, recurrence parameters) with the scale q of lam gcd(alpha, beta, gamma)
+PUBLISHED_SHAPES = [
+    (Fraction(-2, 3), dict(beta=3, r=1), 1),  # whitney m = 3
+    (Fraction(3), dict(alpha=-1, r=2), 1),
+    (Fraction(5, 6), dict(beta=3, r=1), 2),
+    (Fraction(-1, 2), dict(beta=1), 2),  # r = 0: zero entries in column 0
+    (Fraction(1, 4), dict(alpha=2, beta=4, gamma=6, r=1), 2),
+    (Fraction(1, 3), dict(beta=1, r=2), 3),
+    (Fraction(-2, 3), dict(alpha=-1, r=3), 3),
+    (Fraction(-7, 3), dict(alpha=-1, gamma=2, r=1), 3),
+    (Fraction(-5, 6), dict(alpha=1, r=2), 6),
+    (Fraction(1, 6), dict(alpha=1, gamma=-3), 6),
+]
+
+
+def test_fraction_has_the_slots_that_publication_fills():
+    # poly._lowest builds each published entry by filling these two slots,
+    # so a fractions module that renames them fails here
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
+
+
+@pytest.mark.parametrize("lam_value, params, scale", PUBLISHED_SHAPES)
+def test_published_entries_are_the_fractions_of_their_integers(lam_value, params, scale):
+    # every entry of rows 0..60 is the Fraction U / q^(n-k) itself: same
+    # type, lowest terms, positive denominator, hash, repr and str, and it
+    # survives pickle and copy
+    lam = LambdaScalar.fixed(lam_value)
+    source, triangle = NumberTriangle(lam, **params), NumberTriangle(lam, **params)
+    assert triangle._params[1] == scale
+    for n in range(61):
+        ints = list(source._row(n))
+        for k, v in enumerate(read_row(triangle, n)):
+            want = Fraction(ints[k], scale ** (n - k))
+            assert type(v) is Fraction
+            assert (v.numerator, v.denominator) == (want.numerator, want.denominator)
+            assert gcd(v.numerator, v.denominator) == 1 and v.denominator > 0
+            assert (hash(v), repr(v), str(v)) == (hash(want), repr(want), str(want))
+            for back in (pickle.loads(pickle.dumps(v)), copy.copy(v), copy.deepcopy(v)):
+                assert type(back) is Fraction and back == want
+                assert (back.numerator, back.denominator) == (want.numerator, want.denominator)
 
 
 # --- caching / concurrency ----------------------------------------------------
@@ -735,15 +796,15 @@ def test_a_sum_inside_publication_finds_the_integers(monkeypatch):
     lam, x = LambdaScalar.fixed(Fraction(5, 6)), Fraction(-3, 5)
     want = NumberTriangle(lam, beta=3, r=1)
     triangle = NumberTriangle(lam, beta=3, r=1)
-    calls, sums = [], []
+    calls, sums, lowest = [], [], _triangle._lowest
 
     def converting(*args):
         calls.append(args)
         if len(calls) == 1:
             sums.append(triangle.row_sum(12, x))
-        return Fraction(*args)
+        return lowest(*args)
 
-    monkeypatch.setattr(_triangle, "Fraction", converting)
+    monkeypatch.setattr(_triangle, "_lowest", converting)
     row = read_row(triangle, 12)
     monkeypatch.undo()
     assert sums == [want.row_sum(12, x)]
