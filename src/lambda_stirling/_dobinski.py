@@ -10,6 +10,7 @@ loop.  This module loads on the first ``dobinski_eval``, as mpmath does.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import ceil, factorial, lgamma, log, log10
 
@@ -60,13 +61,7 @@ def _first_true(pred, k: int, max_terms: int) -> int:
         if hi >= max_terms:
             raise ArithmeticError("series failed to reach the tail bound")
         k, hi = hi + 1, min(2 * hi, max_terms)
-    while k < hi:
-        mid = (k + hi) // 2
-        if pred(mid):
-            hi = mid
-        else:
-            k = mid + 1
-    return hi
+    return k + bisect_left(range(k, hi), True, key=pred)
 
 
 def _split_sum(a: int, b: int, u: int, v: int, f) -> tuple:

@@ -385,15 +385,14 @@ def _t13_variant(variant: str, numerator):
                     for alpha in cfg.alpha_values:
                         for n, k in _cells(cfg.bernoulli_n_max):
                             lhs = p.whitney_r(n, k, m, r, lam) / comb(k + alpha, k)
-                            rhs = Fraction(0)
-                            for l in range(k, n + 1):
-                                arg = Fraction(numerator(r, n - l)) / (m * lam.value)
-                                rhs += (
-                                    Fraction(comb(n, l), comb(l + alpha, l))
-                                    * p.whitney(l + alpha, k + alpha, m, lam)
-                                    * p.bernoulli(n - l, alpha, arg)
-                                    * (lam.value * m) ** (n - l)
-                                )
+                            rhs = sum(
+                                Fraction(comb(n, l), comb(l + alpha, l))
+                                * p.whitney(l + alpha, k + alpha, m, lam)
+                                * p.bernoulli(n - l, alpha,
+                                              Fraction(numerator(r, n - l)) / (m * lam.value))
+                                * (lam.value * m) ** (n - l)
+                                for l in range(k, n + 1)
+                            )
                             params = {"n": n, "k": k, "m": m, "r": r, "alpha": alpha,
                                       "lambda": lam}
                             yield params, lhs, rhs

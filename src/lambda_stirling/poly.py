@@ -38,6 +38,7 @@ The package's parameter rules live here: ``_check_index``, ``_rational``,
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 from threading import Lock
 from typing import Iterable, Union
@@ -120,13 +121,6 @@ def _rational(value, name: str) -> Fraction:
     raise ValueError(f"{name} must be an int or a Fraction, not {type(value).__name__}")
 
 
-def _ratio_str(num: int, den: int) -> str:
-    """``str(Fraction(num, den))``, without building the ``Fraction``."""
-    g = gcd(num, den)
-    num, den = num // g, den // g
-    return str(num) if den == 1 else f"{num}/{den}"
-
-
 class Poly:
     """Dense univariate polynomial with exact coefficients."""
 
@@ -176,10 +170,7 @@ class Poly:
         built from the integers on each read and kept nowhere."""
         if self._nums is None:
             return self._coeffs
-        den = self._den
-        # Fraction(c) keeps c itself where Fraction(c, 1) would copy it
-        return tuple(map(Fraction, self._nums) if den == 1
-                     else (Fraction(c, den) for c in self._nums))
+        return tuple(map(_lowest, self._nums, repeat(self._den)))
 
     @property
     def is_zero(self) -> bool:
@@ -200,7 +191,7 @@ class Poly:
             if 0 <= i < len(self._coeffs):
                 return self._coeffs[i]
         elif 0 <= i < len(self._nums):
-            return Fraction(self._nums[i], self._den)
+            return _lowest(self._nums[i], self._den)
         return Fraction(0)
 
     def __bool__(self) -> bool:
@@ -282,8 +273,6 @@ class Poly:
             return self.scale(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Poly()
         if self._nums is None or other._nums is None:
             a, b = self.coeffs, other.coeffs
             out = [Fraction(0)] * (len(a) + len(b) - 1)
@@ -391,7 +380,7 @@ def format_element(value: RingElement):
             return str(value.coeff(0))
         if value._nums is None:
             return [str(c) for c in value.coeffs]
-        return [_ratio_str(c, value._den) for c in value._nums]
+        return [str(_lowest(c, value._den)) for c in value._nums]
     return str(_element(value, "value"))
 
 

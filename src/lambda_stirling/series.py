@@ -189,15 +189,9 @@ def dowling_series(x, m: int, lam: LambdaScalar, order: int) -> TruncatedSeries:
 def _binomial_product(a, b, order: int) -> list:
     """EGF coefficients 0..order of the product of two series given by
     their EGF coefficients (``int``, ``Fraction`` or ``Poly``): the binomial
-    convolution, summed only where both factors can be nonzero."""
-    va = next((i for i, c in enumerate(a) if c), order + 1)
-    vb = next((i for i, c in enumerate(b) if c), order + 1)
-    # term l of coefficient n is C(n, l) a_l b_(n-l), for va <= l <= n - vb
-    return [
-        _dot(map(comb, repeat(n), range(va, n - vb + 1)), a[va:],
-             reversed(b[vb : n - va + 1]))
-        for n in range(order + 1)
-    ]
+    convolution, whose coefficient n sums C(n, l) a_l b_(n-l) over l <= n."""
+    return [_dot(map(comb, repeat(n), range(n + 1)), a, reversed(b[: n + 1]))
+            for n in range(order + 1)]
 
 
 def _core(order: int) -> list:

@@ -268,6 +268,31 @@ def egf_mul(a: list, b: list) -> list:
     ]
 
 
+def first_true_probes(k: int, max_terms: int, threshold: int) -> tuple:
+    """(first, probes) of a doubling search from k >= 1 for the predicate
+    j >= threshold, then a bisection of the last doubled range: the least
+    j >= k that passes and the j tested, in order.  Past ``max_terms`` the
+    search gives up with first None."""
+    probes = []
+
+    def passes(j):
+        probes.append(j)
+        return j >= threshold
+
+    hi = k
+    while not passes(hi):
+        if hi >= max_terms:
+            return None, probes
+        k, hi = hi + 1, min(2 * hi, max_terms)
+    while k < hi:
+        mid = (k + hi) // 2
+        if passes(mid):
+            hi = mid
+        else:
+            k = mid + 1
+    return hi, probes
+
+
 def egf_power_ring(a: list, k: int) -> list:
     """A^k for an integer k and an EGF coefficient list with a[0] != 0, by
     Miller's recurrence a_0 b_(n+1) = sum_i (k C(n, i-1) - C(n, i)) a_i

@@ -39,6 +39,8 @@ from lambda_stirling.whitney import dobinski_eval, whitney_r, whitney_r_by_expan
 
 from golden_texts import assert_golden, committed, sha256
 from mutants import MUTANT_PROVIDERS
+from test_cli import DOBINSKI_SHA256
+from test_series import COLUMNS_SHA256
 
 
 def report(number, label, ok, detail=""):
@@ -400,7 +402,11 @@ def test_golden_report_hashes():
     assert_golden(mutant_lines, "mutant_reports.jsonl", GOLDEN_SHA256["mutant_reports.jsonl"])
 
 
-@pytest.mark.parametrize("name, digest", GOLDEN_SHA256.items())
+@pytest.mark.parametrize("name, digest", {
+    **GOLDEN_SHA256,
+    "cli_dobinski.txt": DOBINSKI_SHA256,
+    "series_columns.txt": COLUMNS_SHA256,
+}.items())
 def test_golden_texts_hash_to_their_pins(name, digest):
     # the committed texts are the ones the pins hash, so a re-recorded pin
     # shows as a diff of its text

@@ -3,8 +3,10 @@ import hashlib
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +18,8 @@ from lambda_stirling.poly import LambdaScalar, SYMBOLIC, csv_element, format_ele
 from lambda_stirling.bernoulli import bernoulli_higher
 from lambda_stirling.stirling import rstirling2_lambda
 from lambda_stirling.whitney import bell_poly_lambda, dowling_poly, whitney_series
+
+from golden_texts import assert_golden
 
 
 def run_cli(capsys, *argv):
@@ -286,6 +290,25 @@ def test_decimal_exponent_past_the_digit_limit_is_refused(capsys, text):
     assert run_cli(capsys, *argv[:5], "--x=-1e-1", *argv[6:])[:2] == (0, "-1/25\n")
 
 
+@pytest.mark.parametrize("module", ["lambda_stirling", "lambda_stirling.cli"])
+def test_main_modules_exit_with_the_status_of_main(module, capsys, monkeypatch):
+    # python -m of the package and of the CLI module, run in this process:
+    # each prints what main prints and exits with its status
+    for argv, status in ((["eval", "--poly", "bell", "--n", "3", "--x", "2", "--lambda", "1/2"], 0),
+                         (["eval", "--poly", "bell", "--n", "3", "--x", "2", "--lambda", "0"], 2)):
+        expected = run_cli(capsys, *argv)
+        assert expected[0] == status
+        monkeypatch.setattr(sys, "argv", [module, *argv])
+        with warnings.catch_warnings():
+            # the CLI module is imported already, where python -m starts afresh
+            warnings.filterwarnings("ignore", "'lambda_stirling.cli' found in sys.modules",
+                                    RuntimeWarning)
+            with pytest.raises(SystemExit) as stop:
+                runpy.run_module(module, run_name="__main__")
+        captured = capsys.readouterr()
+        assert (stop.value.code, captured.out, captured.err) == expected
+
+
 def test_a_huge_decimal_exponent_is_refused_before_it_is_expanded():
     # Fraction("1e10000000") alone ran 10.8 s; a dash token after --x is its
     # value, refused by the exponent bound as --x=-1e10000000 is
@@ -513,15 +536,18 @@ DOBINSKI_ARGVS = [
 ] + [["dobinski", "--n", "4", "--x", "3/2", "--m", "2", "--lambda", "1/2", "--digits", "20"]]
 
 
+# stdout recorded when the series was summed at a fixed 40 digits, committed
+# as tests/golden/cli_dobinski.txt
+DOBINSKI_SHA256 = "dbe6c20df35296a7e58f037b587677ee87ca166713d8f219d3fd60e153dd0769"
+
+
 def test_dobinski_output_pinned(capsys):
-    # stdout recorded when the series was summed at a fixed 40 digits
     outputs = []
     for argv in DOBINSKI_ARGVS:
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
         outputs.append(out)
-    digest = hashlib.sha256("".join(outputs).encode()).hexdigest()
-    assert digest == "dbe6c20df35296a7e58f037b587677ee87ca166713d8f219d3fd60e153dd0769"
+    assert_golden("".join(outputs), "cli_dobinski.txt", DOBINSKI_SHA256)
 
 
 def test_dobinski_rejects_symbolic(capsys):

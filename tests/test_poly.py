@@ -40,6 +40,12 @@ def test_trailing_zeros_stripped():
     assert Poly([]).is_zero
 
 
+def test_a_poly_is_true_when_nonzero():
+    zeros = [Poly(), Poly([0, Fraction(0)]), Poly.from_ints([0], 3), Poly([Poly()])]
+    others = [Poly([Fraction(1, 2)]), X, Poly([Poly([1]), X])]
+    assert [bool(p) for p in zeros + others] == [False] * 4 + [True] * 3
+
+
 def test_degree():
     assert Poly.zero().degree == -1
     assert Poly([Fraction(3)]).degree == 0
@@ -247,6 +253,44 @@ def test_format_element_reduces_like_fraction_str():
     assert p.coeffs == (Fraction(1, 2), Fraction(-3, 4), 0, 1, Fraction(3, 2))
     assert format_element(p) == [str(c) for c in p.coeffs]
     assert csv_element(p) == "1/2,-3/4,0,1,3/2"
+
+
+def _same_fraction(value, want):
+    # equal, and alike in type, str, repr (so in lowest terms) and hash
+    assert type(value) is Fraction
+    assert (value, str(value), repr(value), hash(value)) == (want, str(want), repr(want), hash(want))
+
+
+@given(st.lists(st.integers(-10**6, 10**6), max_size=6), st.integers(1, 720))
+@example([6, 4, 3], 12)  # lowest terms as a whole, not coefficient by coefficient
+@example([0, 5, -10], 10)
+@example([7, 0, 0], 1)
+@example([], 5)
+def test_scalar_coefficients_are_the_fractions_of_their_integers(nums, den):
+    # coeffs, coeff and format_element publish nums[i] / den through one
+    # reducer, and each is Fraction(nums[i], den) however it is read
+    p = Poly.from_ints(nums, den)
+    expected = [Fraction(c, den) for c in nums]
+    while expected and not expected[-1]:
+        expected.pop()
+    coeffs = p.coeffs
+    assert len(coeffs) == len(expected)
+    for i, want in enumerate(expected):
+        _same_fraction(coeffs[i], want)
+        _same_fraction(p.coeff(i), want)
+    _same_fraction(p.coeff(len(expected)), Fraction(0))
+    if len(expected) > 1:
+        assert format_element(p) == [str(c) for c in expected]
+    else:
+        assert format_element(p) == str(expected[0] if expected else Fraction(0))
+
+
+@pytest.mark.parametrize("p", [Poly.from_ints([3, -1, 2], 5), Poly([Fraction(1, 2), 1 + X]),
+                               Poly(), Poly([Poly()])], ids=repr)
+def test_a_product_with_zero_is_the_zero_polynomial(p):
+    for product in (p * Poly(), Poly() * p, p * Poly.from_ints([0, 0], 7)):
+        assert product.is_zero and product.degree == -1
+        assert repr(product) == "Poly([])" and product == 0 and hash(product) == hash(0)
 
 
 def test_reading_coeffs_keeps_nothing():

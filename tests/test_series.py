@@ -1,4 +1,3 @@
-import hashlib
 import operator
 import pickle
 import sys
@@ -20,6 +19,7 @@ from lambda_stirling.series import TruncatedSeries
 from lambda_stirling.stirling import rstirling2_by_difference, second_kind_series
 from lambda_stirling.whitney import dowling_series, whitney_series
 
+from golden_texts import assert_golden
 from oracles import (
     alternating_sum_stirling2,
     egf_exp,
@@ -206,6 +206,11 @@ def test_columns_match_generic_series_oracle(lam, m, r, order_first):
         assert all(type(c) is (kind if k else Fraction) for c in column.coeffs)
 
 
+# the column reprs that test_each_column_is_one_power_pass pins, one a line,
+# committed as tests/golden/series_columns.txt
+COLUMNS_SHA256 = "4a87aa65547357c908d0b08ee89141267b0edb059d571037f9694f7db9ff5149"
+
+
 def test_each_column_is_one_power_pass(monkeypatch):
     # the first read of column k makes one pass of the power recurrence, to
     # order - k; a read the table of G^k already reaches makes none, and a
@@ -238,8 +243,7 @@ def test_each_column_is_one_power_pass(monkeypatch):
                     if first:
                         seen.add(k)
                     calls.clear()
-    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-        "4a87aa65547357c908d0b08ee89141267b0edb059d571037f9694f7db9ff5149")
+    assert_golden("\n".join(lines), "series_columns.txt", COLUMNS_SHA256)
     lam = LambdaScalar.fixed(Fraction(1, 3))
     for order, expected in ((20, [(3, 17, 7)]), (15, []), (20, [])):
         assert list(second_kind_series(3, 2, lam, order).coeffs) == [
@@ -478,6 +482,36 @@ def test_alignment_truncates_to_smaller_order():
     b = TruncatedSeries([1] * 4)
     assert (a * b).order == (b * a).order == 3
     assert a * b == TruncatedSeries([2**n for n in range(4)])
+
+
+series_entries = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+    st.builds(Poly, st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=5),
+                             max_size=3)),
+)
+
+
+@st.composite
+def egf_lists(draw):
+    """EGF coefficients, some of them zeros of each kind up front."""
+    zeros = draw(st.lists(st.sampled_from([0, Fraction(0), Poly()]), max_size=4))
+    return zeros + draw(st.lists(series_entries, min_size=1, max_size=6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(egf_lists(), egf_lists())
+@example([Poly()] * 4, [1, 2, 3, 4, 5])  # an all-zero factor
+@example([0, 0, Fraction(1, 2), 3], [0, LAM, 1 + LAM, 2])  # both with leading zeros
+@example([Fraction(0)] * 3, [Poly()] * 3)
+def test_binomial_product_is_the_naive_product(a, b):
+    # every coefficient is the full binomial sum: equal, and of the same type,
+    # whatever zeros either factor starts with
+    expected = egf_mul(a, b)
+    got = series._binomial_product(a, b, len(expected) - 1)
+    assert got == expected
+    assert [type(c) for c in got] == [type(c) for c in expected]
+    assert (TruncatedSeries(a) * TruncatedSeries(b)).coeffs == tuple(expected)
 
 
 def test_to_json():

@@ -469,6 +469,27 @@ def test_dobinski_sum_refuses_to_pass_max_terms(n, x, m, lam, k):
         _dobinski.dobinski_sum(*args, max_terms=k - 1)
 
 
+@pytest.mark.parametrize("k, max_terms", [(1, 1), (1, 40), (2, 2), (3, 37), (5, 64), (17, 300)])
+def test_stop_search_probes_by_doubling_then_bisection(k, max_terms):
+    # for every stop in [k, max_terms] the search tests the predicate at
+    # the same j in the same order as a hand-written doubling and bisection,
+    # and past max_terms it raises after the same probes
+    for threshold in range(k, max_terms + 2):
+        probes = []
+
+        def passes(j):
+            probes.append(j)
+            return j >= threshold
+
+        first, expected = oracles.first_true_probes(k, max_terms, threshold)
+        if first is None:
+            with pytest.raises(ArithmeticError, match="failed to reach the tail bound"):
+                _dobinski._first_true(passes, k, max_terms)
+        else:
+            assert _dobinski._first_true(passes, k, max_terms) == first == threshold
+        assert probes == expected, threshold
+
+
 # every field of dobinski_eval over 11 n x 6 x x 2 m x 4 lambda x 2 tol =
 # 1,056 points: the mpf as (man, exp), the float tail bound as its repr,
 # both exact bounds as p/q, the working digits and the exact value

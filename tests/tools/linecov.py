@@ -9,8 +9,8 @@ prints ``path:line  source`` for each line that holds code no test ran.
 A line holds code when the compiled module has an instruction on it other
 than a ``RESUME`` or ``NOP`` marker.  Standard library only, apart from
 pytest itself.  Processes the tests start (the CLI subprocesses) are
-not traced, so ``__main__.py`` and what only they run are listed.  It takes
-about three times as long as plain tier-1.
+not traced, so what only they run is listed.  It takes about three times
+as long as plain tier-1.
 """
 
 import dis
