@@ -11,14 +11,18 @@ beta = m.  ``_new_triangle`` picks the one integer grower,
 ``NumberTriangle``, for a fixed lambda (entries scaled by q^(n-k), where q
 is the denominator of lambda gcd(alpha, beta, gamma), that is of lambda m
 for the Whitney families).  It builds each row in one C-level ``map``
-pass, its coefficients, linear in k, taken from a ``range``, and publishes
-each entry through ``poly._lowest``: one gcd (none when q = 1), the sign
-on the numerator, as q^(n-k) > 0.  The one symbolic reader,
-``SymbolicTriangle``, reads an entry's lambda coefficients off the integer
-triangle at lambda = 1.  Both keep one row protocol: slot n of ``_rows``
-is ``None`` until row n is public, that is until its tuple of values is
-stored there.  A fixed-lambda triangle holds its integer rows apart and
-drops each when it publishes the row.
+pass, its coefficients, linear in k, taken from a ``range``, keeps one
+list of the powers q^0..q^n beside its rows, and publishes each entry
+through ``poly._lowest`` (the sign on the numerator, as q^(n-k) > 0) with
+the window q^(2t), the widest even power of q within one ``int`` digit
+(q^2 when none is).  An entry U / q^j past it takes g = gcd(U, q^(2t))
+first, one short division, and g is gcd(U, q^j) when it divides q^t: only
+primes p of q divide both, and then v_p(U) <= t v_p(q) < j v_p(q).  The
+one symbolic reader, ``SymbolicTriangle``, reads an entry's lambda
+coefficients off the integer triangle at lambda = 1.  Both keep one row
+protocol: slot n of ``_rows`` is ``None`` until row n is public, that is
+until its tuple of values is stored there.  A fixed-lambda triangle holds
+its integer rows apart and drops each when it publishes the row.
 
 The seven public triangle readers and the row sums ``dowling_poly`` and
 ``bell_poly_lambda`` live here, beside the cache ``_TRIANGLES``; the
@@ -30,6 +34,7 @@ checks the readers' arguments.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import comb, gcd
@@ -41,6 +46,7 @@ from .poly import (LambdaScalar, Poly, RingElement, _check_index, _check_lambda,
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_DIGIT = 1 << sys.int_info.bits_per_digit  # every int below it is one CPython digit
 
 
 class NumberTriangle:
@@ -56,15 +62,20 @@ class NumberTriangle:
     k = 0..n+1 as a ``range`` (``repeat`` when beta p = 0): the same sums,
     in the same order, as entry by entry.
 
-    The integer rows are held in ``_ints`` and the public rows in
-    ``_rows``, which grow together.  ``_rows[n]`` is ``None`` until the
-    row's first ``value`` read stores its public tuple, each entry
-    ``_lowest(U, q^(n-k))``: the ``Fraction`` U / q^(n-k) with one gcd
-    divided out (none when q = 1) and the sign on U, as q^(n-k) > 0,
-    and ``_ints[n]`` is dropped to ``None`` only after that, so no row is
-    held twice and a racing reader always finds one of the two.
-    ``row_sum`` recovers a public row's integers, so a row that is only
-    summed is never converted.
+    The integer rows are held in ``_ints``, the public rows in ``_rows``
+    and the powers q^0..q^n in ``_powers``, which grow together: q^n is
+    appended before ``_rows[n]`` exists.  ``_rows[n]`` is ``None`` until
+    the row's first ``value`` read stores its public tuple, each entry
+    ``_lowest(U, q^(n-k), q^(2t), q^t)``: the ``Fraction`` U / q^(n-k) in
+    lowest terms (no gcd when q = 1), the sign on U, as q^(n-k) > 0.  The
+    window q^(2t) is the widest with t >= 1 and q^(2t) below one ``int``
+    digit (t = 1 when there is none): past it the gcd of U and q^(2t) is
+    one short division, and it settles the entry when it divides q^t
+    (``_lowest`` has the proof).  ``_ints[n]`` is dropped to ``None`` only
+    after the tuple is stored, so no row is held twice and a racing reader
+    always finds one of the two.  ``row_sum`` recovers a public row's
+    integers against the same powers, so a row that is only summed is
+    never converted.
 
     It checks only that lam is a ``LambdaScalar`` and trusts its callers
     (``_lookup``, ``dowling_poly``, ...) for the ``int`` parameters and n,
@@ -73,24 +84,29 @@ class NumberTriangle:
     either is kept.  Only growth takes the lock.
     """
 
-    __slots__ = ("_rows", "_ints", "_frontier", "_params", "_lock")
+    __slots__ = ("_rows", "_ints", "_powers", "_frontier", "_params", "_window", "_lock")
 
     def __init__(self, lam: LambdaScalar, *, alpha: int = 0, beta: int = 0,
                  gamma: int = 0, r: int = 0):
         _check_lambda(lam)
         g = gcd(alpha, beta, gamma) or 1
         scaled = lam.value * g
-        self._params = (scaled.numerator, scaled.denominator,
-                        alpha // g, beta // g, gamma // g, r)
+        q = scaled.denominator
+        self._params = (scaled.numerator, q, alpha // g, beta // g, gamma // g, r)
+        t = 1
+        while q > 1 and q ** (2 * t + 2) < _DIGIT:
+            t += 1
+        self._window = (q ** (2 * t), q ** t)
         self._lock = Lock()
         self._frontier = [1]
         self._ints = [self._frontier]
+        self._powers = [1]
         self._rows = [None]
 
     def _row(self, n: int):
         """The integers of row n >= 0, grown if missing, or ``None`` once the
         row is public."""
-        rows, ints = self._rows, self._ints
+        rows, ints, powers = self._rows, self._ints, self._powers
         if len(rows) <= n:
             p, q, alpha, beta, gamma, r = self._params
             step = beta * p
@@ -101,7 +117,9 @@ class NumberTriangle:
                     c0 = (gamma - alpha * m) * p + r * q
                     coeffs = range(c0, c0 + step * (m + 2), step) if step else repeat(c0)
                     self._frontier = list(map(add, [0] + last, map(mul, coeffs, last + [0])))
-                    ints.append(self._frontier)  # so _ints[n] exists once _rows[n] does
+                    # so _ints[n] and q^n exist once _rows[n] does
+                    ints.append(self._frontier)
+                    powers.append(powers[-1] * q)
                     rows.append(None)
         return ints[n]
 
@@ -111,9 +129,9 @@ class NumberTriangle:
         ints = self._row(n)  # read before the row: it is dropped after
         row = self._rows[n]
         if row is None:  # its first read makes it public
-            q = self._params[1]
-            dens = _falling_powers(q, n) if q != 1 else repeat(1)
-            row = self._rows[n] = tuple(map(_lowest, ints, dens))
+            window, half = self._window
+            row = self._rows[n] = tuple(map(_lowest, ints, self._powers[n::-1],
+                                            repeat(window), repeat(half)))
             self._ints[n] = None
         return row[k]
 
@@ -124,8 +142,8 @@ class NumberTriangle:
         a, b, q = x.numerator, x.denominator, self._params[1]
         ints = self._row(n)
         if ints is None:  # a public row: recover its integers exactly
-            powers = _falling_powers(q, n)
-            ints = [e.numerator * (p // e.denominator) for e, p in zip(self._rows[n], powers)]
+            ints = [e.numerator * (p // e.denominator)
+                    for e, p in zip(self._rows[n], self._powers[n::-1])]
         return Fraction(_horner(ints, a * q, b), (q * b) ** n)
 
 
@@ -197,12 +215,10 @@ class SymbolicTriangle:
         return Poly.from_ints(sums, b ** n)
 
 
-def _falling_powers(q: int, n: int) -> list:
-    """[q^n, q^(n-1), ..., q^0]: the powers q^(n-k) of row n.  In a
-    ``NumberTriangle`` they are its denominators, q being the denominator
-    of lam gcd(alpha, beta, gamma) (of lam m for a Whitney triangle), and a
-    row with q = 1 is published without them."""
-    return list(accumulate(repeat(q, n), mul, initial=1))[::-1]
+def _falling_powers(b: int, n: int) -> list:
+    """[b^n, b^(n-1), ..., b^0]: the powers b^(n-k) that scale row n of a
+    symbolic row sum at x = a/b."""
+    return list(accumulate(repeat(b, n), mul, initial=1))[::-1]
 
 
 _TRIANGLES: dict = {}  # (lam, alpha, beta, r) -> NumberTriangle or SymbolicTriangle

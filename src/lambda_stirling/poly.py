@@ -72,15 +72,28 @@ def _reduce(nums, den: int):
     return nums, den
 
 
-def _lowest(num: int, den: int) -> Fraction:
+def _lowest(num: int, den: int, window: int | None = None, half: int = 1) -> Fraction:
     """The ``Fraction`` num / den of ``int`` num and den > 0, built as the
-    standard library builds its own results: ``math.gcd`` is divided out
-    once (not at all when den = 1) and the lowest terms fill the two slots,
-    with no type dispatch, zero test or sign fix-up.  The sign stays on the
-    numerator, as den > 0 and the gcd is positive.  The value is equal,
-    hashed, printed, pickled and copied as ``Fraction(num, den)``."""
+    standard library builds its own results: one gcd of num and den is
+    divided out (none when den = 1) and the lowest terms fill the two
+    slots, with no type dispatch, zero test or sign fix-up.  The sign stays
+    on the numerator, as den > 0 and the gcd is positive.  The value is
+    equal, hashed, printed, pickled and copied as ``Fraction(num, den)``.
+
+    The window (``NumberTriangle.value`` alone passes one) is window =
+    q^(2t) and half = q^t for some t >= 1, and then den must be a power
+    q^j of the same q.  Past the window (den > window) the gcd is first
+    taken against the window: if g = gcd(num, q^(2t)) divides q^t it is
+    gcd(num, q^j), as for each prime p of q, with a = v_p(q),
+    min(v_p(num), 2ta) <= ta gives v_p(num) <= ta < ja.  Otherwise
+    (num = 0 included, where g = q^(2t)) the full ``math.gcd`` decides."""
     if den != 1:
-        g = gcd(num, den)
+        if window is None or den <= window:
+            g = gcd(num, den)
+        else:
+            g = gcd(num, window)
+            if half % g:
+                g = gcd(num, den)
         if g != 1:
             num //= g
             den //= g

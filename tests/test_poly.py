@@ -22,7 +22,7 @@ from lambda_stirling.poly import (
     format_element,
     csv_element,
 )
-from lambda_stirling._triangle import _new_triangle, _triangle
+from lambda_stirling._triangle import NumberTriangle, _new_triangle, _triangle
 from lambda_stirling.stirling import BasisExpansion, expand_in_falling_basis
 from lambda_stirling.whitney import dobinski_eval
 
@@ -283,6 +283,60 @@ def test_scalar_coefficients_are_the_fractions_of_their_integers(nums, den):
         assert format_element(p) == [str(c) for c in expected]
     else:
         assert format_element(p) == str(expected[0] if expected else Fraction(0))
+
+
+# denominators q of a fixed-lambda triangle, with their prime factors: q^2
+# is wider than one 30-bit digit from 65537 on, and 2^40 - 87 is prime
+WINDOW_QS = {2: [2], 3: [3], 6: [2, 3], 10: [2, 5], 30: [2, 3, 5], 210: [2, 3, 5, 7],
+             65537: [65537], 2 ** 40 - 87: [2 ** 40 - 87]}
+
+
+def _window(q):
+    """(q^(2t), q^t, t) of the window a triangle over q takes."""
+    window, half = NumberTriangle(LambdaScalar.fixed(Fraction(1, q)))._window
+    return window, half, next(t for t in range(1, 64) if q ** t == half)
+
+
+@pytest.mark.parametrize("q", [1, *WINDOW_QS])
+def test_the_window_is_the_widest_within_one_digit(q):
+    # q^(2t) for the largest t >= 1 with q^(2t) below one digit (t = 1 when
+    # there is none); q = 1 needs no window, and its search ends at once
+    window, half, t = _window(q)
+    digit = 1 << sys.int_info.bits_per_digit
+    assert (window, half) == (q ** (2 * t), q ** t)
+    assert t == 1 or window < digit
+    assert q == 1 or q ** (2 * t + 2) >= digit
+
+
+@st.composite
+def windowed_quotients(draw):
+    """(num, q, j): num = +-q^v m over q^j, with v on both sides of t, 2t
+    and j, and m coprime to q or holding a power of one prime of q."""
+    q = draw(st.sampled_from(sorted(WINDOW_QS)))
+    t = _window(q)[2]
+    j = draw(st.integers(0, 3 * t + 2))
+    v = draw(st.sampled_from([0, t - 1, t, 2 * t - 1, 2 * t, 2 * t + 1, j, j + 1]))
+    m = draw(st.integers(1, 2 ** 64))
+    if draw(st.booleans()):
+        m = m * q + 1
+    else:
+        m *= draw(st.sampled_from(WINDOW_QS[q])) ** draw(st.integers(1, 3 * t + 2))
+    return draw(st.sampled_from([1, -1])) * q ** v * m, q, j
+
+
+@given(windowed_quotients())
+@example((0, 3, 20))  # zero past the window: gcd(0, q^(2t)) = q^(2t) falls back
+@example((0, 3, 5))
+@example((0, 65537, 3))
+@example((3 ** 19 * 7, 3, 25))  # v_3 = 19 > t: the full gcd decides
+@example((2 ** 5 * 3 ** 30, 6, 20))  # one prime inside the window, one past it
+def test_the_window_reduces_exactly(case):
+    num, q, j = case
+    window, half, _ = _window(q)
+    got, want = poly._lowest(num, q ** j, window, half), Fraction(num, q ** j)
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator, hash(got)) == (want.numerator, want.denominator,
+                                                           hash(want))
 
 
 @pytest.mark.parametrize("p", [Poly.from_ints([3, -1, 2], 5), Poly([Fraction(1, 2), 1 + X]),

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lambda_stirling import _difference, _expansion, _triangle
+from lambda_stirling import _difference, _expansion, _triangle, poly
 from lambda_stirling._triangle import NumberTriangle
 from lambda_stirling.poly import LambdaScalar, Poly, SYMBOLIC, eval_element, falling_factorial_poly
 from lambda_stirling.stirling import (
@@ -294,21 +294,72 @@ def test_whitney_rows_are_scaled_by_the_denominator_of_lam_m(fresh_triangles, la
 
 
 def test_a_scale_one_row_is_published_without_powers(monkeypatch, fresh_triangles):
-    # at lam m = -2 a published entry is Fraction(U), so no power list is
-    # built; at lam m = 5/2 each published row builds one, of 2
-    calls = []
-    powers = _triangle._falling_powers
+    # at lam m = -2 a published entry is Fraction(U), so its row reaches no
+    # gcd; at lam m = 5/2 a published row reads the triangle's one list of
+    # the powers of 2, once, and builds no power list of its own
+    gcds, calls = [], []
+    real_gcd, powers = poly.gcd, _triangle._falling_powers
+
+    def counted_gcd(a, b):
+        gcds.append(b)
+        return real_gcd(a, b)
 
     def counted(q, n):
         calls.append(q)
         return powers(q, n)
 
+    class Slices(list):
+        def __getitem__(self, index):
+            calls.append(index)
+            return list.__getitem__(self, index)
+
+    monkeypatch.setattr(poly, "gcd", counted_gcd)
     monkeypatch.setattr(_triangle, "_falling_powers", counted)
     integral = [whitney(40, k, 3, LambdaScalar.fixed(Fraction(-2, 3))) for k in range(41)]
-    assert calls == []
+    assert gcds == [] and calls == []
     assert all(type(e) is Fraction and e.denominator == 1 for e in integral)
-    whitney(40, 1, 3, LambdaScalar.fixed(Fraction(5, 6)))
-    assert calls == [2]
+    lam = LambdaScalar.fixed(Fraction(5, 6))
+    triangle = _triangle._triangle(lam, 0, 3, 1)
+    triangle._row(40)
+    assert triangle._powers == [2 ** j for j in range(41)]
+    triangle._powers = Slices(triangle._powers)
+    whitney(40, 1, 3, lam)
+    assert calls == [slice(40, None, -1)] and len(gcds) >= 40
+
+
+# The three fixed-lambda triangles that perfbench's tabulate workload grows
+# to n = 200 (family reader, its parameters before lam, lam), and for each
+# the gcds of its publication past the window, by the bits of an int digit.
+# One full gcd per entry made 16,653, 16,653 and 0 with 30-bit digits.
+TABULATE_TRIANGLES = [
+    (rstirling2_lambda, (2,), Fraction(1, 3)),
+    (unsigned_rstirling1_lambda, (3,), Fraction(-2, 3)),
+    (whitney, (3,), Fraction(-2, 3)),  # lam m = -2: q = 1
+]
+WIDE_GCDS = {30: [188, 5313, 0], 15: [1103, 7083, 0]}
+
+
+def test_publication_takes_few_gcds_past_the_window(monkeypatch, fresh_triangles):
+    # a step count that no host changes: publishing rows 0..200
+    # of each triangle takes a gcd against a power of q wider than the
+    # one-digit window q^(2t) only where the window leaves an entry open
+    window = NumberTriangle(LambdaScalar.fixed(Fraction(1, 3)))._window[0]
+    assert window.bit_length() <= sys.int_info.bits_per_digit
+    wide, real_gcd = [], poly.gcd
+
+    def counted_gcd(a, b):
+        wide.append(b > window)
+        return real_gcd(a, b)
+
+    monkeypatch.setattr(poly, "gcd", counted_gcd)
+    counts = []
+    for fn, params, lam_value in TABULATE_TRIANGLES:
+        lam = LambdaScalar.fixed(lam_value)
+        wide.clear()
+        entries = [fn(n, k, *params, lam) for n in range(201) for k in range(n + 1)]
+        assert len(entries) == 20301
+        counts.append(sum(wide))
+    assert counts == WIDE_GCDS[sys.int_info.bits_per_digit]
 
 
 # (lam, recurrence parameters) with the scale q of lam gcd(alpha, beta, gamma)
@@ -785,6 +836,65 @@ def test_reads_and_sums_race_publication_in_shuffled_orders(fresh_triangles):
         assert all(type(got[i]) is type(w) for i, w in enumerate(want))
     triangle = _triangle._TRIANGLES[lam, 0, 3, 1]
     assert triangle._params[1] == 2 and len(triangle._rows) == 41
+    assert all(type(row) is tuple for row in triangle._rows)
+    assert all(ints is None for ints in triangle._ints)
+
+
+def test_reads_and_sums_race_windowed_publication(monkeypatch, fresh_triangles):
+    # threads share one unsigned first-kind triangle of scale 3 (lam =
+    # -2/3, r = 3), each reading every entry of rows 0..60 and summing each
+    # row at two points, in its own order, while rows and the power list
+    # grow; every result is the single-thread one.  Its 903 entries past
+    # the window each take a gcd against the window (as the 43 entries over
+    # the window itself do), and 248 of them the full gcd after it, so
+    # publication runs both branches of _lowest
+    lam, xs = LambdaScalar.fixed(Fraction(-2, 3)), (Fraction(-3, 5), Fraction(7, 2))
+    want = NumberTriangle(lam, alpha=-1, r=3)
+    window = want._window[0]
+    widths, real_gcd = [], poly.gcd
+
+    def counted_gcd(a, b):
+        widths.append((b == window) - (b > window))
+        return real_gcd(a, b)
+
+    monkeypatch.setattr(poly, "gcd", counted_gcd)
+    rows = [read_row(want, n) for n in range(61)]
+    monkeypatch.undo()
+    assert (widths.count(1), widths.count(-1)) == (903 + 43, 248)
+    sums = [[want.row_sum(n, x) for x in xs] for n in range(61)]
+    ops = [(0, n, k) for n in range(61) for k in range(n + 1)]
+    ops += [(1, n, i) for n in range(61) for i in range(len(xs))]
+    results = {}
+
+    def worker(seed):
+        order = list(range(len(ops)))
+        random.Random(seed).shuffle(order)
+        got = {}
+        for i in order:
+            op, n, arg = ops[i]
+            got[i] = (unsigned_rstirling1_lambda(n, arg, 3, lam) if op == 0
+                      else _triangle._triangle(lam, -1, 0, 3).row_sum(n, xs[arg]))
+        results[seed] = got
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [Thread(target=worker, args=(seed,)) for seed in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 8
+    for got in results.values():
+        for i, (op, n, arg) in enumerate(ops):
+            expected = sums[n][arg] if op else rows[n][arg]
+            assert got[i] == expected and type(got[i]) is type(expected)
+    triangle = _triangle._TRIANGLES[lam, -1, 0, 3]
+    assert triangle._params[1] == 3 and len(triangle._rows) == 61
+    assert triangle._powers == [3 ** j for j in range(61)]
     assert all(type(row) is tuple for row in triangle._rows)
     assert all(ints is None for ints in triangle._ints)
 
